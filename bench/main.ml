@@ -686,7 +686,6 @@ let serve_run ~clients ~queries =
   Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
       Out_channel.output_string oc json);
   Format.printf "wrote BENCH_serve.json (%d rows)@." (List.length !rows);
-  (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ());
   if Atomic.get failed then begin
     Format.eprintf "serve: bench failed@.";
     exit 1

@@ -34,22 +34,31 @@ type result = {
        completed before the token fired *)
 }
 
-(* Samples the GC allocation counters around [f] and writes the deltas
-   into the result's stats.  [Gc.quick_stat] counters are per-domain in
-   OCaml 5, so for the multi-domain engine the deltas cover only the
-   calling domain's share — a lower bound, which is still the right
-   signal for the allocation-regression gate (the sequential engine, the
-   gate's subject, runs entirely on this domain). *)
+(* Counts the calling domain's allocation during [f] into the result's
+   stats.  [Par_or] counts each worker domain's share itself (see
+   [Par_or_engine.worker_main]), so it is not wrapped. *)
 let with_alloc_counters f =
-  let g0 = Gc.quick_stat () in
+  let mark = Stats.alloc_mark () in
   let result = f () in
-  let g1 = Gc.quick_stat () in
-  let minor = int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words) in
-  let promoted = int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words) in
-  result.stats.Stats.minor_words <- result.stats.Stats.minor_words + minor;
-  result.stats.Stats.promoted_words <-
-    result.stats.Stats.promoted_words + promoted;
+  Stats.add_alloc_since result.stats mark;
   result
+
+(* The goal's variables that are unbound at entry, with repeats.  The
+   engines bind the caller's goal term in place; [run] unbinds these on
+   every exit so that the same parsed goal can be run again. *)
+let rec free_vars acc t =
+  match t with
+  | Term.Var { binding = Some t; _ } -> free_vars acc t
+  | Term.Var v -> v :: acc
+  | Term.Atom _ | Term.Int _ -> acc
+  | Term.Struct (_, args) ->
+    let acc = ref acc in
+    for i = 0 to Array.length args - 1 do
+      acc := free_vars !acc args.(i)
+    done;
+    !acc
+
+let unbind vars = List.iter (fun (v : Term.var) -> v.Term.binding <- None) vars
 
 (* The shared, immutable artifact of the run lifecycle split: consulting,
    freezing and clause compilation happen once in [prepare]; [run] is the
@@ -70,23 +79,9 @@ let prepare_string program =
 let database p = p.pbase
 let session p = Database.overlay p.pbase
 
-let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
-    kind (config : Config.t) p goal =
-  let db = match session with Some s -> s | None -> p.pbase in
-  (* idempotent on the shared base; for a session overlay this re-caches
-     and re-compiles only the session's own asserted clauses *)
-  Database.freeze db;
-  (* one answer table per run unless the caller shares one across runs;
-     only the multi-domain engine needs the per-shard locks *)
-  let table =
-    match table with
-    | Some t -> t
-    | None ->
-      Ace_lang.Table.create
-        ~locked:(kind = Par_or)
-        ~max_answers:config.Config.table_max_answers ()
-  in
-  with_alloc_counters @@ fun () ->
+(* One run of [kind] on [db]; [run] adds the facade's bookkeeping. *)
+let run_on ?output ?trace ?chaos ?prof ~table ~cancel kind (config : Config.t)
+    db goal =
   match kind with
   | Sequential ->
     let solutions, m =
@@ -136,6 +131,35 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
       time = r.Par_or_engine.wall_ns;
       cancelled = Cancel.fired cancel;
     }
+
+let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
+    kind (config : Config.t) p goal =
+  let db = match session with Some s -> s | None -> p.pbase in
+  (* idempotent on the shared base; for a session overlay this re-caches
+     and re-compiles only the session's own asserted clauses *)
+  Database.freeze db;
+  (* one answer table per run unless the caller shares one across runs;
+     only the multi-domain engine needs the per-shard locks (an unlocked
+     table builds its shards at the first tabled call) *)
+  let table =
+    match table with
+    | Some t -> t
+    | None ->
+      Ace_lang.Table.create
+        ~locked:(kind = Par_or)
+        ~max_answers:config.Config.table_max_answers ()
+  in
+  let vars = free_vars [] goal in
+  let go () =
+    run_on ?output ?trace ?chaos ?prof ~table ~cancel kind config db goal
+  in
+  match if kind = Par_or then go () else with_alloc_counters go with
+  | r ->
+    unbind vars;
+    r
+  | exception e ->
+    unbind vars;
+    raise e
 
 let solve ?output ?trace ?chaos ?prof ?table ?cancel kind config db goal =
   run ?output ?trace ?chaos ?prof ?table ?cancel kind config (prepare db) goal

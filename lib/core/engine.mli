@@ -81,7 +81,14 @@ val session : prepared -> Ace_lang.Database.t
     far.
 
     [session] runs the query against a session overlay (from {!session})
-    instead of the shared base. *)
+    instead of the shared base.
+
+    The engines bind [goal]'s variables in place while they run; [run]
+    unbinds them again on every exit (exhausted, solution limit,
+    cancelled, raised), so the same parsed goal can be run again.
+    [result.stats] counts the minor words the run allocated, exactly,
+    and the words promoted meanwhile (summed over the worker domains on
+    [Par_or]). *)
 val run :
   ?output:Buffer.t ->
   ?trace:Ace_obs.Trace.t ->

@@ -751,16 +751,20 @@ and steal_loop w =
   in
   poll 0
 
+(* Runs worker [w] to the end on the current domain and counts that
+   domain's allocation meanwhile into the worker's shard. *)
 let worker_main w =
-  try main_loop w with
-  | Cancel.Cancelled ->
-    (* the kernel's tabling chokepoint unwound this worker: an orderly
-       stop, not a failure — solutions already published stand *)
-    Atomic.set w.sh.stop true
-  | e ->
-    (* first failure wins; stop the others and re-raise after the join *)
-    ignore (Atomic.compare_and_set w.sh.failure None (Some e));
-    Atomic.set w.sh.stop true
+  let mark = Stats.alloc_mark () in
+  (try main_loop w with
+   | Cancel.Cancelled ->
+     (* the kernel's tabling chokepoint unwound this worker: an orderly
+        stop, not a failure — solutions already published stand *)
+     Atomic.set w.sh.stop true
+   | e ->
+     (* first failure wins; stop the others and re-raise after the join *)
+     ignore (Atomic.compare_and_set w.sh.failure None (Some e));
+     Atomic.set w.sh.stop true);
+  Stats.add_alloc_since w.stats mark
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)

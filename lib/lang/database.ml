@@ -150,8 +150,9 @@ type t = {
        base [b] — its own preds hold only the session's asserts, and
        every lookup merges them around [b]'s (never-mutated) result *)
   mutable removed : Clause.t list;
-    (* overlay only: clauses retracted by this session, tombstoned by
-       physical identity so the shared base stays untouched *)
+    (* overlay only: base clauses retracted by this session, tombstoned
+       by physical identity so the shared base stays untouched (the
+       session's own clauses are deleted from its preds instead) *)
 }
 
 let create () =
@@ -614,64 +615,51 @@ let overlay_entries p key =
 
 (* The session view of one (keyed) lookup, in overlay source order:
    asserta'd session clauses (negative seq), then the base's (cached,
-   indexed) answer, then assertz'd session clauses — with this session's
-   tombstones filtered out of every part.  [None] exactly when neither
-   side defines the predicate. *)
+   indexed) answer with this session's tombstones filtered out, then
+   assertz'd session clauses.  [None] exactly when neither side defines
+   the predicate.  When the session has no tombstones and no clause of
+   the predicate, this is the base's list itself, not a copy. *)
 let overlay_view db p_opt key base_part =
-  let keep =
-    match db.removed with
-    | [] -> fun _ -> true
-    | removed -> fun c -> not (List.memq c removed)
+  let bs =
+    match base_part, db.removed with
+    | None, _ -> []
+    | Some bs, [] -> bs
+    | Some bs, removed -> List.filter (fun c -> not (List.memq c removed)) bs
   in
   match p_opt, base_part with
   | None, None -> None
-  | None, Some bs -> Some (List.filter keep bs)
-  | Some p, _ ->
+  | Some p, _ when p.count > 0 ->
     let front, back =
       List.partition (fun e -> e.seq < 0) (overlay_entries p key)
     in
-    let part es =
-      List.filter_map
-        (fun e -> if keep e.e_clause then Some e.e_clause else None)
-        es
-    in
-    let bs =
-      match base_part with None -> [] | Some bs -> List.filter keep bs
-    in
-    Some (part front @ bs @ part back)
+    Some (entry_clauses front @ bs @ entry_clauses back)
+  | _ -> Some bs
 
-(* Retracts the first clause of the session view whose [H :- B] term
-   unifies with [pattern]'s, by tombstoning it in the overlay; the base
-   database is never written.  Returns [false] when nothing matched. *)
-let retract db pattern =
-  match db.base with
-  | None -> invalid_arg "Database.retract: session overlay expected"
-  | Some b ->
-    let sym, arity = Clause.functor_arity pattern in
-    let own_front, own_back =
-      match find_pred_sym db sym arity with
-      | None -> ([], [])
-      | Some p ->
-        let f, bk = List.partition (fun e -> e.seq < 0) (all_entries p) in
-        (List.map (fun e -> e.e_clause) f, List.map (fun e -> e.e_clause) bk)
-    in
-    let base_cs =
-      match find_pred_sym b sym arity with
-      | None -> []
-      | Some p -> List.map (fun e -> e.e_clause) (all_entries p)
-    in
-    let pat = Clause.to_term (Clause.rename pattern) in
-    let live c = not (List.memq c db.removed) in
-    let rec go = function
-      | [] -> false
-      | c :: rest ->
-        if live c && Ace_term.Unify.matches (Clause.to_term c) pat then begin
-          db.removed <- c :: db.removed;
-          true
-        end
-        else go rest
-    in
-    go (own_front @ base_cs @ own_back)
+(* Deletes [c] from the session's own clauses, if it is one: a clause
+   the session asserted and now retracts leaves the overlay, instead of
+   staying behind as a tombstone that every later lookup filters out.
+   [false] when [c] is a base clause. *)
+let remove_own db c =
+  let sym, arity = Clause.functor_arity c in
+  match find_pred_sym db sym arity with
+  | None -> false
+  | Some p -> (
+    match List.find_opt (fun e -> e.e_clause == c) (all_entries p) with
+    | None -> false
+    | Some e ->
+      let drop = List.filter (fun e' -> e' != e) in
+      if e.seq < 0 then p.front <- drop p.front
+      else p.back_rev <- drop p.back_rev;
+      (match e.e_key with
+       | Kany -> p.anys <- drop p.anys
+       | key -> (
+         match drop (KeyTbl.find p.buckets key) with
+         | [] -> KeyTbl.remove p.buckets key
+         | bucket -> KeyTbl.replace p.buckets key bucket));
+      p.count <- p.count - 1;
+      db.frozen <- false;
+      invalidate p;
+      true)
 
 (* Overlay-aware public lookups, shadowing the direct versions above.
    A database without a base pays exactly one extra load and branch;
@@ -729,6 +717,26 @@ let lookup_code_args db sym arity (args : Term.t array) =
       (find_pred_sym db sym arity)
       key
       (direct_lookup_code_args b sym arity args)
+
+(* Retracts the first clause of the session view whose [H :- B] term
+   unifies with [pattern]'s.  The candidates are the session view's
+   first-argument lookup on the pattern's head, so only clauses that can
+   match are unified.  A clause the session asserted leaves its overlay;
+   a base clause is tombstoned (by physical identity), as the base is
+   never written.  Returns [false] when nothing matched. *)
+let retract db pattern =
+  if db.base = None then
+    invalid_arg "Database.retract: session overlay expected";
+  let pat = Clause.to_term (Clause.rename pattern) in
+  match
+    List.find_opt
+      (fun c -> Ace_term.Unify.matches (Clause.to_term c) pat)
+      (Option.value ~default:[] (lookup db pattern.Clause.head))
+  with
+  | None -> false
+  | Some c ->
+    if not (remove_own db c) then db.removed <- c :: db.removed;
+    true
 
 (* Overlay-aware introspection (cold paths). *)
 
@@ -797,6 +805,8 @@ let total_clauses db =
     own
     + PredTbl.fold (fun _ p acc -> acc + p.count) b.preds 0
     - List.length db.removed
+
+let tombstones db = List.length db.removed
 
 (* A predicate is statically determinate-on-first-arg when no two of its
    clauses can match the same (non-variable) first argument.  Used by the

@@ -54,8 +54,9 @@ val freeze : t -> unit
     A session overlay is a private delta over a shared frozen base:
     clauses asserted into the overlay are visible only through it
     ([asserta]'d ones before the base's clauses, [assertz]'d ones
-    after), {!retract} tombstones clauses without writing the base, and
-    every lookup merges the delta around the base's indexed answer.
+    after), {!retract} deletes the session's own clauses and tombstones
+    base clauses without writing the base, and every lookup merges the
+    delta around the base's indexed answer.
     The base is never mutated, so any number of sessions can overlay
     the same database while engines run queries against it. *)
 
@@ -70,7 +71,9 @@ val base : t -> t option
 (** [retract db pattern] removes the first clause of the session view
     (overlay [asserta]s, then base, then overlay [assertz]s) whose
     [H :- B] term unifies with [pattern]'s; returns [false] when no
-    clause matches.  Overlay-only: raises [Invalid_argument] on a
+    clause matches.  Candidates come from the first-argument index on
+    the pattern's head, so the cost follows the matching clauses, not
+    the predicate's size.  Overlay-only: raises [Invalid_argument] on a
     database without a base. *)
 val retract : t -> Clause.t -> bool
 
@@ -92,6 +95,11 @@ val tabled_preds : t -> (string * int) list
 val predicates : t -> (string * int) list
 
 val total_clauses : t -> int
+
+(** Base clauses a session overlay has retracted (hides by tombstone);
+    0 for an ordinary database.  The session's own retracted clauses
+    leave the overlay and are not counted. *)
+val tombstones : t -> int
 
 (** No two clauses of the predicate can match the same non-variable first
     argument (static determinacy). *)

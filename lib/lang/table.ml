@@ -28,7 +28,10 @@ let shards = 16
 
 type t = {
   locked : bool;
-  shard_arr : shard array;
+  mutable shard_arr : shard array;
+    (* a locked table builds its shards up front, before any worker can
+       race; an unlocked one (one thread) at its first tabled call, so a
+       run that calls no tabled predicate pays nothing for them *)
   next_id : int Atomic.t;
   t_max_answers : int;
   log_lock : Mutex.t;
@@ -37,15 +40,22 @@ type t = {
 
 let mutation : int option ref = ref None
 
+(* An unlocked table's mutexes: shared by all of them and never taken. *)
+let never_locked = Mutex.create ()
+
+let new_lock locked = if locked then Mutex.create () else never_locked
+
+let make_shards locked =
+  Array.init shards (fun _ ->
+      { lock = new_lock locked; subgoals = Trie.create () })
+
 let create ?(locked = false) ?(max_answers = 0) () =
   {
     locked;
-    shard_arr =
-      Array.init shards (fun _ ->
-          { lock = Mutex.create (); subgoals = Trie.create () });
+    shard_arr = (if locked then make_shards locked else [||]);
     next_id = Atomic.make 0;
     t_max_answers = max_answers;
-    log_lock = Mutex.create ();
+    log_lock = new_lock locked;
     log_rev = [];
   }
 
@@ -58,7 +68,9 @@ let with_shard t shard f =
   end
   else f ()
 
-let shard_of t toks = t.shard_arr.(Trie.hash toks land (shards - 1))
+let shard_of t toks =
+  if Array.length t.shard_arr = 0 then t.shard_arr <- make_shards t.locked;
+  t.shard_arr.(Trie.hash toks land (shards - 1))
 
 let subgoal_entry t call =
   let toks = Trie.tokens call in
@@ -117,9 +129,10 @@ let is_complete entry = Atomic.get entry.complete
 
 let set_complete t entry =
   if Atomic.compare_and_set entry.complete false true then begin
-    Mutex.lock t.log_lock;
-    t.log_rev <- Ace_term.Pp.to_canonical_string entry.subgoal :: t.log_rev;
-    Mutex.unlock t.log_lock
+    let line = Ace_term.Pp.to_canonical_string entry.subgoal in
+    if t.locked then Mutex.lock t.log_lock;
+    t.log_rev <- line :: t.log_rev;
+    if t.locked then Mutex.unlock t.log_lock
   end
 
 let completion_log t = List.rev t.log_rev

@@ -32,8 +32,9 @@ type entry = {
 type t
 
 (** [create ~locked ~max_answers ()] — [locked] arms the per-shard
-    mutexes (hardware engine only); [max_answers = 0] means
-    unlimited. *)
+    mutexes (hardware engine only); [max_answers = 0] means unlimited.
+    An unlocked table builds its shards at the first tabled call, so a
+    run that makes none pays only for the table record. *)
 val create : ?locked:bool -> ?max_answers:int -> unit -> t
 
 val max_answers : t -> int

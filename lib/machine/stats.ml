@@ -145,6 +145,26 @@ let merge_into ~into:a b =
   a.minor_words <- a.minor_words + b.minor_words;
   a.promoted_words <- a.promoted_words + b.promoted_words
 
+(* Minor words come from [Gc.minor_words], which reads the minor heap's
+   allocation pointer and is exact to the word.  [Gc.counters]'s minor
+   figure is not on OCaml 5.1 (it counts the words in the current minor
+   heap divided by the word size a second time), so only its promoted
+   figure, a per-collection total, is taken from it.  Its call
+   allocates, so it is made outside the measured span (before the
+   mark's minor reading, after the final one): of the bookkeeping, only
+   the mark record itself is counted. *)
+type alloc_mark = { minor0 : float; promoted0 : float }
+
+let alloc_mark () =
+  let _, promoted0, _ = Gc.counters () in
+  { minor0 = Gc.minor_words (); promoted0 }
+
+let add_alloc_since t { minor0; promoted0 } =
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, _ = Gc.counters () in
+  t.minor_words <- t.minor_words + int_of_float (minor1 -. minor0);
+  t.promoted_words <- t.promoted_words + int_of_float (promoted1 -. promoted0)
+
 let fields t =
   [ ("unify_steps", t.unify_steps);
     ("code_instrs", t.code_instrs);

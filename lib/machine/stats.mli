@@ -78,6 +78,17 @@ val create : unit -> t
     while a worker is still writing its record is a data race. *)
 val merge_into : into:t -> t -> unit
 
+(** A reading of the calling domain's GC allocation counters. *)
+type alloc_mark
+
+val alloc_mark : unit -> alloc_mark
+
+(** [add_alloc_since t mark] adds the calling domain's allocation since
+    [mark] (taken on the same domain) to [t]'s [minor_words], exact to
+    the word, and [promoted_words].  The counters are per domain, so a
+    multi-domain run takes one mark per worker domain. *)
+val add_alloc_since : t -> alloc_mark -> unit
+
 (** Field names and values, for tabular output.  Stable order; covers every
     counter of the record. *)
 val fields : t -> (string * int) list

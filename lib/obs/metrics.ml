@@ -21,18 +21,20 @@ module Stats = Ace_machine.Stats
 
 (* Bucket [b] counts values in [2^(b-1), 2^b) (bucket 0 counts <= 0);
    enough resolution to see "one huge copy" vs "many small ones" at a cost
-   of one store per sample. *)
+   of one store per sample.  The bucket array is allocated at the first
+   sample: most runs (every sequential and simulated one) never add any,
+   and a shard's three arrays would be most of such a run's fixed
+   allocation. *)
 type hist = {
   mutable h_n : int;
   mutable h_sum : int;
   mutable h_max : int;
-  h_buckets : int array;
+  mutable h_buckets : int array; (* [||] until the first sample *)
 }
 
 let hist_bucket_count = 63
 
-let hist_create () =
-  { h_n = 0; h_sum = 0; h_max = 0; h_buckets = Array.make hist_bucket_count 0 }
+let hist_create () = { h_n = 0; h_sum = 0; h_max = 0; h_buckets = [||] }
 
 let bucket_of v =
   if v <= 0 then 0
@@ -41,11 +43,17 @@ let bucket_of v =
     min (hist_bucket_count - 1) (go 0 v)
   end
 
+let buckets h =
+  if Array.length h.h_buckets = 0 then
+    h.h_buckets <- Array.make hist_bucket_count 0;
+  h.h_buckets
+
 let hist_add h v =
   h.h_n <- h.h_n + 1;
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v;
-  h.h_buckets.(bucket_of v) <- h.h_buckets.(bucket_of v) + 1
+  let b = buckets h in
+  b.(bucket_of v) <- b.(bucket_of v) + 1
 
 let hist_mean h = if h.h_n = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_n
 
@@ -53,13 +61,16 @@ let hist_merge_into ~into:a b =
   a.h_n <- a.h_n + b.h_n;
   a.h_sum <- a.h_sum + b.h_sum;
   if b.h_max > a.h_max then a.h_max <- b.h_max;
-  Array.iteri (fun i n -> a.h_buckets.(i) <- a.h_buckets.(i) + n) b.h_buckets
+  if b.h_n > 0 then begin
+    let ab = buckets a in
+    Array.iteri (fun i n -> ab.(i) <- ab.(i) + n) b.h_buckets
+  end
 
 (* Non-empty buckets as (inclusive upper bound, count) pairs: bucket [b]
    holds values in [2^(b-1), 2^b - 1], so the bound is 2^b - 1. *)
 let hist_buckets h =
   let acc = ref [] in
-  for b = hist_bucket_count - 1 downto 0 do
+  for b = Array.length h.h_buckets - 1 downto 0 do
     if h.h_buckets.(b) > 0 then
       acc := ((if b = 0 then 0 else (1 lsl b) - 1), h.h_buckets.(b)) :: !acc
   done;

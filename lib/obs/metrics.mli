@@ -9,12 +9,13 @@
 module Stats = Ace_machine.Stats
 
 (** Power-of-two histogram: bucket [b] counts values in [2^(b-1), 2^b)
-    (bucket 0 counts values <= 0). *)
+    (bucket 0 counts values <= 0).  [h_buckets] is empty until the first
+    sample; read the counts through {!hist_buckets}. *)
 type hist = {
   mutable h_n : int;
   mutable h_sum : int;
   mutable h_max : int;
-  h_buckets : int array;
+  mutable h_buckets : int array;
 }
 
 val hist_create : unit -> hist

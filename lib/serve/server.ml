@@ -34,6 +34,7 @@ type t = {
   engine : Engine.kind;
   config : Ace_machine.Config.t;
   listen_fd : Unix.file_descr;
+  listen : Unix.sockaddr;
   max_active : int;
   draining : bool Atomic.t;
   qlock : Mutex.t;
@@ -273,7 +274,12 @@ let listener srv () =
     end
   in
   loop ();
-  try Unix.close srv.listen_fd with Unix.Unix_error _ -> ()
+  (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
+  (* a drained server leaves no socket file behind *)
+  match srv.listen with
+  | Unix.ADDR_UNIX path -> (
+    try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Unix.ADDR_INET _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -309,6 +315,7 @@ let create ?(workers = 4) ?max_active ?(engine = Engine.Sequential)
       engine;
       config;
       listen_fd;
+      listen;
       max_active;
       draining = Atomic.make false;
       qlock = Mutex.create ();

@@ -40,7 +40,8 @@ val create :
 val stats : t -> stats
 
 (** Graceful shutdown: stop accepting, refuse new work, cancel
-    in-flight queries.  Idempotent, safe from a signal handler's
+    in-flight queries.  The listener closes its socket and, for a Unix
+    socket, unlinks its path.  Idempotent, safe from a signal handler's
     deferred context or any thread. *)
 val drain : t -> unit
 

@@ -66,8 +66,6 @@ let cancel_all s =
 
 let inflight s = with_lock s.ilock (fun () -> Hashtbl.length s.inflight)
 
-let term_to_string t = Format.asprintf "%a" Ace_term.Pp.pp t
-
 (* Anything a bad goal or a bad program can raise must come back as a
    protocol error, not kill the worker thread serving the session. *)
 let guard f =
@@ -108,7 +106,7 @@ let query ?id ?engine ?agents ?limit ?deadline_ms s goal_text =
                     s.prepared q.Program.goal
                 in
                 {
-                  solutions = List.map term_to_string r.Engine.solutions;
+                  solutions = List.map Ace_term.Pp.to_string r.Engine.solutions;
                   terms = r.Engine.solutions;
                   cancelled = r.Engine.cancelled;
                   time_ns =

@@ -21,7 +21,9 @@ val create :
 val db : t -> Ace_lang.Database.t
 
 type answer = {
-  solutions : string list;  (** printed instantiated goals, discovery order *)
+  solutions : string list;
+      (** instantiated goals in discovery order, each printed on one line
+          by {!Ace_term.Pp.to_string} *)
   terms : Ace_term.Term.t list;  (** the same solutions, unprinted *)
   cancelled : Ace_core.Cancel.reason option;
   time_ns : int;  (** wall clock, parse to answer *)

@@ -1,9 +1,13 @@
-(* Operator-aware pretty-printing of terms.
+(* Operator-aware printing of terms, straight into a [Buffer].
 
    The printer carries its own table of the standard operators (mirroring
    the parser's table in [ace_lang]); printing an operator term emits infix
    syntax with parentheses driven by priorities, so that printed terms
    re-parse to the same term.
+
+   Output is always one line: no layout engine sits between the term and
+   the buffer, so printing costs one pass over the term and the bytes it
+   emits (answers on the server's request path are printed here).
 
    This is the one layer where symbols resolve back to strings: the tables
    are keyed on symbol ids, and [Symbol.name] is called only on the atoms
@@ -76,107 +80,122 @@ let atom_needs_quotes name =
   || (not (is_letter_atom name || is_symbolic_atom name)
       && not (List.mem name [ "[]"; "!"; ";"; "{}" ]))
 
-let pp_atom ppf name =
+let add_atom buf name =
   if atom_needs_quotes name then begin
-    let buf = Buffer.create (String.length name + 2) in
     Buffer.add_char buf '\'';
     String.iter
-      (fun c ->
-        match c with
+      (function
         | '\'' -> Buffer.add_string buf "\\'"
         | '\\' -> Buffer.add_string buf "\\\\"
         | '\n' -> Buffer.add_string buf "\\n"
         | c -> Buffer.add_char buf c)
       name;
-    Buffer.add_char buf '\'';
-    Format.pp_print_string ppf (Buffer.contents buf)
+    Buffer.add_char buf '\''
   end
-  else Format.pp_print_string ppf name
+  else Buffer.add_string buf name
 
-let pp_var ppf (v : Term.var) = Format.fprintf ppf "_G%d" v.Term.vid
+let add_int buf n = Buffer.add_string buf (string_of_int n)
+
+(* Variable names: [None] prints [_G<id>]; [Some tbl] numbers variables
+   by first occurrence in print order (the canonical form), [tbl] mapping
+   variable id to number.  Print order is a left-to-right preorder walk,
+   the same order as {!Term.variables}. *)
+let add_var buf names (v : Term.var) =
+  match names with
+  | None ->
+    Buffer.add_string buf "_G";
+    add_int buf v.Term.vid
+  | Some tbl ->
+    let n =
+      match Hashtbl.find_opt tbl v.Term.vid with
+      | Some n -> n
+      | None ->
+        let n = Hashtbl.length tbl in
+        Hashtbl.add tbl v.Term.vid n;
+        n
+    in
+    Buffer.add_string buf "'_V";
+    add_int buf n;
+    Buffer.add_char buf '\''
 
 (* [max_prio] is the highest operator priority printable without
    parentheses in the current context. *)
-let rec pp_prio max_prio ppf t =
+let rec add_prio buf names max_prio t =
   match Term.deref t with
-  | Term.Var v -> pp_var ppf v
+  | Term.Var v -> add_var buf names v
   | Term.Int n ->
-    if n < 0 && max_prio < 200 then Format.fprintf ppf "(%d)" n
-    else Format.pp_print_int ppf n
-  | Term.Atom s -> pp_atom ppf (Symbol.name s)
-  | Term.Struct (s, [| _; _ |]) as t when Symbol.equal s Symbol.dot ->
-    pp_list ppf t
+    if n < 0 && max_prio < 200 then begin
+      Buffer.add_char buf '(';
+      add_int buf n;
+      Buffer.add_char buf ')'
+    end
+    else add_int buf n
+  | Term.Atom s -> add_atom buf (Symbol.name s)
+  | Term.Struct (s, [| h; tl |]) when Symbol.equal s Symbol.dot ->
+    Buffer.add_char buf '[';
+    add_prio buf names 999 h;
+    add_tail buf names tl;
+    Buffer.add_char buf ']'
   | Term.Struct (s, [| x; y |]) when Hashtbl.mem infix_ops (Symbol.id s) ->
     let prio, assoc = Hashtbl.find infix_ops (Symbol.id s) in
-    let name = Symbol.name s in
     let lp, rp =
       match assoc with
       | Xfx -> (prio - 1, prio - 1)
       | Xfy -> (prio - 1, prio)
       | Yfx -> (prio, prio - 1)
     in
-    let body ppf () =
-      if Symbol.equal s Symbol.comma then
-        Format.fprintf ppf "%a%s@ %a" (pp_prio lp) x name (pp_prio rp) y
-      else
-        Format.fprintf ppf "%a %s@ %a" (pp_prio lp) x name (pp_prio rp) y
-    in
-    if prio > max_prio then Format.fprintf ppf "@[<hov 1>(%a)@]" body ()
-    else Format.fprintf ppf "@[<hov 2>%a@]" body ()
+    if prio > max_prio then Buffer.add_char buf '(';
+    add_prio buf names lp x;
+    if Symbol.equal s Symbol.comma then Buffer.add_string buf ", "
+    else begin
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Symbol.name s);
+      Buffer.add_char buf ' '
+    end;
+    add_prio buf names rp y;
+    if prio > max_prio then Buffer.add_char buf ')'
   | Term.Struct (s, [| x |]) when Hashtbl.mem prefix_ops (Symbol.id s) ->
     let prio = Hashtbl.find prefix_ops (Symbol.id s) in
-    let body ppf () =
-      Format.fprintf ppf "%s %a" (Symbol.name s) (pp_prio prio) x
-    in
-    if prio > max_prio then Format.fprintf ppf "(%a)" body ()
-    else body ppf ()
+    if prio > max_prio then Buffer.add_char buf '(';
+    Buffer.add_string buf (Symbol.name s);
+    Buffer.add_char buf ' ';
+    add_prio buf names prio x;
+    if prio > max_prio then Buffer.add_char buf ')'
   | Term.Struct (s, args) ->
-    Format.fprintf ppf "@[<hov 2>%a(%a)@]" pp_atom (Symbol.name s)
-      (Format.pp_print_array
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@,")
-         (pp_prio 999))
-      args
+    add_atom buf (Symbol.name s);
+    Buffer.add_char buf '(';
+    for i = 0 to Array.length args - 1 do
+      if i > 0 then Buffer.add_char buf ',';
+      add_prio buf names 999 args.(i)
+    done;
+    Buffer.add_char buf ')'
 
-and pp_list ppf t =
-  let rec tail ppf t =
-    match Term.deref t with
-    | Term.Atom s when Symbol.equal s Symbol.nil -> ()
-    | Term.Struct (s, [| h; tl |]) when Symbol.equal s Symbol.dot ->
-      Format.fprintf ppf ",%a%a" (pp_prio 999) h tail tl
-    | rest -> Format.fprintf ppf "|%a" (pp_prio 999) rest
-  in
+(* The elements after a list's head; iterative along the spine, so a
+   long list costs no stack. *)
+and add_tail buf names t =
   match Term.deref t with
+  | Term.Atom s when Symbol.equal s Symbol.nil -> ()
   | Term.Struct (s, [| h; tl |]) when Symbol.equal s Symbol.dot ->
-    Format.fprintf ppf "@[<hov 1>[%a%a]@]" (pp_prio 999) h tail tl
-  | t -> pp_prio 1200 ppf t
+    Buffer.add_char buf ',';
+    add_prio buf names 999 h;
+    add_tail buf names tl
+  | rest ->
+    Buffer.add_char buf '|';
+    add_prio buf names 999 rest
 
-let pp ppf t = pp_prio 1200 ppf t
-
-(* Single-line rendering: [to_string] output is used for comparisons and
-   re-parsing, where the pretty-printer's line breaks would only get in
-   the way. *)
 let to_string t =
   let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.pp_set_margin ppf 1_000_000;
-  pp ppf t;
-  Format.pp_print_flush ppf ();
+  add_prio buf None 1200 t;
   Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* Alpha-invariant rendering: unbound variables are numbered by first
    occurrence, so two alpha-equivalent terms print identically regardless
    of their variable ids.  Engines produce solution copies with fresh
    (engine-dependent) variables; this is the form to compare across
-   engines.  Implemented by temporarily binding each variable to a marker
-   atom, so it must not run concurrently with other users of the term.
-   The marker atoms are interned (once per distinct index, globally). *)
+   engines.  Variable [i] prints as the quoted atom ['_V<i>']. *)
 let to_canonical_string t =
-  let vars = Term.variables t in
-  List.iteri
-    (fun i (v : Term.var) ->
-      v.Term.binding <- Some (Term.atom (Printf.sprintf "_V%d" i)))
-    vars;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (v : Term.var) -> v.Term.binding <- None) vars)
-    (fun () -> to_string t)
+  let buf = Buffer.create 64 in
+  add_prio buf (Some (Hashtbl.create 8)) 1200 t;
+  Buffer.contents buf

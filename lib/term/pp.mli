@@ -1,19 +1,17 @@
 (** Operator-aware term printing.  Printed output re-parses (via
     [ace_lang]) to an equal term, which the test suite checks by
-    property. *)
+    property.  Output is always a single line. *)
 
+(** Prints {!to_string}'s line (never wrapped, whatever the formatter's
+    margin). *)
 val pp : Format.formatter -> Term.t -> unit
 
+(** Unbound variables print as [_G<id>]. *)
 val to_string : Term.t -> string
 
 (** Alpha-invariant rendering: unbound variables are numbered by first
-    occurrence, so alpha-equivalent terms (e.g. the same solution copied by
-    different engines) print identically.  Temporarily mutates the term's
-    variable bindings — not safe concurrently with other users of [t]. *)
+    occurrence and print as ['_V0'], ['_V1'], ..., so alpha-equivalent
+    terms (e.g. the same solution copied by different engines) print
+    identically.  Reads the term only: safe concurrently with other
+    readers. *)
 val to_canonical_string : Term.t -> string
-
-(** Prints a single atom, quoting when lexically required. *)
-val pp_atom : Format.formatter -> string -> unit
-
-(** Canonical display name of an unbound variable ([_G<id>]). *)
-val pp_var : Format.formatter -> Term.var -> unit

@@ -153,6 +153,86 @@ let engines =
   [ (Engine.Sequential, 1); (Engine.And_parallel, 2);
     (Engine.Or_parallel, 2); (Engine.Par_or, 2) ]
 
+(* ------------------------------------------------------------------ *)
+(* Re-running one parsed goal                                          *)
+(* ------------------------------------------------------------------ *)
+
+let hops =
+  {|link(a, b). link(a, c). link(b, c). link(b, d). link(c, d). link(d, a).
+hop2(X, Z) :- link(X, Y), link(Y, Z).
+stuck(X) :- link(a, X), undefined_here(X).
+|}
+
+(* [Engine.run] restores the caller's goal term on every exit, so the
+   same parsed goal gives the same answers when run again. *)
+let test_rerun_parsed_goal () =
+  let p = Engine.prepare_string hops in
+  let goal = term "hop2(a, W)" and stuck = term "stuck(X)" in
+  let printed = List.map Ace_term.Pp.to_string [ goal; stuck ] in
+  let restored what =
+    Alcotest.(check (list string)) (what ^ ": goals restored") printed
+      (List.map Ace_term.Pp.to_string [ goal; stuck ])
+  in
+  List.iter
+    (fun ((kind, agents), compile) ->
+      let name =
+        Printf.sprintf "%s%s" (Engine.kind_to_string kind)
+          (if compile then "/c" else "")
+      in
+      let config =
+        { (Config.all_optimizations ~agents ()) with Config.compile }
+      in
+      let runs =
+        List.init 3 (fun _ ->
+            let r = Engine.run kind config p goal in
+            restored (name ^ " exhausted");
+            Ace_check.Canon.multiset r.Engine.solutions)
+      in
+      Alcotest.(check int) (name ^ " three answers") 3
+        (List.length (List.hd runs));
+      List.iter
+        (Alcotest.(check (list string)) (name ^ " same answers again")
+           (List.hd runs))
+        runs;
+      for _ = 1 to 2 do
+        let r =
+          Engine.run kind { config with Config.max_solutions = Some 1 } p goal
+        in
+        restored (name ^ " solution limit");
+        Alcotest.(check int) (name ^ " one answer") 1
+          (List.length r.Engine.solutions)
+      done;
+      ignore (Engine.run ~cancel:(Cancel.at_polls 3) kind config p goal);
+      restored (name ^ " cancelled");
+      for _ = 1 to 2 do
+        (match Engine.run kind config p stuck with
+         | _ -> Alcotest.failf "%s: undefined predicate must raise" name
+         | exception Ace_core.Errors.Engine_error _ -> ());
+        restored (name ^ " raised")
+      done)
+    (List.concat_map (fun e -> [ (e, false); (e, true) ]) engines)
+
+(* The per-run set-up is O(1): no answer-table shards, no histogram
+   buckets and no GC-stat records on a run that needs none of them. *)
+let test_run_setup_words () =
+  let p = Engine.prepare_string "t." in
+  let goal = term "true" in
+  List.iter
+    (fun compile ->
+      let config = { Config.default with Config.compile } in
+      ignore (Engine.run Engine.Sequential config p goal);
+      let w0 = Gc.minor_words () in
+      let r = Engine.run Engine.Sequential config p goal in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "one solution" 1 (List.length r.Engine.solutions);
+      if words > 300. then
+        Alcotest.failf "Engine.run of true (compile=%b): %.0f minor words > 300"
+          compile words;
+      Alcotest.(check bool) "stats count the run's words exactly" true
+        (r.Engine.stats.Ace_machine.Stats.minor_words > 0
+        && float_of_int r.Engine.stats.Ace_machine.Stats.minor_words <= words))
+    [ false; true ]
+
 let test_deadline_all_engines () =
   List.iter
     (fun (kind, agents) ->
@@ -314,6 +394,9 @@ let suite =
       test_overlay_semantics;
     Alcotest.test_case "overlay: retract shadows base" `Quick
       test_overlay_retract;
+    Alcotest.test_case "run: a parsed goal runs again" `Quick
+      test_rerun_parsed_goal;
+    Alcotest.test_case "run: set-up allocation" `Quick test_run_setup_words;
     Alcotest.test_case "cancel: deadline on all engines" `Quick
       test_deadline_all_engines;
     Alcotest.test_case "cancel: budget partial + deterministic" `Quick

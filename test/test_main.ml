@@ -4,6 +4,7 @@ let () =
   Alcotest.run "ace"
     [ ("symbol", Test_symbol.suite);
       ("term", Test_term.suite);
+      ("pp", Test_pp.suite);
       ("trail-unify", Test_trail_unify.suite);
       ("lang", Test_lang.suite);
       ("machine", Test_machine.suite);

@@ -128,6 +128,22 @@ let test_solution_count_in_stats () =
     r.Engine.stats.Stats.solutions;
   Alcotest.(check int) "twelve pairs" 12 (List.length r.Engine.solutions)
 
+(* Every worker domain adds its own allocation to its shard; the run's
+   total is their sum. *)
+let test_alloc_per_domain () =
+  let r = run ~config:{ Config.default with agents = 2 } ~program:search_lib
+      "pair(X, Y)"
+  in
+  let shards = Ace_obs.Metrics.per_domain r.Engine.metrics in
+  Array.iteri
+    (fun i st ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d counted" i) true
+        (st.Stats.minor_words > 0))
+    shards;
+  Alcotest.(check int) "total is the sum of the domains"
+    (Array.fold_left (fun n st -> n + st.Stats.minor_words) 0 shards)
+    r.Engine.stats.Stats.minor_words
+
 let test_repeated_runs_stable () =
   (* parallel discovery order is nondeterministic; the set is not *)
   let config = { Config.default with agents = 4 } in
@@ -147,4 +163,5 @@ let suite =
     Alcotest.test_case "empty search terminates" `Quick test_empty_search_terminates;
     Alcotest.test_case "undefined predicate" `Quick test_undefined_predicate_raises;
     Alcotest.test_case "stats solution count" `Quick test_solution_count_in_stats;
+    Alcotest.test_case "allocation per domain" `Quick test_alloc_per_domain;
     Alcotest.test_case "repeated runs stable" `Quick test_repeated_runs_stable ]

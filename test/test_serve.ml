@@ -126,6 +126,128 @@ let test_session_cancel_inflight () =
   Alcotest.(check int) "unregistered" 0 (Session.inflight s);
   Alcotest.(check bool) "cancel misses now" false (Session.cancel s 1)
 
+(* Overlay semantics, differentially: seeded random assert, asserta and
+   retract sequences on a session must answer every query exactly as a
+   fresh prepare of the program the operations describe.  The model is
+   that program: p/2's clauses in source order ([asserta] prepends,
+   [assertz] appends, [retract] drops the first clause unifying with
+   the pattern).  Facts may hold distinct variables; the sentinel
+   [p(zz, zz)] keeps p/2 defined and no pattern can match it. *)
+
+type arg = Const of string | Any
+
+let show_fact (x, y) =
+  let show = function Const c -> c | Any -> "_" in
+  Printf.sprintf "p(%s, %s)" (show x) (show y)
+
+let unifies (x, y) (x', y') =
+  let one a b = match a, b with Const c, Const c' -> c = c' | _ -> true in
+  one x x' && one y y'
+
+let overlay_rules =
+  {|p(zz, zz).
+r(X, Y) :- p(X, V), p(Y, V).
+q(X) :- p(X, _).
+|}
+
+let test_session_overlay_differential () =
+  let rng = Random.State.make [| 0x0e71a7 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let keys = [ "a"; "b"; "c" ] and values = [ "0"; "1"; "2"; "3" ] in
+  let fact () =
+    let arg l = if Random.State.int rng 6 = 0 then Any else Const (pick l) in
+    (arg keys, arg values)
+  in
+  let pattern () =
+    (* at least one constant, so the sentinel never matches *)
+    match Random.State.int rng 3 with
+    | 0 -> (Const (pick keys), Any)
+    | 1 -> (Any, Const (pick values))
+    | _ -> (Const (pick keys), Const (pick values))
+  in
+  let queries = [ "p(X, Y)"; "p(a, Y)"; "p(X, 2)"; "q(X)"; "r(b, Y)" ] in
+  let answers_of terms =
+    List.sort String.compare (List.map Ace_term.Pp.to_canonical_string terms)
+  in
+  for round = 1 to 40 do
+    let base = List.init (Random.State.int rng 6) (fun _ -> fact ()) in
+    let program facts =
+      String.concat "" (List.map (fun f -> show_fact f ^ ".\n") facts)
+      ^ overlay_rules
+    in
+    let compile = round mod 2 = 0 in
+    let config = { Config.default with Config.compile } in
+    let s = Session.create ~config (Engine.prepare_string (program base)) in
+    let model = ref base in
+    for step = 1 to 25 do
+      (match Random.State.int rng 4 with
+       | 0 ->
+         let f = fact () in
+         ok (Session.assert_clause ~front:true s (show_fact f));
+         model := f :: !model
+       | 1 | 2 ->
+         let f = fact () in
+         ok (Session.assert_clause s (show_fact f));
+         model := !model @ [ f ]
+       | _ ->
+         let pat = pattern () in
+         let rec drop = function
+           | [] -> (false, [])
+           | f :: rest when unifies f pat -> (true, rest)
+           | f :: rest ->
+             let hit, rest = drop rest in
+             (hit, f :: rest)
+         in
+         let hit, rest = drop !model in
+         Alcotest.(check bool)
+           (Printf.sprintf "round %d step %d: retract %s" round step
+              (show_fact pat))
+           hit
+           (ok (Session.retract_clause s (show_fact pat)));
+         model := rest);
+      let fresh = Engine.prepare_string (program !model) in
+      List.iter
+        (fun query ->
+          let want =
+            (Engine.run Engine.Sequential config fresh
+               (Ace_lang.Program.parse_query query).Ace_lang.Program.goal)
+              .Engine.solutions
+          in
+          let got = (ok (Session.query s query)).Session.terms in
+          Alcotest.(check (list string))
+            (Printf.sprintf "round %d step %d: %s" round step query)
+            (answers_of want) (answers_of got))
+        queries
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: clause count" round)
+      (List.length !model + 3)
+      (Ace_lang.Database.total_clauses (Session.db s))
+  done
+
+(* A session that asserts and retracts its own clause leaves nothing
+   behind: reads do not slow down with the number of cycles. *)
+let test_session_retract_own () =
+  let p = Lazy.force prepared in
+  let s = Session.create p in
+  for _ = 1 to 1000 do
+    ok (Session.assert_clause s "edge(c, d)");
+    Alcotest.(check bool) "retracted" true
+      (ok (Session.retract_clause s "edge(c, d)"))
+  done;
+  Alcotest.(check int) "no clauses left over"
+    (Ace_lang.Database.total_clauses (Engine.database p))
+    (Ace_lang.Database.total_clauses (Session.db s));
+  Alcotest.(check int) "no tombstones" 0
+    (Ace_lang.Database.tombstones (Session.db s));
+  Alcotest.(check bool) "a base clause is tombstoned" true
+    (ok (Session.retract_clause s "edge(a, b)"));
+  Alcotest.(check int) "one tombstone" 1
+    (Ace_lang.Database.tombstones (Session.db s));
+  let a = ok (Session.query s "path(a, X)") in
+  Alcotest.(check int) "base answers less the retracted edge" 1
+    (List.length a.Session.solutions)
+
 (* ------------------------------------------------------------------ *)
 (* The socket server                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -183,15 +305,31 @@ let test_server_roundtrip () =
   in
   Alcotest.(check bool) "wire deadline" true
     (Json.member "cancelled" j = Some (Json.Str "deadline"));
+  (* an answer far wider than 78 columns arrives as one line *)
+  let wide_of f = Printf.sprintf "wide(%s)" (String.concat "," (List.init 20 f)) in
+  let wide = wide_of (Printf.sprintf "item_%d") in
+  ignore
+    (roundtrip ic oc
+       (Json.Obj [ ("op", Json.Str "assert"); ("clause", Json.Str wide) ]));
+  let j =
+    roundtrip ic oc
+      (Json.Obj
+         [ ("op", Json.Str "query"); ("id", Json.int 4);
+           ("goal", Json.Str (wide_of (Printf.sprintf "X%d"))) ])
+  in
+  Alcotest.(check (option (list string))) "wide answer on one line"
+    (Some [ wide ])
+    (Option.map
+       (List.filter_map (function Json.Str s -> Some s | _ -> None))
+       (Option.bind (Json.member "solutions" j) Json.to_list));
   let j = roundtrip ic oc (Json.Obj [ ("op", Json.Str "stats") ]) in
-  Alcotest.(check int) "served" 3 (num "served" j);
+  Alcotest.(check int) "served" 4 (num "served" j);
   Alcotest.(check int) "one connection" 1 (num "connections" j);
   let j = roundtrip ic oc (Json.Obj [ ("op", Json.Str "quit") ]) in
   Alcotest.(check bool) "bye" true (Json.member "bye" j = Some (Json.Bool true));
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Server.drain srv;
-  Server.wait srv;
-  (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ())
+  Server.wait srv
 
 let test_server_drain_cancels () =
   (* drain mid-query: the in-flight query answers as cancelled and the
@@ -228,8 +366,8 @@ let test_server_drain_cancels () =
   Alcotest.(check bool) "cancelled by drain" true
     (Json.member "cancelled" j = Some (Json.Str "requested"));
   Alcotest.(check bool) "drain bounded" true (ms < 5000.0);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (try Unix.unlink sock with Unix.Unix_error _ | Sys_error _ -> ())
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
+  (try Unix.close fd with Unix.Unix_error _ -> ())
 
 let suite =
   [
@@ -242,6 +380,10 @@ let suite =
     Alcotest.test_case "session: deadline" `Quick test_session_deadline;
     Alcotest.test_case "session: cancel in flight" `Quick
       test_session_cancel_inflight;
+    Alcotest.test_case "session: overlay matches a fresh prepare" `Quick
+      test_session_overlay_differential;
+    Alcotest.test_case "session: retracting own clauses leaves none" `Quick
+      test_session_retract_own;
     Alcotest.test_case "server: socket round trip" `Quick
       test_server_roundtrip;
     Alcotest.test_case "server: drain cancels in-flight" `Quick
