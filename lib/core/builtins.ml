@@ -5,11 +5,12 @@
    binding variables through the caller's trail), fails, or reports that the
    call is not a builtin at all.
 
-   Dispatch is a single integer-keyed hash lookup: the key packs the
-   goal's interned functor id with its arity (all builtins have arity
-   <= 3, so two bits suffice).  No string is touched on the call path —
-   the giant string-match this replaces compared the functor name
-   character by character on every goal. *)
+   Dispatch indexes one array with an integer key that packs the goal's
+   interned functor id with its arity (all builtins have arity <= 3, so
+   two bits suffice): a bounds check and a load, no hashing and no
+   allocation.  The array is built at start-up and read-only afterwards;
+   a symbol interned later lies past its end and is [Not_builtin].  No
+   string is touched on the call path. *)
 
 module Term = Ace_term.Term
 module Symbol = Ace_term.Symbol
@@ -135,10 +136,7 @@ let key_of id arity = (id lsl 2) lor arity
 
 type impl = ctx -> Term.t array -> outcome
 
-let dispatch : (int, impl) Hashtbl.t = Hashtbl.create 64
-
-let def name arity (f : impl) =
-  Hashtbl.replace dispatch (key_of (Symbol.id (Symbol.intern name)) arity) f
+let def name arity (f : impl) = (key_of (Symbol.id (Symbol.intern name)) arity, f)
 
 let unify2 ctx a b =
   bool_outcome (Unify.unify_or_undo ~trail:ctx.trail ~steps:ctx.steps a b)
@@ -155,60 +153,71 @@ let def_arith_cmp name =
   def name 2 (fun ctx args ->
       bool_outcome (Arith.compare_op op (arith ctx args.(0)) (arith ctx args.(1))))
 
-let () =
-  def "true" 0 (fun _ _ -> Ok);
-  def "fail" 0 (fun _ _ -> Fail);
-  def "false" 0 (fun _ _ -> Fail);
-  def "nl" 0 (fun ctx _ ->
-      emit ctx "\n";
-      Ok);
-  def "halt" 0 (fun _ _ -> Errors.error "halt/0: not allowed in embedded engine");
-  def "=" 2 (fun ctx args -> unify2 ctx args.(0) args.(1));
-  def "\\=" 2 (fun ctx args ->
-      let mark = Trail.mark ctx.trail in
-      let unified =
-        Unify.unify ~trail:ctx.trail ~steps:ctx.steps args.(0) args.(1)
-      in
-      ignore (Trail.undo_to ctx.trail mark);
-      bool_outcome (not unified));
-  def "==" 2 (fun _ args -> bool_outcome (Term.equal args.(0) args.(1)));
-  def "\\==" 2 (fun _ args -> bool_outcome (not (Term.equal args.(0) args.(1))));
-  def "@<" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) < 0));
-  def "@>" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) > 0));
-  def "@=<" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) <= 0));
-  def "@>=" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) >= 0));
-  def "compare" 3 (fun ctx args ->
-      let c = Term.compare args.(1) args.(2) in
-      let sym = if c < 0 then sym_lt else if c > 0 then sym_gt else sym_eq in
-      unify2 ctx args.(0) (Term.Atom sym));
-  def "is" 2 (fun ctx args ->
-      let n = arith ctx args.(1) in
-      unify2 ctx args.(0) (Term.Int n));
-  List.iter def_arith_cmp [ "<"; ">"; "=<"; ">="; "=:="; "=\\=" ];
-  def_type_check "var" (function Term.Var _ -> true | _ -> false);
-  def_type_check "nonvar" (function Term.Var _ -> false | _ -> true);
-  def_type_check "atom" (function Term.Atom _ -> true | _ -> false);
-  def_type_check "number" (function Term.Int _ -> true | _ -> false);
-  def_type_check "integer" (function Term.Int _ -> true | _ -> false);
-  def_type_check "atomic" (function
-    | Term.Atom _ | Term.Int _ -> true
-    | _ -> false);
-  def_type_check "compound" (function Term.Struct _ -> true | _ -> false);
-  def_type_check "callable" (function
-    | Term.Atom _ | Term.Struct _ -> true
-    | _ -> false);
-  def_type_check "is_list" (fun t -> Term.to_list t <> None);
-  def_type_check "ground" Term.is_ground;
-  def "functor" 3 (fun ctx args -> functor3 ctx args.(0) args.(1) args.(2));
-  def "arg" 3 (fun ctx args -> arg3 ctx args.(0) args.(1) args.(2));
-  def "=.." 2 (fun ctx args -> univ ctx args.(0) args.(1));
-  let write ctx args =
-    emit ctx (Ace_term.Pp.to_string args.(0));
-    Ok
-  in
-  def "write" 1 write;
-  def "print" 1 write;
-  def "write_canonical" 1 write
+let write ctx args =
+  emit ctx (Ace_term.Pp.to_string args.(0));
+  Ok
+
+let defs =
+  [ def "true" 0 (fun _ _ -> Ok);
+    def "fail" 0 (fun _ _ -> Fail);
+    def "false" 0 (fun _ _ -> Fail);
+    def "nl" 0 (fun ctx _ ->
+        emit ctx "\n";
+        Ok);
+    def "halt" 0 (fun _ _ -> Errors.error "halt/0: not allowed in embedded engine");
+    def "=" 2 (fun ctx args -> unify2 ctx args.(0) args.(1));
+    def "\\=" 2 (fun ctx args ->
+        let mark = Trail.mark ctx.trail in
+        let unified =
+          Unify.unify ~trail:ctx.trail ~steps:ctx.steps args.(0) args.(1)
+        in
+        ignore (Trail.undo_to ctx.trail mark);
+        bool_outcome (not unified));
+    def "==" 2 (fun _ args -> bool_outcome (Term.equal args.(0) args.(1)));
+    def "\\==" 2 (fun _ args -> bool_outcome (not (Term.equal args.(0) args.(1))));
+    def "@<" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) < 0));
+    def "@>" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) > 0));
+    def "@=<" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) <= 0));
+    def "@>=" 2 (fun _ args -> bool_outcome (Term.compare args.(0) args.(1) >= 0));
+    def "compare" 3 (fun ctx args ->
+        let c = Term.compare args.(1) args.(2) in
+        let sym = if c < 0 then sym_lt else if c > 0 then sym_gt else sym_eq in
+        unify2 ctx args.(0) (Term.Atom sym));
+    def "is" 2 (fun ctx args ->
+        let n = arith ctx args.(1) in
+        unify2 ctx args.(0) (Term.Int n));
+    def_type_check "var" (function Term.Var _ -> true | _ -> false);
+    def_type_check "nonvar" (function Term.Var _ -> false | _ -> true);
+    def_type_check "atom" (function Term.Atom _ -> true | _ -> false);
+    def_type_check "number" (function Term.Int _ -> true | _ -> false);
+    def_type_check "integer" (function Term.Int _ -> true | _ -> false);
+    def_type_check "atomic" (function
+      | Term.Atom _ | Term.Int _ -> true
+      | _ -> false);
+    def_type_check "compound" (function Term.Struct _ -> true | _ -> false);
+    def_type_check "callable" (function
+      | Term.Atom _ | Term.Struct _ -> true
+      | _ -> false);
+    def_type_check "is_list" (fun t -> Term.to_list t <> None);
+    def_type_check "ground" Term.is_ground;
+    def "functor" 3 (fun ctx args -> functor3 ctx args.(0) args.(1) args.(2));
+    def "arg" 3 (fun ctx args -> arg3 ctx args.(0) args.(1) args.(2));
+    def "=.." 2 (fun ctx args -> univ ctx args.(0) args.(1));
+    def "write" 1 write;
+    def "print" 1 write;
+    def "write_canonical" 1 write ]
+  @ List.map def_arith_cmp [ "<"; ">"; "=<"; ">="; "=:="; "=\\=" ]
+
+(* Slot [key_of id arity] holds [Some impl]; the stored option is what
+   [find] returns, so a lookup allocates nothing. *)
+let dispatch : impl option array =
+  let t = Array.make (1 + List.fold_left (fun m (k, _) -> Int.max m k) (-1) defs) None in
+  List.iter (fun (k, f) -> t.(k) <- Some f) defs;
+  t
+
+let find sym arity =
+  let k = key_of (Symbol.id sym) arity in
+  if arity <= 3 && k < Array.length dispatch then dispatch.(k) else None
 
 let no_args = [||]
 
@@ -224,14 +233,13 @@ let rec call ctx goal =
 and call_unchecked ctx goal =
   match Term.deref goal with
   | Term.Atom s -> (
-    match Hashtbl.find_opt dispatch (key_of (Symbol.id s) 0) with
+    match find s 0 with
     | Some f -> f ctx no_args
     | None -> Not_builtin)
-  | Term.Struct (s, args) when Array.length args <= 3 -> (
-    match Hashtbl.find_opt dispatch (key_of (Symbol.id s) (Array.length args)) with
+  | Term.Struct (s, args) -> (
+    match find s (Array.length args) with
     | Some f -> f ctx args
     | None -> Not_builtin)
-  | Term.Struct _ -> Not_builtin
   | Term.Int _ -> Errors.error "callable expected, got integer"
   | Term.Var _ -> Errors.error "unbound goal"
 
@@ -242,19 +250,17 @@ and call_unchecked ctx goal =
    arity).  The goal term for the arithmetic error message is built only
    on the error path. *)
 let call_args ctx sym arity (args : Term.t array) =
-  if arity > 3 then Not_builtin
-  else
-    match Hashtbl.find_opt dispatch (key_of (Symbol.id sym) arity) with
-    | None -> Not_builtin
-    | Some f -> (
-      try f ctx args
-      with Arith.Error msg ->
-        let goal =
-          if arity = 0 then Term.Atom sym
-          else Term.Struct (sym, Array.sub args 0 arity)
-        in
-        raise
-          (Arith.Error (Format.asprintf "%s in %a" msg Ace_term.Pp.pp goal)))
+  match find sym arity with
+  | None -> Not_builtin
+  | Some f -> (
+    try f ctx args
+    with Arith.Error msg ->
+      let goal =
+        if arity = 0 then Term.Atom sym
+        else Term.Struct (sym, Array.sub args 0 arity)
+      in
+      raise
+        (Arith.Error (Format.asprintf "%s in %a" msg Ace_term.Pp.pp goal)))
 
 (* ------------------------------------------------------------------ *)
 (* Arithmetic over compiled put descriptors                            *)
@@ -337,6 +343,4 @@ let call_put_args ctx (frame : Term.t array) (puts : Code.put array) sym arity =
    identically here and there (the compiler library sits below this
    table and cannot ask it directly). *)
 let () =
-  Ace_lang.Code.builtin_hook :=
-    fun s arity ->
-      arity <= 3 && Hashtbl.mem dispatch (key_of (Symbol.id s) arity)
+  Ace_lang.Code.builtin_hook := fun s arity -> Option.is_some (find s arity)

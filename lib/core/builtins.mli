@@ -16,6 +16,9 @@ type ctx = {
 
 val make_ctx : ?output:Buffer.t -> trail:Ace_term.Trail.t -> unit -> ctx
 
+(** Every builtin, as [(name, arity)]. *)
+val names : (string * int) list
+
 val is_builtin : string -> int -> bool
 
 (** Runs [goal] if it is a builtin.  May bind variables (trailed); raises

@@ -154,7 +154,7 @@ module Resolver (S : SCHEDULER) = struct
     let outcome = Builtins.call ctx goal in
     let steps = !(ctx.Builtins.steps) - steps0 in
     let arith = !(ctx.Builtins.arith_nodes) - arith0 in
-    let pushed = max 0 (Trail.size ctx.Builtins.trail - trail0) in
+    let pushed = Int.max 0 (Trail.size ctx.Builtins.trail - trail0) in
     S.charge s cost.Cost.builtin;
     S.charge s ((steps * cost.Cost.unify_step) + (arith * cost.Cost.arith_op));
     S.charge s (pushed * cost.Cost.trail_push);
@@ -199,7 +199,7 @@ module Resolver (S : SCHEDULER) = struct
     let cost = S.cost s and stats = S.stats s in
     let steps = !(ctx.Builtins.steps) - steps0 in
     let arith = !(ctx.Builtins.arith_nodes) - arith0 in
-    let pushed = max 0 (Trail.size ctx.Builtins.trail - trail0) in
+    let pushed = Int.max 0 (Trail.size ctx.Builtins.trail - trail0) in
     S.charge s cost.Cost.builtin;
     S.charge s ((steps * cost.Cost.unify_step) + (arith * cost.Cost.arith_op));
     S.charge s (pushed * cost.Cost.trail_push);
@@ -741,7 +741,7 @@ module Resolver (S : SCHEDULER) = struct
         (* consumer of an on-stack generator: the running generator's
            region now reaches down to [fr] *)
         (match tv.tv_cur with
-        | Some cur -> cur.fr_low <- min cur.fr_low fr.fr_depth
+        | Some cur -> cur.fr_low <- Int.min cur.fr_low fr.fr_depth
         | None -> assert false (* on-stack entries imply a running pass *));
         tsuspend tv entry g sk
       | None -> (
@@ -801,7 +801,7 @@ module Resolver (S : SCHEDULER) = struct
         (fun _ (e, n) -> note_consumed saved_round e n)
         rc.rc_consumed;
       match tv.tv_cur with
-      | Some parent -> parent.fr_low <- min parent.fr_low fr.fr_low
+      | Some parent -> parent.fr_low <- Int.min parent.fr_low fr.fr_low
       | None -> assert false (* a lowered lowlink implies an outer pass *)
     end
     else begin

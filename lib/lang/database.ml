@@ -5,11 +5,12 @@
    index is what makes *runtime determinacy* observable — the property the
    LPCO and shallow-parallelism optimizations of the paper are driven by.
 
-   Indexing is fully integer-keyed: predicates are filed under
-   (symbol id, arity) and first-argument buckets under a key whose
-   equality and hash touch only machine integers.  No string is compared
-   or hashed anywhere on the lookup path — callers resolve names through
-   the symbol intern table at the (cold) API boundary.
+   Indexing is fully integer-keyed: predicates are found by indexing an
+   array with their symbol id ({!Sym_index}) and first-argument buckets
+   sit under a key whose equality and hash touch only machine integers.
+   No string is compared or hashed anywhere on the lookup path — callers
+   resolve names through the symbol intern table at the (cold) API
+   boundary.
 
    Representation.  Each predicate keeps its clauses in per-key hash
    buckets plus a separate list for variable-headed (Kany) clauses, so a
@@ -58,16 +59,61 @@ end
 
 module KeyTbl = Hashtbl.Make (Key)
 
-(* Predicates are keyed on (symbol id, arity). *)
-module Pred_key = struct
-  type t = int * int
+(* Values filed under (symbol id, arity), in an array of chains at slot
+   [id land (length - 1)] (the length is a power of two).  A dense index
+   — an ordinary database's — grows only when a value is filed, to a
+   length past every id filed, so there the mask is the identity: a
+   lookup is one load and a walk over that symbol's arities (almost
+   always one link), with no hashing, no key and no [Some] allocated
+   (each link stores the [Some v] a hit returns).  A symbol interned
+   after the last growth maps to a slot whose chain lacks its id and
+   reads as absent.  A sparse index — a session overlay's — grows with
+   the number of values it holds instead, never with symbol ids, so a
+   session costs in proportion to the predicates it touches.  [fold]
+   walks the values filed, not the slots, so it too costs in proportion
+   to the predicates. *)
+module Sym_index = struct
+  type 'a chain =
+    | Nil
+    | Link of { id : int; arity : int; found : 'a option; next : 'a chain }
+      (* [found] is always [Some v] *)
 
-  let equal (a, b) (c, d) = a = c && b = d
+  type 'a t = {
+    mutable slots : 'a chain array;
+    mutable filed : (int * int * 'a) list; (* every value, newest first *)
+    mutable count : int;
+    dense : bool;
+  }
 
-  let hash (a, b) = (a lsl 4) lxor b
+  let create ~dense = { slots = [| Nil |]; filed = []; count = 0; dense }
+
+  let rec find_in id arity = function
+    | Nil -> None
+    | Link l -> if l.id = id && l.arity = arity then l.found else find_in id arity l.next
+
+  let find t id arity =
+    let slots = t.slots in
+    find_in id arity slots.(id land (Array.length slots - 1))
+
+  let fold f t acc =
+    List.fold_left (fun acc (id, arity, v) -> f id arity v acc) acc t.filed
+
+  let file slots (id, arity, v) =
+    let i = id land (Array.length slots - 1) in
+    slots.(i) <- Link { id; arity; found = Some v; next = slots.(i) }
+
+  (* Files [v] under a key [find] does not hold yet. *)
+  let add t id arity v =
+    t.filed <- (id, arity, v) :: t.filed;
+    t.count <- t.count + 1;
+    let need = if t.dense then id + 1 else t.count in
+    if need > Array.length t.slots then begin
+      let rec above len = if len >= need then len else above (2 * len) in
+      t.slots <- Array.make (above (Array.length t.slots)) Nil;
+      List.iter (file t.slots) t.filed
+    end
+    else file t.slots (id, arity, v)
 end
-
-module PredTbl = Hashtbl.Make (Pred_key)
 
 let key_of_term t =
   match Term.deref t with
@@ -130,18 +176,20 @@ type pred = {
 }
 
 type t = {
-  preds : pred PredTbl.t;
+  preds : pred Sym_index.t;
+    (* dense on an ordinary database, growing only at consult and
+       assert (never once frozen and shared); sparse on an overlay,
+       holding the session's own predicates *)
   mutable frozen : bool;
     (* caches are complete and the database is read-only; cleared by
        asserts, making a second {!freeze} O(1) *)
   freeze_lock : Mutex.t;
     (* serializes cache construction: two sessions freezing the shared
        base concurrently must not race the dispatch-tree build *)
-  tabled : string PredTbl.t;
-    (* predicates declared [:- table name/arity]; the value is the
-       predicate name (cold-path introspection only).  Registered at
-       consult time, read-only afterwards.  An overlay shares its
-       base's registry (sessions never declare tables). *)
+  tabled : unit Sym_index.t;
+    (* predicates declared [:- table name/arity].  Registered at consult
+       time, read-only afterwards.  An overlay shares its base's
+       registry (sessions never declare tables). *)
   mutable has_tabled : bool;
     (* fast gate so the engines' dispatch loops pay one load per call
        on programs with no tabled predicate *)
@@ -157,10 +205,10 @@ type t = {
 
 let create () =
   {
-    preds = PredTbl.create 64;
+    preds = Sym_index.create ~dense:true;
     frozen = false;
     freeze_lock = Mutex.create ();
-    tabled = PredTbl.create 4;
+    tabled = Sym_index.create ~dense:true;
     has_tabled = false;
     base = None;
     removed = [];
@@ -172,8 +220,7 @@ let clause_key clause =
   | Term.Struct _ | Term.Atom _ -> Kany
   | Term.Int _ | Term.Var _ -> assert false
 
-let find_pred_sym db sym arity =
-  PredTbl.find_opt db.preds (Symbol.id sym, arity)
+let find_pred_sym db sym arity = Sym_index.find db.preds (Symbol.id sym) arity
 
 let find_pred db name arity = find_pred_sym db (Symbol.intern name) arity
 
@@ -198,7 +245,7 @@ let get_pred db sym arity =
         dtree = None;
       }
     in
-    PredTbl.add db.preds (Symbol.id sym, arity) p;
+    Sym_index.add db.preds (Symbol.id sym) arity p;
     p
 
 (* Files an entry under its index key.  [at_front] distinguishes the
@@ -538,8 +585,8 @@ let lookup_code_args db sym arity (args : Term.t array) =
    Idempotent: O(1) on an already-frozen database, so per-query freezing
    (as the engine front end does) costs nothing after the first. *)
 let freeze_preds db =
-  PredTbl.iter
-    (fun _ p ->
+  Sym_index.fold
+    (fun _ _ p () ->
       p.all_cache <- Some (List.map (fun e -> e.e_clause) (all_entries p));
       p.anys_cache <- Some (merge_desc [] p.anys);
       KeyTbl.reset p.key_cache;
@@ -551,7 +598,7 @@ let freeze_preds db =
       List.iter
         (fun e -> ignore (Code.of_clause e.e_clause))
         (all_entries p))
-    db.preds
+    db.preds ()
 
 let rec freeze db =
   (match db.base with Some b -> freeze b | None -> ());
@@ -584,7 +631,7 @@ let overlay b =
     invalid_arg "Database.overlay: the base is itself an overlay";
   freeze b;
   {
-    preds = PredTbl.create 8;
+    preds = Sym_index.create ~dense:false;
     frozen = true; (* nothing to cache yet *)
     freeze_lock = Mutex.create ();
     tabled = b.tabled; (* shared: sessions never declare tables *)
@@ -769,28 +816,31 @@ let clauses_of db name arity =
 (* ------------------------------------------------------------------ *)
 
 let set_tabled db name arity =
-  let sym = Symbol.intern name in
-  PredTbl.replace db.tabled (Symbol.id sym, arity) name;
+  let id = Symbol.id (Symbol.intern name) in
+  if Option.is_none (Sym_index.find db.tabled id arity) then
+    Sym_index.add db.tabled id arity ();
   db.has_tabled <- true
 
 let is_tabled db sym arity =
-  db.has_tabled && PredTbl.mem db.tabled (Symbol.id sym, arity)
+  db.has_tabled && Option.is_some (Sym_index.find db.tabled (Symbol.id sym) arity)
 
 let is_tabled_goal db goal =
   db.has_tabled
   &&
   match Term.functor_of (Term.deref goal) with
-  | Some (sym, arity) -> PredTbl.mem db.tabled (Symbol.id sym, arity)
+  | Some (sym, arity) -> is_tabled db sym arity
   | None -> false
 
 let tabled_preds db =
-  PredTbl.fold (fun (_, arity) name acc -> (name, arity) :: acc) db.tabled []
+  Sym_index.fold
+    (fun id arity () acc -> (Symbol.name (Symbol.of_id id), arity) :: acc)
+    db.tabled []
   |> List.sort compare
 
 let predicates db =
   let fold db acc =
-    PredTbl.fold
-      (fun _ p acc -> (Symbol.name p.p_name, p.p_arity) :: acc)
+    Sym_index.fold
+      (fun _ _ p acc -> (Symbol.name p.p_name, p.p_arity) :: acc)
       db.preds acc
   in
   let own = fold db [] in
@@ -798,13 +848,10 @@ let predicates db =
   |> List.sort_uniq compare
 
 let total_clauses db =
-  let own = PredTbl.fold (fun _ p acc -> acc + p.count) db.preds 0 in
+  let clauses db = Sym_index.fold (fun _ _ p acc -> acc + p.count) db.preds 0 in
   match db.base with
-  | None -> own
-  | Some b ->
-    own
-    + PredTbl.fold (fun _ p acc -> acc + p.count) b.preds 0
-    - List.length db.removed
+  | None -> clauses db
+  | Some b -> clauses db + clauses b - List.length db.removed
 
 let tombstones db = List.length db.removed
 

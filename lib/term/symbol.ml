@@ -1,8 +1,8 @@
 (* Interned symbols: every atom and functor name in the system is mapped to
    a small dense integer id exactly once, so the hot paths (unification,
-   first-argument indexing, builtin dispatch) compare and hash machine
-   integers instead of strings.  Strings reappear only at print time,
-   through [name].
+   first-argument indexing, builtin dispatch) compare machine integers and
+   index arrays by them instead of touching strings.  Strings reappear
+   only at print time, through [name].
 
    Thread safety.  The hardware or-parallel engine interns from several
    OCaml domains at once (runtime-interned atoms: canonical variable

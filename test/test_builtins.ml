@@ -83,10 +83,67 @@ let test_existence_error () =
      | exception Ace_core.Errors.Engine_error _ -> true
      | _ -> false)
 
+module Builtins = Ace_core.Builtins
+module Symbol = Ace_term.Symbol
+
+let dispatched ctx sym arity =
+  let args = Array.init arity (fun _ -> Term.var ()) in
+  match Builtins.call_args ctx sym arity args with
+  | Builtins.Not_builtin -> false
+  | Builtins.Ok | Builtins.Fail -> true
+  | exception (Ace_core.Errors.Engine_error _ | Ace_term.Arith.Error _) -> true
+
+let test_dispatch_table () =
+  let ctx =
+    Builtins.make_ctx ~output:(Buffer.create 16) ~trail:(Ace_term.Trail.create ()) ()
+  in
+  List.iter
+    (fun (name, arity) ->
+      let sym = Symbol.intern name in
+      let what = Printf.sprintf "%s/%d" name arity in
+      Alcotest.(check bool) (what ^ " dispatches") true (dispatched ctx sym arity);
+      Alcotest.(check bool) (what ^ " hook agrees") (Builtins.is_builtin name arity)
+        (!Ace_lang.Code.builtin_hook sym arity))
+    Builtins.names;
+  (* an arity past the key's two bits must not alias another symbol's slot *)
+  List.iter
+    (fun (name, arity) ->
+      Alcotest.(check bool) (Printf.sprintf "%s/%d is no builtin" name arity) false
+        (!Ace_lang.Code.builtin_hook (Symbol.intern name) arity
+        || dispatched ctx (Symbol.intern name) arity))
+    [ ("=", 3); ("true", 1); ("var", 5); ("functor", 7); ("q", 0) ]
+
+let test_late_symbol () =
+  let sym = Symbol.intern "zz_late_builtin" in
+  Alcotest.(check int) "interned last" (Symbol.count () - 1) (Symbol.id sym);
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) "past every builtin name" true
+        (Symbol.id sym > Symbol.id (Symbol.intern name)))
+    Builtins.names;
+  let ctx = Builtins.make_ctx ~trail:(Ace_term.Trail.create ()) () in
+  let not_builtin = function Builtins.Not_builtin -> true | _ -> false in
+  Alcotest.(check bool) "call: atom" true
+    (not_builtin (Builtins.call ctx (Term.Atom sym)));
+  for arity = 0 to 4 do
+    let args = Array.init arity (fun i -> Term.Int i) in
+    Alcotest.(check bool) (Printf.sprintf "call/%d" arity) true
+      (not_builtin
+         (Builtins.call ctx
+            (if arity = 0 then Term.Atom sym else Term.Struct (sym, args))));
+    Alcotest.(check bool) (Printf.sprintf "call_args/%d" arity) true
+      (not_builtin (Builtins.call_args ctx sym arity args));
+    Alcotest.(check bool) (Printf.sprintf "hook/%d" arity) false
+      (!Ace_lang.Code.builtin_hook sym arity)
+  done
+
 let suite =
   [ Alcotest.test_case "unification builtins" `Quick test_unification_builtins;
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "type checks" `Quick test_type_checks;
     Alcotest.test_case "term inspection" `Quick test_term_inspection;
     Alcotest.test_case "write" `Quick test_write;
-    Alcotest.test_case "existence error" `Quick test_existence_error ]
+    Alcotest.test_case "existence error" `Quick test_existence_error;
+    Alcotest.test_case "dispatch table covers every builtin" `Quick
+      test_dispatch_table;
+    Alcotest.test_case "late symbol is not a builtin" `Quick test_late_symbol ]

@@ -145,6 +145,51 @@ let test_overlay_retract () =
   Alcotest.(check bool) "retract misses" false
     (Database.retract s1 (Clause.of_term (term "p(9)")))
 
+(* A predicate a session asserts under a name interned after [prepare]
+   is the session's alone: the shared base and a sibling session, which
+   never filed that name, report it undefined. *)
+let test_overlay_late_name () =
+  let p = Engine.prepare_string "p(1)." in
+  let s1 = Engine.session p and s2 = Engine.session p in
+  Database.assertz s1 (Clause.of_term (term "zz_session_only(7)"));
+  let goal = term "zz_session_only(X)" in
+  let undefined what ?session () =
+    match
+      Engine.run ?session Engine.Sequential
+        { Config.default with Config.compile = true } p goal
+    with
+    | _ -> Alcotest.failf "%s: zz_session_only/1 must be undefined" what
+    | exception Ace_core.Errors.Engine_error m ->
+      Alcotest.(check string) what "undefined predicate zz_session_only/1" m
+  in
+  Alcotest.(check (list string)) "visible in its session" [ "zz_session_only(7)" ]
+    (session_solutions p s1 goal);
+  undefined "sibling session" ~session:s2 ();
+  undefined "base" ();
+  Alcotest.(check bool) "base never filed it" false
+    (Database.mem (Engine.database p) "zz_session_only" 1)
+
+(* A session's own predicate index grows with the predicates it
+   touches, never with symbol ids: with 20,000 more symbols interned, a
+   session is created and asserts its first clause in a few hundred
+   words (an array over the ids would take 20,000). *)
+let test_overlay_cost () =
+  let p = Engine.prepare_string "p(1)." in
+  for i = 1 to 20_000 do
+    ignore (Ace_term.Symbol.intern (Printf.sprintf "zz_filler_%d" i))
+  done;
+  let clause = Clause.of_term (term "zz_after_filler(1)") in
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
+  let s = Engine.session p in
+  Database.assertz s clause;
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) in
+  if words > 2000. then
+    Alcotest.failf "session + first assert: %.0f words > 2000" words;
+  Alcotest.(check (list string)) "asserted" [ "zz_after_filler(1)" ]
+    (session_solutions p s (term "zz_after_filler(X)"))
+
 (* ------------------------------------------------------------------ *)
 (* Cancelled runs                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -232,6 +277,35 @@ let test_run_setup_words () =
         (r.Engine.stats.Ace_machine.Stats.minor_words > 0
         && float_of_int r.Engine.stats.Ace_machine.Stats.minor_words <= words))
     [ false; true ]
+
+(* A compiled builtin call allocates nothing: dispatch reads a stored
+   option out of an array and unification builds no closure.  Eight
+   extra [X \= b] steps per iteration of a 1000-iteration loop would
+   cost 8 words each (64,000 in all) if either allocated. *)
+let test_builtin_call_words () =
+  let p =
+    Engine.prepare_string
+      "loop(0).\n\
+       loop(X) :- X > 0, M is X - 1, loop(M).\n\
+       loopb(0).\n\
+       loopb(X) :- X > 0, X \\= b, X \\= b, X \\= b, X \\= b, X \\= b, X \\= b,\n\
+      \  X \\= b, X \\= b, M is X - 1, loopb(M).\n"
+  in
+  let config = { Config.default with Config.compile = true } in
+  let words query =
+    let goal = term query in
+    ignore (Engine.run Engine.Sequential config p goal);
+    let w0 = Gc.minor_words () in
+    let r = Engine.run Engine.Sequential config p goal in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (query ^ ": one solution") 1
+      (List.length r.Engine.solutions);
+    words
+  in
+  let extra = words "loopb(1000)" -. words "loop(1000)" in
+  if extra >= 8000. then
+    Alcotest.failf "8000 compiled X \\= b calls: %.0f extra minor words >= 8000"
+      extra
 
 let test_deadline_all_engines () =
   List.iter
@@ -394,9 +468,15 @@ let suite =
       test_overlay_semantics;
     Alcotest.test_case "overlay: retract shadows base" `Quick
       test_overlay_retract;
+    Alcotest.test_case "overlay: late-named predicate stays private" `Quick
+      test_overlay_late_name;
+    Alcotest.test_case "overlay: cost follows the predicates touched" `Quick
+      test_overlay_cost;
     Alcotest.test_case "run: a parsed goal runs again" `Quick
       test_rerun_parsed_goal;
     Alcotest.test_case "run: set-up allocation" `Quick test_run_setup_words;
+    Alcotest.test_case "run: builtin calls allocate nothing" `Quick
+      test_builtin_call_words;
     Alcotest.test_case "cancel: deadline on all engines" `Quick
       test_deadline_all_engines;
     Alcotest.test_case "cancel: budget partial + deterministic" `Quick

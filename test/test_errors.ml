@@ -10,7 +10,12 @@ module Config = Ace_machine.Config
 module Engine = Ace_core.Engine
 module Oracle = Ace_check.Oracle
 
-let program = "q(0).\n"
+(* [late_is/1] and [late_lt/0] reach an unknown operator from a clause
+   body, which compiled code evaluates off its put descriptors. *)
+let program =
+  "q(0).\n\
+   late_is(X) :- X is zz_late(1, 2).\n\
+   late_lt :- 1 < zz_late(2).\n"
 
 (* _G<digits> -> _G: variable ids are renaming-dependent. *)
 let normalize msg =
@@ -45,13 +50,19 @@ let engines =
      { (Config.all_optimizations ~agents:2 ()) with Config.par_and = true });
   ]
 
-(* Runs [query] on every engine; asserts each raises, with identical
-   normalized messages, and that the message mentions [expect]. *)
+(* Runs [query] on every engine, interpreted and compiled; asserts each
+   raises, with identical normalized messages, and that the message
+   mentions [expect]. *)
 let check_error ~expect query () =
   let outcomes =
-    List.map
+    List.concat_map
       (fun (name, kind, config) ->
-        (name, Oracle.run_engine kind config ~program ~query))
+        List.map
+          (fun compile ->
+            ( (if compile then name ^ "/c" else name),
+              Oracle.run_engine kind { config with Config.compile } ~program
+                ~query ))
+          [ false; true ])
       engines
   in
   let reference =
@@ -97,4 +108,19 @@ let suite =
       (check_error ~expect:"insufficiently instantiated" "functor(F, N, A)");
     Alcotest.test_case "arg/3 insufficiently instantiated" `Quick
       (check_error ~expect:"insufficiently instantiated" "arg(N, T, A)");
+    (* names interned after the builtin and operator tables were built *)
+    Alcotest.test_case "unknown binary operator" `Quick
+      (check_error ~expect:"arithmetic: unknown operator zz_late/2"
+         "X is zz_late(1, 2)");
+    Alcotest.test_case "unknown operator in a comparison" `Quick
+      (check_error ~expect:"arithmetic: unknown operator zz_late/1"
+         "1 < zz_late(2)");
+    Alcotest.test_case "unknown operator in a clause body" `Quick
+      (check_error ~expect:"arithmetic: unknown operator zz_late/2"
+         "late_is(X)");
+    Alcotest.test_case "unknown operator in a body comparison" `Quick
+      (check_error ~expect:"arithmetic: unknown operator zz_late/1" "late_lt");
+    Alcotest.test_case "undefined predicate, fresh name" `Quick
+      (check_error ~expect:"undefined predicate zz_late_pred/1"
+         "zz_late_pred(1)");
   ]

@@ -151,6 +151,42 @@ let test_database_indexing () =
   Alcotest.(check bool) "var-headed clauses not exclusive" false
     (Database.first_arg_exclusive db2 "h" 2)
 
+let test_database_arities () =
+  (* one symbol at four arities: each is its own predicate, in the
+     base, through the frozen dispatch trees, the tabled registry and a
+     session overlay *)
+  let db =
+    Program.db
+      (Program.consult_string
+         ":- table(p/2).\np. p(1). p(1, a). p(2, b). q(X) :- p(X, _).")
+  in
+  let count db s =
+    match Database.lookup_code db (term s) with
+    | None -> -1
+    | Some clauses -> List.length clauses
+  in
+  let arities db =
+    List.map (count db) [ "p"; "p(X)"; "p(X, Y)"; "p(X, Y, Z)" ]
+  in
+  Alcotest.(check (list int)) "unfrozen" [ 1; 1; 2; -1 ] (arities db);
+  Database.freeze db;
+  Alcotest.(check (list int)) "frozen" [ 1; 1; 2; -1 ] (arities db);
+  let p = Ace_term.Symbol.intern "p" in
+  Alcotest.(check (list bool)) "tabled p/2 only" [ false; false; true; false ]
+    (List.map (Database.is_tabled db p) [ 0; 1; 2; 3 ]);
+  Alcotest.(check (list string)) "clauses of p/1" [ "p(1)" ]
+    (List.map
+       (fun c -> Ace_term.Pp.to_string c.Clause.head)
+       (Database.clauses_of db "p" 1));
+  let s = Database.overlay db in
+  Database.assertz s (Clause.of_term (term "p(1, 2, 3)"));
+  Database.assertz s (Clause.of_term (term "p(3)"));
+  Alcotest.(check (list int)) "session" [ 1; 2; 2; 1 ] (arities s);
+  Alcotest.(check (list int)) "base untouched" [ 1; 1; 2; -1 ] (arities db);
+  Alcotest.(check (list (pair string int))) "predicates"
+    [ ("p", 0); ("p", 1); ("p", 2); ("p", 3); ("q", 1) ]
+    (Database.predicates s)
+
 let test_database_order () =
   let db = Database.create () in
   Database.assertz db (Clause.of_term (term "p(1)"));
@@ -253,6 +289,7 @@ let suite =
     Alcotest.test_case "clause compilation" `Quick test_clause_compilation;
     Alcotest.test_case "body round-trip" `Quick test_body_roundtrip;
     Alcotest.test_case "database indexing" `Quick test_database_indexing;
+    Alcotest.test_case "database arities" `Quick test_database_arities;
     Alcotest.test_case "database order" `Quick test_database_order;
     Alcotest.test_case "database bucket order" `Quick test_database_bucket_order;
     Alcotest.test_case "database bulk assertz" `Quick test_database_assertz_bulk;
