@@ -22,13 +22,6 @@ let read_stdin () =
    with End_of_file -> ());
   Buffer.contents buf
 
-let engine_of_string = function
-  | "seq" -> Ok Engine.Sequential
-  | "and" -> Ok Engine.And_parallel
-  | "or" -> Ok Engine.Or_parallel
-  | "par" -> Ok Engine.Par_or
-  | s -> Error (`Msg (Printf.sprintf "unknown engine %S (seq|and|or|par)" s))
-
 let write_file path contents = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
 
 (* --check: differential fuzzing of all four engines (lib/check). *)
@@ -49,10 +42,10 @@ let run_check ~count ~seed ~schedules ~chaos_spec ~mutate =
       | Some s -> (
         match String.split_on_char ':' s with
         | [ e; i ] -> (
-          match (engine_of_string e, int_of_string_opt i) with
+          match (Engine.kind_of_string e, int_of_string_opt i) with
           | Ok kind, Some drop ->
             Ok (Some { Ace_check.Oracle.m_engine = kind; m_drop = drop })
-          | Error (`Msg m), _ -> Error m
+          | Error m, _ -> Error m
           | _, None -> Error "--check-mutate: clause index must be an integer")
         | _ -> Error "--check-mutate expects ENGINE:CLAUSE (e.g. or:0)")
     in
@@ -95,9 +88,14 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
     if String.equal source "-" then read_stdin ()
     else In_channel.with_open_bin source In_channel.input_all
   in
-  match engine_of_string engine with
-  | Error (`Msg m) ->
+  match Engine.kind_of_string engine with
+  | Error m ->
     prerr_endline m;
+    2
+  | Ok kind when kind <> Engine.Sequential && not compile ->
+    prerr_endline
+      "ace_run: --no-compile applies to --engine seq only (and/or always \
+       interpret, par always runs compiled code)";
     2
   | Ok kind -> (
     try
@@ -146,27 +144,21 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
         | Some ms -> Ace_core.Cancel.create ~deadline_ms:ms ()
         | None -> Ace_core.Cancel.none
       in
-      let t0 = Unix.gettimeofday () in
       let result = Engine.solve ~trace ~prof ~cancel kind config db q.Program.goal in
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let wall_ms = float_of_int result.Engine.wall_ns /. 1e6 in
       List.iteri
         (fun i solution ->
           Format.printf "solution %d: %a@." (i + 1) Ace_term.Pp.pp solution)
         result.Engine.solutions;
-      (match kind with
-       | Engine.Par_or ->
-         Format.printf "%d solution(s) in %.3f wall-clock ms (%s, %a)@."
-           (List.length result.Engine.solutions)
-           (float_of_int result.Engine.time /. 1e6)
-           (Engine.kind_to_string kind)
-           Config.pp config
-       | Engine.Sequential | Engine.And_parallel | Engine.Or_parallel ->
-         Format.printf
-           "%d solution(s) in %d simulated cycles, %.3f wall-clock ms (%s, %a)@."
-           (List.length result.Engine.solutions)
-           result.Engine.time wall_ms
-           (Engine.kind_to_string kind)
-           Config.pp config);
+      Format.printf "%d solution(s) in %s%.3f wall-clock ms (%s%s, %a)@."
+        (List.length result.Engine.solutions)
+        (match result.Engine.cycles with
+         | Some cycles -> Printf.sprintf "%d simulated cycles, " cycles
+         | None -> "")
+        wall_ms
+        (Engine.kind_to_string kind)
+        (if kind = Engine.Sequential && compile then "/c" else "")
+        Config.pp config;
       if show_stats || verbose_stats then
         Format.printf "@[<v>%a@]@."
           (fun ppf -> Ace_machine.Stats.pp ~verbose:verbose_stats ppf)
@@ -236,8 +228,8 @@ let groups =
         ("limit, -n N", "stop after N solutions");
         ("deadline MS", "cancel the query after MS milliseconds (exit 124)");
         ("annotate", "run the strict-independence annotator first");
-        ("compile", "execute compiled clause code (default)");
-        ("no-compile", "interpret clause templates (the oracle reference)");
+        ("compile", "seq: execute compiled clause code (default)");
+        ("no-compile", "seq: interpret clause templates (the oracle reference)");
         ("table-max-answers N", "cap per tabled subgoal (0 = unlimited)");
       ] );
     ( g_schemas,
@@ -443,14 +435,17 @@ let cmd =
       $ Arg.(value & vflag true
                [ (true,
                   info [ "compile" ] ~docs:g_engine
-                    ~doc:"Execute clauses as compiled instruction code \
-                          through the switch-on-term dispatch tree (the \
-                          default).");
+                    ~doc:"Sequential engine: execute clauses as compiled \
+                          instruction code through the switch-on-term \
+                          dispatch tree (the default).  The and/or \
+                          simulators always interpret and the par engine \
+                          always runs compiled code.");
                  (false,
                   info [ "no-compile" ] ~docs:g_engine
-                    ~doc:"Interpret clause templates instead of compiled \
-                          code (the differential oracle's reference \
-                          mode).") ])
+                    ~doc:"Sequential engine: interpret clause templates \
+                          instead of compiled code (the differential \
+                          oracle's reference mode).  An error with any \
+                          other engine.") ])
       $ flag ~docs:g_schemas [ "lpco" ]
           "Enable the last parallel call optimization."
       $ flag ~docs:g_schemas [ "lao" ]

@@ -17,16 +17,9 @@ module Engine = Ace_core.Engine
 module Program = Ace_lang.Program
 module Server = Ace_server.Server
 
-let engine_of_string = function
-  | "seq" -> Ok Engine.Sequential
-  | "and" -> Ok Engine.And_parallel
-  | "or" -> Ok Engine.Or_parallel
-  | "par" -> Ok Engine.Par_or
-  | s -> Error (`Msg (Printf.sprintf "unknown engine %S (seq|and|or|par)" s))
-
-let serve socket port workers max_active engine agents compile files =
-  match engine_of_string engine with
-  | Error (`Msg m) ->
+let serve socket port workers max_active engine agents files =
+  match Engine.kind_of_string engine with
+  | Error m ->
     prerr_endline m;
     2
   | Ok kind -> (
@@ -53,7 +46,9 @@ let serve socket port workers max_active engine agents compile files =
           | None ->
             Unix.ADDR_INET (Unix.inet_addr_loopback, Option.get port)
         in
-        let config = { Config.default with agents; compile } in
+        (* sequential sessions run compiled clause code; the other
+           engines have one execution mode each *)
+        let config = { Config.default with agents; compile = true } in
         let srv =
           Server.create ~workers ?max_active ~engine:kind ~config ~listen
             prepared
@@ -102,9 +97,6 @@ let cmd =
                      query may override it.")
       $ Arg.(value & opt int 1 & info [ "agents"; "p" ] ~docv:"N"
                ~doc:"Default agent/domain count per query.")
-      $ Arg.(value & vflag true
-               [ (true, info [ "compile" ] ~doc:"Compiled clause code (default).");
-                 (false, info [ "no-compile" ] ~doc:"Interpret clause templates.") ])
       $ Arg.(value & pos_all string [] & info [] ~docv:"PROGRAM"
                ~doc:"Prolog source files, consulted in order."))
 

@@ -64,12 +64,13 @@ let () =
       (Config.all_optimizations ~agents ())
       annotated query.Program.goal
   in
-  Format.printf "sequential:            %8d cycles@." seq.Engine.time;
+  let cycles r = Option.get r.Engine.cycles in
+  Format.printf "sequential:            %8d cycles@." (cycles seq);
   List.iter
     (fun agents ->
       let r = par agents in
       Format.printf "and-parallel (P = %d): %8d cycles  (speedup %.2fx, %d solutions)@."
-        agents r.Engine.time
-        (float_of_int (par 1).Engine.time /. float_of_int r.Engine.time)
+        agents (cycles r)
+        (float_of_int (cycles (par 1)) /. float_of_int (cycles r))
         (List.length r.Engine.solutions))
     [ 1; 2; 4; 8 ]

@@ -31,10 +31,11 @@ let () =
       let times =
         List.map
           (fun agents ->
-            (Engine.solve_program Engine.And_parallel
-               { config with Config.agents }
-               ~program ~query)
-              .Engine.time)
+            Option.get
+              (Engine.solve_program Engine.And_parallel
+                 { config with Config.agents }
+                 ~program ~query)
+                .Engine.cycles)
           [ 1; 2; 4; 8 ]
       in
       Format.printf "%-6s" name;
@@ -59,5 +60,5 @@ let () =
         "  %-6s frames %4d  nesting %2d  markers %5d  avoided %5d  time %d@."
         name s.Stats.frames s.Stats.max_frame_nesting
         (s.Stats.input_markers + s.Stats.end_markers)
-        s.Stats.markers_avoided r.Engine.time)
+        s.Stats.markers_avoided (Option.get r.Engine.cycles))
     variants

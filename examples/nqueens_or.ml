@@ -27,12 +27,12 @@ let () =
           ~program ~query
       in
       let unopt = run false and opt = run true in
+      let t_unopt = Option.get unopt.Engine.cycles
+      and t_opt = Option.get opt.Engine.cycles in
       count := List.length unopt.Engine.solutions;
       Format.printf "%4d %12d %12d %8.1f%% %10d/%-6d %8d/%-6d@." agents
-        unopt.Engine.time opt.Engine.time
-        (100.0
-        *. float_of_int (unopt.Engine.time - opt.Engine.time)
-        /. float_of_int unopt.Engine.time)
+        t_unopt t_opt
+        (100.0 *. float_of_int (t_unopt - t_opt) /. float_of_int t_unopt)
         unopt.Engine.stats.Stats.cp_allocs opt.Engine.stats.Stats.cp_allocs
         unopt.Engine.stats.Stats.or_scans opt.Engine.stats.Stats.or_scans)
     [ 1; 2; 4; 8; 10 ];

@@ -31,7 +31,7 @@ let show name (result : Engine.result) =
     result.Engine.solutions;
   Format.printf "  (%d solutions, %d simulated cycles)@.@."
     (List.length result.Engine.solutions)
-    result.Engine.time
+    (Option.get result.Engine.cycles)
 
 let () =
   (* 1. All routes Amsterdam -> Vienna, sequential engine. *)

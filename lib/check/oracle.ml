@@ -98,19 +98,12 @@ let matrix ?extra_chaos ~seed ~schedules () =
   let fixed =
     [
       ("seq+jitter", Engine.Sequential, seq1, chaos 0);
-      (* compiled-vs-interpreted rows: the reference always interprets,
-         so each of these checks the clause compiler + dispatch tree
-         against the template interpreter on every case *)
+      (* the reference interprets, so this row and every par row (the
+         domains engine runs compiled code only) check the clause
+         compiler + dispatch tree against the template interpreter on
+         every case *)
       ("seq compiled", Engine.Sequential,
        { seq1 with Config.compile = true }, None);
-      ("and@4 compiled", Engine.And_parallel,
-       { all4 with Config.compile = true }, None);
-      ("or@4 compiled", Engine.Or_parallel,
-       { all4 with Config.compile = true }, None);
-      ("par@4 compiled", Engine.Par_or,
-       { all4 with Config.compile = true }, None);
-      ("par@4 and+or compiled", Engine.Par_or,
-       { andor4 with Config.compile = true }, None);
       ("and@4", Engine.And_parallel, all4, None);
       ("and@4 unopt", Engine.And_parallel, un4, None);
       ("and@4 thresh", Engine.And_parallel,
@@ -131,8 +124,7 @@ let matrix ?extra_chaos ~seed ~schedules () =
   in
   (* one always-profiled row: profiling must never perturb solutions *)
   let profiled_row =
-    [ ("par@4 compiled profiled", Engine.Par_or,
-       { andor4 with Config.compile = true }, None) ]
+    [ ("par@4 and+or profiled", Engine.Par_or, andor4, None) ]
   in
   let sched =
     List.concat
@@ -161,8 +153,8 @@ let matrix ?extra_chaos ~seed ~schedules () =
   in
   (fixed @ sched @ extra, profiled_row)
 
-(* The matrix for a *tabled* (Datalog) case: every engine, compiled and
-   interpreted, plus chaos schedules — all compared against the
+(* The matrix for a *tabled* (Datalog) case: every engine in each of
+   its execution modes, plus chaos schedules — all compared against the
    independent bottom-up evaluator ({!Naive}), not the sequential
    engine, so a bug in the shared SLG machinery cannot cancel out.  A
    tabled query is a single call whose answers the table deduplicates,
@@ -170,18 +162,15 @@ let matrix ?extra_chaos ~seed ~schedules () =
 let tabled_matrix ?extra_chaos ~seed ~schedules () =
   let seq1 = Config.default in
   let all4 = Config.all_optimizations ~agents:4 () in
-  let c cfg = { cfg with Config.compile = true } in
   let chaos k = Some (Chaos.make ~seed:(seed + k) ()) in
   let fixed =
     [
       ("seq tabled", Engine.Sequential, seq1, None);
-      ("seq tabled compiled", Engine.Sequential, c seq1, None);
+      ("seq tabled compiled", Engine.Sequential,
+       { seq1 with Config.compile = true }, None);
       ("and@4 tabled", Engine.And_parallel, all4, None);
-      ("and@4 tabled compiled", Engine.And_parallel, c all4, None);
       ("or@4 tabled", Engine.Or_parallel, all4, None);
-      ("or@4 tabled compiled", Engine.Or_parallel, c all4, None);
       ("par@4 tabled", Engine.Par_or, all4, None);
-      ("par@4 tabled compiled", Engine.Par_or, c all4, None);
     ]
   in
   let sched =
@@ -193,7 +182,7 @@ let tabled_matrix ?extra_chaos ~seed ~schedules () =
              (Printf.sprintf "or@4 tabled chaos#%d" k, Engine.Or_parallel,
               all4, chaos (101 + k));
              (Printf.sprintf "par@4 tabled chaos#%d" k, Engine.Par_or,
-              c all4, chaos (201 + k));
+              all4, chaos (201 + k));
            ]))
   in
   let extra =
@@ -202,12 +191,10 @@ let tabled_matrix ?extra_chaos ~seed ~schedules () =
     | Some ch ->
       [
         ("seq tabled replay", Engine.Sequential, seq1, Some ch);
-        ("par@4 tabled replay", Engine.Par_or, c all4, Some ch);
+        ("par@4 tabled replay", Engine.Par_or, all4, Some ch);
       ]
   in
-  let profiled_row =
-    [ ("par@4 tabled profiled", Engine.Par_or, c all4, None) ]
-  in
+  let profiled_row = [ ("par@4 tabled profiled", Engine.Par_or, all4, None) ] in
   (fixed @ sched @ extra, profiled_row)
 
 let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
@@ -257,9 +244,7 @@ let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
         [
           ("serve seq", Engine.Sequential,
            { Config.default with Config.compile = true });
-          ("serve par@4", Engine.Par_or,
-           { (Config.all_optimizations ~agents:4 ()) with
-             Config.compile = true });
+          ("serve par@4", Engine.Par_or, Config.all_optimizations ~agents:4 ());
         ]
     in
     let rec go_serve n = function

@@ -37,7 +37,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Code = Ace_lang.Code
 module Database = Ace_lang.Database
 module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
@@ -124,7 +123,6 @@ type t = {
   sim : Sim.t;
   ctx : Builtins.ctx; (* trail field is unused; per-exec trails are passed *)
   agents : agent_state array;
-  scratches : Code.scratch array; (* per-agent frame buffer + registers *)
   pshards : Prof.shard array; (* per-agent profiler shards *)
   mutable pool : frame list; (* frames that may have free slots, oldest first *)
   mutable frame_counter : int;
@@ -136,12 +134,6 @@ type t = {
   mutable solutions : Term.t list; (* newest first *)
   goal : Term.t;
 }
-
-let debug = ref false
-
-let dbg fmt =
-  if !debug then Format.eprintf fmt
-  else Format.ifprintf Format.err_formatter fmt
 
 (* ------------------------------------------------------------------ *)
 (* Charging helpers                                                    *)
@@ -194,9 +186,9 @@ module K = Kernel.Resolver (struct
   let stats = shard
   let charge = charge
 
-  (* One scratch per simulated agent: a context switch at a tick can
-     never hand one agent's half-loaded registers to another. *)
-  let scratch st = st.scratches.(cur st)
+  (* The simulators run interpreted clauses only (the paper's cost
+     model), so the kernel never asks for compiled-code registers. *)
+  let scratch _ = invalid_arg "the and-parallel engine runs no compiled code"
   let prof = psh
   let record = record_ev
   let cancel st = st.cancel
@@ -294,10 +286,6 @@ let ctx_of st exec = { st.ctx with Builtins.trail = exec.x_trail }
 
 let call_builtin st exec goal = K.call_builtin st (ctx_of st exec) goal
 
-let try_clause st exec goal clause =
-  K.resolve st ~ctx:(ctx_of st exec) ~compiled:st.config.Config.compile
-    ~trail:exec.x_trail goal clause
-
 (* SPO: the procrastinated input marker materialises just before the first
    choice point of the slot. *)
 let materialize_input_marker st exec =
@@ -326,52 +314,15 @@ let rec exec_run st (agent : agent_state) exec (cont : Clause.item list) : bool 
   | [] -> true
   | Clause.Par bodies :: rest -> exec_parcall st agent exec bodies rest
   | Clause.Call g :: rest -> dispatch st agent exec g rest
-  | Clause.Exec xf :: rest -> exec_frame_item st agent exec xf rest
+  | Clause.Exec _ :: _ ->
+    assert false (* only compiled clause tries build these *)
 
-(* Resumes a compiled clause body from its saved pc.  No environment
-   trimming here: choice points on this exec's private stack may resume
-   the frame at an earlier pc, and recomputation may replay it. *)
-and exec_frame_item st agent exec xf cont =
-  match K.exec_body st ~ctx:(ctx_of st exec) xf with
-  | Kernel.Ex_fail -> exec_backtrack st agent exec
-  | Kernel.Ex_done -> exec_run st agent exec cont
-  | Kernel.Ex_goal (g, pc) ->
-    dispatch st agent exec g (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_par (bodies, pc) ->
-    exec_parcall st agent exec bodies (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_call (sym, arity, pc, _live) ->
-    user_call_regs st agent exec sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> user_call_regs st agent exec sym arity cont
-
-(* Schedules what one clause try resolved to; [R_exec] re-enters clause
-   selection straight from the registers (last-call optimization). *)
-and continue st agent exec resolved cont =
-  match resolved with
+(* Resolves [goal] against one clause and runs its body before [cont]. *)
+and try_clause st agent exec goal clause cont =
+  match K.try_clause st ~trail:exec.x_trail goal clause with
   | Kernel.R_fail -> exec_backtrack st agent exec
   | Kernel.R_body body -> exec_run st agent exec (body @ cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs st agent exec sym arity cont
-
-and user_call_regs st agent exec sym arity cont =
-  check_cancel st;
-  if aborting exec then raise Killed;
-  let regs = st.scratches.(agent.ag_id).Code.s_regs in
-  if Database.is_tabled st.db sym arity then
-    (* materialize the register call: tabled answers must outlive the
-       registers, and the table keys on the goal term *)
-    user_call st agent exec (Kernel.goal_of_regs sym arity regs) cont
-  else
-  match K.select_args st st.db sym arity regs with
-  | [] -> exec_backtrack st agent exec
-  | [ clause ] ->
-    continue st agent exec
-      (K.try_code_args st ~ctx:(ctx_of st exec) ~trail:exec.x_trail regs clause)
-      cont
-  | clause :: rest ->
-    (* nondeterminate: materialize the goal once — the alternatives in
-       the choice point must outlive the registers *)
-    let g = Kernel.goal_of_regs sym arity regs in
-    push_cp st exec ~goal:g ~alts:rest ~cont;
-    continue st agent exec (try_clause st exec g clause) cont
+  | Kernel.R_exec _ -> assert false (* [K.try_clause] never answers R_exec *)
 
 and dispatch st agent exec g cont =
   let g = Term.deref g in
@@ -400,16 +351,16 @@ and user_call st agent exec g cont =
     (* tabled predicates answer from the shared table; the kernel
        completes the subgoal first when needed (see Kernel.table_call) *)
     if Database.is_tabled_goal st.db g then
-      K.table_call st ~table:st.table ~ctx:(ctx_of st exec)
-        ~compiled:st.config.Config.compile ~db:st.db g
-    else K.select st ~compiled:st.config.Config.compile st.db g
+      K.table_call st ~table:st.table ~ctx:(ctx_of st exec) ~compiled:false
+        ~db:st.db g
+    else K.select st ~compiled:false st.db g
   in
   match clauses with
   | [] -> exec_backtrack st agent exec
-  | [ clause ] -> continue st agent exec (try_clause st exec g clause) cont
+  | [ clause ] -> try_clause st agent exec g clause cont
   | clause :: rest ->
     push_cp st exec ~goal:g ~alts:rest ~cont;
-    continue st agent exec (try_clause st exec g clause) cont
+    try_clause st agent exec g clause cont
 
 (* Backtracking inside one exec.  Walks the private stack: choice points
    are retried; completed parcall frames get outside backtracking. *)
@@ -434,7 +385,7 @@ and exec_backtrack st agent exec : bool =
         cp.a_alts <- alts;
         (shard st).Stats.cp_updates <- (shard st).Stats.cp_updates + 1
       end;
-      continue st agent exec (try_clause st exec cp.a_goal clause) cp.a_cont)
+      try_clause st agent exec cp.a_goal clause cp.a_cont)
   | Eframe (frame, mark) :: below ->
     charge st st.cost.Cost.frame_unwind;
     (shard st).Stats.bt_nodes_visited <- (shard st).Stats.bt_nodes_visited + 1;
@@ -517,8 +468,6 @@ and exec_parcall st agent exec bodies rest =
 
 and alloc_frame st agent exec bodies rest =
   let n = List.length bodies in
-  dbg "[a%d] alloc_frame n=%d depth_slot=%s@." agent.ag_id n
-    (match exec.x_slot with None -> "root" | Some s -> Printf.sprintf "f%d.%d" s.sl_frame.f_id s.sl_index);
   charge st (st.cost.Cost.frame_alloc + (n * st.cost.Cost.slot_init));
   (shard st).Stats.frames <- (shard st).Stats.frames + 1;
   (shard st).Stats.slots <- (shard st).Stats.slots + n;
@@ -632,7 +581,6 @@ and run_frame st agent frame : bool =
     end
     else if frame.f_pending = 0 then begin
       unregister_frame st frame;
-      dbg "[a%d] frame f%d complete@." agent.ag_id frame.f_id;
       true
     end
     else
@@ -719,7 +667,6 @@ and steal st agent =
    bookkeeping — including the SPO and PDO variants — lives here. *)
 and run_slot st agent slot =
   let frame = slot.sl_frame in
-  dbg "[a%d] run_slot f%d.%d@." agent.ag_id frame.f_id slot.sl_index;
   assert (match slot.sl_state with Srunning id -> id = agent.ag_id | _ -> false);
   let exec = make_exec ~slot () in
   slot.sl_exec <- Some exec;
@@ -793,7 +740,6 @@ and run_slot st agent slot =
     end;
     slot.sl_state <- Sdone;
     frame.f_pending <- frame.f_pending - 1;
-    dbg "[a%d] done f%d.%d pending=%d@." agent.ag_id frame.f_id slot.sl_index frame.f_pending;
     record_ev st Trace.Task_finish frame.f_id;
     agent.ag_last_done <- Some slot
   | false ->
@@ -836,15 +782,12 @@ and retry_slot st agent slot =
    (sound under strict independence).  Returns false when the frame is
    exhausted (all slots then reset and the frame is dead). *)
 and retry_frame st agent frame : bool =
-  dbg "[a%d] retry_frame f%d nslots=%d@." agent.ag_id frame.f_id frame.f_nslots;
   let rec scan j =
     if j < 0 then false
     else begin
       charge st st.cost.Cost.frame_linear_scan;
       assert (j < frame.f_nslots);
       let slot = frame.f_slots.(j) in
-      dbg "[a%d] retry scan f%d.%d state=%s@." agent.ag_id frame.f_id j
-        (match slot.sl_state with Sdone -> "done" | Sfree -> "free" | Srunning _ -> "running" | Sfailed -> "failed" | Skilled -> "killed");
       if retry_slot st agent slot then begin
         (* recompute everything to the right, in parallel; spliced slots
            leave the frame with their delegators and will be re-spliced *)
@@ -857,7 +800,6 @@ and retry_frame st agent frame : bool =
         done;
         frame.f_pending <- !to_recompute;
         frame.f_failing <- false;
-        dbg "[a%d] retry ok f%d.%d recompute=%d@." agent.ag_id frame.f_id j !to_recompute;
         if !to_recompute > 0 then begin
           register_frame st frame;
           if run_frame st agent frame then true
@@ -957,7 +899,6 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
     sim;
     ctx = Builtins.make_ctx ?output ~trail:(Trail.create ()) ();
     agents;
-    scratches = Array.init config.Config.agents (fun _ -> Code.create_scratch ());
     pshards;
     pool = [];
     frame_counter = 0;

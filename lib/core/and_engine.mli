@@ -5,7 +5,10 @@
 
     Subgoals of a parallel conjunction must be strictly independent (share
     no unbound variables at call time) — the standard &ACE condition.  Cut
-    and control constructs other than [call/1] are rejected. *)
+    and control constructs other than [call/1] are rejected.
+
+    Clauses are always interpreted (the paper's cost model);
+    [config.compile] is not read. *)
 
 type t
 
@@ -57,8 +60,3 @@ val solve :
   Ace_lang.Database.t ->
   Ace_term.Term.t ->
   result
-
-(**/**)
-
-(** Debug tracing. *)
-val debug : bool ref

@@ -20,15 +20,27 @@ let kind_to_string = function
   | Or_parallel -> "or"
   | Par_or -> "par"
 
+let kind_of_string = function
+  | "seq" -> Ok Sequential
+  | "and" -> Ok And_parallel
+  | "or" -> Ok Or_parallel
+  | "par" -> Ok Par_or
+  | s -> Error (Printf.sprintf "unknown engine %S (seq|and|or|par)" s)
+
+let compile_modes = function
+  | Sequential -> [ false; true ]
+  | And_parallel | Or_parallel | Par_or -> [ false ]
+
 type result = {
   solutions : Term.t list;
   stats : Stats.t;
   metrics : Metrics.t;
     (* per-agent shards behind [stats]; the multicore engine also fills
        the busy/idle and histogram fields *)
-  time : int;
-    (* abstract cycles: charged total (seq) or simulated makespan; for
-       [Par_or] this is measured wall-clock nanoseconds instead *)
+  cycles : int option;
+    (* abstract cycles: charged total (seq) or simulated makespan; [None]
+       on [Par_or], which charges none *)
+  wall_ns : int; (* measured around the engine by [run] *)
   cancelled : Cancel.reason option;
     (* [Some _]: the run was aborted and [solutions] is the partial set
        completed before the token fired *)
@@ -79,9 +91,22 @@ let prepare_string program =
 let database p = p.pbase
 let session p = Database.overlay p.pbase
 
-(* One run of [kind] on [db]; [run] adds the facade's bookkeeping. *)
-let run_on ?output ?trace ?chaos ?prof ~table ~cancel kind (config : Config.t)
-    db goal =
+(* The facade's result of an engine run started at [t0]. *)
+let result ~t0 ~cancel solutions stats metrics cycles =
+  {
+    solutions;
+    stats;
+    metrics;
+    cycles;
+    wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+    cancelled = Cancel.fired cancel;
+  }
+
+(* One run of [kind] on [db]; [run] adds the facade's bookkeeping.  Only
+   the sequential branch reads [config.compile]: every other engine has
+   one execution path. *)
+let run_on ?output ?trace ?chaos ?prof ~table ~cancel ~t0 kind
+    (config : Config.t) db goal =
   match kind with
   | Sequential ->
     let solutions, m =
@@ -90,47 +115,29 @@ let run_on ?output ?trace ?chaos ?prof ~table ~cancel kind (config : Config.t)
         ?limit:config.Config.max_solutions db goal
     in
     let stats = Seq_engine.stats m in
-    {
-      solutions;
-      stats;
-      metrics = Metrics.of_stats stats;
-      time = Seq_engine.time m;
-      cancelled = Cancel.fired cancel;
-    }
+    result ~t0 ~cancel solutions stats (Metrics.of_stats stats)
+      (Some (Seq_engine.time m))
   | And_parallel ->
     let r =
       And_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
     in
-    {
-      solutions = r.And_engine.solutions;
-      stats = r.And_engine.stats;
-      metrics = Metrics.of_stats_array r.And_engine.per_agent;
-      time = r.And_engine.time;
-      cancelled = Cancel.fired cancel;
-    }
+    result ~t0 ~cancel r.And_engine.solutions r.And_engine.stats
+      (Metrics.of_stats_array r.And_engine.per_agent)
+      (Some r.And_engine.time)
   | Or_parallel ->
     let r =
       Or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
     in
-    {
-      solutions = r.Or_engine.solutions;
-      stats = r.Or_engine.stats;
-      metrics = Metrics.of_stats_array r.Or_engine.per_agent;
-      time = r.Or_engine.time;
-      cancelled = Cancel.fired cancel;
-    }
+    result ~t0 ~cancel r.Or_engine.solutions r.Or_engine.stats
+      (Metrics.of_stats_array r.Or_engine.per_agent)
+      (Some r.Or_engine.time)
   | Par_or ->
     let r =
       Par_or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db
         goal
     in
-    {
-      solutions = r.Par_or_engine.solutions;
-      stats = r.Par_or_engine.stats;
-      metrics = r.Par_or_engine.metrics;
-      time = r.Par_or_engine.wall_ns;
-      cancelled = Cancel.fired cancel;
-    }
+    result ~t0 ~cancel r.Par_or_engine.solutions r.Par_or_engine.stats
+      r.Par_or_engine.metrics None
 
 let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
     kind (config : Config.t) p goal =
@@ -150,8 +157,9 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
         ~max_answers:config.Config.table_max_answers ()
   in
   let vars = free_vars [] goal in
+  let t0 = Unix.gettimeofday () in
   let go () =
-    run_on ?output ?trace ?chaos ?prof ~table ~cancel kind config db goal
+    run_on ?output ?trace ?chaos ?prof ~table ~cancel ~t0 kind config db goal
   in
   match if kind = Par_or then go () else with_alloc_counters go with
   | r ->

@@ -11,16 +11,30 @@ type kind =
 
 val kind_to_string : kind -> string
 
+(** Inverse of {!kind_to_string}; the error reads
+    [unknown engine "x" (seq|and|or|par)]. *)
+val kind_of_string : string -> (kind, string) result
+
+(** The [Config.compile] values that give [kind] distinct execution
+    paths: [[false; true]] on [Sequential] (interpreted reference,
+    compiled production path), one value on every other engine, which
+    ignores the field — the simulators always interpret (the paper's
+    cost model) and [Par_or] always runs compiled clause code. *)
+val compile_modes : kind -> bool list
+
 type result = {
   solutions : Ace_term.Term.t list;
   stats : Ace_machine.Stats.t;
   metrics : Ace_obs.Metrics.t;
       (** the per-agent shards behind [stats]; for [Par_or] also busy/idle
           times and copy/task/steal histograms *)
-  time : int;
+  cycles : int option;
       (** abstract cycles: total charge (sequential) or simulated makespan
-          (parallel engines); measured wall-clock nanoseconds for
-          [Par_or] *)
+          (simulated parallel engines); [None] on [Par_or], which runs on
+          the wall clock only *)
+  wall_ns : int;
+      (** wall-clock nanoseconds of the engine run, measured by {!run}
+          on every engine (excludes freezing and table set-up) *)
   cancelled : Cancel.reason option;
       (** [Some _] when the run's cancel token fired: [solutions] holds
           the solutions completed before the abort (each one was complete

@@ -376,9 +376,9 @@ module Resolver (S : SCHEDULER) = struct
     in
     try_code_args s ~ctx ~trail args clause
 
-  (* One entry point for both execution modes, so each engine threads a
-     single [compiled] flag instead of duplicating its resolution
-     sites. *)
+  (* One entry point for both of the sequential engine's execution
+     modes, so it threads a single [compiled] flag instead of
+     duplicating its resolution sites. *)
   let resolve s ~ctx ~compiled ~trail goal clause =
     if compiled then try_code s ~ctx ~trail goal clause
     else try_clause s ~trail goal clause
@@ -1034,12 +1034,8 @@ module Copy = struct
     List.map
       (function
         | Clause.Call g -> Clause.Call (raw_term table cells g)
-        | Clause.Exec xf ->
-          Clause.Exec
-            {
-              xf with
-              Clause.xf_env = Array.map (raw_term table cells) xf.Clause.xf_env;
-            }
+        | Clause.Exec _ ->
+          assert false (* the or-parallel simulator runs interpreted clauses *)
         | Clause.Par bodies ->
           Clause.Par (List.map (raw_items table cells) bodies))
       items

@@ -45,11 +45,11 @@ module type SCHEDULER = sig
       no-op. *)
 
   val scratch : t -> Ace_lang.Code.scratch
-  (** The *current agent's* execution scratch (frame buffer + argument
-      registers).  Must be private to the scheduling context the other
-      accessors describe: one per simulated agent / per domain, so a
-      simulated context switch at a [charge] point can never hand one
-      agent's half-used registers to another. *)
+  (** The current context's execution scratch (frame buffer + argument
+      registers) for compiled clause code.  Must be private to the
+      scheduling context the other accessors describe (one per domain
+      on the multicore engine).  The simulated engines run interpreted
+      clauses only, so they implement it as a function that raises. *)
 
   val prof : t -> Ace_obs.Prof.shard
   (** The current context's profiler shard ({!Ace_obs.Prof.null} when
@@ -180,7 +180,9 @@ module Resolver (S : SCHEDULER) : sig
   val resolve :
     S.t -> ctx:Builtins.ctx -> compiled:bool -> trail:Trail.t -> Term.t ->
     Clause.t -> resolved
-  (** {!try_code} when [compiled], {!try_clause} otherwise. *)
+  (** {!try_code} when [compiled], {!try_clause} otherwise (the
+      sequential engine's two modes; every other engine calls one of
+      them directly). *)
 
   val exec_body : S.t -> ctx:Builtins.ctx -> Clause.exec_frame -> executed
   (** Executes a compiled body from its saved pc: consecutive builtins

@@ -32,7 +32,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Code = Ace_lang.Code
 module Database = Ace_lang.Database
 module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
@@ -67,7 +66,6 @@ type t = {
   chaos : Chaos.agent array; (* per-worker schedule-jitter streams *)
   sim : Sim.t;
   workers : worker array;
-  scratches : Code.scratch array; (* per-agent frame buffer + registers *)
   pshards : Prof.shard array; (* per-agent profiler shards *)
   goal : Term.t;
   output : Buffer.t option;
@@ -116,9 +114,9 @@ module K = Kernel.Resolver (struct
   let stats = shard
   let charge = charge
 
-  (* One scratch per simulated agent: a context switch at a tick can
-     never hand one agent's half-loaded registers to another. *)
-  let scratch st = st.scratches.(cur st)
+  (* The simulators run interpreted clauses only (the paper's cost
+     model), so the kernel never asks for compiled-code registers. *)
+  let scratch _ = invalid_arg "the or-parallel engine runs no compiled code"
   let prof = psh
   let record = record
   let cancel st = st.cancel
@@ -173,16 +171,9 @@ let ctx_of st w = Builtins.make_ctx ?output:st.output ~trail:w.w_trail ()
 
 let call_builtin st w goal = K.call_builtin st (ctx_of st w) goal
 
-let try_clause st w goal clause =
-  K.resolve st ~ctx:(ctx_of st w) ~compiled:st.config.Config.compile
-    ~trail:w.w_trail goal clause
-
 (* Choice-point creation, with the LAO check: if the current top node is
    exhausted, refurbish it in place instead of allocating a new node. *)
-let debug = ref false
-
 let push_cp st w ~goal ~alts ~cont =
-  if !debug then Format.eprintf "[w%d] push_cp %s alts=%d@." w.w_id (Ace_term.Pp.to_string goal) (List.length alts);
   chaos_yield st;
   if st.config.Config.lao then charge st st.cost.Cost.runtime_check;
   match w.w_cps with
@@ -224,51 +215,15 @@ let rec run_worker st w (cont : Clause.item list) : unit =
       (* the or-engine runs '&' sequentially *)
       run_worker st w (List.concat bodies @ rest)
     | Clause.Call g :: rest -> dispatch st w g rest
-    | Clause.Exec xf :: rest -> exec_frame st w xf rest
+    | Clause.Exec _ :: _ ->
+      assert false (* only compiled clause tries build these *)
 
-(* Resumes a compiled clause body from its saved pc.  No environment
-   trimming here: a stolen (copied) stack may still reference the frame
-   at an earlier pc, so dead slots must survive. *)
-and exec_frame st w xf cont =
-  match K.exec_body st ~ctx:(ctx_of st w) xf with
-  | Kernel.Ex_fail -> backtrack st w
-  | Kernel.Ex_done -> run_worker st w cont
-  | Kernel.Ex_goal (g, pc) -> dispatch st w g (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_par (bodies, pc) ->
-    run_worker st w (List.concat bodies @ Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_call (sym, arity, pc, _live) ->
-    user_call_regs st w sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> user_call_regs st w sym arity cont
-
-(* Schedules what one clause try resolved to; [R_exec] re-enters clause
-   selection straight from the registers (last-call optimization). *)
-and continue st w resolved cont =
-  match resolved with
+(* Resolves [goal] against one clause and runs its body before [cont]. *)
+and try_clause st w goal clause cont =
+  match K.try_clause st ~trail:w.w_trail goal clause with
   | Kernel.R_fail -> backtrack st w
   | Kernel.R_body body -> run_worker st w (body @ cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs st w sym arity cont
-
-and user_call_regs st w sym arity cont =
-  if st.finished then ()
-  else
-    let regs = st.scratches.(w.w_id).Code.s_regs in
-    if Database.is_tabled st.db sym arity then
-      (* materialize the register call: tabled answers must outlive the
-         registers, and the table keys on the goal term *)
-      user_call st w (Kernel.goal_of_regs sym arity regs) cont
-    else
-    match K.select_args st st.db sym arity regs with
-    | [] -> backtrack st w
-    | [ clause ] ->
-      continue st w
-        (K.try_code_args st ~ctx:(ctx_of st w) ~trail:w.w_trail regs clause)
-        cont
-    | clause :: rest ->
-      (* nondeterminate: materialize the goal once — the alternatives in
-         the (shareable) choice point must outlive the registers *)
-      let g = Kernel.goal_of_regs sym arity regs in
-      push_cp st w ~goal:g ~alts:rest ~cont;
-      continue st w (try_clause st w g clause) cont
+  | Kernel.R_exec _ -> assert false (* [K.try_clause] never answers R_exec *)
 
 and dispatch st w g cont =
   let g = Term.deref g in
@@ -284,7 +239,6 @@ and dispatch st w g cont =
 and dispatch_control st w g cont =
   match Kernel.classify g with
   | Kernel.Sentinel goal ->
-    if !debug then Format.eprintf "[w%d] solution %s@." w.w_id (Ace_term.Pp.to_string goal);
     record_solution st;
     st.solutions <- Term.copy_resolved goal :: st.solutions;
     let enough =
@@ -316,26 +270,23 @@ and user_call st w g cont =
     (* tabled predicates answer from the shared table; the kernel
        completes the subgoal first when needed (see Kernel.table_call) *)
     if Database.is_tabled_goal st.db g then
-      K.table_call st ~table:st.table ~ctx:(ctx_of st w)
-        ~compiled:st.config.Config.compile ~db:st.db g
-    else K.select st ~compiled:st.config.Config.compile st.db g
+      K.table_call st ~table:st.table ~ctx:(ctx_of st w) ~compiled:false
+        ~db:st.db g
+    else K.select st ~compiled:false st.db g
   with
   | exception Cancel.Cancelled ->
     (* an abort inside the tabling mini-solver: the entry stays
        incomplete but consistent (Kernel.table_call's contract) *)
     stop st
   | [] -> backtrack st w
-  | [ clause ] -> continue st w (try_clause st w g clause) cont
+  | [ clause ] -> try_clause st w g clause cont
   | clause :: rest ->
     push_cp st w ~goal:g ~alts:rest ~cont;
-    continue st w (try_clause st w g clause) cont
+    try_clause st w g clause cont
 
 (* Local backtracking: exhausted nodes are popped (each visit charged); a
    node with remaining shared alternatives yields the next one. *)
 and backtrack st w =
-  if !debug then
-    Format.eprintf "[w%d] backtrack stack=%d top_alts=%s@." w.w_id (List.length w.w_cps)
-      (match w.w_cps with [] -> "-" | cp :: _ -> string_of_int (List.length !(cp.o_alts)));
   (shard st).Stats.backtracks <- (shard st).Stats.backtracks + 1;
   if st.finished then ()
   else if Cancel.poll st.cancel then stop st
@@ -352,12 +303,11 @@ and backtrack st w =
         w.w_cps <- below;
         backtrack st w
       | clause :: alts ->
-        if !debug then Format.eprintf "[w%d] retry %s@." w.w_id (Ace_term.Pp.to_string cp.o_goal);
         if Prof.live (psh st) then Prof.redo (psh st) (Prof.key_of_term cp.o_goal);
         cp.o_alts := alts;
         K.untrail st w.w_trail cp.o_trail;
         charge st st.cost.Cost.cp_restore;
-        continue st w (try_clause st w cp.o_goal clause) cp.o_cont)
+        try_clause st w cp.o_goal clause cp.o_cont)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -410,7 +360,6 @@ let try_steal st (w : worker) =
             charge st scan_cost;
             attempt (k + 1)
           | clause :: alts ->
-            if !debug then Format.eprintf "[w%d] steal claim %s (left %d)@." w.w_id (Ace_term.Pp.to_string target.o_goal) (List.length alts);
             (* claim, remember the claimed ref, and copy — all before the
                first tick, so the victim cannot mutate underneath.  Leaving
                the idle set must be atomic with the claim, or another
@@ -456,7 +405,7 @@ let try_steal st (w : worker) =
 
 let worker_body st w ~initial () =
   let resume (cp, clause) =
-    continue st w (try_clause st w cp.o_goal clause) cp.o_cont
+    try_clause st w cp.o_goal clause cp.o_cont
   in
   (match initial with
    | Some cont -> run_worker st w cont
@@ -543,7 +492,6 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
     chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
     sim;
     workers;
-    scratches = Array.init config.Config.agents (fun _ -> Code.create_scratch ());
     pshards;
     goal;
     output;

@@ -3,7 +3,10 @@
 
     Finds all solutions (or [config.max_solutions]) by exploring the or-tree
     with [config.agents] simulated workers.  Parallel conjunctions run
-    sequentially; cut and other control constructs are rejected. *)
+    sequentially; cut and other control constructs are rejected.
+
+    Clauses are always interpreted (the paper's cost model);
+    [config.compile] is not read. *)
 
 type t
 
@@ -56,8 +59,3 @@ val solve :
   Ace_lang.Database.t ->
   Ace_term.Term.t ->
   result
-
-(**/**)
-
-(** Temporary debug tracing. *)
-val debug : bool ref

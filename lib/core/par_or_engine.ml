@@ -280,9 +280,7 @@ let publish w m =
 (* ------------------------------------------------------------------ *)
 
 let try_alt w m goal = function
-  | Aclause clause ->
-    K.resolve w ~ctx:m.m_ctx ~compiled:w.sh.config.Config.compile
-      ~trail:m.m_trail goal clause
+  | Aclause clause -> K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail goal clause
   | Acombo row ->
     (* join replay: bind the tuple template to one cross-product row *)
     if K.unify_goal w ~trail:m.m_trail goal row then Kernel.R_body []
@@ -381,10 +379,7 @@ and user_call_regs w m sym arity cont =
       let g = Kernel.goal_of_regs sym arity regs in
       push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
       if should_publish w m then publish w m;
-      continue w m
-        (K.resolve w ~ctx:m.m_ctx ~compiled:w.sh.config.Config.compile
-           ~trail:m.m_trail g clause)
-        cont
+      continue w m (K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail g clause) cont
 
 and dispatch w m g cont =
   let g = Term.deref g in
@@ -413,27 +408,25 @@ and dispatch_control w m g cont =
     | Builtins.Not_builtin -> user_call w m g cont)
 
 and user_call w m g cont =
-  let compiled = w.sh.config.Config.compile in
   let clauses =
     (* tabled predicates answer from the shared (locked) table; the
        kernel completes the subgoal first when needed.  Workers never
        block on each other: concurrent callers evaluate redundantly and
        deduplicate through the shared answer trie. *)
     if Database.is_tabled_goal w.sh.db g then
-      K.table_call w ~table:w.sh.table ~ctx:m.m_ctx ~compiled ~db:w.sh.db g
-    else K.select w ~compiled w.sh.db g
+      K.table_call w ~table:w.sh.table ~ctx:m.m_ctx ~compiled:true
+        ~db:w.sh.db g
+    else K.select w ~compiled:true w.sh.db g
   in
   match clauses with
   | [] -> backtrack w m
   | [ clause ] ->
     (* determinate after indexing: no choice point *)
-    continue w m (K.resolve w ~ctx:m.m_ctx ~compiled ~trail:m.m_trail g clause)
-      cont
+    continue w m (K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail g clause) cont
   | clause :: rest ->
     push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
     if should_publish w m then publish w m;
-    continue w m (K.resolve w ~ctx:m.m_ctx ~compiled ~trail:m.m_trail g clause)
-      cont
+    continue w m (K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail g clause) cont
 
 (* Private backtracking.  Taking the last alternative of an owned node
    trust-pops it and continues in place — the engine's structural LAO. *)
@@ -774,8 +767,6 @@ type result = {
   solutions : Term.t list; (* discovery order; nondeterministic for P > 1 *)
   stats : Stats.t; (* merged run total *)
   metrics : Metrics.t; (* per-domain shards behind [stats] *)
-  wall_ns : int; (* wall-clock nanoseconds, whole run including the join *)
-  domains : int;
 }
 
 let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
@@ -836,13 +827,11 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
         })
   in
   Deque.push_bottom sh.deques.(0) (Root (Kernel.sentinel_body goal));
-  let t0 = Unix.gettimeofday () in
   let domains =
     Array.init (p - 1) (fun i -> Domain.spawn (fun () -> worker_main workers.(i + 1)))
   in
   worker_main workers.(0);
   Array.iter Domain.join domains;
-  let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   (match Atomic.get sh.failure with Some e -> raise e | None -> ());
   (* the domains have joined: aggregating the single-writer shards is safe
      from here on (see the Stats.merge_into ownership contract) *)
@@ -858,4 +847,4 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
          | Some b -> Buffer.add_buffer buf b
          | None -> ())
        workers);
-  { solutions = List.rev sh.sols_rev; stats; metrics; wall_ns; domains = p }
+  { solutions = List.rev sh.sols_rev; stats; metrics }

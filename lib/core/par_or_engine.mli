@@ -4,9 +4,11 @@
     applied structurally (the last alternative of an owned node continues
     in place with no re-dispatch or copy).
 
-    [config.agents] is the number of domains.  Finds all solutions (or
-    [config.max_solutions]).  Cut and other control constructs are
-    rejected, and calling an undefined predicate raises
+    [config.agents] is the number of domains.  Clauses always run as
+    compiled instruction code through the deep-indexing dispatch tree
+    (the production path); [config.compile] is not read.  Finds all
+    solutions (or [config.max_solutions]).  Cut and other control
+    constructs are rejected, and calling an undefined predicate raises
     {!Errors.Engine_error} (worker exceptions are re-raised in the
     calling domain).
 
@@ -38,8 +40,6 @@ type result = {
   metrics : Ace_obs.Metrics.t;
       (** the per-domain shards behind [stats]: copy-size / task-duration /
           steal-retry histograms and busy/idle nanoseconds per domain *)
-  wall_ns : int;  (** wall-clock nanoseconds for the whole run *)
-  domains : int;  (** domains actually used ([config.agents]) *)
 }
 
 (** [trace] (default {!Ace_obs.Trace.disabled}) collects per-domain event

@@ -79,8 +79,8 @@ let run_cell ~workload ~agents ~optimization =
     run_point ~workload ~agents ~config:(apply_optimization base optimization)
   in
   {
-    unopt = unopt_result.Engine.time;
-    opt = opt_result.Engine.time;
+    unopt = Option.get unopt_result.Engine.cycles;
+    opt = Option.get opt_result.Engine.cycles;
     unopt_stats = unopt_result.Engine.stats;
     opt_stats = opt_result.Engine.stats;
     unopt_metrics = unopt_result.Engine.metrics;

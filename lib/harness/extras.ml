@@ -98,15 +98,17 @@ let run_overhead ?(benchmarks = overhead_benchmarks) ?size_of () =
           { (Config.all_optimizations ~agents:1 ()) with Config.seq_threshold = 24 }
           ~program ~query
       in
+      let cycles r = Option.get r.Engine.cycles in
+      let seq_time = cycles seq in
       {
         o_label = name;
-        seq_time = seq.Engine.time;
-        unopt_time = unopt.Engine.time;
-        opt_time = opt.Engine.time;
-        gc_time = gc.Engine.time;
-        unopt_overhead = percent_over seq.Engine.time unopt.Engine.time;
-        opt_overhead = percent_over seq.Engine.time opt.Engine.time;
-        gc_overhead = percent_over seq.Engine.time gc.Engine.time;
+        seq_time;
+        unopt_time = cycles unopt;
+        opt_time = cycles opt;
+        gc_time = cycles gc;
+        unopt_overhead = percent_over seq_time (cycles unopt);
+        opt_overhead = percent_over seq_time (cycles opt);
+        gc_overhead = percent_over seq_time (cycles gc);
       })
     benchmarks
 
@@ -215,10 +217,11 @@ let run_par_or ?(benchmarks = par_or_benchmarks) ?(domains = [ 1; 2; 4 ])
         in
         let best =
           List.fold_left
-            (fun acc r -> if r.Engine.time < acc.Engine.time then r else acc)
+            (fun acc r ->
+              if r.Engine.wall_ns < acc.Engine.wall_ns then r else acc)
             (List.hd runs) (List.tl runs)
         in
-        let wall_ms = float_of_int best.Engine.time /. 1e6 in
+        let wall_ms = float_of_int best.Engine.wall_ns /. 1e6 in
         if agents = 1 then base_ms := wall_ms;
         let util = Metrics.utilization best.Engine.metrics in
         let busy_frac =
@@ -376,10 +379,11 @@ let run_par_and ?(benchmarks = par_and_benchmarks) ?(domains = [ 1; 2; 4 ])
         in
         let best =
           List.fold_left
-            (fun acc r -> if r.Engine.time < acc.Engine.time then r else acc)
+            (fun acc r ->
+              if r.Engine.wall_ns < acc.Engine.wall_ns then r else acc)
             (List.hd runs) (List.tl runs)
         in
-        let wall_ms = float_of_int best.Engine.time /. 1e6 in
+        let wall_ms = float_of_int best.Engine.wall_ns /. 1e6 in
         if agents = 1 then base_ms := wall_ms;
         {
           a_label = name;
@@ -454,12 +458,12 @@ let seq_core_engines =
 
 let canonical_digest = Ace_check.Canon.digest
 
-(* Runs every benchmark on every engine at one agent/domain — first
-   interpreted, then on the compiled clause code (engine tag suffixed
-   with "/c") — reporting the best wall time of [repeat] runs.  All four
-   engines execute the same programs, so the rows double as a
-   cross-engine semantic check, and each interpreted/compiled pair as a
-   compiler check. *)
+(* Runs every benchmark on every engine at one agent/domain, in each of
+   the engine's execution modes (the sequential engine interpreted, then
+   on the compiled clause code with its tag suffixed "/c"), reporting
+   the best wall time of [repeat] runs.  All four engines execute the
+   same programs, so the rows double as a cross-engine semantic check,
+   and the seq/seq/c pair as a compiler check. *)
 let run_seq_core ?(benchmarks = seq_core_benchmarks)
     ?(engines = seq_core_engines) ?(repeat = 5) ?size_of () =
   List.concat_map
@@ -509,7 +513,7 @@ let run_seq_core ?(benchmarks = seq_core_benchmarks)
                 c_digest = canonical_digest best.Engine.solutions;
                 c_stats = best.Engine.stats;
               })
-            [ false; true ])
+            (Engine.compile_modes kind))
         engines)
     benchmarks
 

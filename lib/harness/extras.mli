@@ -128,8 +128,8 @@ val par_and_json : par_and_row list -> string
 type seq_core_row = {
   c_label : string;
   c_engine : string;
-      (** "seq" | "and" | "or" | "par", with "/c" appended for the
-          compiled-clause-code run of the same engine *)
+      (** "seq" | "seq/c" (the sequential engine on compiled clause
+          code) | "and" | "or" | "par" *)
   c_wall_ms : float;    (** best of the repeated runs *)
   c_solutions : int;
   c_digest : string;    (** MD5 of the sorted canonical solution set *)
@@ -138,10 +138,10 @@ type seq_core_row = {
 
 val seq_core_benchmarks : string list
 
-(** Runs every benchmark on every engine at one agent/domain, interpreted
-    and compiled; reports the best wall time of [repeat] runs (default 3)
-    and a digest of the alpha-canonical solution set for semantic-drift
-    checks. *)
+(** Runs every benchmark on every engine at one agent/domain, in each of
+    the engine's execution modes ({!Ace_core.Engine.compile_modes});
+    reports the best wall time of [repeat] runs (default 5) and a digest
+    of the alpha-canonical solution set for semantic-drift checks. *)
 val run_seq_core :
   ?benchmarks:string list ->
   ?engines:Ace_core.Engine.kind list ->
@@ -150,8 +150,9 @@ val run_seq_core :
   unit ->
   seq_core_row list
 
-(** Geometric-mean wall-clock speedup of each engine's compiled rows over
-    its interpreted rows, as [(engine_tag, geomean)] pairs. *)
+(** Geometric-mean wall-clock speedup of the compiled ("tag/c") rows over
+    their interpreted counterparts, as [(engine_tag, geomean)] pairs (the
+    sequential engine is the only one with both modes). *)
 val seq_core_speedups : seq_core_row list -> (string * float) list
 
 val pp_seq_core : Format.formatter -> seq_core_row list -> unit

@@ -26,10 +26,11 @@ type t = {
        in tasks of at most this many alternatives each, so several thieves
        can share one wide node.  0 = all alternatives in one task. *)
   compile : bool;
-    (* execute flat clause code (get/unify/put instructions) through the
-       switch-on-term dispatch tree instead of interpreting templates.
-       Off by default so [default] stays the interpreted oracle
-       reference; ace_run turns it on. *)
+    (* sequential engine only: execute flat clause code (get/unify/put
+       instructions) through the switch-on-term dispatch tree instead of
+       interpreting templates.  Off by default so [default] stays the
+       interpreted oracle reference; ace_run and ace_serve turn it on.
+       The other engines have one mode each and ignore it. *)
   table_max_answers : int;
     (* tabling guard: a tabled subgoal accumulating more than this many
        distinct answers aborts the run with an engine error (runaway
@@ -78,7 +79,6 @@ let pp ppf t =
   let opts =
     flag "lpco" t.lpco @ flag "lao" t.lao @ flag "spo" t.spo @ flag "pdo" t.pdo
     @ flag "par_and" t.par_and
-    @ flag "compiled" t.compile
     @ (if t.seq_threshold > 0 then [ Printf.sprintf "gc=%d" t.seq_threshold ] else [])
     @ (if t.grain > 1 then [ Printf.sprintf "grain=%d" t.grain ] else [])
     @ (if t.chunk > 0 then [ Printf.sprintf "chunk=%d" t.chunk ] else [])

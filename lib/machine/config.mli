@@ -21,9 +21,11 @@ type t = {
       (** or-parallel chunking: at most this many alternatives per
           published task (0 = whole node in one task) *)
   compile : bool;
-      (** run clauses as flat instruction code through the switch-on-term
-          dispatch tree; off by default (the interpreted oracle
-          reference), on in ace_run *)
+      (** sequential engine only: run clauses as flat instruction code
+          through the switch-on-term dispatch tree; off by default (the
+          interpreted oracle reference), on in ace_run and ace_serve.
+          The simulated engines always interpret and the domains engine
+          always runs compiled code; neither reads this field. *)
   table_max_answers : int;
       (** tabling guard: abort with an engine error when a tabled subgoal
           accumulates more than this many distinct answers (0 = off) *)

@@ -20,13 +20,6 @@ type request =
   | Stats
   | Quit
 
-let engine_of_string = function
-  | "seq" -> Ok Ace_core.Engine.Sequential
-  | "and" -> Ok Ace_core.Engine.And_parallel
-  | "or" -> Ok Ace_core.Engine.Or_parallel
-  | "par" -> Ok Ace_core.Engine.Par_or
-  | s -> Error (Printf.sprintf "unknown engine %S (seq|and|or|par)" s)
-
 let int_field j name =
   match Json.member name j with
   | Some (Json.Num n) when Float.is_integer n -> Some (int_of_float n)
@@ -69,7 +62,7 @@ let parse_request line =
         match
           match str_field j "engine" with
           | None -> Ok None
-          | Some s -> Result.map Option.some (engine_of_string s)
+          | Some s -> Result.map Option.some (Ace_core.Engine.kind_of_string s)
         with
         | Error msg -> Error msg
         | Ok engine ->

@@ -42,8 +42,6 @@ type request =
 (** Parses one request line. *)
 val parse_request : string -> (request, string) result
 
-val engine_of_string : string -> (Ace_core.Engine.kind, string) result
-
 type response =
   | Answer of {
       id : int;

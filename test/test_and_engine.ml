@@ -66,7 +66,7 @@ let test_deterministic_repeatable () =
   let config = { Config.default with agents = 4 } in
   let run () =
     let r = Engine.solve_program Engine.And_parallel config ~program ~query in
-    (r.Engine.time, List.map Ace_term.Pp.to_string r.Engine.solutions)
+    (cycles r, List.map Ace_term.Pp.to_string r.Engine.solutions)
   in
   let t1, s1 = run () and t2, s2 = run () in
   Alcotest.(check int) "same simulated time" t1 t2;
@@ -104,7 +104,7 @@ let test_spo_avoids_markers () =
   Alcotest.(check bool) "markers reduced" true (markers opt < markers unopt);
   Alcotest.(check bool) "spo hits counted" true
     (opt.Engine.stats.Stats.spo_hits > 0);
-  Alcotest.(check bool) "not slower" true (opt.Engine.time <= unopt.Engine.time)
+  Alcotest.(check bool) "not slower" true (cycles opt <= cycles unopt)
 
 let test_pdo_contiguity () =
   (* at one agent every next slot is sequentially contiguous, so PDO
@@ -116,12 +116,12 @@ let test_pdo_contiguity () =
     (opt.Engine.stats.Stats.pdo_hits > 0);
   Alcotest.(check bool) "markers avoided" true
     (opt.Engine.stats.Stats.markers_avoided > 0);
-  Alcotest.(check bool) "faster" true (opt.Engine.time < unopt.Engine.time)
+  Alcotest.(check bool) "faster" true (cycles opt < cycles unopt)
 
 let test_parallel_speedup () =
-  let t1 = (run_bench "map2" 64).Engine.time in
+  let t1 = cycles (run_bench "map2" 64) in
   let t4 =
-    (run_bench ~config:{ Config.default with agents = 4 } "map2" 64).Engine.time
+    cycles (run_bench ~config:{ Config.default with agents = 4 } "map2" 64)
   in
   Alcotest.(check bool) "speedup at 4 agents" true
     (float_of_int t1 /. float_of_int t4 > 1.5)
@@ -158,7 +158,7 @@ let test_stats_sanity () =
   Alcotest.(check bool) "some steals at 3 agents" true (s.Stats.steals > 0);
   Alcotest.(check bool) "trail balanced at completion" true
     (s.Stats.untrails <= s.Stats.trail_pushes);
-  Alcotest.(check bool) "positive simulated time" true (r.Engine.time > 0)
+  Alcotest.(check bool) "positive simulated time" true (cycles r > 0)
 
 let test_granularity_control () =
   (* on a list recursion the size estimate shrinks down the tree: the top
@@ -171,7 +171,7 @@ let test_granularity_control () =
   Alcotest.(check bool) "fewer frames" true
     (gc.Engine.stats.Stats.frames < plain.Engine.stats.Stats.frames);
   Alcotest.(check bool) "but not zero frames" true (gc.Engine.stats.Stats.frames > 0);
-  Alcotest.(check bool) "faster at one agent" true (gc.Engine.time < plain.Engine.time);
+  Alcotest.(check bool) "faster at one agent" true (cycles gc < cycles plain);
   check_same_solutions "solutions unchanged"
     (List.map Ace_term.Pp.to_string plain.Engine.solutions)
     (List.map Ace_term.Pp.to_string gc.Engine.solutions);
@@ -180,7 +180,7 @@ let test_granularity_control () =
     run_bench ~config:{ Config.default with agents = 4; seq_threshold = 30 }
       "quick_sort" 60
   in
-  Alcotest.(check bool) "still parallel" true (gc4.Engine.time < gc.Engine.time);
+  Alcotest.(check bool) "still parallel" true (cycles gc4 < cycles gc);
   (* integer-parameterized recursion (tak) has constant-size goals: the
      structural estimate cannot see depth, so the whole computation is
      sequentialized — documented limitation of size-based granularity

@@ -255,7 +255,23 @@ let test_rerun_parsed_goal () =
          | exception Ace_core.Errors.Engine_error _ -> ());
         restored (name ^ " raised")
       done)
-    (List.concat_map (fun e -> [ (e, false); (e, true) ]) engines)
+    (List.concat_map
+       (fun ((kind, _) as e) ->
+         List.map (fun compile -> (e, compile)) (Engine.compile_modes kind))
+       engines)
+
+(* Engine names round-trip through the one parser every CLI and the
+   wire protocol share; anything else is refused with the usage hint. *)
+let test_engine_names () =
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool)
+        (Engine.kind_to_string kind ^ " round-trips") true
+        (Engine.kind_of_string (Engine.kind_to_string kind) = Ok kind))
+    [ Engine.Sequential; Engine.And_parallel; Engine.Or_parallel;
+      Engine.Par_or ];
+  Alcotest.(check bool) "unknown engine refused" true
+    (Engine.kind_of_string "x" = Error "unknown engine \"x\" (seq|and|or|par)")
 
 (* The per-run set-up is O(1): no answer-table shards, no histogram
    buckets and no GC-stat records on a run that needs none of them. *)
@@ -474,6 +490,7 @@ let suite =
       test_overlay_cost;
     Alcotest.test_case "run: a parsed goal runs again" `Quick
       test_rerun_parsed_goal;
+    Alcotest.test_case "run: engine names round-trip" `Quick test_engine_names;
     Alcotest.test_case "run: set-up allocation" `Quick test_run_setup_words;
     Alcotest.test_case "run: builtin calls allocate nothing" `Quick
       test_builtin_call_words;

@@ -221,6 +221,38 @@ let test_lco_constant_space () =
     r.Engine.stats.Ace_machine.Stats.env_allocs
 
 (* ------------------------------------------------------------------ *)
+(* One execution path per engine                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Config.compile] selects the sequential engine's mode only: the
+   simulators always interpret (no compiled instruction ever runs) and
+   the domains engine always runs compiled code.  Only [Par_or] runs
+   without abstract cycles. *)
+let test_one_path_per_engine () =
+  let program = "len([], 0). len([_|T], N) :- len(T, M), N is M + 1." in
+  let query = "len([a, b, c, d], N)" in
+  List.iter
+    (fun (kind, compile, runs_code) ->
+      let name =
+        Printf.sprintf "%s with compile = %b" (Engine.kind_to_string kind)
+          compile
+      in
+      let r =
+        Engine.solve_program kind
+          { (Config.all_optimizations ~agents:2 ()) with Config.compile }
+          ~program ~query
+      in
+      Alcotest.(check (list string)) (name ^ ": answer") [ "len([a,b,c,d],4)" ]
+        (List.map Ace_term.Pp.to_string r.Engine.solutions);
+      Alcotest.(check bool) (name ^ ": runs compiled code") runs_code
+        (r.Engine.stats.Ace_machine.Stats.code_instrs > 0);
+      Alcotest.(check bool) (name ^ ": charges cycles") (kind <> Engine.Par_or)
+        (Option.is_some r.Engine.cycles))
+    [ (Engine.Sequential, false, false); (Engine.Sequential, true, true);
+      (Engine.And_parallel, true, false); (Engine.Or_parallel, true, false);
+      (Engine.Par_or, false, true) ]
+
+(* ------------------------------------------------------------------ *)
 (* Compiled = interpreted (property)                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -250,4 +282,6 @@ let suite =
     Alcotest.test_case "mutation: body code" `Quick test_mutation_body;
     Alcotest.test_case "lco: constant environment space" `Quick
       test_lco_constant_space;
+    Alcotest.test_case "one execution path per engine" `Quick
+      test_one_path_per_engine;
     equivalence_prop ]

@@ -50,9 +50,10 @@ let engines =
      { (Config.all_optimizations ~agents:2 ()) with Config.par_and = true });
   ]
 
-(* Runs [query] on every engine, interpreted and compiled; asserts each
-   raises, with identical normalized messages, and that the message
-   mentions [expect]. *)
+(* Runs [query] on every engine in each of its execution modes (the
+   sequential engine interpreted and compiled); asserts each raises, with
+   identical normalized messages, and that the message mentions
+   [expect]. *)
 let check_error ~expect query () =
   let outcomes =
     List.concat_map
@@ -62,7 +63,7 @@ let check_error ~expect query () =
             ( (if compile then name ^ "/c" else name),
               Oracle.run_engine kind { config with Config.compile } ~program
                 ~query ))
-          [ false; true ])
+          (Engine.compile_modes kind))
       engines
   in
   let reference =

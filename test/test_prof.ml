@@ -163,7 +163,7 @@ let run_profiled ?(agents = 1) ?(compile = true) kind =
 
 let test_engines_agree_on_ports () =
   (* nrev(10): 11 nrev calls, 55 app calls, deterministic on every
-     engine and in both execution modes *)
+     engine and in each of its execution modes *)
   let check_counts prof label =
     let ra = get prof "app/3" and rn = get prof "nrev/2" in
     Alcotest.(check int) (label ^ ": app calls") 55 ra.Prof.r_calls;
@@ -174,11 +174,18 @@ let test_engines_agree_on_ports () =
     | Some r -> Alcotest.(check string) (label ^ ": hotspot") "app/3" r.Prof.r_name
     | None -> Alcotest.failf "%s: no hotspot" label
   in
-  check_counts (run_profiled Engine.Sequential) "seq/c";
-  check_counts (run_profiled ~compile:false Engine.Sequential) "seq";
-  check_counts (run_profiled ~agents:2 Engine.And_parallel) "and@2";
-  check_counts (run_profiled ~agents:2 Engine.Or_parallel) "or@2";
-  check_counts (run_profiled ~agents:2 Engine.Par_or) "par@2"
+  List.iter
+    (fun (kind, agents) ->
+      List.iter
+        (fun compile ->
+          check_counts
+            (run_profiled ~agents ~compile kind)
+            (Printf.sprintf "%s%s@%d" (Engine.kind_to_string kind)
+               (if compile then "/c" else "")
+               agents))
+        (Engine.compile_modes kind))
+    [ (Engine.Sequential, 1); (Engine.And_parallel, 2);
+      (Engine.Or_parallel, 2); (Engine.Par_or, 2) ]
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in

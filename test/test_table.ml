@@ -3,9 +3,10 @@
    engines.  Covers subgoal-trie variant detection, answer-trie
    deduplication, the golden incremental-completion order on a
    hand-built SCC chain, the acceptance-criterion 200-node cyclic
-   left-recursive reachability on every engine (compiled and
-   interpreted), chaos-schedule determinism of the suspend/resume
-   interleaving, and concurrent 4-domain answer-table consistency. *)
+   left-recursive reachability on every engine (the sequential one
+   compiled and interpreted), chaos-schedule determinism of the
+   suspend/resume interleaving, and concurrent 4-domain answer-table
+   consistency. *)
 
 module Term = Ace_term.Term
 module Table = Ace_lang.Table
@@ -158,11 +159,11 @@ let test_cyclic_reachability () =
             | _ -> { (Config.all_optimizations ~agents:2 ()) with Config.compile }
           in
           Alcotest.(check (list string))
-            (Printf.sprintf "reachable set on %s %s" (Engine.kind_to_string kind)
-               (if compile then "compiled" else "interpreted"))
+            (Printf.sprintf "reachable set on %s%s" (Engine.kind_to_string kind)
+               (if compile then " compiled" else ""))
             reachable_expected
             (multiset ~kind ~config cyclic_program "path(n0, X)"))
-        [ false; true ])
+        (Engine.compile_modes kind))
     [ Engine.Sequential; Engine.And_parallel; Engine.Or_parallel; Engine.Par_or ]
 
 (* ------------------------------------------------------------------ *)

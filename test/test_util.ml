@@ -16,6 +16,10 @@ let solutions ?(config = Config.default) ?(kind = Engine.Sequential) program
   let r = Engine.solve_program kind config ~program ~query in
   List.map Ace_term.Pp.to_string r.Engine.solutions
 
+(* Abstract cycles of a run on an engine that charges them (all but
+   [Par_or]). *)
+let cycles r = Option.get r.Engine.cycles
+
 let sorted_strings xs = List.sort String.compare xs
 
 (* Engines must agree up to solution order. *)
