@@ -384,8 +384,13 @@ let profile_run () =
    binary tree, and doubly-recursive transitive closure — on all four
    engines.  Tabled results are answer *sets*, so each run's solution
    count is asserted exactly; a lost or duplicated answer fails the
-   bench.  Writes BENCH_tabling.json (wall clock, answer counts and
-   table counters per row) with the standard host object. *)
+   bench.  Two clock-free work gates hold the answer-delta evaluation in
+   place: the sequential engine never re-passes a region (its
+   [table_resumes] is 0: no consumer here sits under a control
+   construct), and left-recursive reachability tries at most
+   2 × (answers + edges) clauses there.  Writes BENCH_tabling.json (wall
+   clock, answer counts and table counters per row) with the standard
+   host object. *)
 
 let tabling_workloads =
   let path_cycle n =
@@ -427,10 +432,14 @@ let tabling_workloads =
     Buffer.add_string b "sg(X, Y) :- edge(P, X), sg(P, Q), edge(Q, Y).\n";
     Buffer.contents b
   in
-  [ ("path_cycle", path_cycle 120, "path(n0, X)", 120);
-    ("tc_double", tc_double 60, "path(n0, X)", 60);
+  (* a ring of n edges plus n/10 chords *)
+  let path_cycle_edges n = n + (n / 10) in
+  (* name, program, query, answers, seq clause-try bound *)
+  [ ("path_cycle", path_cycle 120, "path(n0, X)", 120,
+     Some (2 * (120 + path_cycle_edges 120)));
+    ("tc_double", tc_double 60, "path(n0, X)", 60, None);
     (* every leaf is the same generation as the leftmost leaf *)
-    ("same_gen", same_gen 6, "sg(n64, X)", 64) ]
+    ("same_gen", same_gen 6, "sg(n64, X)", 64, None) ]
 
 let tabling_run () =
   let engines =
@@ -440,7 +449,7 @@ let tabling_run () =
   let rows = ref [] in
   let failed = ref false in
   List.iter
-    (fun (bench, program, query, expected) ->
+    (fun (bench, program, query, expected, tries_bound) ->
       List.iter
         (fun (kind, agents) ->
           let config =
@@ -463,6 +472,21 @@ let tabling_run () =
             end
           done;
           let st = Option.get !stats in
+          if kind = Engine.Sequential then begin
+            let resumes = st.Ace_machine.Stats.table_resumes
+            and tries = st.Ace_machine.Stats.clause_tries in
+            if resumes <> 0 then begin
+              Format.eprintf "tabling: %s on seq re-passed %d times, expected 0@."
+                bench resumes;
+              failed := true
+            end;
+            match tries_bound with
+            | Some bound when tries > bound ->
+              Format.eprintf "tabling: %s on seq tried %d clauses, bound %d@."
+                bench tries bound;
+              failed := true
+            | Some _ | None -> ()
+          end;
           Format.printf
             "%-12s %s@%d %5d answers %10.2f ms   subgoals %d  answers %d  hits %d@."
             bench (Engine.kind_to_string kind) agents !answers !best
@@ -495,7 +519,7 @@ let tabling_run () =
       Out_channel.output_string oc json);
   Format.printf "wrote BENCH_tabling.json (%d rows)@." (List.length !rows);
   if !failed then begin
-    Format.eprintf "tabling: an engine lost or duplicated tabled answers@.";
+    Format.eprintf "tabling: a tabled answer count or work gate failed@.";
     exit 1
   end
 

@@ -98,6 +98,11 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
        interpret, par always runs compiled code)";
     2
   | Ok kind -> (
+    match Engine.check_agents kind agents with
+    | Error m ->
+      prerr_endline ("ace_run: " ^ m);
+      2
+    | Ok () ->
     try
       let program = Program.consult_string program_text in
       let db =

@@ -257,8 +257,9 @@ let gen_clause st ~i arities =
 
 (* Every fourth seed generates a *tabled* case instead: a ground edge
    relation over a small node universe plus [:- table]d recursive rules —
-   left-recursive, right-recursive, doubly recursive, mutually recursive
-   or same-generation — and a single tabled (or tabled-via-wrapper) query.
+   left-recursive, right-recursive, doubly recursive, mutually recursive,
+   same-generation or nested SCCs — and a single tabled (or
+   tabled-via-wrapper) query.
    These would loop forever under plain SLD; termination comes from the
    answer table, and the oracle checks them against the independent
    bottom-up evaluator ({!Naive}) rather than the sequential engine. *)
@@ -290,8 +291,9 @@ let generate_tabled st seed =
   let t0 a b = App ("t0", [ a; b ]) in
   let t1 a b = App ("t1", [ a; b ]) in
   let base = { c_head = t0 x y; c_body = [ e x y ] } in
+  let shape = Rng.int st.rng 6 in
   let rules, tabled =
-    match Rng.int st.rng 5 with
+    match shape with
     | 0 ->
       (* left-recursive transitive closure *)
       ( [ base; { c_head = t0 x y; c_body = [ Call (t0 x z); e z y ] } ],
@@ -310,27 +312,50 @@ let generate_tabled st seed =
           { c_head = t0 x y; c_body = [ Call (t1 x z); e z y ] };
           { c_head = t1 x y; c_body = [ Call (t0 x y) ] } ],
         [ ("t0", 2); ("t1", 2) ] )
-    | _ ->
+    | 4 ->
       (* same generation over the edge relation *)
       ( List.init nnodes (fun i ->
             { c_head = App ("t0", [ node i; node i ]); c_body = [] })
         @ [ { c_head = t0 x y;
               c_body = [ e z x; Call (t0 z w); e w y ] } ],
         [ ("t0", 2) ] )
+    | _ ->
+      (* nested SCCs: the inner [t1] reaches the outer [t0] only through
+         the gate [g0], which its recursive clause meets only on answers
+         derived after its first pass; [t0]'s second clause adds answers
+         ending in [z0] that [t1] can only get through that late link *)
+      let s0 a b = App ("s0", [ a; b ]) in
+      ( [ { c_head = t0 x y; c_body = [ Call (t1 x y) ] };
+          { c_head = t0 x (Atm "z0"); c_body = [ e x y ] };
+          { c_head = t1 x y; c_body = [ Call (t1 x z); Call (s0 z y) ] };
+          { c_head = t1 x y; c_body = [ e x y ] };
+          { c_head = s0 x y; c_body = [ e x y ] };
+          { c_head = s0 x y;
+            c_body = [ Call (App ("g0", [ x ])); Call (t0 z y) ] } ]
+        @ List.init
+            (1 + Rng.int st.rng 2)
+            (fun _ -> { c_head = App ("g0", [ rand_node () ]); c_body = [] }),
+        [ ("t0", 2); ("t1", 2) ] )
   in
   (* sometimes query through an untabled wrapper, so plain SLD clauses
-     resolve against a completed table *)
+     resolve against a completed table; nested SCCs always go through a
+     tabled one that completes [t0] first and then reads all of [t1] *)
   let wrapper, qname =
-    if Rng.int st.rng 3 = 0 then
+    if shape = 5 then
+      ( [ { c_head = App ("q0", [ x; y ]);
+            c_body = [ Call (t0 z w); Call (t1 x y) ] } ],
+        "q0" )
+    else if Rng.int st.rng 3 = 0 then
       ([ { c_head = App ("q0", [ x; y ]); c_body = [ Call (t0 x y) ] } ], "q0")
     else ([], "t0")
   in
   let qarg bound = if bound then rand_node () else fresh_var st in
   let query =
-    let pattern = Rng.int st.rng 3 in
+    let pattern = if shape = 5 then 1 else Rng.int st.rng 3 in
     [ Call
         (App (qname, [ qarg (pattern = 0); qarg (pattern = 2) ])) ]
   in
+  let tabled = if shape = 5 then tabled @ [ ("q0", 2) ] else tabled in
   {
     seed;
     arities = [| 2 |];

@@ -31,6 +31,16 @@ let compile_modes = function
   | Sequential -> [ false; true ]
   | And_parallel | Or_parallel | Par_or -> [ false ]
 
+let max_par_agents = 16
+
+let check_agents kind agents =
+  match kind with
+  | Par_or when agents < 1 || agents > max_par_agents ->
+    Error
+      (Printf.sprintf "par engine: agents must be between 1 and %d (got %d)"
+         max_par_agents agents)
+  | Sequential | And_parallel | Or_parallel | Par_or -> Ok ()
+
 type result = {
   solutions : Term.t list;
   stats : Stats.t;

@@ -22,6 +22,17 @@ val kind_of_string : string -> (kind, string) result
     cost model) and [Par_or] always runs compiled clause code. *)
 val compile_modes : kind -> bool list
 
+(** The most domains one [Par_or] run may ask for: a fixed budget well
+    under OCaml 5.1's limit of 128 live domains, so a request cannot
+    exhaust them. *)
+val max_par_agents : int
+
+(** [Error msg] when [kind] spawns domains ([Par_or]) and [agents] is
+    outside [1 .. max_par_agents]; the simulators' agents are coroutines
+    and stay uncapped.  Callers check before running, so a refused
+    request spawns nothing. *)
+val check_agents : kind -> int -> (unit, string) result
+
 type result = {
   solutions : Ace_term.Term.t list;
   stats : Ace_machine.Stats.t;

@@ -31,7 +31,7 @@ module type SCHEDULER = sig
   val cancel : t -> Cancel.t
   (* the run's cancellation token ({!Cancel.none} when the caller set no
      deadline); the kernel polls it inside the tabling mini-solver, whose
-     fixpoint rounds never pass through an engine chokepoint *)
+     evaluation never passes through an engine chokepoint *)
 end
 
 type cls =
@@ -496,35 +496,63 @@ module Resolver (S : SCHEDULER) = struct
   (* machinery, so tabling never adds frame kinds to the engines.      *)
   (*                                                                   *)
   (* The mini-solver is an SLD interpreter in CPS over a private       *)
-  (* trail, with generator frames kept on an explicit stack.  Mutual   *)
-  (* recursion between tabled predicates is handled with a lowlink     *)
-  (* (Tarjan-style leader) check: a frame whose evaluation consumed an *)
-  (* older on-stack entry is subordinate and stays on the stack; the   *)
-  (* region's oldest frame (the leader) drives naive fixpoint rounds — *)
-  (* every region frame is re-passed until a round inserts no new      *)
-  (* answer and every consumption of an incomplete table saw the       *)
-  (* table's final answer count.  Answer sets only grow (inserts are   *)
-  (* deduplicated in the shared trie), so count stability means the    *)
-  (* least fixpoint was reached even when several workers evaluate the *)
-  (* same region concurrently: workers never wait on each other, they  *)
-  (* at worst re-derive answers the trie rejects as duplicates.        *)
+  (* trail, with generator frames kept on an explicit stack.  A call   *)
+  (* to an incomplete on-stack subgoal is a consumer: it returns the   *)
+  (* answers there so far and is saved on the consumed subgoal's frame *)
+  (* with its continuation, its cursor and the private-trail bindings  *)
+  (* of its activation (CAT-style copying).  A new answer queues its   *)
+  (* frame, and the region's leader resumes that frame's consumers     *)
+  (* from their cursors, so every consumer sees every answer exactly   *)
+  (* once.                                                             *)
+  (*                                                                   *)
+  (* Regions are found Tarjan-style: a region records the shallowest   *)
+  (* on-stack frame any of its activations consumed.  A frame whose    *)
+  (* region never reaches below it, checked after its first pass and   *)
+  (* after every round of resumptions, leads the region and completes  *)
+  (* it; otherwise it hands the region to the frame that called it.    *)
+  (*                                                                   *)
+  (* A consumer under a cut, an if-then-else condition, negation or    *)
+  (* call/1 could cut across the table if resumed later, so it only    *)
+  (* reads the answers present (a fallback read), and the leader       *)
+  (* re-passes the whole region until no fallback read missed an       *)
+  (* answer.                                                           *)
+  (*                                                                   *)
+  (* Answer sets only grow and inserts are deduplicated in the shared  *)
+  (* table, so workers that evaluate the same region concurrently      *)
+  (* never wait on each other: they at worst re-derive answers the     *)
+  (* table rejects as duplicates.                                      *)
 
   exception Cut_hit of int
 
   type tframe = {
     fr_entry : Table.entry;
     fr_depth : int;            (* position on the generator stack *)
-    mutable fr_low : int;      (* shallowest on-stack entry consumed *)
     mutable fr_passes : int;
+    mutable fr_consumers : consumer list;  (* saved consumers of the entry *)
+    mutable fr_queued : bool;  (* on its region's queue *)
   }
 
-  (* Per-fixpoint-round bookkeeping.  Rounds nest (an inner independent
-     SCC completes inside an outer round), so each leader scopes its own
-     record and a subordinate first pass merges its records upward. *)
-  type tround = {
-    mutable rc_inserts : int;
-    rc_consumed : (int, Table.entry * int) Hashtbl.t;
-      (* entry id -> smallest incomplete snapshot consumed this round *)
+  (* A saved consumer: [co_sk] derives answers of [co_owner]'s subgoal
+     from each answer unified with [co_goal], once the bindings of its
+     activation ([co_vars] := [co_vals], the private-trail segment since
+     that activation began) are back in place. *)
+  and consumer = {
+    co_goal : Term.t;
+    co_sk : unit -> unit;
+    co_owner : tframe;
+    co_vars : Term.var array;
+    co_vals : Term.t option array;
+    mutable co_cursor : int;   (* answers already returned *)
+  }
+
+  (* A region under evaluation: the frames at or above its candidate
+     leader.  Nested regions complete inside an enclosing one; a region
+     that reaches below its candidate is handed to the enclosing one. *)
+  type tregion = {
+    mutable rg_low : int;            (* shallowest on-stack frame consumed *)
+    mutable rg_queue : tframe list;  (* frames with answers not yet returned *)
+    mutable rg_fallback : (Table.entry * int) list;
+      (* fallback reads: the entry and how many answers one returned *)
   }
 
   type teval = {
@@ -536,82 +564,162 @@ module Resolver (S : SCHEDULER) = struct
     tv_trail : Trail.t;
     mutable tv_frames : tframe list;        (* generator stack, newest first *)
     tv_on_stack : (int, tframe) Hashtbl.t;  (* entry id -> its frame *)
-    mutable tv_cur : tframe option;         (* the generator being passed *)
-    mutable tv_round : tround;
+    mutable tv_cur : tframe option;         (* the frame whose activation runs *)
+    mutable tv_base : int;                  (* trail mark where it began *)
+    mutable tv_region : tregion;
     mutable tv_cuts : int;                  (* fresh cut-barrier ids *)
   }
 
-  let fresh_round () = { rc_inserts = 0; rc_consumed = Hashtbl.create 8 }
+  let new_region low = { rg_low = low; rg_queue = []; rg_fallback = [] }
 
-  (* Records that a consumer read [n] answers of the incomplete [entry];
-     the round is only quiescent if the smallest such snapshot equals the
-     entry's final count (a smaller one means some rule evaluation missed
-     answers and must be re-passed). *)
-  let note_consumed rc (entry : Table.entry) n =
-    match Hashtbl.find_opt rc.rc_consumed entry.Table.id with
-    | Some (_, m) when m <= n -> ()
-    | _ -> Hashtbl.replace rc.rc_consumed entry.Table.id (entry, n)
+  let queued rg = match rg.rg_queue with [] -> false | _ :: _ -> true
 
-  (* Quiescent if nothing incomplete was consumed (the round was plain
-     SLD over complete tables, hence exhaustive), or if no new answer
-     was derived and every snapshot consumed was already final. *)
-  let round_stable rc =
-    Hashtbl.length rc.rc_consumed = 0
-    || rc.rc_inserts = 0
-       && Hashtbl.fold
-            (fun _ ((entry : Table.entry), n) ok ->
-              ok && Table.answer_count entry = n)
-            rc.rc_consumed true
+  (* Whether a body can cut to its clause's barrier ([!] outside any
+     opaque construct).  Such a clause's continuations are never saved. *)
+  let rec goal_cuts g =
+    let g = Term.deref g in
+    (not (is_plain g))
+    &&
+    match classify g with
+    | Cut -> true
+    | Conj g' | Amp g' -> (
+      match Term.deref g' with
+      | Term.Struct (_, [| a; b |]) -> goal_cuts a || goal_cuts b
+      | _ -> false)
+    | Disj (a, b) | Ite (_, a, b) -> goal_cuts a || goal_cuts b
+    | Naf _ | Meta _ | Sentinel _ | Goal _ -> false
 
-  (* A solution of the current generator: resolve the bindings away and
-     publish into the shared answer trie (insert-if-new). *)
-  let tinsert tv (entry : Table.entry) goal =
+  let rec body_cuts body =
+    List.exists
+      (function
+        | Clause.Call g -> goal_cuts g
+        | Clause.Par bodies -> List.exists body_cuts bodies
+        | Clause.Exec _ -> false)
+      body
+
+  (* A solution of [fr]'s subgoal: publish it into the shared table
+     (insert-if-new; only a new answer is copied) and queue [fr] for its
+     saved consumers. *)
+  let tinsert tv fr goal =
     let stats = S.stats tv.tv_s in
-    match Table.insert tv.tv_table entry (Term.copy_resolved goal) with
+    let entry = fr.fr_entry in
+    match Table.insert tv.tv_table entry goal with
     | Table.Inserted ->
-      tv.tv_round.rc_inserts <- tv.tv_round.rc_inserts + 1;
       stats.Stats.table_answers <- stats.Stats.table_answers + 1;
-      S.record tv.tv_s Trace.Table_answer entry.Table.id
+      S.record tv.tv_s Trace.Table_answer entry.Table.id;
+      (match fr.fr_consumers with
+      | _ :: _ when not fr.fr_queued ->
+        fr.fr_queued <- true;
+        tv.tv_region.rg_queue <- fr :: tv.tv_region.rg_queue
+      | _ -> ())
     | Table.Duplicate -> ()
     | Table.Overflow ->
       Errors.error "tabled subgoal %s exceeded the answer limit %d (raise it with --table-max-answers)"
         (Ace_term.Pp.to_canonical_string entry.Table.subgoal)
         (Table.max_answers tv.tv_table)
 
-  (* Enumerates an entry's current answers against [goal].  For an
-     incomplete entry this is a consumer reading a snapshot; the size it
-     saw is noted for the leader's quiescence check. *)
-  let tconsume tv ~complete (entry : Table.entry) goal sk =
-    let s = tv.tv_s in
-    let answers = Table.answers entry in
-    if not complete then
-      note_consumed tv.tv_round entry (List.length answers);
-    List.iter
-      (fun ans ->
-        let inst = if Term.is_ground ans then ans else Term.rename ans in
-        let mark = Trail.mark tv.tv_trail in
-        if unify_goal s ~trail:tv.tv_trail goal inst then begin
-          sk ();
-          untrail s tv.tv_trail mark
-        end
-        else untrail s tv.tv_trail mark)
-      answers
+  (* Returns one answer to [goal]. *)
+  let return_answer tv goal ans sk =
+    let s = tv.tv_s and trail = tv.tv_trail in
+    let inst = if Term.is_ground ans then ans else Term.rename ans in
+    let mark = Trail.mark trail in
+    if unify_goal s ~trail goal inst then begin
+      sk ();
+      untrail s trail mark
+    end
 
-  let tsuspend tv (entry : Table.entry) goal sk =
-    let stats = S.stats tv.tv_s in
-    stats.Stats.table_suspends <- stats.Stats.table_suspends + 1;
-    S.record tv.tv_s Trace.Table_suspend entry.Table.id;
-    tconsume tv ~complete:false entry goal sk
+  (* Returns answers [i ..] of [entry] to [goal], including answers
+     appended meanwhile; the number read. *)
+  let rec read_answers tv entry goal sk i =
+    if i >= Table.answer_count entry then i
+    else begin
+      return_answer tv goal (Table.answer entry i) sk;
+      read_answers tv entry goal sk (i + 1)
+    end
+
+  (* Returns a saved consumer the answers past its cursor. *)
+  let return_unseen tv entry co =
+    while co.co_cursor < Table.answer_count entry do
+      let ans = Table.answer entry co.co_cursor in
+      co.co_cursor <- co.co_cursor + 1;
+      return_answer tv co.co_goal ans co.co_sk
+    done
+
+  (* Runs [f] as an activation of [fr]: consumers saved inside it belong
+     to [fr] and copy the private-trail segment from here. *)
+  let activation tv fr f =
+    let saved_cur = tv.tv_cur and saved_base = tv.tv_base in
+    tv.tv_cur <- Some fr;
+    tv.tv_base <- Trail.mark tv.tv_trail;
+    f ();
+    tv.tv_cur <- saved_cur;
+    tv.tv_base <- saved_base
+
+  (* Resumes a saved consumer: reinstalls its bindings (trailed, so the
+     activation's end undoes them) and returns its unseen answers. *)
+  let resume tv entry co =
+    let s = tv.tv_s and trail = tv.tv_trail in
+    activation tv co.co_owner (fun () ->
+        let base = Trail.mark trail in
+        let n = Array.length co.co_vars in
+        for i = 0 to n - 1 do
+          let v = co.co_vars.(i) in
+          v.Term.binding <- co.co_vals.(i);
+          Trail.push trail v
+        done;
+        S.charge s (n * (S.cost s).Cost.trail_push);
+        (S.stats s).Stats.trail_pushes <- (S.stats s).Stats.trail_pushes + n;
+        return_unseen tv entry co;
+        untrail s trail base)
+
+  (* Rounds of resumptions: a queued frame's consumers get its unseen
+     answers; new answers queue their frames again. *)
+  let rec drain tv rg =
+    match rg.rg_queue with
+    | [] -> ()
+    | fr :: rest ->
+      rg.rg_queue <- rest;
+      fr.fr_queued <- false;
+      let entry = fr.fr_entry in
+      List.iter
+        (fun co ->
+          if co.co_cursor < Table.answer_count entry then resume tv entry co)
+        fr.fr_consumers;
+      drain tv rg
+
+  (* Queues every region frame with a consumer behind its entry's count.
+     Only another worker's inserts into a shared entry leave one behind:
+     this worker's own inserts queue their frame. *)
+  let requeue_behind tv rg depth =
+    let rec go = function
+      | fr :: rest when fr.fr_depth >= depth ->
+        let entry = fr.fr_entry in
+        if
+          (not fr.fr_queued)
+          && List.exists
+               (fun co -> co.co_cursor < Table.answer_count entry)
+               fr.fr_consumers
+        then begin
+          fr.fr_queued <- true;
+          rg.rg_queue <- fr :: rg.rg_queue
+        end;
+        go rest
+      | _ -> ()
+    in
+    go tv.tv_frames
 
   (* The body solver: SLD resolution in CPS.  Invariant: every entry
      point returns with the private trail restored to its state at the
      call, and [sk] is invoked once per solution with the bindings in
      place.  Cut is an exception barrier: each predicate invocation (and
      each cut-opaque construct) allocates a fresh id; [!] succeeds and
-     then raises to its barrier, whose handler restores the trail. *)
-  let rec tsolve tv ~cut goal sk =
+     then raises to its barrier, whose handler restores the trail.
+     [safe] says that no [!] reachable from [sk] targets a barrier of
+     this invocation: only then may a consumer's continuation be saved
+     and resumed after the barriers are gone. *)
+  let rec tsolve tv ~cut ~safe goal sk =
     let g = Term.deref goal in
-    if is_plain g then tcall tv g sk
+    if is_plain g then tcall tv ~safe g sk
     else
       match classify g with
       | Cut ->
@@ -621,11 +729,11 @@ module Resolver (S : SCHEDULER) = struct
         (* no parallel machinery inside a generator: '&' runs as ',' *)
         match Term.deref g' with
         | Term.Struct (_, [| a; b |]) ->
-          tsolve tv ~cut a (fun () -> tsolve tv ~cut b sk)
+          tsolve tv ~cut ~safe a (fun () -> tsolve tv ~cut ~safe b sk)
         | _ -> assert false)
       | Disj (a, b) ->
-        tsolve tv ~cut a sk;
-        tsolve tv ~cut b sk
+        tsolve tv ~cut ~safe a sk;
+        tsolve tv ~cut ~safe b sk
       | Ite (c, t, e) ->
         let s = tv.tv_s in
         let mark = Trail.mark tv.tv_trail in
@@ -633,17 +741,17 @@ module Resolver (S : SCHEDULER) = struct
         let bid = tv.tv_cuts in
         let taken = ref false in
         (try
-           tsolve tv ~cut:bid c (fun () ->
+           tsolve tv ~cut:bid ~safe:false c (fun () ->
                taken := true;
                raise (Cut_hit bid))
          with Cut_hit i when i = bid -> ());
         if !taken then begin
           (* committed to the condition's first solution: its bindings
              are still in place (the barrier raise skipped the undos) *)
-          tsolve tv ~cut t sk;
+          tsolve tv ~cut ~safe t sk;
           untrail s tv.tv_trail mark
         end
-        else tsolve tv ~cut e sk
+        else tsolve tv ~cut ~safe e sk
       | Naf g' ->
         let s = tv.tv_s in
         let mark = Trail.mark tv.tv_trail in
@@ -651,7 +759,7 @@ module Resolver (S : SCHEDULER) = struct
         let bid = tv.tv_cuts in
         let found = ref false in
         (try
-           tsolve tv ~cut:bid g' (fun () ->
+           tsolve tv ~cut:bid ~safe:false g' (fun () ->
                found := true;
                raise (Cut_hit bid))
          with Cut_hit i when i = bid -> ());
@@ -662,19 +770,19 @@ module Resolver (S : SCHEDULER) = struct
         tv.tv_cuts <- tv.tv_cuts + 1;
         let bid = tv.tv_cuts in
         let mark = Trail.mark tv.tv_trail in
-        (try tsolve tv ~cut:bid g' sk
+        (try tsolve tv ~cut:bid ~safe:false g' sk
          with Cut_hit i when i = bid -> untrail tv.tv_s tv.tv_trail mark)
       | Sentinel _ ->
         Errors.error "solution sentinel inside a tabled generator"
-      | Goal g' -> tcall tv g' sk
+      | Goal g' -> tcall tv ~safe g' sk
 
-  and tcall tv g sk =
+  and tcall tv ~safe g sk =
     let s = tv.tv_s in
-    (* the generator's chokepoint: a fixpoint round over a large region
-       never returns to the engine, so an abort must fire here.  The
-       raise unwinds out of [table_call] before [set_complete]: the
-       entry keeps its (monotone, deduplicated) partial answers and is
-       simply re-evaluated by the next caller. *)
+    (* the generator's chokepoint: a region's evaluation never returns
+       to the engine, so an abort must fire here.  The raise unwinds out
+       of [table_call] before [set_complete]: the entry keeps its
+       (monotone, deduplicated) partial answers and is simply
+       re-evaluated by the next caller. *)
     Cancel.check (S.cancel s);
     let mark = Trail.mark tv.tv_trail in
     match call_builtin s tv.tv_ctx g with
@@ -683,14 +791,14 @@ module Resolver (S : SCHEDULER) = struct
       untrail s tv.tv_trail mark
     | Builtins.Fail -> untrail s tv.tv_trail mark
     | Builtins.Not_builtin ->
-      if Database.is_tabled_goal tv.tv_db g then ttabled tv g sk
-      else tresolve tv g sk
+      if Database.is_tabled_goal tv.tv_db g then ttabled tv ~safe g sk
+      else tresolve tv ~safe g sk
 
   (* Plain (untabled) user predicate: ordinary clause resolution.  The
      compiled flag only steers clause selection through the dispatch
      tree; bodies are resolved interpreted, which is observationally
      equivalent and keeps the generator solver small. *)
-  and tresolve tv goal sk =
+  and tresolve tv ~safe goal sk =
     let s = tv.tv_s in
     let clauses = select s ~compiled:tv.tv_compiled tv.tv_db goal in
     tv.tv_cuts <- tv.tv_cuts + 1;
@@ -702,28 +810,30 @@ module Resolver (S : SCHEDULER) = struct
           let m = Trail.mark tv.tv_trail in
           (match try_clause s ~trail:tv.tv_trail goal clause with
           | R_fail -> ()
-          | R_body body -> tbody tv ~cut:bid body sk
+          | R_body body ->
+            tbody tv ~cut:bid ~safe:(safe && not (body_cuts body)) body sk
           | R_exec _ -> assert false (* try_clause never answers R_exec *));
           untrail s tv.tv_trail m)
         clauses
     with Cut_hit i when i = bid -> untrail s tv.tv_trail mark
 
-  and tbody tv ~cut body sk =
+  and tbody tv ~cut ~safe body sk =
     match body with
     | [] -> sk ()
-    | Clause.Call g :: rest -> tsolve tv ~cut g (fun () -> tbody tv ~cut rest sk)
+    | Clause.Call g :: rest ->
+      tsolve tv ~cut ~safe g (fun () -> tbody tv ~cut ~safe rest sk)
     | Clause.Par bodies :: rest ->
       (* parallel conjunctions run sequentially inside a generator *)
-      tseq tv ~cut bodies (fun () -> tbody tv ~cut rest sk)
+      tseq tv ~cut ~safe bodies (fun () -> tbody tv ~cut ~safe rest sk)
     | Clause.Exec _ :: _ -> assert false (* interpreted bodies only *)
 
-  and tseq tv ~cut bodies sk =
+  and tseq tv ~cut ~safe bodies sk =
     match bodies with
     | [] -> sk ()
-    | b :: rest -> tbody tv ~cut b (fun () -> tseq tv ~cut rest sk)
+    | b :: rest -> tbody tv ~cut ~safe b (fun () -> tseq tv ~cut ~safe rest sk)
 
   (* A tabled call inside a generator. *)
-  and ttabled tv g sk =
+  and ttabled tv ~safe g sk =
     let stats = S.stats tv.tv_s in
     let entry, created = Table.subgoal_entry tv.tv_table g in
     if created then begin
@@ -731,32 +841,67 @@ module Resolver (S : SCHEDULER) = struct
       S.record tv.tv_s Trace.Table_subgoal entry.Table.id
     end
     else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
-    if Table.is_complete entry then begin
+    let read_complete () =
       stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1;
-      tconsume tv ~complete:true entry g sk
-    end
+      ignore (read_answers tv entry g sk 0 : int)
+    in
+    if Table.is_complete entry then read_complete ()
     else
       match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
-      | Some fr ->
-        (* consumer of an on-stack generator: the running generator's
-           region now reaches down to [fr] *)
-        (match tv.tv_cur with
-        | Some cur -> cur.fr_low <- Int.min cur.fr_low fr.fr_depth
-        | None -> assert false (* on-stack entries imply a running pass *));
-        tsuspend tv entry g sk
+      | Some fr -> tconsume tv ~safe fr g sk
       | None -> (
         teval_entry tv entry;
-        if Table.is_complete entry then begin
-          stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1;
-          tconsume tv ~complete:true entry g sk
-        end
+        if Table.is_complete entry then read_complete ()
         else
-          (* the new entry joined an enclosing region (its lowlink
-             reached below it); consume the snapshot built so far *)
-          tsuspend tv entry g sk)
+          (* the new entry joined an enclosing region *)
+          match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
+          | Some fr -> tconsume tv ~safe fr g sk
+          | None -> assert false (* a handed-up frame stays on the stack *))
+
+  (* A consumer of [fr]'s incomplete subgoal (see the section comment):
+     saved and returned the answers so far, or, when not [safe], a
+     fallback read. *)
+  and tconsume tv ~safe fr g sk =
+    let s = tv.tv_s in
+    let stats = S.stats s in
+    stats.Stats.table_suspends <- stats.Stats.table_suspends + 1;
+    S.record s Trace.Table_suspend fr.fr_entry.Table.id;
+    let rg = tv.tv_region in
+    if fr.fr_depth < rg.rg_low then rg.rg_low <- fr.fr_depth;
+    if safe then begin
+      let owner =
+        match tv.tv_cur with
+        | Some cur -> cur
+        | None -> assert false (* on-stack entries imply an activation *)
+      in
+      let vars =
+        Trail.segment tv.tv_trail ~lo:tv.tv_base ~hi:(Trail.size tv.tv_trail)
+      in
+      let co =
+        {
+          co_goal = g;
+          co_sk = sk;
+          co_owner = owner;
+          co_vars = vars;
+          co_vals = Array.map (fun (v : Term.var) -> v.Term.binding) vars;
+          co_cursor = 0;
+        }
+      in
+      fr.fr_consumers <- co :: fr.fr_consumers;
+      return_unseen tv fr.fr_entry co
+    end
+    else begin
+      (* a read cut short by a commit ([!], a condition, [\+] finding a
+         solution) records nothing: answers only append, so the answers
+         before the committing one, and the commit, are the same in any
+         later pass *)
+      let n = read_answers tv fr.fr_entry g sk 0 in
+      rg.rg_fallback <- (fr.fr_entry, n) :: rg.rg_fallback
+    end
 
   (* One generator pass: a fresh instance of the subgoal resolved
-     against the program, every solution published into the entry. *)
+     against the program, every solution published into the entry.
+     Passes after the first are the fallback's naive re-passes. *)
   and tpass tv fr =
     let s = tv.tv_s in
     let stats = S.stats s in
@@ -765,18 +910,12 @@ module Resolver (S : SCHEDULER) = struct
       stats.Stats.table_resumes <- stats.Stats.table_resumes + 1;
       S.record s Trace.Table_resume fr.fr_entry.Table.id
     end;
-    let saved_cur = tv.tv_cur in
-    tv.tv_cur <- Some fr;
-    let goal = Term.rename fr.fr_entry.Table.subgoal in
-    tresolve tv goal (fun () -> tinsert tv fr.fr_entry goal);
-    tv.tv_cur <- saved_cur
+    activation tv fr (fun () ->
+        let goal = Term.rename fr.fr_entry.Table.subgoal in
+        tresolve tv ~safe:true goal (fun () -> tinsert tv fr goal))
 
-  (* Evaluates a new entry: push a generator frame and run its first
-     pass.  If the pass consumed an older on-stack entry the frame is
-     subordinate — it stays on the stack and its bookkeeping merges into
-     the enclosing round, whose leader will re-pass it.  Otherwise the
-     frame leads its own region: iterate fixpoint rounds over every
-     frame at or below it, then pop and complete the whole region. *)
+  (* Evaluates a new entry: push a generator frame, run its first pass
+     in a region of its own, then lead or hand up (see [lead]). *)
   and teval_entry tv entry =
     let s = tv.tv_s in
     S.charge s (S.cost s).Cost.index_lookup;
@@ -784,51 +923,69 @@ module Resolver (S : SCHEDULER) = struct
       match tv.tv_frames with [] -> 0 | f :: _ -> f.fr_depth + 1
     in
     let fr =
-      { fr_entry = entry; fr_depth = depth; fr_low = depth; fr_passes = 0 }
+      {
+        fr_entry = entry;
+        fr_depth = depth;
+        fr_passes = 0;
+        fr_consumers = [];
+        fr_queued = false;
+      }
     in
     tv.tv_frames <- fr :: tv.tv_frames;
     Hashtbl.replace tv.tv_on_stack entry.Table.id fr;
-    let saved_round = tv.tv_round in
-    let rc = fresh_round () in
-    tv.tv_round <- rc;
+    let outer = tv.tv_region in
+    let rg = new_region depth in
+    tv.tv_region <- rg;
     tpass tv fr;
-    if fr.fr_low < fr.fr_depth then begin
-      (* subordinate: hand the bookkeeping up to the enclosing round and
-         propagate the lowlink to the generator that called us *)
-      tv.tv_round <- saved_round;
-      saved_round.rc_inserts <- saved_round.rc_inserts + rc.rc_inserts;
-      Hashtbl.iter
-        (fun _ (e, n) -> note_consumed saved_round e n)
-        rc.rc_consumed;
-      match tv.tv_cur with
-      | Some parent -> parent.fr_low <- Int.min parent.fr_low fr.fr_low
-      | None -> assert false (* a lowered lowlink implies an outer pass *)
+    lead tv fr rg outer
+
+  (* The leader rule, checked after the first pass and after every
+     round of resumptions: a region that consumed a frame below [fr] is
+     handed to [outer] (its queue and fallback reads with it), and the
+     frame that called [fr] keeps evaluating it.  Otherwise [fr] leads:
+     resume queued consumers, requeue consumers another worker's answers
+     left behind, re-pass the region while a fallback read missed an
+     answer, and complete the region once nothing is left to return. *)
+  and lead tv fr rg outer =
+    if rg.rg_low < fr.fr_depth then begin
+      tv.tv_region <- outer;
+      if rg.rg_low < outer.rg_low then outer.rg_low <- rg.rg_low;
+      outer.rg_queue <- List.rev_append rg.rg_queue outer.rg_queue;
+      outer.rg_fallback <- List.rev_append rg.rg_fallback outer.rg_fallback
+    end
+    else if queued rg then begin
+      drain tv rg;
+      lead tv fr rg outer
     end
     else begin
-      (* leader: fixpoint rounds over the region (frames may join it
-         mid-round; they are passed on entry, within the round) *)
-      while not (round_stable rc) do
-        rc.rc_inserts <- 0;
-        Hashtbl.reset rc.rc_consumed;
+      requeue_behind tv rg fr.fr_depth;
+      if queued rg then lead tv fr rg outer
+      else if
+        List.exists (fun (e, n) -> Table.answer_count e > n) rg.rg_fallback
+      then begin
+        rg.rg_fallback <- [];
         let region =
           List.rev
             (List.filter (fun f -> f.fr_depth >= fr.fr_depth) tv.tv_frames)
         in
-        List.iter (fun f -> tpass tv f) region
-      done;
-      tv.tv_round <- saved_round;
-      (* completion, deepest frame first (the leader logs last) *)
-      let rec pop () =
-        match tv.tv_frames with
-        | f :: rest when f.fr_depth >= fr.fr_depth ->
-          tv.tv_frames <- rest;
-          Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
-          Table.set_complete tv.tv_table f.fr_entry;
-          S.record s Trace.Table_complete f.fr_entry.Table.id;
-          pop ()
-        | _ -> ()
-      in
-      pop ()
+        List.iter (fun f -> tpass tv f) region;
+        lead tv fr rg outer
+      end
+      else begin
+        tv.tv_region <- outer;
+        (* completion, deepest frame first (the leader logs last) *)
+        let rec pop () =
+          match tv.tv_frames with
+          | f :: rest when f.fr_depth >= fr.fr_depth ->
+            tv.tv_frames <- rest;
+            Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
+            Table.set_complete tv.tv_table f.fr_entry;
+            S.record tv.tv_s Trace.Table_complete f.fr_entry.Table.id;
+            pop ()
+          | _ -> ()
+        in
+        pop ()
+      end
     end
 
   (* The engine entry point.  Ensures [goal]'s table is complete —
@@ -859,27 +1016,26 @@ module Resolver (S : SCHEDULER) = struct
           tv_frames = [];
           tv_on_stack = Hashtbl.create 16;
           tv_cur = None;
-          tv_round = fresh_round ();
+          tv_base = 0;
+          tv_region = new_region max_int;
           tv_cuts = 0;
         }
       in
       teval_entry tv entry;
-      (* with no enclosing generator the entry's lowlink cannot drop
-         below its depth, so it led its own region and is complete *)
+      (* with no enclosing generator the entry's region cannot reach
+         below it, so it led its own region and is complete *)
       assert (Table.is_complete entry)
     end;
     match entry.Table.answer_clauses with
     | Some clauses -> clauses
     | None ->
       let clauses =
-        List.map
-          (fun ans ->
-            let c = Clause.of_term ans in
+        List.init (Table.answer_count entry) (fun i ->
+            let c = Clause.of_term (Table.answer entry i) in
             (* precompile before publishing the clause so concurrent
                readers never race on the mutable code slot *)
             ignore (Code.of_clause c : Code.t);
             c)
-          (Table.answers entry)
       in
       entry.Table.answer_clauses <- Some clauses;
       clauses

@@ -65,7 +65,7 @@ module type SCHEDULER = sig
   val cancel : t -> Cancel.t
   (** The run's cancellation token ({!Cancel.none} when the caller set
       no deadline).  The kernel polls it inside the tabling mini-solver
-      — whose fixpoint rounds never pass through an engine chokepoint —
+      — whose evaluation never passes through an engine chokepoint —
       and raises {!Cancel.Cancelled} out of {!Resolver.table_call},
       leaving the entry incomplete but consistent (monotone partial
       answers; the next caller re-evaluates). *)
@@ -222,13 +222,14 @@ module Resolver (S : SCHEDULER) : sig
     db:Database.t -> Term.t -> Clause.t list
   (** SLG evaluation of a tabled call.  Ensures the call's subgoal table
       is complete — when it is not, the calling worker evaluates the
-      subgoal to completion right here with a private solver (fixpoint
-      rounds over the subgoal's strongly-connected region; see
-      DESIGN.md, "Tabling") — then returns the answers as pseudo-fact
-      clauses, precompiled, so the engine enumerates them through its
-      ordinary clause machinery.  Workers never block on each other:
-      concurrent callers of an incomplete subgoal evaluate redundantly
-      and deduplicate through the shared answer trie.  Raises the
+      subgoal to completion right here with a private solver (saved
+      consumers resumed with the answers they have not seen, over the
+      subgoal's strongly-connected region; see DESIGN.md, "Tabling") —
+      then returns the answers as pseudo-fact clauses, precompiled, so
+      the engine enumerates them through its ordinary clause machinery.
+      Workers never block on each other: concurrent callers of an
+      incomplete subgoal evaluate redundantly and deduplicate through
+      the shared answer table.  Raises the
       engine error when a subgoal exceeds [Table.max_answers]. *)
 end
 

@@ -412,7 +412,7 @@ and user_call w m g cont =
     (* tabled predicates answer from the shared (locked) table; the
        kernel completes the subgoal first when needed.  Workers never
        block on each other: concurrent callers evaluate redundantly and
-       deduplicate through the shared answer trie. *)
+       deduplicate through the shared answer table. *)
     if Database.is_tabled_goal w.sh.db g then
       K.table_call w ~table:w.sh.table ~ctx:m.m_ctx ~compiled:true
         ~db:w.sh.db g

@@ -1,23 +1,28 @@
 (* The shared answer table for SLG tabling (see table.mli).
 
    Concurrency contract.  All structural mutation — subgoal-trie
-   insertion, answer-trie insertion — happens under the owning shard's
-   mutex when the table is [locked]; the simulated engines pass
-   [locked:false] and skip the mutexes (their "workers" are coroutines
-   of one thread, so every table operation is atomic with respect to
-   the simulation already).  Reads need no lock in either mode: stored
-   terms are resolved copies that are never mutated, [answers_rev] is a
-   single-word pointer to an immutable spine (a racing reader sees some
-   monotone prefix state), and [complete] is an Atomic whose
-   false→true transition is the only change. *)
+   insertion, answer appends and the duplicate index — happens under
+   the owning shard's mutex when the table is [locked]; the simulated
+   engines pass [locked:false] and skip the mutexes (their "workers" are
+   coroutines of one thread, so every table operation is atomic with
+   respect to the simulation already).  Reads need no lock in either
+   mode: stored terms are resolved copies that are never mutated, an
+   answer slot is written before the count that covers it is published,
+   a grown answer array is published before any count past the old
+   capacity, and [complete] is an Atomic whose false→true transition is
+   the only change. *)
 
 module Term = Ace_term.Term
+module Symbol = Ace_term.Symbol
 
 type entry = {
   id : int;
   subgoal : Term.t;
-  mutable answers_rev : Term.t list;
-  answer_trie : unit Trie.t;
+  lock : Mutex.t;
+  store : Term.t array Atomic.t;
+  count : int Atomic.t;
+  mutable hashes : int array;
+  mutable index : int array;
   complete : bool Atomic.t;
   mutable answer_clauses : Clause.t list option;
 }
@@ -61,7 +66,7 @@ let create ?(locked = false) ?(max_answers = 0) () =
 
 let max_answers t = t.t_max_answers
 
-let with_shard t shard f =
+let with_shard t (shard : shard) f =
   if t.locked then begin
     Mutex.lock shard.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock shard.lock) f
@@ -83,8 +88,11 @@ let subgoal_entry t call =
           {
             id = Atomic.fetch_and_add t.next_id 1;
             subgoal = Term.copy_resolved call;
-            answers_rev = [];
-            answer_trie = Trie.create ();
+            lock = shard.lock;
+            store = Atomic.make [||];
+            count = Atomic.make 0;
+            hashes = [||];
+            index = [||];
             complete = Atomic.make false;
             answer_clauses = None;
           }
@@ -97,33 +105,134 @@ let find_entry t call =
   let shard = shard_of t toks in
   with_shard t shard (fun () -> Trie.find shard.subgoals toks)
 
+(* ------------------------------------------------------------------ *)
+(* Duplicate detection                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A hash that variants share: every variable hashes alike. *)
+let rec variant_hash h t =
+  match Term.deref t with
+  | Term.Atom s -> (h * 31) + Symbol.id s
+  | Term.Int n -> (h * 31) + (n * 5) + 1
+  | Term.Var _ -> (h * 31) + 2
+  | Term.Struct (f, args) ->
+    Array.fold_left variant_hash ((h * 31) + Symbol.id f + Array.length args) args
+
+exception Not_variant
+
+(* [variant pairs a b] extends the variable bijection [pairs] so that the
+   live term [a] (read through its bindings) and the stored answer [b]
+   are equal up to renaming, or raises [Not_variant].  Ground terms never
+   allocate. *)
+let rec variant pairs a b =
+  match Term.deref a, Term.deref b with
+  | Term.Atom x, Term.Atom y when Symbol.equal x y -> pairs
+  | Term.Int x, Term.Int y when x = y -> pairs
+  | Term.Struct (f, xs), Term.Struct (g, ys)
+    when Symbol.equal f g && Array.length xs = Array.length ys ->
+    variant_args pairs xs ys 0
+  | Term.Var v, Term.Var w -> (
+    match List.assq_opt v pairs with
+    | Some w' -> if w' == w then pairs else raise Not_variant
+    | None ->
+      if List.exists (fun (_, w') -> w' == w) pairs then raise Not_variant;
+      (v, w) :: pairs)
+  | _ -> raise Not_variant
+
+and variant_args pairs xs ys i =
+  if i = Array.length xs then pairs
+  else variant_args (variant pairs xs.(i) ys.(i)) xs ys (i + 1)
+
+let is_variant a b =
+  match variant [] a b with _ -> true | exception Not_variant -> false
+
+(* The entry's duplicate index is open addressing over answer numbers
+   (slot holds number + 1, 0 is free), kept at most half full.  [probe]
+   answers the slot holding a variant of [answer] ([>= 0]) or, encoded
+   as [-(slot + 1)], the free slot where it belongs. *)
+let rec probe_from entry store mask h answer slot =
+  let k = entry.index.(slot) in
+  if k = 0 then -(slot + 1)
+  else if entry.hashes.(k - 1) = h && is_variant answer store.(k - 1) then slot
+  else probe_from entry store mask h answer ((slot + 1) land mask)
+
+let probe entry h answer =
+  let mask = Array.length entry.index - 1 in
+  probe_from entry (Atomic.get entry.store) mask h answer (h land mask)
+
+let rec free_slot index mask slot =
+  if index.(slot) = 0 then slot else free_slot index mask ((slot + 1) land mask)
+
+let rebuild_index entry size =
+  let index = Array.make size 0 in
+  let mask = size - 1 in
+  for i = 0 to Atomic.get entry.count - 1 do
+    index.(free_slot index mask (entry.hashes.(i) land mask)) <- i + 1
+  done;
+  entry.index <- index
+
+(* Appends answer [n] (the current count).  The slot is written, and a
+   grown array published, before the count that covers it. *)
+let append entry n answer h =
+  let store = Atomic.get entry.store in
+  let store =
+    if n < Array.length store then store
+    else begin
+      let bigger = Array.make (Int.max 8 (2 * n)) answer in
+      Array.blit store 0 bigger 0 n;
+      Atomic.set entry.store bigger;
+      let hashes = Array.make (Array.length bigger) 0 in
+      Array.blit entry.hashes 0 hashes 0 n;
+      entry.hashes <- hashes;
+      bigger
+    end
+  in
+  store.(n) <- answer;
+  entry.hashes.(n) <- h;
+  Atomic.set entry.count (n + 1)
+
 type inserted =
   | Inserted
   | Duplicate
   | Overflow
 
-let insert t entry answer =
-  let toks = Trie.tokens answer in
-  let shard = shard_of t (Trie.tokens entry.subgoal) in
-  with_shard t shard (fun () ->
-      if Trie.find entry.answer_trie toks <> None then Duplicate
-      else begin
-        let n = Trie.cardinal entry.answer_trie in
-        if t.t_max_answers > 0 && n >= t.t_max_answers then Overflow
-        else if
-          (* seeded CI mutation: silently lose the k-th distinct answer *)
-          match !mutation with Some k -> n = k | None -> false
-        then Duplicate
-        else begin
-          ignore (Trie.insert_new entry.answer_trie toks () : bool);
-          entry.answers_rev <- answer :: entry.answers_rev;
-          Inserted
-        end
-      end)
+let insert_unlocked t entry answer h =
+  if Array.length entry.index = 0 then rebuild_index entry 16;
+  let slot = probe entry h answer in
+  if slot >= 0 then Duplicate
+  else begin
+    let n = Atomic.get entry.count in
+    if t.t_max_answers > 0 && n >= t.t_max_answers then Overflow
+    else if
+      (* seeded CI mutation: silently lose the k-th distinct answer *)
+      match !mutation with Some k -> n = k | None -> false
+    then Duplicate
+    else begin
+      append entry n (Term.copy_resolved answer) h;
+      entry.index.(-slot - 1) <- n + 1;
+      if 2 * (n + 1) > Array.length entry.index then
+        rebuild_index entry (2 * Array.length entry.index);
+      Inserted
+    end
+  end
 
-let answers entry = List.rev entry.answers_rev
+let insert t (entry : entry) answer =
+  let h = variant_hash 17 answer in
+  if t.locked then begin
+    Mutex.lock entry.lock;
+    match insert_unlocked t entry answer h with
+    | r ->
+      Mutex.unlock entry.lock;
+      r
+    | exception e ->
+      Mutex.unlock entry.lock;
+      raise e
+  end
+  else insert_unlocked t entry answer h
 
-let answer_count entry = List.length entry.answers_rev
+let answer_count entry = Atomic.get entry.count
+
+let answer entry i = (Atomic.get entry.store).(i)
 
 let is_complete entry = Atomic.get entry.complete
 

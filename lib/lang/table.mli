@@ -4,8 +4,11 @@
     every worker of that run.  Subgoals are filed in per-shard subgoal
     tries keyed on the alpha-canonical flattening of the call
     ({!Trie.tokens}), so variant calls — equal up to variable renaming —
-    share one {!entry}.  Each entry owns an answer trie with
-    insert-if-new semantics plus the answers in insertion order.
+    share one {!entry}.  Each entry keeps its answers in insertion order
+    in one append-only array with an atomic count, plus a duplicate
+    index (open addressing over variant hashes) that {!insert} probes
+    with the live answer, so a duplicate is neither tokenized nor
+    copied.
 
     Shard discipline (mirroring [lib/obs]): the table is split into
     {!shards} shards by subgoal-token hash.  Created with
@@ -14,15 +17,21 @@
     simulated engines, which interleave but never run concurrently) the
     locks are skipped entirely.  Stored subgoals and answers are
     resolved copies — immutable once published — so readers never need
-    a lock: completion flags are {!Stdlib.Atomic} and list updates are
-    single-word writes of immutable spines. *)
+    a lock: completion flags and answer counts are {!Stdlib.Atomic}, and
+    an answer is in place before the count that covers it is
+    published. *)
 
 type entry = {
   id : int;  (** unique per table; allocation order *)
   subgoal : Ace_term.Term.t;
       (** canonical instance of the call (resolved copy; read-only) *)
-  mutable answers_rev : Ace_term.Term.t list;  (** newest first *)
-  answer_trie : unit Trie.t;
+  lock : Mutex.t;  (** the owning shard's mutex: serializes {!insert} *)
+  store : Ace_term.Term.t array Atomic.t;
+      (** answer [i] at index [i] for [i < answer_count]; replaced by a
+          larger copy when full *)
+  count : int Atomic.t;
+  mutable hashes : int array;  (** writer side: variant hash of answer [i] *)
+  mutable index : int array;  (** writer side: the duplicate index *)
   complete : bool Atomic.t;
   mutable answer_clauses : Clause.t list option;
       (** pseudo-fact clauses over the final answers, cached by the
@@ -59,15 +68,18 @@ type inserted =
   | Duplicate
   | Overflow  (** the per-subgoal [max_answers] guard tripped *)
 
-(** [insert t entry answer] files a resolved copy of [answer] in the
-    entry's answer trie.  [answer] must be the instantiated subgoal
-    (the caller resolves it; this function does not copy). *)
+(** [insert t entry answer] appends a resolved copy of [answer] (the
+    instantiated subgoal, read through its bindings) unless a variant of
+    it is already there.  Only a new answer is copied. *)
 val insert : t -> entry -> Ace_term.Term.t -> inserted
 
-(** Answers in insertion order (a snapshot: the list only grows). *)
-val answers : entry -> Ace_term.Term.t list
-
+(** Answers stored so far: O(1), lock-free, and only ever grows. *)
 val answer_count : entry -> int
+
+(** [answer entry i] is the [i]-th answer in insertion order, for
+    [i < answer_count entry] (read before): lock-free, so a consumer can
+    read by index while other workers append. *)
+val answer : entry -> int -> Ace_term.Term.t
 
 val is_complete : entry -> bool
 

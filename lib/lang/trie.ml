@@ -70,12 +70,11 @@ type 'a node = {
 type 'a t = {
   root : 'a node;
   mutable vals_rev : 'a list;  (* stored values, newest first *)
-  mutable count : int;
 }
 
 let node () = { value = None; children = TokTbl.create 4 }
 
-let create () = { root = node (); vals_rev = []; count = 0 }
+let create () = { root = node (); vals_rev = [] }
 
 let rec descend n = function
   | [] -> Some n
@@ -103,23 +102,7 @@ let rec force n = function
 
 let add t key v =
   let n = force t.root key in
-  (match n.value with
-  | None ->
-    t.vals_rev <- v :: t.vals_rev;
-    t.count <- t.count + 1
-  | Some _ -> ());
+  (match n.value with None -> t.vals_rev <- v :: t.vals_rev | Some _ -> ());
   n.value <- Some v
 
-let insert_new t key v =
-  let n = force t.root key in
-  match n.value with
-  | Some _ -> false
-  | None ->
-    n.value <- Some v;
-    t.vals_rev <- v :: t.vals_rev;
-    t.count <- t.count + 1;
-    true
-
 let iter f t = List.iter f (List.rev t.vals_rev)
-
-let cardinal t = t.count

@@ -1,12 +1,10 @@
 (** Term tries keyed on alpha-canonical flattened terms.
 
-    The tabling subsystem ({!Table}) needs two lookups that ordinary
-    structural hashing cannot provide: *variant detection* (two calls
-    that are equal up to variable renaming must share one subgoal table)
-    and *answer dedup* (an answer already in a table must not be
-    inserted again).  Both reduce to exact lookup on the preorder
-    flattening of a term with variables numbered in first-occurrence
-    order — the classic subgoal/answer-trie encoding of SLG engines. *)
+    The tabling subsystem ({!Table}) needs *variant detection*: two
+    calls that are equal up to variable renaming must share one subgoal
+    table.  That reduces to exact lookup on the preorder flattening of a
+    term with variables numbered in first-occurrence order — the classic
+    subgoal-trie encoding of SLG engines. *)
 
 (** One cell of the preorder flattening.  [Tvar n] is the [n]-th
     distinct variable of the term (first-occurrence numbering), so any
@@ -38,11 +36,5 @@ val find : 'a t -> token list -> 'a option
     replaced. *)
 val add : 'a t -> token list -> 'a -> unit
 
-(** [insert_new t key v] is [true] (and stores [v]) when [key] was
-    absent — the answer-trie "insert if new" primitive. *)
-val insert_new : 'a t -> token list -> 'a -> bool
-
 (** Values in insertion order. *)
 val iter : ('a -> unit) -> 'a t -> unit
-
-val cardinal : 'a t -> int

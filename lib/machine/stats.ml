@@ -48,8 +48,8 @@ type t = {
   mutable table_answers : int;     (* distinct answers inserted *)
   mutable table_answer_hits : int; (* tabled calls served from a complete table *)
   mutable table_variant_hits : int;(* variant calls that reused an entry *)
-  mutable table_suspends : int;    (* consumer reads of an incomplete table *)
-  mutable table_resumes : int;     (* generator re-passes after new answers *)
+  mutable table_suspends : int;    (* consumers of an incomplete table *)
+  mutable table_resumes : int;     (* the fallback's naive region re-passes *)
   (* outcomes *)
   mutable solutions : int;
   mutable stack_words : int;      (* cumulative control-stack allocation *)

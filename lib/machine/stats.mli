@@ -43,17 +43,19 @@ type t = {
       (** tabling: subgoal-table entries created (one per variant class
           of tabled calls) *)
   mutable table_answers : int;
-      (** tabling: distinct answers inserted into answer tries *)
+      (** tabling: distinct answers inserted into answer tables *)
   mutable table_answer_hits : int;
       (** tabling: tabled calls served straight from a complete table *)
   mutable table_variant_hits : int;
       (** tabling: calls that mapped onto an existing subgoal entry *)
   mutable table_suspends : int;
-      (** tabling: consumer reads of an incomplete table (the
-          suspension events of the SLG protocol) *)
+      (** tabling: consumers of an incomplete table — saved consumers
+          (the suspension events of the SLG protocol) plus the
+          fallback's plain reads under control constructs *)
   mutable table_resumes : int;
-      (** tabling: generator re-passes scheduled because new answers or
-          subgoals appeared during the previous pass *)
+      (** tabling: the fallback's naive re-passes of a region, needed
+          only when a consumer under a cut, [->], [\+] or [call/1]
+          missed an answer (resuming a saved consumer is not counted) *)
   mutable solutions : int;
   mutable stack_words : int;
   mutable minor_words : int;

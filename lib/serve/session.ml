@@ -67,7 +67,9 @@ let cancel_all s =
 let inflight s = with_lock s.ilock (fun () -> Hashtbl.length s.inflight)
 
 (* Anything a bad goal or a bad program can raise must come back as a
-   protocol error, not kill the worker thread serving the session. *)
+   protocol error, not kill the worker thread serving the session —
+   [Failure] included: a simulator's step cap and a failed
+   [Domain.spawn] raise it. *)
 let guard f =
   match f () with
   | v -> Ok v
@@ -77,17 +79,22 @@ let guard f =
   | exception Clause.Malformed msg -> Error ("malformed clause: " ^ msg)
   | exception Ace_lang.Parser.Error (msg, _) -> Error ("parse error: " ^ msg)
   | exception Invalid_argument msg -> Error msg
+  | exception Failure msg -> Error msg
 
 let query ?id ?engine ?agents ?limit ?deadline_ms s goal_text =
   let t0 = Unix.gettimeofday () in
-  match guard (fun () -> Program.parse_query goal_text) with
+  let kind = Option.value ~default:s.engine engine in
+  let agents = Option.value ~default:s.config.Config.agents agents in
+  match
+    Result.bind (Engine.check_agents kind agents) (fun () ->
+        guard (fun () -> Program.parse_query goal_text))
+  with
   | Error _ as e -> e
   | Ok q ->
-    let kind = Option.value ~default:s.engine engine in
     let config =
       {
         s.config with
-        Config.agents = Option.value ~default:s.config.Config.agents agents;
+        Config.agents;
         max_solutions =
           (match limit with
           | Some _ -> limit

@@ -31,8 +31,10 @@ type answer = {
 
 (** Parses and runs one goal.  [id] registers the query for {!cancel};
     [deadline_ms] arms the cancel token's wall-clock deadline.  Engine
-    errors (unknown predicate, arithmetic, parse) come back as
-    [Error msg] — they never tear down the session. *)
+    errors (unknown predicate, arithmetic, parse, a simulator's step
+    cap) come back as [Error msg] — they never tear down the session —
+    and so does a [Par_or] query whose [agents] fails
+    {!Ace_core.Engine.check_agents}, before anything runs. *)
 val query :
   ?id:int ->
   ?engine:Ace_core.Engine.kind ->

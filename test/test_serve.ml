@@ -100,6 +100,30 @@ let test_session_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed clause must answer an error"
 
+let loop_prepared =
+  lazy (Engine.prepare_string (base_program ^ "loop :- loop.\n"))
+
+(* A simulator's step cap (about 0.5 s of [loop]) and a domain request
+   outside the per-run budget come back as errors, and the session
+   serves the next query.  No run here spawns more than 2 domains. *)
+let test_session_engine_failures () =
+  let s = Session.create (Lazy.force loop_prepared) in
+  (match Session.query ~engine:Engine.And_parallel s "loop" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a step-cap overrun must answer an error");
+  let a = ok (Session.query s "path(a, X)") in
+  Alcotest.(check int) "the session still serves" 3
+    (List.length a.Session.solutions);
+  List.iter
+    (fun agents ->
+      match Session.query ~engine:Engine.Par_or ~agents s "path(a, X)" with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "par with %d agents must be refused" agents)
+    [ 0; Engine.max_par_agents + 1; 300 ];
+  let a = ok (Session.query ~engine:Engine.Par_or ~agents:2 s "path(a, X)") in
+  Alcotest.(check int) "par within the budget runs" 3
+    (List.length a.Session.solutions)
+
 let test_session_deadline () =
   let s = Session.create (Lazy.force prepared) in
   let a = ok (Session.query ~deadline_ms:50 s "spin") in
@@ -331,6 +355,48 @@ let test_server_roundtrip () =
   Server.drain srv;
   Server.wait srv
 
+(* The same failures over the wire, on a one-worker server: each
+   answers an in-band error, and the one worker then serves a normal
+   query and has released its admission slot. *)
+let test_server_failures_in_band () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ace_test_fail_%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Server.create ~workers:1 ~listen:(Unix.ADDR_UNIX sock)
+      (Lazy.force loop_prepared)
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  let ic = Unix.in_channel_of_descr fd
+  and oc = Unix.out_channel_of_descr fd in
+  let query id goal extra =
+    roundtrip ic oc
+      (Json.Obj
+         ([ ("op", Json.Str "query"); ("id", Json.int id);
+            ("goal", Json.Str goal) ]
+         @ extra))
+  in
+  let refused id j =
+    Alcotest.(check bool)
+      (Printf.sprintf "query %d answers an error" id)
+      true
+      (Json.member "ok" j = Some (Json.Bool false)
+      && Json.member "error" j <> None);
+    Alcotest.(check int) (Printf.sprintf "error carries id %d" id) id (num "id" j)
+  in
+  refused 1
+    (query 1 "path(a, X)" [ ("engine", Json.Str "par"); ("agents", Json.int 300) ]);
+  refused 2 (query 2 "loop" [ ("engine", Json.Str "and") ]);
+  Alcotest.(check int) "the worker still serves" 3
+    (num "count" (query 3 "path(a, X)" []));
+  let j = roundtrip ic oc (Json.Obj [ ("op", Json.Str "stats") ]) in
+  Alcotest.(check int) "no admission slot leaked" 0 (num "active" j);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Server.drain srv;
+  Server.wait srv
+
 let test_server_drain_cancels () =
   (* drain mid-query: the in-flight query answers as cancelled and the
      server shuts down within a bounded interval *)
@@ -377,6 +443,8 @@ let suite =
       test_session_overlay_ops;
     Alcotest.test_case "session: errors stay in-band" `Quick
       test_session_errors;
+    Alcotest.test_case "session: engine failures stay in-band" `Quick
+      test_session_engine_failures;
     Alcotest.test_case "session: deadline" `Quick test_session_deadline;
     Alcotest.test_case "session: cancel in flight" `Quick
       test_session_cancel_inflight;
@@ -386,6 +454,8 @@ let suite =
       test_session_retract_own;
     Alcotest.test_case "server: socket round trip" `Quick
       test_server_roundtrip;
+    Alcotest.test_case "server: failures answer in band" `Quick
+      test_server_failures_in_band;
     Alcotest.test_case "server: drain cancels in-flight" `Quick
       test_server_drain_cancels;
   ]

@@ -1,8 +1,10 @@
 (* SLG tabling: the shared answer table (lib/lang/table), the kernel's
    generator/consumer evaluation, and its integration with all four
-   engines.  Covers subgoal-trie variant detection, answer-trie
+   engines.  Covers subgoal-trie variant detection, answer
    deduplication, the golden incremental-completion order on a
-   hand-built SCC chain, the acceptance-criterion 200-node cyclic
+   hand-built SCC chain, nested SCCs whose inner region reaches the
+   outer one late, the fallback for consumers under control
+   constructs, the acceptance-criterion 200-node cyclic
    left-recursive reachability on every engine (the sequential one
    compiled and interpreted), chaos-schedule determinism of the
    suspend/resume interleaving, and concurrent 4-domain answer-table
@@ -122,6 +124,140 @@ let test_completion_order () =
     [ Engine.And_parallel; Engine.Or_parallel; Engine.Par_or ]
 
 (* ------------------------------------------------------------------ *)
+(* Nested SCCs: a region that reaches an older table late              *)
+(* ------------------------------------------------------------------ *)
+
+(* [b] is an inner SCC under [a]: its first pass consumes only itself,
+   and only the answer [s1], derived after that pass, leads through
+   [step(s1, X) :- a(X)] back into the still-open [a].  Completing [b]
+   as its own leader after the first pass loses [b(z)]; [q/1] reads
+   [b]'s table after [a] completed, so it sees the loss (6 of its 9
+   answers). *)
+let nested_scc_program =
+  {|
+:- table(a/1).
+:- table(b/1).
+a(X) :- b(X).
+a(z).
+b(X) :- b(Y), step(Y, X).
+b(s0).
+step(s0, s1).
+step(s1, X) :- a(X).
+q(X) :- a(_), b(X).
+|}
+
+(* The same SCC with [c] reading [b] inside it: [c] must not take [b]'s
+   answers as final while [b] can still reach [a], or it misses [c(z)]
+   even if [b] is mended later. *)
+let nested_scc_reader_program =
+  nested_scc_program ^ {|
+:- table(c/1).
+a(X) :- c(X).
+c(X) :- b(X).
+r(X) :- a(_), c(X).
+|}
+
+let engine_modes =
+  List.concat_map
+    (fun kind ->
+      List.map (fun compile -> (kind, compile)) (Engine.compile_modes kind))
+    [ Engine.Sequential; Engine.And_parallel; Engine.Or_parallel; Engine.Par_or ]
+
+let mode_config kind compile =
+  match kind with
+  | Engine.Sequential -> { Config.default with Config.compile }
+  | _ -> { (Config.all_optimizations ~agents:2 ()) with Config.compile }
+
+let mode_name kind compile =
+  Engine.kind_to_string kind ^ if compile then " compiled" else ""
+
+let test_nested_scc () =
+  let b_answers = [ "b(s0)"; "b(s1)"; "b(z)" ] in
+  let q_answers =
+    List.concat_map (fun x -> [ x; x; x ]) [ "q(s0)"; "q(s1)"; "q(z)" ]
+  in
+  List.iter
+    (fun (kind, compile) ->
+      let config = mode_config kind compile in
+      Alcotest.(check (list string))
+        (mode_name kind compile ^ ": b/1 alone")
+        b_answers
+        (multiset ~kind ~config nested_scc_program "b(X)");
+      Alcotest.(check (list string))
+        (mode_name kind compile ^ ": b/1 read after a/1 completed")
+        q_answers
+        (multiset ~kind ~config nested_scc_program "q(X)");
+      Alcotest.(check (list string))
+        (mode_name kind compile ^ ": c/1 read inside the SCC")
+        (List.concat_map (fun x -> [ x; x; x ]) [ "r(s0)"; "r(s1)"; "r(z)" ])
+        (multiset ~kind ~config nested_scc_reader_program "r(X)"))
+    engine_modes
+
+(* ------------------------------------------------------------------ *)
+(* The fallback: consumers under control constructs                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each program consumes an incomplete table under a construct whose
+   saved continuation could cut across the table — an if-then-else
+   condition, negation, call/1, a clause with a cut — so the consumer is
+   a fallback read and the leader re-passes the region until no read
+   missed an answer.  Answers pinned from the naive-fixpoint
+   evaluator. *)
+let fallback_edges = "e(a,b). e(b,c). e(c,a). e(c,d).\n"
+
+let closure = [ "p(a,a)"; "p(a,b)"; "p(a,c)"; "p(a,d)" ]
+
+let fallback_cases =
+  [ ( "if-then-else condition",
+      {|
+:- table(p/2).
+p(X, Y) :- e(X, Y).
+p(X, Y) :- ( p(X, Z) -> e(Z, Y) ; fail ).
+|},
+      [ "p(a,b)"; "p(a,c)" ] );
+    ( "negation",
+      {|
+:- table(p/2).
+p(X, Y) :- e(X, Y).
+p(X, Y) :- \+ \+ p(X, _), p(X, Z), e(Z, Y), \+ p(X, zz).
+|},
+      closure );
+    ( "call/1",
+      {|
+:- table(p/2).
+:- table(q/2).
+p(X, Y) :- e(X, Y).
+p(X, Y) :- call(q(X, Z)), e(Z, Y).
+q(X, Y) :- p(X, Y).
+|},
+      closure );
+    ( "clause with a cut",
+      {|
+:- table(p/2).
+p(X, Y) :- e(X, Y).
+p(X, Y) :- !, p(X, Z), e(Z, Y).
+|},
+      closure ) ]
+
+let test_fallback () =
+  List.iter
+    (fun (name, rules, expected) ->
+      List.iter
+        (fun compile ->
+          let config = { Config.default with Config.compile } in
+          let r = solve ~config (fallback_edges ^ rules) "p(a, X)" in
+          let label = Printf.sprintf "%s (seq%s)" name (if compile then "/c" else "") in
+          Alcotest.(check (list string)) label expected
+            (Canon.multiset r.Engine.solutions);
+          Alcotest.(check bool) (label ^ ": consumed an incomplete table") true
+            (r.Engine.stats.Ace_machine.Stats.table_suspends > 0);
+          if name = "call/1" then
+            Alcotest.(check bool) (label ^ ": re-passed the region") true
+              (r.Engine.stats.Ace_machine.Stats.table_resumes > 0))
+        [ true; false ])
+    fallback_cases
+
+(* ------------------------------------------------------------------ *)
 (* 200-node cyclic reachability (the acceptance criterion)             *)
 (* ------------------------------------------------------------------ *)
 
@@ -171,7 +307,7 @@ let test_cyclic_reachability () =
 (* ------------------------------------------------------------------ *)
 
 (* Mutual recursion over a cycle: evaluation suspends on both tabled
-   predicates and resumes through the leader's fixpoint rounds.  Chaos
+   predicates and resumes its saved consumers through the leader.  Chaos
    jitter reorders the surrounding engine scheduling; the answers and
    the completion order must not move, and the same chaos seed must
    replay the identical run. *)
@@ -223,7 +359,7 @@ let test_chaos_replay () =
 
 (* start/1 fans out into parallel branches that all call the same
    path/2 variants, so domains race to evaluate shared subgoals.  The
-   answer trie must neither lose nor duplicate answers: the solution
+   answer table must neither lose nor duplicate answers: the solution
    multiset equals the sequential run, every repetition. *)
 let concurrent_program =
   cyclic_program ^ "start(s1). start(s2). start(s3). start(s4).\n"
@@ -255,6 +391,10 @@ let suite =
       test_variant_detection;
     Alcotest.test_case "answer trie dedup + cap" `Quick test_answer_dedup;
     Alcotest.test_case "golden completion order" `Quick test_completion_order;
+    Alcotest.test_case "nested SCC completes with its caller" `Quick
+      test_nested_scc;
+    Alcotest.test_case "fallback under control constructs" `Quick
+      test_fallback;
     Alcotest.test_case "200-node cyclic reachability" `Slow
       test_cyclic_reachability;
     Alcotest.test_case "chaos suspend/resume replay" `Slow test_chaos_replay;
