@@ -207,6 +207,11 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
     | Program.Error msg | Ace_core.Errors.Engine_error msg ->
       Format.eprintf "error: %s@." msg;
       1
+    | Failure msg ->
+      (* an engine that could not finish: the simulators' step cap, a
+         failed Domain.spawn *)
+      Format.eprintf "error: %s@." msg;
+      1
     | Ace_term.Arith.Error msg ->
       Format.eprintf "arithmetic error: %s@." msg;
       1)

@@ -117,13 +117,13 @@ type t = {
   table : Table.t; (* shared answer table for tabled predicates *)
   config : Config.t;
   cost : Cost.t;
-  shards : Stats.t array; (* one per simulated agent *)
-  tbufs : Trace.buffer array; (* one trace ring per simulated agent *)
+  ks : Kernel.agent array;
+    (* the kernel's view of each simulated agent: its stats shard, trace
+       ring and profiler shard, charges ticking the simulator *)
   chaos : Chaos.agent array; (* per-agent schedule-jitter streams *)
   sim : Sim.t;
   ctx : Builtins.ctx; (* trail field is unused; per-exec trails are passed *)
   agents : agent_state array;
-  pshards : Prof.shard array; (* per-agent profiler shards *)
   mutable pool : frame list; (* frames that may have free slots, oldest first *)
   mutable frame_counter : int;
   cancel : Cancel.t;
@@ -148,14 +148,13 @@ let cur st =
   let c = Sim.current_agent st.sim in
   if c < 0 then 0 else c
 
-let shard st = st.shards.(cur st)
-let psh st = st.pshards.(cur st)
-
-let tbuf st = st.tbufs.(cur st)
+let ka st = st.ks.(cur st)
+let shard st = (ka st).stats
+let psh st = (ka st).prof
 
 (* Events are stamped with the virtual clock, so an exported trace shows
    the simulated schedule. *)
-let record_ev st kind arg = Trace.record_at (tbuf st) ~ts:(Sim.now st.sim) kind arg
+let record_ev st kind arg = Kernel.record (ka st) kind arg
 
 (* Schedule-exploration yield site (see {!Or_engine.chaos_yield}): seeded
    extra virtual cycles deterministically select alternative interleavings.
@@ -175,24 +174,6 @@ let charge_marker st ~input =
   (shard st).Stats.stack_words <- (shard st).Stats.stack_words + Cost.words_marker;
   if input then (shard st).Stats.input_markers <- (shard st).Stats.input_markers + 1
   else (shard st).Stats.end_markers <- (shard st).Stats.end_markers + 1
-
-(* The kernel resolver instantiated for this engine: charges tick the
-   discrete-event simulator, stats go to the current agent's shard. *)
-module K = Kernel.Resolver (struct
-  type nonrec t = t
-
-  let name = "the and-parallel engine"
-  let cost st = st.cost
-  let stats = shard
-  let charge = charge
-
-  (* The simulators run interpreted clauses only (the paper's cost
-     model), so the kernel never asks for compiled-code registers. *)
-  let scratch _ = invalid_arg "the and-parallel engine runs no compiled code"
-  let prof = psh
-  let record = record_ev
-  let cancel st = st.cancel
-end)
 
 (* Cancellation observed at a chokepoint: stop the simulation (pending
    coroutines are abandoned mid-flight, as on a solution limit) and
@@ -237,7 +218,7 @@ let rec undo_exec st exec =
       | Eframe (f, _) -> undo_frame st f)
     exec.x_stack;
   exec.x_stack <- [];
-  K.untrail st exec.x_trail 0;
+  Kernel.untrail (ka st) exec.x_trail 0;
   (* crossing this exec's markers (if it has any) costs a node each *)
   if exec.x_input_marker then charge_bt_node st;
   if exec.x_end_marker then charge_bt_node st
@@ -284,7 +265,8 @@ let rec aborting exec =
 
 let ctx_of st exec = { st.ctx with Builtins.trail = exec.x_trail }
 
-let call_builtin st exec goal = K.call_builtin st (ctx_of st exec) goal
+let call_builtin st exec goal =
+  Kernel.call_builtin (ka st) (ctx_of st exec) goal
 
 (* SPO: the procrastinated input marker materialises just before the first
    choice point of the slot. *)
@@ -319,10 +301,10 @@ let rec exec_run st (agent : agent_state) exec (cont : Clause.item list) : bool 
 
 (* Resolves [goal] against one clause and runs its body before [cont]. *)
 and try_clause st agent exec goal clause cont =
-  match K.try_clause st ~trail:exec.x_trail goal clause with
+  match Kernel.try_clause (ka st) ~trail:exec.x_trail goal clause with
   | Kernel.R_fail -> exec_backtrack st agent exec
   | Kernel.R_body body -> exec_run st agent exec (body @ cont)
-  | Kernel.R_exec _ -> assert false (* [K.try_clause] never answers R_exec *)
+  | Kernel.R_exec _ -> assert false (* [try_clause] never answers R_exec *)
 
 and dispatch st agent exec g cont =
   let g = Term.deref g in
@@ -336,7 +318,8 @@ and dispatch st agent exec g cont =
     match Kernel.classify g with
     | Kernel.Cut ->
       Errors.error "cut is not supported inside the and-parallel engine"
-    | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ -> K.unsupported st g
+    | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
+      Kernel.unsupported (ka st) g
     | Kernel.Conj g | Kernel.Amp g ->
       exec_run st agent exec (Clause.compile_body g @ cont)
     | Kernel.Meta g -> dispatch st agent exec g cont
@@ -351,9 +334,9 @@ and user_call st agent exec g cont =
     (* tabled predicates answer from the shared table; the kernel
        completes the subgoal first when needed (see Kernel.table_call) *)
     if Database.is_tabled_goal st.db g then
-      K.table_call st ~table:st.table ~ctx:(ctx_of st exec) ~compiled:false
-        ~db:st.db g
-    else K.select st ~compiled:false st.db g
+      Kernel.table_call (ka st) ~table:st.table ~ctx:(ctx_of st exec)
+        ~compiled:false ~db:st.db g
+    else Kernel.select (ka st) ~compiled:false st.db g
   in
   match clauses with
   | [] -> exec_backtrack st agent exec
@@ -378,7 +361,7 @@ and exec_backtrack st agent exec : bool =
       exec_backtrack st agent exec
     | clause :: alts ->
       if Prof.live (psh st) then Prof.redo (psh st) (Prof.key_of_term cp.a_goal);
-      K.untrail st exec.x_trail cp.a_trail;
+      Kernel.untrail (ka st) exec.x_trail cp.a_trail;
       charge st st.cost.Cost.cp_restore;
       if alts = [] then exec.x_stack <- below
       else begin
@@ -389,7 +372,7 @@ and exec_backtrack st agent exec : bool =
   | Eframe (frame, mark) :: below ->
     charge st st.cost.Cost.frame_unwind;
     (shard st).Stats.bt_nodes_visited <- (shard st).Stats.bt_nodes_visited + 1;
-    K.untrail st exec.x_trail mark;
+    Kernel.untrail (ka st) exec.x_trail mark;
     if retry_frame st agent frame then exec_run st agent exec frame.f_cont
     else begin
       exec.x_stack <- below;
@@ -876,14 +859,19 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
     Array.init config.Config.agents (fun i ->
         { ag_id = i; ag_last_done = None; ag_pending_end = None })
   in
-  let shards = Array.init config.Config.agents (fun _ -> Stats.create ()) in
-  let pshards =
+  let ks =
     Array.init config.Config.agents (fun i ->
+        let a =
+          Kernel.agent ~name:"the and-parallel engine" ~cost:config.Config.cost
+            ~stats:(Stats.create ()) ~cancel ~clock:(Kernel.Ticks sim)
+            (Trace.buffer trace ~dom:i)
+        in
         if Prof.enabled prof then
-          Prof.shard prof ~dom:i ~stats:shards.(i)
-            ~clock:(fun () -> Sim.now sim)
-            ()
-        else Prof.null)
+          a.prof <-
+            Prof.shard prof ~dom:i ~stats:a.stats
+              ~clock:(fun () -> Sim.now sim)
+              ();
+        a)
   in
   {
     db;
@@ -893,13 +881,11 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
       | None -> Table.create ~max_answers:config.Config.table_max_answers ());
     config;
     cost = config.Config.cost;
-    shards;
-    tbufs = Array.init config.Config.agents (fun i -> Trace.buffer trace ~dom:i);
+    ks;
     chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
     sim;
     ctx = Builtins.make_ctx ?output ~trail:(Trail.create ()) ();
     agents;
-    pshards;
     pool = [];
     frame_counter = 0;
     cancel;
@@ -917,6 +903,7 @@ type result = {
 }
 
 let run st =
+  let shards = Array.map (fun (a : Kernel.agent) -> a.stats) st.ks in
   Sim.spawn st.sim ~agent:0 (root_body st);
   for i = 1 to st.config.Config.agents - 1 do
     Sim.spawn st.sim ~agent:i (worker_body st st.agents.(i))
@@ -924,8 +911,8 @@ let run st =
   Sim.run st.sim;
   {
     solutions = List.rev st.solutions;
-    stats = Kernel.merge_shards st.shards;
-    per_agent = st.shards;
+    stats = Kernel.merge_shards shards;
+    per_agent = shards;
     time = Sim.stop_time st.sim;
   }
 

@@ -303,41 +303,39 @@ let rebuilt_error frame (puts : Code.put array) sym msg =
   raise (Arith.Error (Format.asprintf "%s in %a" msg Ace_term.Pp.pp goal))
 
 (* [is/2] and the arithmetic comparisons straight off a compiled body
-   step's put descriptors: [Some outcome] when evaluated without
-   materializing the expression, [None] to fall back to the register
-   path.  A first-occurrence result variable stores its integer into
-   the frame slot directly — the slot is invisible to the caller until
-   read, so no fresh variable and no trail entry are needed (deeper
-   backtracking discards the whole frame). *)
+   step's put descriptors, allocating nothing but [is/2]'s result:
+   [Not_builtin] tells the caller to take the register path instead.  A
+   first-occurrence result variable stores its integer into the frame
+   slot directly — the slot is invisible to the caller until read, so no
+   fresh variable and no trail entry are needed (deeper backtracking
+   discards the whole frame). *)
 let call_put_args ctx (frame : Term.t array) (puts : Code.put array) sym arity =
-  if arity <> 2 then None
-  else if Symbol.equal sym sym_is then (
-    match try Some (eval_put ctx frame puts.(1)) with Non_arith -> None with
+  if arity <> 2 then Not_builtin
+  else if Symbol.equal sym sym_is then
+    match eval_put ctx frame puts.(1) with
+    | exception Non_arith -> Not_builtin
     | exception Arith.Error msg -> rebuilt_error frame puts sym msg
-    | None -> None
-    | Some n -> (
+    | n -> (
       match puts.(0) with
       | Code.P_fresh slot ->
         frame.(slot) <- Term.Int n;
-        Some Ok
-      | Code.P_void -> Some Ok
-      | lhs -> Some (unify2 ctx (Code.build_put frame lhs) (Term.Int n))))
+        Ok
+      | Code.P_void -> Ok
+      | lhs -> unify2 ctx (Code.build_put frame lhs) (Term.Int n))
   else
     match Arith.comparison_op sym with
-    | None -> None
+    | None -> Not_builtin
     | Some f -> (
-      match
-        (* operand order mirrors the generic call's right-to-left
-           argument evaluation, so error precedence is unchanged *)
-        try
-          let y = eval_put ctx frame puts.(1) in
-          let x = eval_put ctx frame puts.(0) in
-          Some (x, y)
-        with Non_arith -> None
-      with
+      (* operand order mirrors the generic call's right-to-left argument
+         evaluation, so error precedence is unchanged *)
+      match eval_put ctx frame puts.(1) with
+      | exception Non_arith -> Not_builtin
       | exception Arith.Error msg -> rebuilt_error frame puts sym msg
-      | None -> None
-      | Some (x, y) -> Some (bool_outcome (f x y)))
+      | y -> (
+        match eval_put ctx frame puts.(0) with
+        | exception Non_arith -> Not_builtin
+        | exception Arith.Error msg -> rebuilt_error frame puts sym msg
+        | x -> bool_outcome (f x y)))
 
 (* Tell the clause compiler what a builtin is, so body goals classify
    identically here and there (the compiler library sits below this

@@ -34,14 +34,14 @@ val call_args :
 
 (** [is/2] and the arithmetic comparisons evaluated directly over a
     compiled body step's put descriptors against the frame — no
-    expression term is materialized.  [Some outcome] when handled;
-    [None] means the caller must load the registers and go through
-    {!call_args} (non-arithmetic shapes keep the generic error
-    behavior). *)
+    expression term is materialized, and nothing but [is/2]'s integer
+    result is allocated.  [Not_builtin] means the caller must load the
+    registers and go through {!call_args} (non-arithmetic shapes keep the
+    generic error behavior). *)
 val call_put_args :
   ctx ->
   Ace_term.Term.t array ->
   Ace_lang.Code.put array ->
   Ace_term.Symbol.t ->
   int ->
-  outcome option
+  outcome

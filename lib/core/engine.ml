@@ -56,15 +56,6 @@ type result = {
        completed before the token fired *)
 }
 
-(* Counts the calling domain's allocation during [f] into the result's
-   stats.  [Par_or] counts each worker domain's share itself (see
-   [Par_or_engine.worker_main]), so it is not wrapped. *)
-let with_alloc_counters f =
-  let mark = Stats.alloc_mark () in
-  let result = f () in
-  Stats.add_alloc_since result.stats mark;
-  result
-
 (* The goal's variables that are unbound at entry, with repeats.  The
    engines bind the caller's goal term in place; [run] unbinds these on
    every exit so that the same parsed goal can be run again. *)
@@ -119,10 +110,12 @@ let run_on ?output ?trace ?chaos ?prof ~table ~cancel ~t0 kind
     (config : Config.t) db goal =
   match kind with
   | Sequential ->
-    let solutions, m =
-      Seq_engine.solve ?output ?trace ?chaos ?prof ~cost:config.Config.cost
-        ~compile:config.Config.compile ~table ~cancel
-        ?limit:config.Config.max_solutions db goal
+    let m =
+      Seq_engine.create ?output ?trace ?chaos ?prof ~cost:config.Config.cost
+        ~compile:config.Config.compile ~table ~cancel db goal
+    in
+    let solutions =
+      Seq_engine.all_solutions ?limit:config.Config.max_solutions m
     in
     let stats = Seq_engine.stats m in
     result ~t0 ~cancel solutions stats (Metrics.of_stats stats)
@@ -168,11 +161,15 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
   in
   let vars = free_vars [] goal in
   let t0 = Unix.gettimeofday () in
-  let go () =
+  let mark = Stats.alloc_mark () in
+  match
     run_on ?output ?trace ?chaos ?prof ~table ~cancel ~t0 kind config db goal
-  in
-  match if kind = Par_or then go () else with_alloc_counters go with
+  with
   | r ->
+    (* the calling domain's allocation during the run; [Par_or] counts
+       each worker domain's share itself (see
+       [Par_or_engine.worker_main]) *)
+    if kind <> Par_or then Stats.add_alloc_since r.stats mark;
     unbind vars;
     r
   | exception e ->

@@ -17,22 +17,55 @@ module Prof = Ace_obs.Prof
 module Trace = Ace_obs.Trace
 module Table = Ace_lang.Table
 
-module type SCHEDULER = sig
-  type t
+(* The execution context every kernel operation is charged against:
+   one per sequential machine, per Par_or worker domain and per
+   simulated agent.  A concrete record rather than a functor argument:
+   without flambda, every functor-argument access is an indirect call
+   that is never inlined, several per clause try. *)
+type clock =
+  | Cycles
+  | Wall
+  | Ticks of Ace_sched.Sim.t
 
-  val name : string
-  val cost : t -> Cost.t
-  val stats : t -> Stats.t
-  val charge : t -> int -> unit
-  val scratch : t -> Code.scratch
-  val prof : t -> Prof.shard
-  val record : t -> Trace.kind -> int -> unit
+type agent = {
+  name : string;
+  cost : Cost.t;
+  stats : Stats.t;
+  sc : Code.scratch;
+  mutable prof : Prof.shard;
+  cancel : Cancel.t;
+  clock : clock;
+  mutable cycles : int;
+  tbuf : Trace.buffer;
+}
 
-  val cancel : t -> Cancel.t
-  (* the run's cancellation token ({!Cancel.none} when the caller set no
-     deadline); the kernel polls it inside the tabling mini-solver, whose
-     evaluation never passes through an engine chokepoint *)
-end
+let agent ~name ~cost ~stats ~cancel ~clock tbuf =
+  {
+    name;
+    cost;
+    stats;
+    sc = Code.create_scratch ();
+    prof = Prof.null;
+    cancel;
+    clock;
+    cycles = 0;
+    tbuf;
+  }
+
+(* Out of line, so that the inlined [charge] stays a load, a compare and
+   an add on the sequential engine (and one more compare on Par_or,
+   which drops its charges). *)
+let[@inline never] tick n = Ace_sched.Sim.tick n
+
+let[@inline] charge a n =
+  if a.clock == Cycles then a.cycles <- a.cycles + n
+  else if a.clock != Wall then tick n
+
+let record a kind arg =
+  match a.clock with
+  | Cycles -> Trace.record_at a.tbuf ~ts:a.cycles kind arg
+  | Wall -> Trace.record a.tbuf kind arg
+  | Ticks sim -> Trace.record_at a.tbuf ~ts:(Ace_sched.Sim.now sim) kind arg
 
 type cls =
   | Cut
@@ -104,7 +137,7 @@ type resolved =
   | R_body of Clause.body
   | R_exec of Symbol.t * int (* callee symbol, arity; args in registers *)
 
-(* Where {!Resolver.exec_body} stopped: the next thing the engine must
+(* Where {!exec_body} stopped: the next thing the engine must
    schedule.  Register-consuming cases ([Ex_call]/[Ex_exec]) have the
    callee's arguments loaded in the scratch registers. *)
 type executed =
@@ -145,901 +178,849 @@ let trim_env (xf : Clause.exec_frame) live =
     env.(i) <- Code.unset
   done
 
-module Resolver (S : SCHEDULER) = struct
-  let call_builtin s (ctx : Builtins.ctx) goal =
-    let cost = S.cost s and stats = S.stats s in
-    let steps0 = !(ctx.Builtins.steps)
-    and arith0 = !(ctx.Builtins.arith_nodes) in
-    let trail0 = Trail.size ctx.Builtins.trail in
-    let outcome = Builtins.call ctx goal in
-    let steps = !(ctx.Builtins.steps) - steps0 in
-    let arith = !(ctx.Builtins.arith_nodes) - arith0 in
-    let pushed = Int.max 0 (Trail.size ctx.Builtins.trail - trail0) in
-    S.charge s cost.Cost.builtin;
-    S.charge s ((steps * cost.Cost.unify_step) + (arith * cost.Cost.arith_op));
-    S.charge s (pushed * cost.Cost.trail_push);
-    stats.Stats.builtin_calls <- stats.Stats.builtin_calls + 1;
-    stats.Stats.unify_steps <- stats.Stats.unify_steps + steps;
-    stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
-    let psh = S.prof s in
-    (if Prof.live psh then
-       match outcome with
-       | Builtins.Ok -> Prof.builtin psh (Prof.key_of_term goal) ~ok:true
-       | Builtins.Fail -> Prof.builtin psh (Prof.key_of_term goal) ~ok:false
-       | Builtins.Not_builtin -> ());
-    outcome
+(* Builtin call+exit (or call+fail) on the profiler. *)
+let prof_builtin psh k = function
+  | Builtins.Ok -> Prof.builtin psh k ~ok:true
+  | Builtins.Fail -> Prof.builtin psh k ~ok:false
+  | Builtins.Not_builtin -> ()
 
-  let untrail s trail mark =
-    let undone = Trail.undo_to trail mark in
-    if undone > 0 then begin
-      S.charge s (undone * (S.cost s).Cost.untrail);
-      (S.stats s).Stats.untrails <- (S.stats s).Stats.untrails + undone
-    end
+let untrail a trail mark =
+  let undone = Trail.undo_to trail mark in
+  if undone > 0 then begin
+    charge a (undone * a.cost.Cost.untrail);
+    a.stats.Stats.untrails <- a.stats.Stats.untrails + undone
+  end
 
-  (* Charges one head unification against [goal]; [mark] is the trail
-     position to restore on failure. *)
-  let charged_unify s ~trail a b =
-    let cost = S.cost s and stats = S.stats s in
-    let steps = ref 0 in
-    let mark = Trail.mark trail in
-    let ok = Unify.unify ~trail ~steps a b in
-    S.charge s (!steps * cost.Cost.unify_step);
-    stats.Stats.unify_steps <- stats.Stats.unify_steps + !steps;
-    let pushed = Trail.size trail - mark in
-    S.charge s (pushed * cost.Cost.trail_push);
-    stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
-    if not ok then untrail s trail mark;
-    ok
+(* Charges one head unification against [goal]; [mark] is the trail
+   position to restore on failure. *)
+let charged_unify a ~trail x y =
+  let cost = a.cost and stats = a.stats in
+  let steps = ref 0 in
+  let mark = Trail.mark trail in
+  let ok = Unify.unify ~trail ~steps x y in
+  charge a (!steps * cost.Cost.unify_step);
+  stats.Stats.unify_steps <- stats.Stats.unify_steps + !steps;
+  let pushed = Trail.size trail - mark in
+  charge a (pushed * cost.Cost.trail_push);
+  stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
+  if not ok then untrail a trail mark;
+  ok
 
-  (* Charging epilogue shared by every builtin entry point: one
-     [builtin] charge plus the unify steps, arithmetic nodes and trail
-     pushes the call performed (counters passed as plain ints so the
-     hot path allocates nothing). *)
-  let builtin_epilogue s (ctx : Builtins.ctx) steps0 arith0 trail0 outcome =
-    let cost = S.cost s and stats = S.stats s in
-    let steps = !(ctx.Builtins.steps) - steps0 in
-    let arith = !(ctx.Builtins.arith_nodes) - arith0 in
-    let pushed = Int.max 0 (Trail.size ctx.Builtins.trail - trail0) in
-    S.charge s cost.Cost.builtin;
-    S.charge s ((steps * cost.Cost.unify_step) + (arith * cost.Cost.arith_op));
-    S.charge s (pushed * cost.Cost.trail_push);
-    stats.Stats.builtin_calls <- stats.Stats.builtin_calls + 1;
-    stats.Stats.unify_steps <- stats.Stats.unify_steps + steps;
-    stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
-    outcome
+(* Charging epilogue shared by every builtin entry point: one [builtin]
+   charge plus the unify steps, arithmetic nodes and trail pushes the
+   call performed (counters passed as plain ints so the hot path
+   allocates nothing). *)
+let builtin_epilogue a (ctx : Builtins.ctx) steps0 arith0 trail0 outcome =
+  let cost = a.cost and stats = a.stats in
+  let steps = !(ctx.Builtins.steps) - steps0 in
+  let arith = !(ctx.Builtins.arith_nodes) - arith0 in
+  let pushed = Int.max 0 (Trail.size ctx.Builtins.trail - trail0) in
+  charge a cost.Cost.builtin;
+  charge a ((steps * cost.Cost.unify_step) + (arith * cost.Cost.arith_op));
+  charge a (pushed * cost.Cost.trail_push);
+  stats.Stats.builtin_calls <- stats.Stats.builtin_calls + 1;
+  stats.Stats.unify_steps <- stats.Stats.unify_steps + steps;
+  stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
+  outcome
 
-  (* [call_builtin] with the goal's arguments spread in a register file
-     (no goal term exists; the compiled body path). *)
-  let call_builtin_args s (ctx : Builtins.ctx) sym arity args =
-    let steps0 = !(ctx.Builtins.steps)
-    and arith0 = !(ctx.Builtins.arith_nodes) in
-    let trail0 = Trail.size ctx.Builtins.trail in
-    let outcome =
-      builtin_epilogue s ctx steps0 arith0 trail0
-        (Builtins.call_args ctx sym arity args)
-    in
-    let psh = S.prof s in
-    (if Prof.live psh then
-       match outcome with
-       | Builtins.Ok -> Prof.builtin psh (Prof.key sym arity) ~ok:true
-       | Builtins.Fail -> Prof.builtin psh (Prof.key sym arity) ~ok:false
-       | Builtins.Not_builtin -> ());
-    outcome
+let call_builtin a (ctx : Builtins.ctx) goal =
+  let steps0 = !(ctx.Builtins.steps)
+  and arith0 = !(ctx.Builtins.arith_nodes) in
+  let trail0 = Trail.size ctx.Builtins.trail in
+  let outcome =
+    builtin_epilogue a ctx steps0 arith0 trail0 (Builtins.call ctx goal)
+  in
+  if Prof.live a.prof then prof_builtin a.prof (Prof.key_of_term goal) outcome;
+  outcome
 
-  (* A compiled body step's builtin: arithmetic ([is/2], comparisons)
-     evaluates the put descriptors directly against the frame — no
-     expression term — and anything else loads the register file and
-     dispatches through the table.  [Not_builtin] implies the generic
-     path ran, so the registers are loaded. *)
-  let call_builtin_step s (ctx : Builtins.ctx) sym sc frame
-      (puts : Code.put array) =
-    let steps0 = !(ctx.Builtins.steps)
-    and arith0 = !(ctx.Builtins.arith_nodes) in
-    let trail0 = Trail.size ctx.Builtins.trail in
-    let arity = Array.length puts in
-    let outcome =
-      match Builtins.call_put_args ctx frame puts sym arity with
-      | Some outcome -> outcome
-      | None -> Builtins.call_args ctx sym arity (Code.load_regs sc frame puts)
-    in
-    let outcome = builtin_epilogue s ctx steps0 arith0 trail0 outcome in
-    let psh = S.prof s in
-    (if Prof.live psh then
-       match outcome with
-       | Builtins.Ok -> Prof.builtin psh (Prof.key sym arity) ~ok:true
-       | Builtins.Fail -> Prof.builtin psh (Prof.key sym arity) ~ok:false
-       | Builtins.Not_builtin -> ());
-    outcome
+(* A compiled body step's builtin: arithmetic ([is/2], comparisons)
+   evaluates the put descriptors directly against the frame — no
+   expression term — and anything else loads the register file and
+   dispatches through the table.  [Not_builtin] implies the generic path
+   ran, so the registers are loaded. *)
+let call_builtin_step a (ctx : Builtins.ctx) sym frame (puts : Code.put array) =
+  let steps0 = !(ctx.Builtins.steps)
+  and arith0 = !(ctx.Builtins.arith_nodes) in
+  let trail0 = Trail.size ctx.Builtins.trail in
+  let arity = Array.length puts in
+  let outcome =
+    match Builtins.call_put_args ctx frame puts sym arity with
+    | Builtins.Not_builtin ->
+      Builtins.call_args ctx sym arity (Code.load_regs a.sc frame puts)
+    | (Builtins.Ok | Builtins.Fail) as outcome -> outcome
+  in
+  let outcome = builtin_epilogue a ctx steps0 arith0 trail0 outcome in
+  if Prof.live a.prof then prof_builtin a.prof (Prof.key sym arity) outcome;
+  outcome
 
-  let try_clause s ~trail goal clause =
-    S.charge s (S.cost s).Cost.clause_try;
-    (S.stats s).Stats.clause_tries <- (S.stats s).Stats.clause_tries + 1;
-    let head, fresh = Clause.rename_head clause in
-    if charged_unify s ~trail head goal then begin
-      let body = Clause.rename_body clause fresh in
-      (if body = [] then
-         let psh = S.prof s in
-         if Prof.live psh then Prof.exit_key psh (Prof.key_of_term goal));
-      R_body body
-    end
-    else R_fail
+let try_clause a ~trail goal clause =
+  charge a a.cost.Cost.clause_try;
+  a.stats.Stats.clause_tries <- a.stats.Stats.clause_tries + 1;
+  let head, fresh = Clause.rename_head clause in
+  if charged_unify a ~trail head goal then begin
+    let body = Clause.rename_body clause fresh in
+    if body = [] && Prof.live a.prof then
+      Prof.exit_key a.prof (Prof.key_of_term goal);
+    R_body body
+  end
+  else R_fail
 
-  (* Runs a scratch-eligible body (builtins plus at most a final
-     execute) to completion against the scratch frame: nothing is
-     stacked and no goal terms are built.  [R_fail] restores the trail to
-     [mark] — the whole clause try failed as one unit, exactly as if the
-     head had not matched (the builtins here are the determinate prefix
-     of the body; running them before the engine stacks anything is
-     observably equivalent and is where the choice points and
-     environments die). *)
-  let rec run_scratch_body s ~ctx ~trail ~mark code sc frame pc =
-    let body = code.Code.c_body in
-    if pc >= Array.length body then R_body []
+(* Runs a scratch-eligible body (builtins plus at most a final execute)
+   to completion against the scratch frame: nothing is stacked and no
+   goal terms are built.  [R_fail] restores the trail to [mark] — the
+   whole clause try failed as one unit, exactly as if the head had not
+   matched (the builtins here are the determinate prefix of the body;
+   running them before the engine stacks anything is observably
+   equivalent and is where the choice points and environments die). *)
+let rec run_scratch_body a ~ctx ~trail ~mark code frame pc =
+  let body = code.Code.c_body in
+  if pc >= Array.length body then R_body []
+  else begin
+    let step = body.(pc) in
+    let nput = Array.length step.Code.s_puts in
+    charge a ((nput + 1) * a.cost.Cost.code_instr);
+    a.stats.Stats.code_instrs <- a.stats.Stats.code_instrs + nput + 1;
+    match step.Code.s_op with
+    | Code.O_builtin sym -> (
+      match call_builtin_step a ctx sym frame step.Code.s_puts with
+      | Builtins.Ok -> run_scratch_body a ~ctx ~trail ~mark code frame (pc + 1)
+      | Builtins.Fail ->
+        untrail a trail mark;
+        R_fail
+      | Builtins.Not_builtin ->
+        (* seeded mutation retargeted the dispatch: hand the engine a goal
+           term so it raises its ordinary existence error; the rest of the
+           body escapes as an Exec over a private copy of the (otherwise
+           reusable) scratch frame *)
+        let rest =
+          if pc + 1 >= Array.length body then []
+          else
+            [ Clause.Exec
+                {
+                  Clause.xf_code = Code.Compiled code;
+                  xf_pc = pc + 1;
+                  xf_env = Array.sub frame 0 code.Code.c_nvars;
+                } ]
+        in
+        R_body (Clause.Call (goal_of_regs sym nput a.sc.Code.s_regs) :: rest))
+    | Code.O_execute sym ->
+      ignore (Code.load_regs a.sc frame step.Code.s_puts : Term.t array);
+      R_exec (sym, nput)
+    | Code.O_call _ | Code.O_goal _ | Code.O_par _ ->
+      assert false (* excluded by [c_scratch] *)
+  end
+
+(* The compiled counterpart of [try_clause]: runs the clause's flat
+   instruction code directly against the caller's argument cells (no
+   renamed head copy), charging one [code_instr] per executed
+   instruction plus the embedded general-unification steps.  Trail
+   discipline is identical — bindings are marked and undone here on
+   failure — so the engines' choice-point machinery cannot tell the two
+   apart.
+
+   Frame policy: a [c_scratch] clause runs head and body on the agent's
+   reusable scratch frame and never allocates; any other clause gets a
+   heap environment (counted in [env_allocs]) that doubles as the
+   instance's frame, and its body escapes as a single [Clause.Exec]
+   item — the engine executes it step by step through [exec_body]. *)
+let try_code_args a ~ctx ~trail (args : Term.t array) clause =
+  let cost = a.cost and stats = a.stats in
+  charge a cost.Cost.clause_try;
+  stats.Stats.clause_tries <- stats.Stats.clause_tries + 1;
+  let code = Code.of_clause clause in
+  let sc = a.sc in
+  let mark = Trail.mark trail in
+  let frame =
+    if code.Code.c_scratch then Code.scratch_frame sc code
     else begin
-      let step = body.(pc) in
-      let nput = Array.length step.Code.s_puts in
-      let cost = S.cost s and stats = S.stats s in
-      S.charge s ((nput + 1) * cost.Cost.code_instr);
-      stats.Stats.code_instrs <- stats.Stats.code_instrs + nput + 1;
-      match step.Code.s_op with
-      | Code.O_builtin sym -> (
-        match call_builtin_step s ctx sym sc frame step.Code.s_puts with
-        | Builtins.Ok -> run_scratch_body s ~ctx ~trail ~mark code sc frame (pc + 1)
-        | Builtins.Fail ->
-          untrail s trail mark;
-          R_fail
-        | Builtins.Not_builtin ->
-          (* seeded mutation retargeted the dispatch: hand the engine a
-             goal term so it raises its ordinary existence error; the
-             rest of the body escapes as an Exec over a private copy of
-             the (otherwise reusable) scratch frame *)
-          let rest =
-            if pc + 1 >= Array.length body then []
-            else
-              [ Clause.Exec
-                  {
-                    Clause.xf_code = Code.Compiled code;
-                    xf_pc = pc + 1;
-                    xf_env = Array.sub frame 0 code.Code.c_nvars;
-                  } ]
-          in
-          R_body (Clause.Call (goal_of_regs sym nput sc.Code.s_regs) :: rest))
-      | Code.O_execute sym ->
-        ignore (Code.load_regs sc frame step.Code.s_puts : Term.t array);
-        R_exec (sym, nput)
-      | Code.O_call _ | Code.O_goal _ | Code.O_par _ ->
-        assert false (* excluded by [c_scratch] *)
+      stats.Stats.env_allocs <- stats.Stats.env_allocs + 1;
+      Code.frame code
     end
+  in
+  sc.Code.s_instrs <- 0;
+  sc.Code.s_steps := 0;
+  let ok = Code.run_head code ~trail ~sc frame args in
+  let instrs = sc.Code.s_instrs and steps = !(sc.Code.s_steps) in
+  charge a ((instrs * cost.Cost.code_instr) + (steps * cost.Cost.unify_step));
+  stats.Stats.code_instrs <- stats.Stats.code_instrs + instrs;
+  stats.Stats.unify_steps <- stats.Stats.unify_steps + steps;
+  let pushed = Trail.size trail - mark in
+  charge a (pushed * cost.Cost.trail_push);
+  stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
+  if not ok then begin
+    untrail a trail mark;
+    R_fail
+  end
+  else if code.Code.c_scratch then begin
+    let r = run_scratch_body a ~ctx ~trail ~mark code frame 0 in
+    (match r with
+    | R_body [] ->
+      if Prof.live a.prof then
+        Prof.exit_key a.prof (Prof.key_of_term clause.Clause.head)
+    | R_fail | R_body _ | R_exec _ -> ());
+    r
+  end
+  else
+    R_body
+      [ Clause.Exec
+          { Clause.xf_code = clause.Clause.code; xf_pc = 0; xf_env = frame } ]
 
-  (* The compiled counterpart of [try_clause]: runs the clause's flat
-     instruction code directly against the caller's argument cells (no
-     renamed head copy), charging one [code_instr] per executed
-     instruction plus the embedded general-unification steps.  Trail
-     discipline is identical — bindings are marked and undone here on
-     failure — so the engines' choice-point machinery cannot tell the
-     two apart.
+let try_code a ~ctx ~trail goal clause =
+  let args =
+    match Term.deref goal with
+    | Term.Struct (_, args) -> args
+    | Term.Atom _ | Term.Int _ | Term.Var _ -> Code.no_args
+  in
+  try_code_args a ~ctx ~trail args clause
 
-     Frame policy: a [c_scratch] clause runs head and body on the
-     agent's reusable scratch frame and never allocates; any other
-     clause gets a heap environment (counted in [env_allocs]) that
-     doubles as the instance's frame, and its body escapes as a single
-     [Clause.Exec] item — the engine executes it step by step through
-     [exec_body]. *)
-  let try_code_args s ~ctx ~trail (args : Term.t array) clause =
-    let cost = S.cost s and stats = S.stats s in
-    S.charge s cost.Cost.clause_try;
-    stats.Stats.clause_tries <- stats.Stats.clause_tries + 1;
-    let code = Code.of_clause clause in
-    let sc = S.scratch s in
-    let mark = Trail.mark trail in
-    let frame =
-      if code.Code.c_scratch then Code.scratch_frame sc code
-      else begin
-        stats.Stats.env_allocs <- stats.Stats.env_allocs + 1;
-        Code.frame code
-      end
-    in
-    sc.Code.s_instrs <- 0;
-    sc.Code.s_steps := 0;
-    let ok = Code.run_head code ~trail ~sc frame args in
-    let instrs = sc.Code.s_instrs and steps = !(sc.Code.s_steps) in
-    S.charge s ((instrs * cost.Cost.code_instr) + (steps * cost.Cost.unify_step));
-    stats.Stats.code_instrs <- stats.Stats.code_instrs + instrs;
-    stats.Stats.unify_steps <- stats.Stats.unify_steps + steps;
-    let pushed = Trail.size trail - mark in
-    S.charge s (pushed * cost.Cost.trail_push);
-    stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
-    if not ok then begin
-      untrail s trail mark;
-      R_fail
-    end
-    else if code.Code.c_scratch then begin
-      let r = run_scratch_body s ~ctx ~trail ~mark code sc frame 0 in
-      (match r with
-      | R_body [] ->
-        let psh = S.prof s in
-        if Prof.live psh then
-          Prof.exit_key psh (Prof.key_of_term clause.Clause.head)
-      | R_fail | R_body _ | R_exec _ -> ());
-      r
-    end
-    else
-      R_body
-        [ Clause.Exec
-            { Clause.xf_code = clause.Clause.code; xf_pc = 0; xf_env = frame } ]
+(* One entry point for both of the sequential engine's execution modes,
+   so it threads a single [compiled] flag instead of duplicating its
+   resolution sites. *)
+let resolve a ~ctx ~compiled ~trail goal clause =
+  if compiled then try_code a ~ctx ~trail goal clause
+  else try_clause a ~trail goal clause
 
-  let try_code s ~ctx ~trail goal clause =
-    let args =
-      match Term.deref goal with
-      | Term.Struct (_, a) -> a
-      | Term.Atom _ | Term.Int _ | Term.Var _ -> Code.no_args
-    in
-    try_code_args s ~ctx ~trail args clause
+(* Executes a compiled body from [pc]: consecutive builtins run inline
+   (the common determinate prefix), and the first step the kernel
+   cannot finish by itself is decoded for the engine to schedule.
+   Charges one [code_instr] per register load plus one per operation.
+   On [Ex_fail] the trail is NOT unwound here — the engine backtracks to
+   its own choice-point mark, exactly as when an interpreted body goal
+   fails. *)
+let rec exec_steps a ctx (body : Code.step array) env pc =
+  if pc >= Array.length body then begin
+    if Prof.live a.prof then Prof.exit_top a.prof;
+    Ex_done
+  end
+  else begin
+    let step = body.(pc) in
+    let nput = Array.length step.Code.s_puts in
+    charge a ((nput + 1) * a.cost.Cost.code_instr);
+    a.stats.Stats.code_instrs <- a.stats.Stats.code_instrs + nput + 1;
+    match step.Code.s_op with
+    | Code.O_builtin sym -> (
+      match call_builtin_step a ctx sym env step.Code.s_puts with
+      | Builtins.Ok -> exec_steps a ctx body env (pc + 1)
+      | Builtins.Fail -> Ex_fail
+      | Builtins.Not_builtin ->
+        (* seeded mutation only: surface as a goal so the engine raises
+           its ordinary existence error *)
+        Ex_goal (goal_of_regs sym nput a.sc.Code.s_regs, pc + 1))
+    | Code.O_call (sym, live) ->
+      ignore (Code.load_regs a.sc env step.Code.s_puts : Term.t array);
+      Ex_call (sym, nput, pc + 1, live)
+    | Code.O_execute sym ->
+      ignore (Code.load_regs a.sc env step.Code.s_puts : Term.t array);
+      Ex_exec (sym, nput)
+    | Code.O_goal p -> Ex_goal (Code.build_put env p, pc + 1)
+    | Code.O_par bodies -> Ex_par (List.map (Code.inst_bbody env) bodies, pc + 1)
+  end
 
-  (* One entry point for both of the sequential engine's execution
-     modes, so it threads a single [compiled] flag instead of
-     duplicating its resolution sites. *)
-  let resolve s ~ctx ~compiled ~trail goal clause =
-    if compiled then try_code s ~ctx ~trail goal clause
-    else try_clause s ~trail goal clause
+let exec_body a ~ctx (xf : Clause.exec_frame) =
+  exec_steps a ctx (code_of_frame xf).Code.c_body xf.Clause.xf_env
+    xf.Clause.xf_pc
 
-  (* Executes a compiled body from its saved pc: consecutive builtins
-     run inline (the common determinate prefix), and the first step the
-     kernel cannot finish by itself is decoded for the engine to
-     schedule.  Charges one [code_instr] per register load plus one per
-     operation.  On [Ex_fail] the trail is NOT unwound here — the engine
-     backtracks to its own choice-point mark, exactly as when an
-     interpreted body goal fails. *)
-  let exec_body s ~ctx (xf : Clause.exec_frame) =
-    let code = code_of_frame xf in
-    let body = code.Code.c_body in
-    let env = xf.Clause.xf_env in
-    let sc = S.scratch s in
-    let cost = S.cost s and stats = S.stats s in
-    let rec go pc =
-      if pc >= Array.length body then begin
-        let psh = S.prof s in
-        if Prof.live psh then Prof.exit_top psh;
-        Ex_done
-      end
-      else begin
-        let step = body.(pc) in
-        let nput = Array.length step.Code.s_puts in
-        S.charge s ((nput + 1) * cost.Cost.code_instr);
-        stats.Stats.code_instrs <- stats.Stats.code_instrs + nput + 1;
-        match step.Code.s_op with
-        | Code.O_builtin sym -> (
-          match call_builtin_step s ctx sym sc env step.Code.s_puts with
-          | Builtins.Ok -> go (pc + 1)
-          | Builtins.Fail -> Ex_fail
-          | Builtins.Not_builtin ->
-            (* seeded mutation only: surface as a goal so the engine
-               raises its ordinary existence error *)
-            Ex_goal (goal_of_regs sym nput sc.Code.s_regs, pc + 1))
-        | Code.O_call (sym, live) ->
-          ignore (Code.load_regs sc env step.Code.s_puts : Term.t array);
-          Ex_call (sym, nput, pc + 1, live)
-        | Code.O_execute sym ->
-          ignore (Code.load_regs sc env step.Code.s_puts : Term.t array);
-          Ex_exec (sym, nput)
-        | Code.O_goal p -> Ex_goal (Code.build_put env p, pc + 1)
-        | Code.O_par bodies -> Ex_par (List.map (Code.inst_bbody env) bodies, pc + 1)
-      end
-    in
-    go xf.Clause.xf_pc
+let unify_goal = charged_unify
 
-  let unify_goal s ~trail a b = charged_unify s ~trail a b
+let existence goal =
+  let name, arity =
+    match Term.functor_name_of goal with Some na -> na | None -> ("?", 0)
+  in
+  Errors.existence_error name arity
 
-  let existence goal =
-    let name, arity =
-      match Term.functor_name_of goal with Some na -> na | None -> ("?", 0)
-    in
-    Errors.existence_error name arity
+(* Profiler call port of a selection, and its fail port when nothing
+   matched the index. *)
+let prof_select psh k clauses =
+  Prof.call psh k;
+  if clauses = [] then Prof.fail psh k
 
-  let lookup s db goal =
-    S.charge s (S.cost s).Cost.index_lookup;
-    match Database.lookup db goal with
+(* Mode-aware clause selection: the compiled path goes through the
+   deep-indexing dispatch tree, the interpreted path through classic
+   first-argument indexing. *)
+let select a ~compiled db goal =
+  charge a a.cost.Cost.index_lookup;
+  let clauses =
+    match
+      if compiled then Database.lookup_code db goal
+      else Database.lookup db goal
+    with
     | Some clauses -> clauses
     | None -> existence goal
+  in
+  if Prof.live a.prof then prof_select a.prof (Prof.key_of_term goal) clauses;
+  clauses
 
-  (* Mode-aware clause selection: the compiled path goes through the
-     deep-indexing dispatch tree, the interpreted path through classic
-     first-argument indexing. *)
-  let select s ~compiled db goal =
-    let clauses =
-      if not compiled then lookup s db goal
-      else begin
-        S.charge s (S.cost s).Cost.index_lookup;
-        match Database.lookup_code db goal with
-        | Some clauses -> clauses
-        | None -> existence goal
-      end
-    in
-    let psh = S.prof s in
-    (if Prof.live psh then begin
-       let k = Prof.key_of_term goal in
-       Prof.call psh k;
-       if clauses = [] then Prof.fail psh k
-     end);
-    clauses
+(* Clause selection for a register call (compiled path only): walks the
+   dispatch tree rooted at the register file, so determinate recursion
+   selects its one clause without a goal term existing. *)
+let select_args a db sym arity args =
+  charge a a.cost.Cost.index_lookup;
+  let clauses =
+    match Database.lookup_code_args db sym arity args with
+    | Some clauses -> clauses
+    | None -> Errors.existence_error (Symbol.name sym) arity
+  in
+  if Prof.live a.prof then prof_select a.prof (Prof.key sym arity) clauses;
+  clauses
 
-  (* Clause selection for a register call (compiled path only): walks
-     the dispatch tree rooted at the register file, so determinate
-     recursion selects its one clause without a goal term existing. *)
-  let select_args s db sym arity args =
-    S.charge s (S.cost s).Cost.index_lookup;
-    let clauses =
-      match Database.lookup_code_args db sym arity args with
-      | Some clauses -> clauses
-      | None -> Errors.existence_error (Symbol.name sym) arity
-    in
-    let psh = S.prof s in
-    (if Prof.live psh then begin
-       let k = Prof.key sym arity in
-       Prof.call psh k;
-       if clauses = [] then Prof.fail psh k
-     end);
-    clauses
+let unsupported a g =
+  Errors.error "control construct %s not supported inside %s"
+    (Ace_term.Pp.to_string g) a.name
 
-  let unsupported _s g =
-    Errors.error "control construct %s not supported inside %s"
-      (Ace_term.Pp.to_string g) S.name
+(* ---------------------------------------------------------------- *)
+(* Tabling: SLG evaluation of tabled subgoals                        *)
+(*                                                                   *)
+(* A tabled call is answered from the shared answer table; when the  *)
+(* table is incomplete the calling worker evaluates the subgoal to   *)
+(* completion right here, with a private mini-solver, and only then  *)
+(* returns to the engine.  The engine consumes the finished answers  *)
+(* as pseudo-fact clauses through its ordinary choice-point/trail    *)
+(* machinery, so tabling never adds frame kinds to the engines.      *)
+(*                                                                   *)
+(* The mini-solver is an SLD interpreter in CPS over a private       *)
+(* trail, with generator frames kept on an explicit stack.  A call   *)
+(* to an incomplete on-stack subgoal is a consumer: it returns the   *)
+(* answers there so far and is saved on the consumed subgoal's frame *)
+(* with its continuation, its cursor and the private-trail bindings  *)
+(* of its activation (CAT-style copying).  A new answer queues its   *)
+(* frame, and the region's leader resumes that frame's consumers     *)
+(* from their cursors, so every consumer sees every answer exactly   *)
+(* once.                                                             *)
+(*                                                                   *)
+(* Regions are found Tarjan-style: a region records the shallowest   *)
+(* on-stack frame any of its activations consumed.  A frame whose    *)
+(* region never reaches below it, checked after its first pass and   *)
+(* after every round of resumptions, leads the region and completes  *)
+(* it; otherwise it hands the region to the frame that called it.    *)
+(*                                                                   *)
+(* A consumer under a cut, an if-then-else condition, negation or    *)
+(* call/1 could cut across the table if resumed later, so it only    *)
+(* reads the answers present (a fallback read), and the leader       *)
+(* re-passes the whole region until no fallback read missed an       *)
+(* answer.                                                           *)
+(*                                                                   *)
+(* Answer sets only grow and inserts are deduplicated in the shared  *)
+(* table, so workers that evaluate the same region concurrently      *)
+(* never wait on each other: they at worst re-derive answers the     *)
+(* table rejects as duplicates.                                      *)
 
-  (* ---------------------------------------------------------------- *)
-  (* Tabling: SLG evaluation of tabled subgoals                        *)
-  (*                                                                   *)
-  (* A tabled call is answered from the shared answer table; when the  *)
-  (* table is incomplete the calling worker evaluates the subgoal to   *)
-  (* completion right here, with a private mini-solver, and only then  *)
-  (* returns to the engine.  The engine consumes the finished answers  *)
-  (* as pseudo-fact clauses through its ordinary choice-point/trail    *)
-  (* machinery, so tabling never adds frame kinds to the engines.      *)
-  (*                                                                   *)
-  (* The mini-solver is an SLD interpreter in CPS over a private       *)
-  (* trail, with generator frames kept on an explicit stack.  A call   *)
-  (* to an incomplete on-stack subgoal is a consumer: it returns the   *)
-  (* answers there so far and is saved on the consumed subgoal's frame *)
-  (* with its continuation, its cursor and the private-trail bindings  *)
-  (* of its activation (CAT-style copying).  A new answer queues its   *)
-  (* frame, and the region's leader resumes that frame's consumers     *)
-  (* from their cursors, so every consumer sees every answer exactly   *)
-  (* once.                                                             *)
-  (*                                                                   *)
-  (* Regions are found Tarjan-style: a region records the shallowest   *)
-  (* on-stack frame any of its activations consumed.  A frame whose    *)
-  (* region never reaches below it, checked after its first pass and   *)
-  (* after every round of resumptions, leads the region and completes  *)
-  (* it; otherwise it hands the region to the frame that called it.    *)
-  (*                                                                   *)
-  (* A consumer under a cut, an if-then-else condition, negation or    *)
-  (* call/1 could cut across the table if resumed later, so it only    *)
-  (* reads the answers present (a fallback read), and the leader       *)
-  (* re-passes the whole region until no fallback read missed an       *)
-  (* answer.                                                           *)
-  (*                                                                   *)
-  (* Answer sets only grow and inserts are deduplicated in the shared  *)
-  (* table, so workers that evaluate the same region concurrently      *)
-  (* never wait on each other: they at worst re-derive answers the     *)
-  (* table rejects as duplicates.                                      *)
+exception Cut_hit of int
 
-  exception Cut_hit of int
+type tframe = {
+  fr_entry : Table.entry;
+  fr_depth : int;            (* position on the generator stack *)
+  mutable fr_passes : int;
+  mutable fr_consumers : consumer list;  (* saved consumers of the entry *)
+  mutable fr_queued : bool;  (* on its region's queue *)
+}
 
-  type tframe = {
-    fr_entry : Table.entry;
-    fr_depth : int;            (* position on the generator stack *)
-    mutable fr_passes : int;
-    mutable fr_consumers : consumer list;  (* saved consumers of the entry *)
-    mutable fr_queued : bool;  (* on its region's queue *)
-  }
+(* A saved consumer: [co_sk] derives answers of [co_owner]'s subgoal
+   from each answer unified with [co_goal], once the bindings of its
+   activation ([co_vars] := [co_vals], the private-trail segment since
+   that activation began) are back in place. *)
+and consumer = {
+  co_goal : Term.t;
+  co_sk : unit -> unit;
+  co_owner : tframe;
+  co_vars : Term.var array;
+  co_vals : Term.t option array;
+  mutable co_cursor : int;   (* answers already returned *)
+}
 
-  (* A saved consumer: [co_sk] derives answers of [co_owner]'s subgoal
-     from each answer unified with [co_goal], once the bindings of its
-     activation ([co_vars] := [co_vals], the private-trail segment since
-     that activation began) are back in place. *)
-  and consumer = {
-    co_goal : Term.t;
-    co_sk : unit -> unit;
-    co_owner : tframe;
-    co_vars : Term.var array;
-    co_vals : Term.t option array;
-    mutable co_cursor : int;   (* answers already returned *)
-  }
+(* A region under evaluation: the frames at or above its candidate
+   leader.  Nested regions complete inside an enclosing one; a region
+   that reaches below its candidate is handed to the enclosing one. *)
+type tregion = {
+  mutable rg_low : int;            (* shallowest on-stack frame consumed *)
+  mutable rg_queue : tframe list;  (* frames with answers not yet returned *)
+  mutable rg_fallback : (Table.entry * int) list;
+    (* fallback reads: the entry and how many answers one returned *)
+}
 
-  (* A region under evaluation: the frames at or above its candidate
-     leader.  Nested regions complete inside an enclosing one; a region
-     that reaches below its candidate is handed to the enclosing one. *)
-  type tregion = {
-    mutable rg_low : int;            (* shallowest on-stack frame consumed *)
-    mutable rg_queue : tframe list;  (* frames with answers not yet returned *)
-    mutable rg_fallback : (Table.entry * int) list;
-      (* fallback reads: the entry and how many answers one returned *)
-  }
+type teval = {
+  tv_a : agent;
+  tv_table : Table.t;
+  tv_db : Database.t;
+  tv_compiled : bool;
+  tv_ctx : Builtins.ctx;     (* engine ctx rebased on the private trail *)
+  tv_trail : Trail.t;
+  mutable tv_frames : tframe list;        (* generator stack, newest first *)
+  tv_on_stack : (int, tframe) Hashtbl.t;  (* entry id -> its frame *)
+  mutable tv_cur : tframe option;         (* the frame whose activation runs *)
+  mutable tv_base : int;                  (* trail mark where it began *)
+  mutable tv_region : tregion;
+  mutable tv_cuts : int;                  (* fresh cut-barrier ids *)
+}
 
-  type teval = {
-    tv_s : S.t;
-    tv_table : Table.t;
-    tv_db : Database.t;
-    tv_compiled : bool;
-    tv_ctx : Builtins.ctx;     (* engine ctx rebased on the private trail *)
-    tv_trail : Trail.t;
-    mutable tv_frames : tframe list;        (* generator stack, newest first *)
-    tv_on_stack : (int, tframe) Hashtbl.t;  (* entry id -> its frame *)
-    mutable tv_cur : tframe option;         (* the frame whose activation runs *)
-    mutable tv_base : int;                  (* trail mark where it began *)
-    mutable tv_region : tregion;
-    mutable tv_cuts : int;                  (* fresh cut-barrier ids *)
-  }
+let new_region low = { rg_low = low; rg_queue = []; rg_fallback = [] }
 
-  let new_region low = { rg_low = low; rg_queue = []; rg_fallback = [] }
+let queued rg = match rg.rg_queue with [] -> false | _ :: _ -> true
 
-  let queued rg = match rg.rg_queue with [] -> false | _ :: _ -> true
+(* Whether a body can cut to its clause's barrier ([!] outside any
+   opaque construct).  Such a clause's continuations are never saved. *)
+let rec goal_cuts g =
+  let g = Term.deref g in
+  (not (is_plain g))
+  &&
+  match classify g with
+  | Cut -> true
+  | Conj g' | Amp g' -> (
+    match Term.deref g' with
+    | Term.Struct (_, [| a; b |]) -> goal_cuts a || goal_cuts b
+    | _ -> false)
+  | Disj (a, b) | Ite (_, a, b) -> goal_cuts a || goal_cuts b
+  | Naf _ | Meta _ | Sentinel _ | Goal _ -> false
 
-  (* Whether a body can cut to its clause's barrier ([!] outside any
-     opaque construct).  Such a clause's continuations are never saved. *)
-  let rec goal_cuts g =
-    let g = Term.deref g in
-    (not (is_plain g))
-    &&
-    match classify g with
-    | Cut -> true
-    | Conj g' | Amp g' -> (
-      match Term.deref g' with
-      | Term.Struct (_, [| a; b |]) -> goal_cuts a || goal_cuts b
-      | _ -> false)
-    | Disj (a, b) | Ite (_, a, b) -> goal_cuts a || goal_cuts b
-    | Naf _ | Meta _ | Sentinel _ | Goal _ -> false
+let rec body_cuts body =
+  List.exists
+    (function
+      | Clause.Call g -> goal_cuts g
+      | Clause.Par bodies -> List.exists body_cuts bodies
+      | Clause.Exec _ -> false)
+    body
 
-  let rec body_cuts body =
-    List.exists
-      (function
-        | Clause.Call g -> goal_cuts g
-        | Clause.Par bodies -> List.exists body_cuts bodies
-        | Clause.Exec _ -> false)
-      body
+(* A solution of [fr]'s subgoal: publish it into the shared table
+   (insert-if-new; only a new answer is copied) and queue [fr] for its
+   saved consumers. *)
+let tinsert tv fr goal =
+  let stats = tv.tv_a.stats in
+  let entry = fr.fr_entry in
+  match Table.insert tv.tv_table entry goal with
+  | Table.Inserted ->
+    stats.Stats.table_answers <- stats.Stats.table_answers + 1;
+    record tv.tv_a Trace.Table_answer entry.Table.id;
+    (match fr.fr_consumers with
+    | _ :: _ when not fr.fr_queued ->
+      fr.fr_queued <- true;
+      tv.tv_region.rg_queue <- fr :: tv.tv_region.rg_queue
+    | _ -> ())
+  | Table.Duplicate -> ()
+  | Table.Overflow ->
+    Errors.error "tabled subgoal %s exceeded the answer limit %d (raise it with --table-max-answers)"
+      (Ace_term.Pp.to_canonical_string entry.Table.subgoal)
+      (Table.max_answers tv.tv_table)
 
-  (* A solution of [fr]'s subgoal: publish it into the shared table
-     (insert-if-new; only a new answer is copied) and queue [fr] for its
-     saved consumers. *)
-  let tinsert tv fr goal =
-    let stats = S.stats tv.tv_s in
+(* Returns one answer to [goal]. *)
+let return_answer tv goal ans sk =
+  let a = tv.tv_a and trail = tv.tv_trail in
+  let inst = if Term.is_ground ans then ans else Term.rename ans in
+  let mark = Trail.mark trail in
+  if unify_goal a ~trail goal inst then begin
+    sk ();
+    untrail a trail mark
+  end
+
+(* Returns answers [i ..] of [entry] to [goal], including answers
+   appended meanwhile; the number read. *)
+let rec read_answers tv entry goal sk i =
+  if i >= Table.answer_count entry then i
+  else begin
+    return_answer tv goal (Table.answer entry i) sk;
+    read_answers tv entry goal sk (i + 1)
+  end
+
+(* Returns a saved consumer the answers past its cursor. *)
+let return_unseen tv entry co =
+  while co.co_cursor < Table.answer_count entry do
+    let ans = Table.answer entry co.co_cursor in
+    co.co_cursor <- co.co_cursor + 1;
+    return_answer tv co.co_goal ans co.co_sk
+  done
+
+(* Runs [f] as an activation of [fr]: consumers saved inside it belong
+   to [fr] and copy the private-trail segment from here. *)
+let activation tv fr f =
+  let saved_cur = tv.tv_cur and saved_base = tv.tv_base in
+  tv.tv_cur <- Some fr;
+  tv.tv_base <- Trail.mark tv.tv_trail;
+  f ();
+  tv.tv_cur <- saved_cur;
+  tv.tv_base <- saved_base
+
+(* Resumes a saved consumer: reinstalls its bindings (trailed, so the
+   activation's end undoes them) and returns its unseen answers. *)
+let resume tv entry co =
+  let a = tv.tv_a and trail = tv.tv_trail in
+  activation tv co.co_owner (fun () ->
+      let base = Trail.mark trail in
+      let n = Array.length co.co_vars in
+      for i = 0 to n - 1 do
+        let v = co.co_vars.(i) in
+        v.Term.binding <- co.co_vals.(i);
+        Trail.push trail v
+      done;
+      charge a (n * a.cost.Cost.trail_push);
+      a.stats.Stats.trail_pushes <- a.stats.Stats.trail_pushes + n;
+      return_unseen tv entry co;
+      untrail a trail base)
+
+(* Rounds of resumptions: a queued frame's consumers get its unseen
+   answers; new answers queue their frames again. *)
+let rec drain tv rg =
+  match rg.rg_queue with
+  | [] -> ()
+  | fr :: rest ->
+    rg.rg_queue <- rest;
+    fr.fr_queued <- false;
     let entry = fr.fr_entry in
-    match Table.insert tv.tv_table entry goal with
-    | Table.Inserted ->
-      stats.Stats.table_answers <- stats.Stats.table_answers + 1;
-      S.record tv.tv_s Trace.Table_answer entry.Table.id;
-      (match fr.fr_consumers with
-      | _ :: _ when not fr.fr_queued ->
-        fr.fr_queued <- true;
-        tv.tv_region.rg_queue <- fr :: tv.tv_region.rg_queue
-      | _ -> ())
-    | Table.Duplicate -> ()
-    | Table.Overflow ->
-      Errors.error "tabled subgoal %s exceeded the answer limit %d (raise it with --table-max-answers)"
-        (Ace_term.Pp.to_canonical_string entry.Table.subgoal)
-        (Table.max_answers tv.tv_table)
+    List.iter
+      (fun co ->
+        if co.co_cursor < Table.answer_count entry then resume tv entry co)
+      fr.fr_consumers;
+    drain tv rg
 
-  (* Returns one answer to [goal]. *)
-  let return_answer tv goal ans sk =
-    let s = tv.tv_s and trail = tv.tv_trail in
-    let inst = if Term.is_ground ans then ans else Term.rename ans in
-    let mark = Trail.mark trail in
-    if unify_goal s ~trail goal inst then begin
-      sk ();
-      untrail s trail mark
-    end
-
-  (* Returns answers [i ..] of [entry] to [goal], including answers
-     appended meanwhile; the number read. *)
-  let rec read_answers tv entry goal sk i =
-    if i >= Table.answer_count entry then i
-    else begin
-      return_answer tv goal (Table.answer entry i) sk;
-      read_answers tv entry goal sk (i + 1)
-    end
-
-  (* Returns a saved consumer the answers past its cursor. *)
-  let return_unseen tv entry co =
-    while co.co_cursor < Table.answer_count entry do
-      let ans = Table.answer entry co.co_cursor in
-      co.co_cursor <- co.co_cursor + 1;
-      return_answer tv co.co_goal ans co.co_sk
-    done
-
-  (* Runs [f] as an activation of [fr]: consumers saved inside it belong
-     to [fr] and copy the private-trail segment from here. *)
-  let activation tv fr f =
-    let saved_cur = tv.tv_cur and saved_base = tv.tv_base in
-    tv.tv_cur <- Some fr;
-    tv.tv_base <- Trail.mark tv.tv_trail;
-    f ();
-    tv.tv_cur <- saved_cur;
-    tv.tv_base <- saved_base
-
-  (* Resumes a saved consumer: reinstalls its bindings (trailed, so the
-     activation's end undoes them) and returns its unseen answers. *)
-  let resume tv entry co =
-    let s = tv.tv_s and trail = tv.tv_trail in
-    activation tv co.co_owner (fun () ->
-        let base = Trail.mark trail in
-        let n = Array.length co.co_vars in
-        for i = 0 to n - 1 do
-          let v = co.co_vars.(i) in
-          v.Term.binding <- co.co_vals.(i);
-          Trail.push trail v
-        done;
-        S.charge s (n * (S.cost s).Cost.trail_push);
-        (S.stats s).Stats.trail_pushes <- (S.stats s).Stats.trail_pushes + n;
-        return_unseen tv entry co;
-        untrail s trail base)
-
-  (* Rounds of resumptions: a queued frame's consumers get its unseen
-     answers; new answers queue their frames again. *)
-  let rec drain tv rg =
-    match rg.rg_queue with
-    | [] -> ()
-    | fr :: rest ->
-      rg.rg_queue <- rest;
-      fr.fr_queued <- false;
+(* Queues every region frame with a consumer behind its entry's count.
+   Only another worker's inserts into a shared entry leave one behind:
+   this worker's own inserts queue their frame. *)
+let requeue_behind tv rg depth =
+  let rec go = function
+    | fr :: rest when fr.fr_depth >= depth ->
       let entry = fr.fr_entry in
-      List.iter
-        (fun co ->
-          if co.co_cursor < Table.answer_count entry then resume tv entry co)
-        fr.fr_consumers;
-      drain tv rg
+      if
+        (not fr.fr_queued)
+        && List.exists
+             (fun co -> co.co_cursor < Table.answer_count entry)
+             fr.fr_consumers
+      then begin
+        fr.fr_queued <- true;
+        rg.rg_queue <- fr :: rg.rg_queue
+      end;
+      go rest
+    | _ -> ()
+  in
+  go tv.tv_frames
 
-  (* Queues every region frame with a consumer behind its entry's count.
-     Only another worker's inserts into a shared entry leave one behind:
-     this worker's own inserts queue their frame. *)
-  let requeue_behind tv rg depth =
-    let rec go = function
-      | fr :: rest when fr.fr_depth >= depth ->
-        let entry = fr.fr_entry in
-        if
-          (not fr.fr_queued)
-          && List.exists
-               (fun co -> co.co_cursor < Table.answer_count entry)
-               fr.fr_consumers
-        then begin
-          fr.fr_queued <- true;
-          rg.rg_queue <- fr :: rg.rg_queue
-        end;
-        go rest
-      | _ -> ()
-    in
-    go tv.tv_frames
-
-  (* The body solver: SLD resolution in CPS.  Invariant: every entry
-     point returns with the private trail restored to its state at the
-     call, and [sk] is invoked once per solution with the bindings in
-     place.  Cut is an exception barrier: each predicate invocation (and
-     each cut-opaque construct) allocates a fresh id; [!] succeeds and
-     then raises to its barrier, whose handler restores the trail.
-     [safe] says that no [!] reachable from [sk] targets a barrier of
-     this invocation: only then may a consumer's continuation be saved
-     and resumed after the barriers are gone. *)
-  let rec tsolve tv ~cut ~safe goal sk =
-    let g = Term.deref goal in
-    if is_plain g then tcall tv ~safe g sk
-    else
-      match classify g with
-      | Cut ->
-        sk ();
-        raise (Cut_hit cut)
-      | Conj g' | Amp g' -> (
-        (* no parallel machinery inside a generator: '&' runs as ',' *)
-        match Term.deref g' with
-        | Term.Struct (_, [| a; b |]) ->
-          tsolve tv ~cut ~safe a (fun () -> tsolve tv ~cut ~safe b sk)
-        | _ -> assert false)
-      | Disj (a, b) ->
-        tsolve tv ~cut ~safe a sk;
-        tsolve tv ~cut ~safe b sk
-      | Ite (c, t, e) ->
-        let s = tv.tv_s in
-        let mark = Trail.mark tv.tv_trail in
-        tv.tv_cuts <- tv.tv_cuts + 1;
-        let bid = tv.tv_cuts in
-        let taken = ref false in
-        (try
-           tsolve tv ~cut:bid ~safe:false c (fun () ->
-               taken := true;
-               raise (Cut_hit bid))
-         with Cut_hit i when i = bid -> ());
-        if !taken then begin
-          (* committed to the condition's first solution: its bindings
-             are still in place (the barrier raise skipped the undos) *)
-          tsolve tv ~cut ~safe t sk;
-          untrail s tv.tv_trail mark
-        end
-        else tsolve tv ~cut ~safe e sk
-      | Naf g' ->
-        let s = tv.tv_s in
-        let mark = Trail.mark tv.tv_trail in
-        tv.tv_cuts <- tv.tv_cuts + 1;
-        let bid = tv.tv_cuts in
-        let found = ref false in
-        (try
-           tsolve tv ~cut:bid ~safe:false g' (fun () ->
-               found := true;
-               raise (Cut_hit bid))
-         with Cut_hit i when i = bid -> ());
-        untrail s tv.tv_trail mark;
-        if not !found then sk ()
-      | Meta g' ->
-        (* call/1 is cut-opaque: a fresh barrier, absorbed here *)
-        tv.tv_cuts <- tv.tv_cuts + 1;
-        let bid = tv.tv_cuts in
-        let mark = Trail.mark tv.tv_trail in
-        (try tsolve tv ~cut:bid ~safe:false g' sk
-         with Cut_hit i when i = bid -> untrail tv.tv_s tv.tv_trail mark)
-      | Sentinel _ ->
-        Errors.error "solution sentinel inside a tabled generator"
-      | Goal g' -> tcall tv ~safe g' sk
-
-  and tcall tv ~safe g sk =
-    let s = tv.tv_s in
-    (* the generator's chokepoint: a region's evaluation never returns
-       to the engine, so an abort must fire here.  The raise unwinds out
-       of [table_call] before [set_complete]: the entry keeps its
-       (monotone, deduplicated) partial answers and is simply
-       re-evaluated by the next caller. *)
-    Cancel.check (S.cancel s);
-    let mark = Trail.mark tv.tv_trail in
-    match call_builtin s tv.tv_ctx g with
-    | Builtins.Ok ->
+(* The body solver: SLD resolution in CPS.  Invariant: every entry
+   point returns with the private trail restored to its state at the
+   call, and [sk] is invoked once per solution with the bindings in
+   place.  Cut is an exception barrier: each predicate invocation (and
+   each cut-opaque construct) allocates a fresh id; [!] succeeds and
+   then raises to its barrier, whose handler restores the trail.
+   [safe] says that no [!] reachable from [sk] targets a barrier of
+   this invocation: only then may a consumer's continuation be saved
+   and resumed after the barriers are gone. *)
+let rec tsolve tv ~cut ~safe goal sk =
+  let g = Term.deref goal in
+  if is_plain g then tcall tv ~safe g sk
+  else
+    match classify g with
+    | Cut ->
       sk ();
-      untrail s tv.tv_trail mark
-    | Builtins.Fail -> untrail s tv.tv_trail mark
-    | Builtins.Not_builtin ->
-      if Database.is_tabled_goal tv.tv_db g then ttabled tv ~safe g sk
-      else tresolve tv ~safe g sk
+      raise (Cut_hit cut)
+    | Conj g' | Amp g' -> (
+      (* no parallel machinery inside a generator: '&' runs as ',' *)
+      match Term.deref g' with
+      | Term.Struct (_, [| a; b |]) ->
+        tsolve tv ~cut ~safe a (fun () -> tsolve tv ~cut ~safe b sk)
+      | _ -> assert false)
+    | Disj (a, b) ->
+      tsolve tv ~cut ~safe a sk;
+      tsolve tv ~cut ~safe b sk
+    | Ite (c, t, e) ->
+      let a = tv.tv_a in
+      let mark = Trail.mark tv.tv_trail in
+      tv.tv_cuts <- tv.tv_cuts + 1;
+      let bid = tv.tv_cuts in
+      let taken = ref false in
+      (try
+         tsolve tv ~cut:bid ~safe:false c (fun () ->
+             taken := true;
+             raise (Cut_hit bid))
+       with Cut_hit i when i = bid -> ());
+      if !taken then begin
+        (* committed to the condition's first solution: its bindings
+           are still in place (the barrier raise skipped the undos) *)
+        tsolve tv ~cut ~safe t sk;
+        untrail a tv.tv_trail mark
+      end
+      else tsolve tv ~cut ~safe e sk
+    | Naf g' ->
+      let a = tv.tv_a in
+      let mark = Trail.mark tv.tv_trail in
+      tv.tv_cuts <- tv.tv_cuts + 1;
+      let bid = tv.tv_cuts in
+      let found = ref false in
+      (try
+         tsolve tv ~cut:bid ~safe:false g' (fun () ->
+             found := true;
+             raise (Cut_hit bid))
+       with Cut_hit i when i = bid -> ());
+      untrail a tv.tv_trail mark;
+      if not !found then sk ()
+    | Meta g' ->
+      (* call/1 is cut-opaque: a fresh barrier, absorbed here *)
+      tv.tv_cuts <- tv.tv_cuts + 1;
+      let bid = tv.tv_cuts in
+      let mark = Trail.mark tv.tv_trail in
+      (try tsolve tv ~cut:bid ~safe:false g' sk
+       with Cut_hit i when i = bid -> untrail tv.tv_a tv.tv_trail mark)
+    | Sentinel _ ->
+      Errors.error "solution sentinel inside a tabled generator"
+    | Goal g' -> tcall tv ~safe g' sk
 
-  (* Plain (untabled) user predicate: ordinary clause resolution.  The
-     compiled flag only steers clause selection through the dispatch
-     tree; bodies are resolved interpreted, which is observationally
-     equivalent and keeps the generator solver small. *)
-  and tresolve tv ~safe goal sk =
-    let s = tv.tv_s in
-    let clauses = select s ~compiled:tv.tv_compiled tv.tv_db goal in
-    tv.tv_cuts <- tv.tv_cuts + 1;
-    let bid = tv.tv_cuts in
-    let mark = Trail.mark tv.tv_trail in
-    try
-      List.iter
-        (fun clause ->
-          let m = Trail.mark tv.tv_trail in
-          (match try_clause s ~trail:tv.tv_trail goal clause with
-          | R_fail -> ()
-          | R_body body ->
-            tbody tv ~cut:bid ~safe:(safe && not (body_cuts body)) body sk
-          | R_exec _ -> assert false (* try_clause never answers R_exec *));
-          untrail s tv.tv_trail m)
-        clauses
-    with Cut_hit i when i = bid -> untrail s tv.tv_trail mark
+and tcall tv ~safe g sk =
+  let a = tv.tv_a in
+  (* the generator's chokepoint: a region's evaluation never returns
+     to the engine, so an abort must fire here.  The raise unwinds out
+     of [table_call] before [set_complete]: the entry keeps its
+     (monotone, deduplicated) partial answers and is simply
+     re-evaluated by the next caller. *)
+  Cancel.check a.cancel;
+  let mark = Trail.mark tv.tv_trail in
+  match call_builtin a tv.tv_ctx g with
+  | Builtins.Ok ->
+    sk ();
+    untrail a tv.tv_trail mark
+  | Builtins.Fail -> untrail a tv.tv_trail mark
+  | Builtins.Not_builtin ->
+    if Database.is_tabled_goal tv.tv_db g then ttabled tv ~safe g sk
+    else tresolve tv ~safe g sk
 
-  and tbody tv ~cut ~safe body sk =
-    match body with
-    | [] -> sk ()
-    | Clause.Call g :: rest ->
-      tsolve tv ~cut ~safe g (fun () -> tbody tv ~cut ~safe rest sk)
-    | Clause.Par bodies :: rest ->
-      (* parallel conjunctions run sequentially inside a generator *)
-      tseq tv ~cut ~safe bodies (fun () -> tbody tv ~cut ~safe rest sk)
-    | Clause.Exec _ :: _ -> assert false (* interpreted bodies only *)
+(* Plain (untabled) user predicate: ordinary clause resolution.  The
+   compiled flag only steers clause selection through the dispatch
+   tree; bodies are resolved interpreted, which is observationally
+   equivalent and keeps the generator solver small. *)
+and tresolve tv ~safe goal sk =
+  let a = tv.tv_a in
+  let clauses = select a ~compiled:tv.tv_compiled tv.tv_db goal in
+  tv.tv_cuts <- tv.tv_cuts + 1;
+  let bid = tv.tv_cuts in
+  let mark = Trail.mark tv.tv_trail in
+  try
+    List.iter
+      (fun clause ->
+        let m = Trail.mark tv.tv_trail in
+        (match try_clause a ~trail:tv.tv_trail goal clause with
+        | R_fail -> ()
+        | R_body body ->
+          tbody tv ~cut:bid ~safe:(safe && not (body_cuts body)) body sk
+        | R_exec _ -> assert false (* try_clause never answers R_exec *));
+        untrail a tv.tv_trail m)
+      clauses
+  with Cut_hit i when i = bid -> untrail a tv.tv_trail mark
 
-  and tseq tv ~cut ~safe bodies sk =
-    match bodies with
-    | [] -> sk ()
-    | b :: rest -> tbody tv ~cut ~safe b (fun () -> tseq tv ~cut ~safe rest sk)
+and tbody tv ~cut ~safe body sk =
+  match body with
+  | [] -> sk ()
+  | Clause.Call g :: rest ->
+    tsolve tv ~cut ~safe g (fun () -> tbody tv ~cut ~safe rest sk)
+  | Clause.Par bodies :: rest ->
+    (* parallel conjunctions run sequentially inside a generator *)
+    tseq tv ~cut ~safe bodies (fun () -> tbody tv ~cut ~safe rest sk)
+  | Clause.Exec _ :: _ -> assert false (* interpreted bodies only *)
 
-  (* A tabled call inside a generator. *)
-  and ttabled tv ~safe g sk =
-    let stats = S.stats tv.tv_s in
-    let entry, created = Table.subgoal_entry tv.tv_table g in
-    if created then begin
-      stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
-      S.record tv.tv_s Trace.Table_subgoal entry.Table.id
-    end
-    else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
-    let read_complete () =
-      stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1;
-      ignore (read_answers tv entry g sk 0 : int)
+and tseq tv ~cut ~safe bodies sk =
+  match bodies with
+  | [] -> sk ()
+  | b :: rest -> tbody tv ~cut ~safe b (fun () -> tseq tv ~cut ~safe rest sk)
+
+(* A tabled call inside a generator. *)
+and ttabled tv ~safe g sk =
+  let stats = tv.tv_a.stats in
+  let entry, created = Table.subgoal_entry tv.tv_table g in
+  if created then begin
+    stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
+    record tv.tv_a Trace.Table_subgoal entry.Table.id
+  end
+  else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
+  let read_complete () =
+    stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1;
+    ignore (read_answers tv entry g sk 0 : int)
+  in
+  if Table.is_complete entry then read_complete ()
+  else
+    match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
+    | Some fr -> tconsume tv ~safe fr g sk
+    | None -> (
+      teval_entry tv entry;
+      if Table.is_complete entry then read_complete ()
+      else
+        (* the new entry joined an enclosing region *)
+        match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
+        | Some fr -> tconsume tv ~safe fr g sk
+        | None -> assert false (* a handed-up frame stays on the stack *))
+
+(* A consumer of [fr]'s incomplete subgoal (see the section comment):
+   saved and returned the answers so far, or, when not [safe], a
+   fallback read. *)
+and tconsume tv ~safe fr g sk =
+  let a = tv.tv_a in
+  let stats = a.stats in
+  stats.Stats.table_suspends <- stats.Stats.table_suspends + 1;
+  record a Trace.Table_suspend fr.fr_entry.Table.id;
+  let rg = tv.tv_region in
+  if fr.fr_depth < rg.rg_low then rg.rg_low <- fr.fr_depth;
+  if safe then begin
+    let owner =
+      match tv.tv_cur with
+      | Some cur -> cur
+      | None -> assert false (* on-stack entries imply an activation *)
     in
-    if Table.is_complete entry then read_complete ()
-    else
-      match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
-      | Some fr -> tconsume tv ~safe fr g sk
-      | None -> (
-        teval_entry tv entry;
-        if Table.is_complete entry then read_complete ()
-        else
-          (* the new entry joined an enclosing region *)
-          match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
-          | Some fr -> tconsume tv ~safe fr g sk
-          | None -> assert false (* a handed-up frame stays on the stack *))
-
-  (* A consumer of [fr]'s incomplete subgoal (see the section comment):
-     saved and returned the answers so far, or, when not [safe], a
-     fallback read. *)
-  and tconsume tv ~safe fr g sk =
-    let s = tv.tv_s in
-    let stats = S.stats s in
-    stats.Stats.table_suspends <- stats.Stats.table_suspends + 1;
-    S.record s Trace.Table_suspend fr.fr_entry.Table.id;
-    let rg = tv.tv_region in
-    if fr.fr_depth < rg.rg_low then rg.rg_low <- fr.fr_depth;
-    if safe then begin
-      let owner =
-        match tv.tv_cur with
-        | Some cur -> cur
-        | None -> assert false (* on-stack entries imply an activation *)
-      in
-      let vars =
-        Trail.segment tv.tv_trail ~lo:tv.tv_base ~hi:(Trail.size tv.tv_trail)
-      in
-      let co =
-        {
-          co_goal = g;
-          co_sk = sk;
-          co_owner = owner;
-          co_vars = vars;
-          co_vals = Array.map (fun (v : Term.var) -> v.Term.binding) vars;
-          co_cursor = 0;
-        }
-      in
-      fr.fr_consumers <- co :: fr.fr_consumers;
-      return_unseen tv fr.fr_entry co
-    end
-    else begin
-      (* a read cut short by a commit ([!], a condition, [\+] finding a
-         solution) records nothing: answers only append, so the answers
-         before the committing one, and the commit, are the same in any
-         later pass *)
-      let n = read_answers tv fr.fr_entry g sk 0 in
-      rg.rg_fallback <- (fr.fr_entry, n) :: rg.rg_fallback
-    end
-
-  (* One generator pass: a fresh instance of the subgoal resolved
-     against the program, every solution published into the entry.
-     Passes after the first are the fallback's naive re-passes. *)
-  and tpass tv fr =
-    let s = tv.tv_s in
-    let stats = S.stats s in
-    fr.fr_passes <- fr.fr_passes + 1;
-    if fr.fr_passes > 1 then begin
-      stats.Stats.table_resumes <- stats.Stats.table_resumes + 1;
-      S.record s Trace.Table_resume fr.fr_entry.Table.id
-    end;
-    activation tv fr (fun () ->
-        let goal = Term.rename fr.fr_entry.Table.subgoal in
-        tresolve tv ~safe:true goal (fun () -> tinsert tv fr goal))
-
-  (* Evaluates a new entry: push a generator frame, run its first pass
-     in a region of its own, then lead or hand up (see [lead]). *)
-  and teval_entry tv entry =
-    let s = tv.tv_s in
-    S.charge s (S.cost s).Cost.index_lookup;
-    let depth =
-      match tv.tv_frames with [] -> 0 | f :: _ -> f.fr_depth + 1
+    let vars =
+      Trail.segment tv.tv_trail ~lo:tv.tv_base ~hi:(Trail.size tv.tv_trail)
     in
-    let fr =
+    let co =
       {
-        fr_entry = entry;
-        fr_depth = depth;
-        fr_passes = 0;
-        fr_consumers = [];
-        fr_queued = false;
+        co_goal = g;
+        co_sk = sk;
+        co_owner = owner;
+        co_vars = vars;
+        co_vals = Array.map (fun (v : Term.var) -> v.Term.binding) vars;
+        co_cursor = 0;
       }
     in
-    tv.tv_frames <- fr :: tv.tv_frames;
-    Hashtbl.replace tv.tv_on_stack entry.Table.id fr;
-    let outer = tv.tv_region in
-    let rg = new_region depth in
-    tv.tv_region <- rg;
-    tpass tv fr;
-    lead tv fr rg outer
+    fr.fr_consumers <- co :: fr.fr_consumers;
+    return_unseen tv fr.fr_entry co
+  end
+  else begin
+    (* a read cut short by a commit ([!], a condition, [\+] finding a
+       solution) records nothing: answers only append, so the answers
+       before the committing one, and the commit, are the same in any
+       later pass *)
+    let n = read_answers tv fr.fr_entry g sk 0 in
+    rg.rg_fallback <- (fr.fr_entry, n) :: rg.rg_fallback
+  end
 
-  (* The leader rule, checked after the first pass and after every
-     round of resumptions: a region that consumed a frame below [fr] is
-     handed to [outer] (its queue and fallback reads with it), and the
-     frame that called [fr] keeps evaluating it.  Otherwise [fr] leads:
-     resume queued consumers, requeue consumers another worker's answers
-     left behind, re-pass the region while a fallback read missed an
-     answer, and complete the region once nothing is left to return. *)
-  and lead tv fr rg outer =
-    if rg.rg_low < fr.fr_depth then begin
-      tv.tv_region <- outer;
-      if rg.rg_low < outer.rg_low then outer.rg_low <- rg.rg_low;
-      outer.rg_queue <- List.rev_append rg.rg_queue outer.rg_queue;
-      outer.rg_fallback <- List.rev_append rg.rg_fallback outer.rg_fallback
-    end
-    else if queued rg then begin
-      drain tv rg;
+(* One generator pass: a fresh instance of the subgoal resolved
+   against the program, every solution published into the entry.
+   Passes after the first are the fallback's naive re-passes. *)
+and tpass tv fr =
+  let a = tv.tv_a in
+  let stats = a.stats in
+  fr.fr_passes <- fr.fr_passes + 1;
+  if fr.fr_passes > 1 then begin
+    stats.Stats.table_resumes <- stats.Stats.table_resumes + 1;
+    record a Trace.Table_resume fr.fr_entry.Table.id
+  end;
+  activation tv fr (fun () ->
+      let goal = Term.rename fr.fr_entry.Table.subgoal in
+      tresolve tv ~safe:true goal (fun () -> tinsert tv fr goal))
+
+(* Evaluates a new entry: push a generator frame, run its first pass
+   in a region of its own, then lead or hand up (see [lead]). *)
+and teval_entry tv entry =
+  let a = tv.tv_a in
+  charge a a.cost.Cost.index_lookup;
+  let depth =
+    match tv.tv_frames with [] -> 0 | f :: _ -> f.fr_depth + 1
+  in
+  let fr =
+    {
+      fr_entry = entry;
+      fr_depth = depth;
+      fr_passes = 0;
+      fr_consumers = [];
+      fr_queued = false;
+    }
+  in
+  tv.tv_frames <- fr :: tv.tv_frames;
+  Hashtbl.replace tv.tv_on_stack entry.Table.id fr;
+  let outer = tv.tv_region in
+  let rg = new_region depth in
+  tv.tv_region <- rg;
+  tpass tv fr;
+  lead tv fr rg outer
+
+(* The leader rule, checked after the first pass and after every
+   round of resumptions: a region that consumed a frame below [fr] is
+   handed to [outer] (its queue and fallback reads with it), and the
+   frame that called [fr] keeps evaluating it.  Otherwise [fr] leads:
+   resume queued consumers, requeue consumers another worker's answers
+   left behind, re-pass the region while a fallback read missed an
+   answer, and complete the region once nothing is left to return. *)
+and lead tv fr rg outer =
+  if rg.rg_low < fr.fr_depth then begin
+    tv.tv_region <- outer;
+    if rg.rg_low < outer.rg_low then outer.rg_low <- rg.rg_low;
+    outer.rg_queue <- List.rev_append rg.rg_queue outer.rg_queue;
+    outer.rg_fallback <- List.rev_append rg.rg_fallback outer.rg_fallback
+  end
+  else if queued rg then begin
+    drain tv rg;
+    lead tv fr rg outer
+  end
+  else begin
+    requeue_behind tv rg fr.fr_depth;
+    if queued rg then lead tv fr rg outer
+    else if
+      List.exists (fun (e, n) -> Table.answer_count e > n) rg.rg_fallback
+    then begin
+      rg.rg_fallback <- [];
+      let region =
+        List.rev
+          (List.filter (fun f -> f.fr_depth >= fr.fr_depth) tv.tv_frames)
+      in
+      List.iter (fun f -> tpass tv f) region;
       lead tv fr rg outer
     end
     else begin
-      requeue_behind tv rg fr.fr_depth;
-      if queued rg then lead tv fr rg outer
-      else if
-        List.exists (fun (e, n) -> Table.answer_count e > n) rg.rg_fallback
-      then begin
-        rg.rg_fallback <- [];
-        let region =
-          List.rev
-            (List.filter (fun f -> f.fr_depth >= fr.fr_depth) tv.tv_frames)
-        in
-        List.iter (fun f -> tpass tv f) region;
-        lead tv fr rg outer
-      end
-      else begin
-        tv.tv_region <- outer;
-        (* completion, deepest frame first (the leader logs last) *)
-        let rec pop () =
-          match tv.tv_frames with
-          | f :: rest when f.fr_depth >= fr.fr_depth ->
-            tv.tv_frames <- rest;
-            Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
-            Table.set_complete tv.tv_table f.fr_entry;
-            S.record tv.tv_s Trace.Table_complete f.fr_entry.Table.id;
-            pop ()
-          | _ -> ()
-        in
-        pop ()
-      end
+      tv.tv_region <- outer;
+      (* completion, deepest frame first (the leader logs last) *)
+      let rec pop () =
+        match tv.tv_frames with
+        | f :: rest when f.fr_depth >= fr.fr_depth ->
+          tv.tv_frames <- rest;
+          Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
+          Table.set_complete tv.tv_table f.fr_entry;
+          record tv.tv_a Trace.Table_complete f.fr_entry.Table.id;
+          pop ()
+        | _ -> ()
+      in
+      pop ()
     end
+  end
 
-  (* The engine entry point.  Ensures [goal]'s table is complete —
-     evaluating the subgoal synchronously when it is not — and returns
-     the answers as pseudo-fact clauses, so the engine's ordinary clause
-     machinery (choice points, trail, publication, profiling) enumerates
-     them exactly like a predicate of facts. *)
-  let table_call s ~table ~ctx ~compiled ~db goal =
-    let stats = S.stats s in
-    let entry, created = Table.subgoal_entry table goal in
-    if created then begin
-      stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
-      S.record s Trace.Table_subgoal entry.Table.id
-    end
-    else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
-    if Table.is_complete entry then
-      stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1
-    else begin
-      let trail = Trail.create () in
-      let tv =
-        {
-          tv_s = s;
-          tv_table = table;
-          tv_db = db;
-          tv_compiled = compiled;
-          tv_ctx = { ctx with Builtins.trail };
-          tv_trail = trail;
-          tv_frames = [];
-          tv_on_stack = Hashtbl.create 16;
-          tv_cur = None;
-          tv_base = 0;
-          tv_region = new_region max_int;
-          tv_cuts = 0;
-        }
-      in
-      teval_entry tv entry;
-      (* with no enclosing generator the entry's region cannot reach
-         below it, so it led its own region and is complete *)
-      assert (Table.is_complete entry)
-    end;
-    match entry.Table.answer_clauses with
-    | Some clauses -> clauses
-    | None ->
-      let clauses =
-        List.init (Table.answer_count entry) (fun i ->
-            let c = Clause.of_term (Table.answer entry i) in
-            (* precompile before publishing the clause so concurrent
-               readers never race on the mutable code slot *)
-            ignore (Code.of_clause c : Code.t);
-            c)
-      in
-      entry.Table.answer_clauses <- Some clauses;
-      clauses
-end
+(* The engine entry point.  Ensures [goal]'s table is complete —
+   evaluating the subgoal synchronously when it is not — and returns
+   the answers as pseudo-fact clauses, so the engine's ordinary clause
+   machinery (choice points, trail, publication, profiling) enumerates
+   them exactly like a predicate of facts. *)
+let table_call a ~table ~ctx ~compiled ~db goal =
+  let stats = a.stats in
+  let entry, created = Table.subgoal_entry table goal in
+  if created then begin
+    stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
+    record a Trace.Table_subgoal entry.Table.id
+  end
+  else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
+  if Table.is_complete entry then
+    stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1
+  else begin
+    let trail = Trail.create () in
+    let tv =
+      {
+        tv_a = a;
+        tv_table = table;
+        tv_db = db;
+        tv_compiled = compiled;
+        tv_ctx = { ctx with Builtins.trail };
+        tv_trail = trail;
+        tv_frames = [];
+        tv_on_stack = Hashtbl.create 16;
+        tv_cur = None;
+        tv_base = 0;
+        tv_region = new_region max_int;
+        tv_cuts = 0;
+      }
+    in
+    teval_entry tv entry;
+    (* with no enclosing generator the entry's region cannot reach
+       below it, so it led its own region and is complete *)
+    assert (Table.is_complete entry)
+  end;
+  match entry.Table.answer_clauses with
+  | Some clauses -> clauses
+  | None ->
+    let clauses =
+      List.init (Table.answer_count entry) (fun i ->
+          let c = Clause.of_term (Table.answer entry i) in
+          (* precompile before publishing the clause so concurrent
+             readers never race on the mutable code slot *)
+          ignore (Code.of_clause c : Code.t);
+          c)
+    in
+    entry.Table.answer_clauses <- Some clauses;
+    clauses
 
 (* ------------------------------------------------------------------ *)
 (* Optimization-schema decisions                                       *)

@@ -5,9 +5,12 @@
     the goal, dispatch builtins through {!Builtins}, look clauses up in
     the frozen database, unify a renamed head, and undo the trail on
     failure — while charging the {!Ace_machine.Cost} table and updating a
-    {!Ace_machine.Stats} shard.  This module owns that common machinery,
-    parameterized by a small {!SCHEDULER} signature so each engine keeps
-    only its scheduling policy (stacks, stealing, frames, publication).
+    {!Ace_machine.Stats} shard.  This module owns that common machinery
+    as plain functions over one concrete {!agent} record, which each
+    engine builds per execution context, so each engine keeps only its
+    scheduling policy (stacks, stealing, frames, publication).  A record
+    rather than a functor over the engine: OCaml without flambda calls
+    every functor-argument operation indirectly and never inlines it.
 
     The paper's optimization schemas (LPCO, LAO, SPO, PDO and the
     sequentialization/granularity schema) are exposed as pure,
@@ -23,53 +26,49 @@ module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
 
-(** What an engine must provide for the kernel to account work against
-    it.  [t] is the engine's per-execution-context handle (the machine
-    for the sequential engine, the simulator state for the simulated
-    engines, the worker for the multicore engine). *)
-module type SCHEDULER = sig
-  type t
+(** How an agent pays the charges the kernel makes. *)
+type clock =
+  | Cycles  (** added up in [cycles] (the sequential engine) *)
+  | Wall  (** dropped: the multicore engine is timed by the wall clock *)
+  | Ticks of Ace_sched.Sim.t
+      (** each charge advances the simulated agent running it *)
 
-  val name : string
-  (** Used in "control construct ... not supported inside <name>"
-      errors, e.g. ["the or-parallel engine"]. *)
+(** One execution context: the sequential machine, one multicore worker
+    domain, or one simulated agent.  Every field but [cycles] and [prof]
+    is fixed at creation; [stats], [sc], [prof] and [tbuf] are private
+    to the context (single writer). *)
+type agent = {
+  name : string;
+      (** the engine, in "control construct ... not supported inside
+          <name>" errors, e.g. ["the or-parallel engine"] *)
+  cost : Cost.t;
+  stats : Stats.t;  (** the shard this context's work is counted in *)
+  sc : Ace_lang.Code.scratch;
+      (** frame buffer and argument registers for compiled clause code *)
+  mutable prof : Ace_obs.Prof.shard;
+      (** {!Ace_obs.Prof.null} when profiling is off (every hook is then
+          a load and a branch); mutable because a profiler clock may need
+          the agent *)
+  cancel : Cancel.t;
+      (** polled inside the tabling mini-solver, whose evaluation never
+          passes through an engine chokepoint: {!table_call} then raises
+          {!Cancel.Cancelled}, leaving the entry incomplete but
+          consistent (monotone partial answers; the next caller
+          re-evaluates) *)
+  clock : clock;
+  mutable cycles : int;  (** abstract cycles charged so far ([Cycles]) *)
+  tbuf : Ace_obs.Trace.buffer;
+}
 
-  val cost : t -> Cost.t
+(** A fresh agent with its own scratch, [cycles] 0 and no profiler
+    shard. *)
+val agent :
+  name:string -> cost:Cost.t -> stats:Stats.t -> cancel:Cancel.t ->
+  clock:clock -> Ace_obs.Trace.buffer -> agent
 
-  val stats : t -> Stats.t
-  (** The stat shard work is attributed to right now (per simulated
-      agent / per domain; single-writer). *)
-
-  val charge : t -> int -> unit
-  (** Abstract-cycle accounting.  The wall-clock engine passes a
-      no-op. *)
-
-  val scratch : t -> Ace_lang.Code.scratch
-  (** The current context's execution scratch (frame buffer + argument
-      registers) for compiled clause code.  Must be private to the
-      scheduling context the other accessors describe (one per domain
-      on the multicore engine).  The simulated engines run interpreted
-      clauses only, so they implement it as a function that raises. *)
-
-  val prof : t -> Ace_obs.Prof.shard
-  (** The current context's profiler shard ({!Ace_obs.Prof.null} when
-      profiling is off — every kernel hook is then a load and a
-      branch).  Same single-writer discipline as [stats] and
-      [scratch]. *)
-
-  val record : t -> Ace_obs.Trace.kind -> int -> unit
-  (** Records a trace event into the current context's ring buffer (the
-      simulated engines stamp it with their virtual clock).  A no-op
-      when tracing is off. *)
-
-  val cancel : t -> Cancel.t
-  (** The run's cancellation token ({!Cancel.none} when the caller set
-      no deadline).  The kernel polls it inside the tabling mini-solver
-      — whose evaluation never passes through an engine chokepoint —
-      and raises {!Cancel.Cancelled} out of {!Resolver.table_call},
-      leaving the entry incomplete but consistent (monotone partial
-      answers; the next caller re-evaluates). *)
-end
+(** Records a trace event into the agent's buffer, stamped by its clock
+    (its cycles, the simulator's virtual time, or the wall clock). *)
+val record : agent -> Ace_obs.Trace.kind -> int -> unit
 
 (** Goal classification shared by every dispatch loop.  Constructors
     carry the decomposed subterms; [Goal] carries the dereferenced
@@ -104,16 +103,16 @@ val merge_shards : Stats.t array -> Stats.t
 
 (** What one clause try resolved to.  [R_exec] is the last-call case:
     the clause body ran to its final user call entirely on the scratch
-    frame, the callee's arguments are loaded in the scratch registers
-    ([SCHEDULER.scratch]), and nothing was stacked — the engine
-    re-enters clause selection directly ({!Resolver.select_args}), so a
-    determinate recursion loops in constant space. *)
+    frame, the callee's arguments are loaded in the agent's registers
+    ([agent.sc]), and nothing was stacked — the engine re-enters clause
+    selection directly ({!select_args}), so a determinate recursion loops
+    in constant space. *)
 type resolved =
   | R_fail
   | R_body of Clause.body
   | R_exec of Ace_term.Symbol.t * int  (** callee, arity; args in registers *)
 
-(** Where {!Resolver.exec_body} stopped — the next thing the engine must
+(** Where {!exec_body} stopped — the next thing the engine must
     schedule.  [Ex_call]/[Ex_exec] have the callee's arguments loaded in
     the scratch registers; [Ex_call] also carries the pc to resume the
     frame at and the number of frame slots still live there (see
@@ -144,94 +143,82 @@ val goal_of_regs : Ace_term.Symbol.t -> int -> Term.t array -> Term.t
     clause entry) before trimming. *)
 val trim_env : Clause.exec_frame -> int -> unit
 
-module Resolver (S : SCHEDULER) : sig
-  val call_builtin : S.t -> Builtins.ctx -> Term.t -> Builtins.outcome
-  (** Runs a builtin, translating its unification/arithmetic work and
-      trail growth into charges and stats. *)
+val call_builtin : agent -> Builtins.ctx -> Term.t -> Builtins.outcome
+(** Runs a builtin, translating its unification/arithmetic work and
+    trail growth into charges and stats. *)
 
-  val call_builtin_args :
-    S.t -> Builtins.ctx -> Ace_term.Symbol.t -> int -> Term.t array ->
-    Builtins.outcome
-  (** {!call_builtin} with the arguments spread in a register file — no
-      goal term exists on the compiled body path. *)
+val try_clause : agent -> trail:Trail.t -> Term.t -> Clause.t -> resolved
+(** Unifies a renamed clause head against the goal; on success returns
+    the instantiated body ([R_body], never [R_exec]), on failure undoes
+    the partial bindings (charged). *)
 
-  val try_clause : S.t -> trail:Trail.t -> Term.t -> Clause.t -> resolved
-  (** Unifies a renamed clause head against the goal; on success returns
-      the instantiated body ([R_body], never [R_exec]), on failure
-      undoes the partial bindings (charged). *)
+val try_code :
+  agent -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t -> Clause.t -> resolved
+(** Compiled counterpart of {!try_clause}: executes the clause's flat
+    instruction code ({!Ace_lang.Code}) against the goal arguments — same
+    trail contract, charged per executed instruction ([Cost.code_instr])
+    plus embedded unification steps.  A scratch-eligible body (builtins +
+    final execute) runs to its last call inline, yielding [R_exec] or
+    [R_body []]; any other body escapes as one [Clause.Exec] item over a
+    heap environment (counted in [Stats.env_allocs]). *)
 
-  val try_code :
-    S.t -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t -> Clause.t -> resolved
-  (** Compiled counterpart of {!try_clause}: executes the clause's flat
-      instruction code ({!Ace_lang.Code}) against the goal arguments —
-      same trail contract, charged per executed instruction
-      ([Cost.code_instr]) plus embedded unification steps.  A
-      scratch-eligible body (builtins + final execute) runs to its last
-      call inline, yielding [R_exec] or [R_body []]; any other body
-      escapes as one [Clause.Exec] item over a heap environment
-      (counted in [Stats.env_allocs]). *)
+val try_code_args :
+  agent -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t array -> Clause.t ->
+  resolved
+(** {!try_code} with the caller's arguments spread in a register file
+    (the [R_exec] fast path — no goal term on either side). *)
 
-  val try_code_args :
-    S.t -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t array -> Clause.t ->
-    resolved
-  (** {!try_code} with the caller's arguments spread in a register file
-      (the [R_exec] fast path — no goal term on either side). *)
+val resolve :
+  agent -> ctx:Builtins.ctx -> compiled:bool -> trail:Trail.t -> Term.t ->
+  Clause.t -> resolved
+(** {!try_code} when [compiled], {!try_clause} otherwise (the sequential
+    engine's two modes; every other engine calls one of them
+    directly). *)
 
-  val resolve :
-    S.t -> ctx:Builtins.ctx -> compiled:bool -> trail:Trail.t -> Term.t ->
-    Clause.t -> resolved
-  (** {!try_code} when [compiled], {!try_clause} otherwise (the
-      sequential engine's two modes; every other engine calls one of
-      them directly). *)
+val exec_body : agent -> ctx:Builtins.ctx -> Clause.exec_frame -> executed
+(** Executes a compiled body from its saved pc: consecutive builtins run
+    inline, the first step the kernel cannot finish is decoded for the
+    engine.  On [Ex_fail] the trail is NOT unwound here — the engine
+    backtracks to its own choice-point mark, exactly as when an
+    interpreted body goal fails. *)
 
-  val exec_body : S.t -> ctx:Builtins.ctx -> Clause.exec_frame -> executed
-  (** Executes a compiled body from its saved pc: consecutive builtins
-      run inline, the first step the kernel cannot finish is decoded for
-      the engine.  On [Ex_fail] the trail is NOT unwound here — the
-      engine backtracks to its own choice-point mark, exactly as when an
-      interpreted body goal fails. *)
+val unify_goal : agent -> trail:Trail.t -> Term.t -> Term.t -> bool
+(** Plain goal-level unification with the same accounting as a clause
+    try (used to replay recorded and-parallel solutions); undoes on
+    failure. *)
 
-  val unify_goal : S.t -> trail:Trail.t -> Term.t -> Term.t -> bool
-  (** Plain goal-level unification with the same accounting as a clause
-      try (used to replay recorded and-parallel solutions); undoes on
-      failure. *)
+val select : agent -> compiled:bool -> Database.t -> Term.t -> Clause.t list
+(** Indexed clause lookup, raising the existence error for unknown
+    procedures: the compiled path selects through the deep-indexing
+    dispatch tree ({!Database.lookup_code}), the interpreted path through
+    first-argument indexing. *)
 
-  val lookup : S.t -> Database.t -> Term.t -> Clause.t list
-  (** Indexed clause lookup; raises the existence error for unknown
-      procedures. *)
+val select_args :
+  agent -> Database.t -> Ace_term.Symbol.t -> int -> Term.t array ->
+  Clause.t list
+(** Clause selection for a register call: the dispatch tree walked from
+    the register file (compiled path only). *)
 
-  val select : S.t -> compiled:bool -> Database.t -> Term.t -> Clause.t list
-  (** Mode-aware {!lookup}: the compiled path selects through the
-      deep-indexing dispatch tree ({!Database.lookup_code}), the
-      interpreted path through first-argument indexing. *)
+val untrail : agent -> Trail.t -> int -> unit
+(** [untrail a trail mark] undoes to [mark], charging per entry. *)
 
-  val select_args :
-    S.t -> Database.t -> Ace_term.Symbol.t -> int -> Term.t array ->
-    Clause.t list
-  (** Clause selection for a register call: the dispatch tree walked
-      from the register file (compiled path only). *)
+val unsupported : agent -> Term.t -> 'a
+(** Raises the "control construct not supported" engine error. *)
 
-  val untrail : S.t -> Trail.t -> int -> unit
-  (** [untrail s trail mark] undoes to [mark], charging per entry. *)
-
-  val unsupported : S.t -> Term.t -> 'a
-  (** Raises the "control construct not supported" engine error. *)
-
-  val table_call :
-    S.t -> table:Ace_lang.Table.t -> ctx:Builtins.ctx -> compiled:bool ->
-    db:Database.t -> Term.t -> Clause.t list
-  (** SLG evaluation of a tabled call.  Ensures the call's subgoal table
-      is complete — when it is not, the calling worker evaluates the
-      subgoal to completion right here with a private solver (saved
-      consumers resumed with the answers they have not seen, over the
-      subgoal's strongly-connected region; see DESIGN.md, "Tabling") —
-      then returns the answers as pseudo-fact clauses, precompiled, so
-      the engine enumerates them through its ordinary clause machinery.
-      Workers never block on each other: concurrent callers of an
-      incomplete subgoal evaluate redundantly and deduplicate through
-      the shared answer table.  Raises the
-      engine error when a subgoal exceeds [Table.max_answers]. *)
-end
+val table_call :
+  agent -> table:Ace_lang.Table.t -> ctx:Builtins.ctx -> compiled:bool ->
+  db:Database.t -> Term.t -> Clause.t list
+(** SLG evaluation of a tabled call.  Ensures the call's subgoal table is
+    complete — when it is not, the calling agent evaluates the subgoal to
+    completion right here with a private solver (saved consumers resumed
+    with the answers they have not seen, over the subgoal's
+    strongly-connected region; see DESIGN.md, "Tabling") — then returns
+    the answers as pseudo-fact clauses, precompiled, so the engine
+    enumerates them through its ordinary clause machinery.  Workers never
+    block on each other: concurrent callers of an incomplete subgoal
+    evaluate redundantly and deduplicate through the shared answer
+    table.  Raises the engine error when a subgoal exceeds
+    [Table.max_answers]. *)
 
 (** The paper's optimization schemas as pure decisions (unit-tested in
     [test/test_kernel.ml]); engines implement only the mechanics. *)

@@ -61,12 +61,12 @@ type t = {
   table : Table.t; (* shared answer table for tabled predicates *)
   config : Config.t;
   cost : Cost.t;
-  shards : Stats.t array; (* one per simulated worker *)
-  tbufs : Trace.buffer array; (* one trace ring per simulated worker *)
+  ks : Kernel.agent array;
+    (* the kernel's view of each simulated worker: its stats shard, trace
+       ring and profiler shard, charges ticking the simulator *)
   chaos : Chaos.agent array; (* per-worker schedule-jitter streams *)
   sim : Sim.t;
   workers : worker array;
-  pshards : Prof.shard array; (* per-agent profiler shards *)
   goal : Term.t;
   output : Buffer.t option;
   cancel : Cancel.t;
@@ -87,14 +87,13 @@ let cur st =
   let c = Sim.current_agent st.sim in
   if c < 0 then 0 else c
 
-let shard st = st.shards.(cur st)
-let psh st = st.pshards.(cur st)
-
-let tbuf st = st.tbufs.(cur st)
+let ka st = st.ks.(cur st)
+let shard st = (ka st).stats
+let psh st = (ka st).prof
 
 (* Events are stamped with the virtual clock, so an exported trace shows
    the simulated schedule. *)
-let record st kind arg = Trace.record_at (tbuf st) ~ts:(Sim.now st.sim) kind arg
+let record st kind arg = Kernel.record (ka st) kind arg
 
 (* Schedule-exploration yield site: chaos may charge a few extra virtual
    cycles here.  The simulator always resumes the agent with the smallest
@@ -103,24 +102,6 @@ let record st kind arg = Trace.record_at (tbuf st) ~ts:(Sim.now st.sim) kind arg
 let chaos_yield st =
   let j = Chaos.jitter st.chaos.(cur st) in
   if j > 0 then Sim.tick j
-
-(* The kernel resolver instantiated for this engine: charges tick the
-   discrete-event simulator, stats go to the current agent's shard. *)
-module K = Kernel.Resolver (struct
-  type nonrec t = t
-
-  let name = "the or-parallel engine"
-  let cost st = st.cost
-  let stats = shard
-  let charge = charge
-
-  (* The simulators run interpreted clauses only (the paper's cost
-     model), so the kernel never asks for compiled-code registers. *)
-  let scratch _ = invalid_arg "the or-parallel engine runs no compiled code"
-  let prof = psh
-  let record = record
-  let cancel st = st.cancel
-end)
 
 (* Cancellation observed: stop the whole search exactly like a solution
    limit — [Sim.stop] discards the other agents' pending continuations,
@@ -169,7 +150,7 @@ let copy_state st ~victim ~thief =
 
 let ctx_of st w = Builtins.make_ctx ?output:st.output ~trail:w.w_trail ()
 
-let call_builtin st w goal = K.call_builtin st (ctx_of st w) goal
+let call_builtin st w goal = Kernel.call_builtin (ka st) (ctx_of st w) goal
 
 (* Choice-point creation, with the LAO check: if the current top node is
    exhausted, refurbish it in place instead of allocating a new node. *)
@@ -220,10 +201,10 @@ let rec run_worker st w (cont : Clause.item list) : unit =
 
 (* Resolves [goal] against one clause and runs its body before [cont]. *)
 and try_clause st w goal clause cont =
-  match K.try_clause st ~trail:w.w_trail goal clause with
+  match Kernel.try_clause (ka st) ~trail:w.w_trail goal clause with
   | Kernel.R_fail -> backtrack st w
   | Kernel.R_body body -> run_worker st w (body @ cont)
-  | Kernel.R_exec _ -> assert false (* [K.try_clause] never answers R_exec *)
+  | Kernel.R_exec _ -> assert false (* [try_clause] never answers R_exec *)
 
 and dispatch st w g cont =
   let g = Term.deref g in
@@ -252,7 +233,7 @@ and dispatch_control st w g cont =
     end
     else backtrack st w (* report-and-fail drives the full search *)
   | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-    K.unsupported st (Term.deref g)
+    Kernel.unsupported (ka st) (Term.deref g)
   | Kernel.Conj g | Kernel.Amp g -> run_worker st w (Clause.compile_body g @ cont)
   | Kernel.Meta g -> dispatch st w g cont
   | Kernel.Goal g -> (
@@ -270,9 +251,9 @@ and user_call st w g cont =
     (* tabled predicates answer from the shared table; the kernel
        completes the subgoal first when needed (see Kernel.table_call) *)
     if Database.is_tabled_goal st.db g then
-      K.table_call st ~table:st.table ~ctx:(ctx_of st w) ~compiled:false
-        ~db:st.db g
-    else K.select st ~compiled:false st.db g
+      Kernel.table_call (ka st) ~table:st.table ~ctx:(ctx_of st w)
+        ~compiled:false ~db:st.db g
+    else Kernel.select (ka st) ~compiled:false st.db g
   with
   | exception Cancel.Cancelled ->
     (* an abort inside the tabling mini-solver: the entry stays
@@ -305,7 +286,7 @@ and backtrack st w =
       | clause :: alts ->
         if Prof.live (psh st) then Prof.redo (psh st) (Prof.key_of_term cp.o_goal);
         cp.o_alts := alts;
-        K.untrail st w.w_trail cp.o_trail;
+        Kernel.untrail (ka st) w.w_trail cp.o_trail;
         charge st st.cost.Cost.cp_restore;
         try_clause st w cp.o_goal clause cp.o_cont)
   end
@@ -394,7 +375,7 @@ let try_steal st (w : worker) =
             charge st (visited * st.cost.Cost.backtrack_node);
             (shard st).Stats.bt_nodes_visited <-
               (shard st).Stats.bt_nodes_visited + visited;
-            K.untrail st w.w_trail cp.o_trail;
+            Kernel.untrail (ka st) w.w_trail cp.o_trail;
             charge st (st.cost.Cost.cp_restore + st.cost.Cost.steal_grab);
             (shard st).Stats.steals <- (shard st).Stats.steals + 1;
             record st Trace.Steal victim.w_id;
@@ -470,14 +451,19 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
     Array.init config.Config.agents (fun i ->
         { w_id = i; w_cps = []; w_trail = Trail.create (); w_idle = false })
   in
-  let shards = Array.init config.Config.agents (fun _ -> Stats.create ()) in
-  let pshards =
+  let ks =
     Array.init config.Config.agents (fun i ->
+        let a =
+          Kernel.agent ~name:"the or-parallel engine" ~cost:config.Config.cost
+            ~stats:(Stats.create ()) ~cancel ~clock:(Kernel.Ticks sim)
+            (Trace.buffer trace ~dom:i)
+        in
         if Prof.enabled prof then
-          Prof.shard prof ~dom:i ~stats:shards.(i)
-            ~clock:(fun () -> Sim.now sim)
-            ()
-        else Prof.null)
+          a.prof <-
+            Prof.shard prof ~dom:i ~stats:a.stats
+              ~clock:(fun () -> Sim.now sim)
+              ();
+        a)
   in
   {
     db;
@@ -487,12 +473,10 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
       | None -> Table.create ~max_answers:config.Config.table_max_answers ());
     config;
     cost = config.Config.cost;
-    shards;
-    tbufs = Array.init config.Config.agents (fun i -> Trace.buffer trace ~dom:i);
+    ks;
     chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
     sim;
     workers;
-    pshards;
     goal;
     output;
     cancel;
@@ -503,6 +487,7 @@ let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
   }
 
 let run st =
+  let shards = Array.map (fun (a : Kernel.agent) -> a.stats) st.ks in
   let init = Kernel.sentinel_body st.goal in
   Array.iter
     (fun w ->
@@ -512,8 +497,8 @@ let run st =
   Sim.run st.sim;
   {
     solutions = List.rev st.solutions;
-    stats = Kernel.merge_shards st.shards;
-    per_agent = st.shards;
+    stats = Kernel.merge_shards shards;
+    per_agent = shards;
     time = Sim.stop_time st.sim;
   }
 

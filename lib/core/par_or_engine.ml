@@ -132,17 +132,16 @@ type worker = {
   shard : Metrics.shard;
     (* worker-private metrics; single-writer, aggregated after the join *)
   stats : Stats.t; (* alias of [shard.s_stats], for the hot-path updates *)
-  tbuf : Trace.buffer; (* worker-private trace ring ([Trace.null] when off) *)
   out : Buffer.t option; (* worker-private output, appended after the join *)
   chaos : Chaos.agent;
     (* per-worker fault-injection stream ([Chaos.null_agent] when off) *)
   root : mach;
-  w_prof : Prof.shard;
-    (* worker-private profiler shard ([Prof.null] when profiling is off) *)
-  w_scratch : Code.scratch;
-    (* domain-private frame buffer + argument registers; shared by the
-       root machine and slot sub-machines (register use never spans a
-       machine switch) *)
+  k : Kernel.agent;
+    (* the kernel's view of this domain, charging nothing: its stats
+       shard, its trace ring ([Trace.null] when off), its profiler shard
+       ([Prof.null] when off) and its frame buffer + argument registers,
+       shared by the root machine and slot sub-machines (register use
+       never spans a machine switch) *)
 }
 
 let stopped w =
@@ -172,21 +171,6 @@ let make_mach ?slot ?output () =
     m_live = 0;
     m_slot = slot;
   }
-
-(* The kernel resolver instantiated for this engine: real time instead of
-   abstract cycles, so charging is a no-op and only stats remain. *)
-module K = Kernel.Resolver (struct
-  type t = worker
-
-  let name = "the or-parallel engine"
-  let cost w = w.sh.config.Config.cost
-  let stats w = w.stats
-  let charge _ _ = ()
-  let scratch w = w.w_scratch
-  let prof w = w.w_prof
-  let record w kind arg = Trace.record w.tbuf kind arg
-  let cancel w = w.sh.cancel
-end)
 
 (* ------------------------------------------------------------------ *)
 (* Publishing (the MUSE environment copy)                              *)
@@ -233,7 +217,7 @@ let publish w m =
     if skipped > 0 then begin
       w.stats.Stats.publish_skipped_small <-
         w.stats.Stats.publish_skipped_small + 1;
-      Trace.record w.tbuf Trace.Publish_skip skipped
+      Trace.record w.k.tbuf Trace.Publish_skip skipped
     end
   | _, Some cp ->
     let seg = Trail.segment m.m_trail ~lo:cp.cp_trail ~hi:(Trail.size m.m_trail) in
@@ -250,22 +234,22 @@ let publish w m =
           let cont = snapshot_body table cells cp.cp_cont in
           w.stats.Stats.copies <- w.stats.Stats.copies + 1;
           w.stats.Stats.copied_cells <- w.stats.Stats.copied_cells + !cells;
-          if Prof.live w.w_prof then Prof.copied w.w_prof !cells;
+          if Prof.live w.k.prof then Prof.copied w.k.prof !cells;
           Metrics.hist_add w.shard.Metrics.s_copy_cells !cells;
-          Trace.record w.tbuf Trace.Copy !cells;
+          Trace.record w.k.tbuf Trace.Copy !cells;
           Node { n_goal = goal; n_alts; n_cont = cont })
         chunks
     in
     Array.iteri (fun i (v : Term.var) -> v.Term.binding <- saved.(i)) seg;
     cp.cp_alts <- [];
     m.m_live <- m.m_live - 1;
-    if Prof.live w.w_prof then Prof.spawned w.w_prof (List.length tasks);
-    Trace.record w.tbuf Trace.Publish (List.length tasks);
+    if Prof.live w.k.prof then Prof.spawned w.k.prof (List.length tasks);
+    Trace.record w.k.tbuf Trace.Publish (List.length tasks);
     List.iter
       (fun task ->
         (match task with
          | Node { n_alts; _ } ->
-           Trace.record w.tbuf Trace.Task_spawn (List.length n_alts)
+           Trace.record w.k.tbuf Trace.Task_spawn (List.length n_alts)
          | Root _ | Slot _ -> ());
         Atomic.incr w.sh.outstanding;
         (* forced preemption between the accounting and the push widens the
@@ -280,10 +264,11 @@ let publish w m =
 (* ------------------------------------------------------------------ *)
 
 let try_alt w m goal = function
-  | Aclause clause -> K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail goal clause
+  | Aclause clause ->
+    Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail goal clause
   | Acombo row ->
     (* join replay: bind the tuple template to one cross-product row *)
-    if K.unify_goal w ~trail:m.m_trail goal row then Kernel.R_body []
+    if Kernel.unify_goal w.k ~trail:m.m_trail goal row then Kernel.R_body []
     else Kernel.R_fail
 
 let push_cp w m ~goal ~alts ~cont =
@@ -318,7 +303,7 @@ let record_solution w goal =
   Mutex.unlock sh.sol_mutex;
   if accepted then begin
     w.stats.Stats.solutions <- w.stats.Stats.solutions + 1;
-    Trace.record w.tbuf Trace.Solution 0
+    Trace.record w.k.tbuf Trace.Solution 0
   end
 
 let rec run_mach w m (cont : Clause.body) : unit =
@@ -340,7 +325,7 @@ let rec run_mach w m (cont : Clause.body) : unit =
    trimming here: choice points of this machine may resume the frame at
    an earlier pc, and published snapshots may replay it. *)
 and exec_frame w m xf cont =
-  match K.exec_body w ~ctx:m.m_ctx xf with
+  match Kernel.exec_body w.k ~ctx:m.m_ctx xf with
   | Kernel.Ex_fail -> backtrack w m
   | Kernel.Ex_done -> run_mach w m cont
   | Kernel.Ex_goal (g, pc) -> dispatch w m g (Kernel.exec_cont xf pc cont)
@@ -361,17 +346,17 @@ and continue w m resolved cont =
 and user_call_regs w m sym arity cont =
   if aborted w m then ()
   else
-    let regs = w.w_scratch.Code.s_regs in
+    let regs = w.k.sc.Code.s_regs in
     if Database.is_tabled w.sh.db sym arity then
       (* materialize the register call: tabled answers must outlive the
          registers, and the table keys on the goal term *)
       user_call w m (Kernel.goal_of_regs sym arity regs) cont
     else
-    match K.select_args w w.sh.db sym arity regs with
+    match Kernel.select_args w.k w.sh.db sym arity regs with
     | [] -> backtrack w m
     | [ clause ] ->
       continue w m
-        (K.try_code_args w ~ctx:m.m_ctx ~trail:m.m_trail regs clause)
+        (Kernel.try_code_args w.k ~ctx:m.m_ctx ~trail:m.m_trail regs clause)
         cont
     | clause :: rest ->
       (* nondeterminate: materialize the goal once — the alternatives in
@@ -379,13 +364,15 @@ and user_call_regs w m sym arity cont =
       let g = Kernel.goal_of_regs sym arity regs in
       push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
       if should_publish w m then publish w m;
-      continue w m (K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail g clause) cont
+      continue w m
+        (Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail g clause)
+        cont
 
 and dispatch w m g cont =
   let g = Term.deref g in
   if Kernel.is_plain g then
     (* the hot case, allocation-free: a plain user or builtin call *)
-    match K.call_builtin w m.m_ctx g with
+    match Kernel.call_builtin w.k m.m_ctx g with
     | Builtins.Ok -> run_mach w m cont
     | Builtins.Fail -> backtrack w m
     | Builtins.Not_builtin -> user_call w m g cont
@@ -398,11 +385,11 @@ and dispatch_control w m g cont =
     record_solution w goal;
     backtrack w m (* report-and-fail drives the full search *)
   | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-    K.unsupported w (Term.deref g)
+    Kernel.unsupported w.k (Term.deref g)
   | Kernel.Conj g | Kernel.Amp g -> run_mach w m (Clause.compile_body g @ cont)
   | Kernel.Meta g -> dispatch w m g cont
   | Kernel.Goal g -> (
-    match K.call_builtin w m.m_ctx g with
+    match Kernel.call_builtin w.k m.m_ctx g with
     | Builtins.Ok -> run_mach w m cont
     | Builtins.Fail -> backtrack w m
     | Builtins.Not_builtin -> user_call w m g cont)
@@ -414,19 +401,23 @@ and user_call w m g cont =
        block on each other: concurrent callers evaluate redundantly and
        deduplicate through the shared answer table. *)
     if Database.is_tabled_goal w.sh.db g then
-      K.table_call w ~table:w.sh.table ~ctx:m.m_ctx ~compiled:true
+      Kernel.table_call w.k ~table:w.sh.table ~ctx:m.m_ctx ~compiled:true
         ~db:w.sh.db g
-    else K.select w ~compiled:true w.sh.db g
+    else Kernel.select w.k ~compiled:true w.sh.db g
   in
   match clauses with
   | [] -> backtrack w m
   | [ clause ] ->
     (* determinate after indexing: no choice point *)
-    continue w m (K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail g clause) cont
+    continue w m
+      (Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail g clause)
+      cont
   | clause :: rest ->
     push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
     if should_publish w m then publish w m;
-    continue w m (K.try_code w ~ctx:m.m_ctx ~trail:m.m_trail g clause) cont
+    continue w m
+      (Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail g clause)
+      cont
 
 (* Private backtracking.  Taking the last alternative of an owned node
    trust-pops it and continues in place — the engine's structural LAO. *)
@@ -443,20 +434,20 @@ and backtrack w m =
       match cp.cp_alts with
       | [] ->
         (* published or spent node: pop and keep unwinding *)
-        if Prof.live w.w_prof then
-          Prof.fail w.w_prof (Prof.key_of_term cp.cp_goal);
+        if Prof.live w.k.prof then
+          Prof.fail w.k.prof (Prof.key_of_term cp.cp_goal);
         m.m_cps <- below;
         backtrack w m
       | alt :: rest ->
-        if Prof.live w.w_prof then
-          Prof.redo w.w_prof (Prof.key_of_term cp.cp_goal);
+        if Prof.live w.k.prof then
+          Prof.redo w.k.prof (Prof.key_of_term cp.cp_goal);
         w.stats.Stats.untrails <-
           w.stats.Stats.untrails + Trail.undo_to m.m_trail cp.cp_trail;
         if rest = [] then begin
           m.m_cps <- below;
           m.m_live <- m.m_live - 1;
           w.stats.Stats.lao_hits <- w.stats.Stats.lao_hits + 1;
-          Trace.record w.tbuf Trace.Lao_hit 0
+          Trace.record w.k.tbuf Trace.Lao_hit 0
         end
         else begin
           cp.cp_alts <- rest;
@@ -473,7 +464,7 @@ and backtrack w m =
    whichever worker claimed the slot (owner in place, or a thief through
    a [Slot] task). *)
 and run_pslot w s =
-  Trace.record w.tbuf Trace.Task_start s.ps_frame.pf_id;
+  Trace.record w.k.tbuf Trace.Task_start s.ps_frame.pf_id;
   w.stats.Stats.task_switches <- w.stats.Stats.task_switches + 1;
   let m = make_mach ~slot:s ?output:w.out () in
   run_mach w m s.ps_body;
@@ -484,7 +475,7 @@ and run_pslot w s =
     w.stats.Stats.kills <- w.stats.Stats.kills + 1
   end;
   Atomic.set s.ps_state 2;
-  Trace.record w.tbuf Trace.Task_finish s.ps_frame.pf_id
+  Trace.record w.k.tbuf Trace.Task_finish s.ps_frame.pf_id
 
 (* A parallel conjunction.  Without [par_and] (or when a schema decision
    says so) it runs as a plain sequential conjunction on the current
@@ -504,7 +495,7 @@ and exec_parcall w m bodies cont =
     if splices > 0 then begin
       w.stats.Stats.lpco_hits <- w.stats.Stats.lpco_hits + splices;
       w.stats.Stats.frames_avoided <- w.stats.Stats.frames_avoided + splices;
-      Trace.record w.tbuf Trace.Lpco_hit splices
+      Trace.record w.k.tbuf Trace.Lpco_hit splices
     end;
     let sequential () = run_mach w m (List.concat bodies @ cont) in
     if Schema.spo_inline config ~hungry:(Atomic.get w.sh.hungry) then begin
@@ -512,7 +503,7 @@ and exec_parcall w m bodies cont =
          so skip the parcall-frame setup entirely *)
       w.stats.Stats.spo_hits <- w.stats.Stats.spo_hits + 1;
       w.stats.Stats.frames_avoided <- w.stats.Stats.frames_avoided + 1;
-      Trace.record w.tbuf Trace.Spo_hit 0;
+      Trace.record w.k.tbuf Trace.Spo_hit 0;
       sequential ()
     end
     else
@@ -541,16 +532,16 @@ and run_parcall w m bodies tuples cont =
   in
   w.stats.Stats.frames <- w.stats.Stats.frames + 1;
   w.stats.Stats.slots <- w.stats.Stats.slots + n;
-  (if Prof.live w.w_prof then begin
-     Prof.slots w.w_prof n;
-     Prof.spawned w.w_prof (n - 1)
+  (if Prof.live w.k.prof then begin
+     Prof.slots w.k.prof n;
+     Prof.spawned w.k.prof (n - 1)
    end);
   (* Offer every non-first slot to the thieves.  Pushed highest-index
      first so the oldest deque entry (what a thief steals first) is the
      slot farthest from the owner's own PDO-ordered claims. *)
   for i = n - 1 downto 1 do
     Atomic.incr w.sh.outstanding;
-    Trace.record w.tbuf Trace.Task_spawn fr.pf_id;
+    Trace.record w.k.tbuf Trace.Task_spawn fr.pf_id;
     Chaos.preempt w.chaos;
     Deque.push_bottom w.sh.deques.(w.w_id) (Slot slots.(i))
   done;
@@ -571,7 +562,7 @@ and run_parcall w m bodies tuples cont =
           && claim next
         then begin
           w.stats.Stats.pdo_hits <- w.stats.Stats.pdo_hits + 1;
-          Trace.record w.tbuf Trace.Pdo_hit fr.pf_id;
+          Trace.record w.k.tbuf Trace.Pdo_hit fr.pf_id;
           Some next
         end
         else begin
@@ -617,7 +608,8 @@ and run_parcall w m bodies tuples cont =
         push_cp w m ~goal:template ~alts:(List.map (fun r -> Acombo r) rest) ~cont;
         if should_publish w m then publish w m
       end;
-      if K.unify_goal w ~trail:m.m_trail template first then run_mach w m cont
+      if Kernel.unify_goal w.k ~trail:m.m_trail template first then
+        run_mach w m cont
       else backtrack w m
   end
 
@@ -626,11 +618,11 @@ and run_parcall w m bodies tuples cont =
 (* ------------------------------------------------------------------ *)
 
 let run_task w task =
-  let t0 = Trace.now_ns w.tbuf in
+  let t0 = Trace.now_ns w.k.tbuf in
   let ran =
     match task with
     | Root body ->
-      Trace.record_at w.tbuf ~ts:t0 Trace.Task_start 0;
+      Trace.record_at w.k.tbuf ~ts:t0 Trace.Task_start 0;
       run_mach w w.root body;
       (* reset private state (relevant after an early stop) *)
       ignore (Trail.undo_to w.root.m_trail 0);
@@ -638,7 +630,7 @@ let run_task w task =
       w.root.m_live <- 0;
       true
     | Node { n_goal; n_alts; n_cont } ->
-      Trace.record_at w.tbuf ~ts:t0 Trace.Task_start 0;
+      Trace.record_at w.k.tbuf ~ts:t0 Trace.Task_start 0;
       (match n_alts with
        | [] -> ()
        | first :: rest ->
@@ -659,10 +651,10 @@ let run_task w task =
       else false
   in
   if ran then begin
-    let dt = Trace.now_ns w.tbuf - t0 in
+    let dt = Trace.now_ns w.k.tbuf - t0 in
     w.shard.Metrics.s_busy_ns <- w.shard.Metrics.s_busy_ns + dt;
     Metrics.hist_add w.shard.Metrics.s_task_ns dt;
-    Trace.record w.tbuf Trace.Task_finish 0
+    Trace.record w.k.tbuf Trace.Task_finish 0
   end;
   Atomic.decr w.sh.outstanding
 
@@ -678,12 +670,12 @@ let rec main_loop w =
 
 and steal_loop w =
   let sh = w.sh in
-  let t0 = Trace.now_ns w.tbuf in
-  Trace.record_at w.tbuf ~ts:t0 Trace.Idle_begin 0;
+  let t0 = Trace.now_ns w.k.tbuf in
+  Trace.record_at w.k.tbuf ~ts:t0 Trace.Idle_begin 0;
   let end_idle () =
-    let dt = Trace.now_ns w.tbuf - t0 in
+    let dt = Trace.now_ns w.k.tbuf - t0 in
     w.shard.Metrics.s_idle_ns <- w.shard.Metrics.s_idle_ns + dt;
-    Trace.record w.tbuf Trace.Idle_end 0
+    Trace.record w.k.tbuf Trace.Idle_end 0
   in
   Atomic.incr sh.hungry;
   let p = Array.length sh.deques in
@@ -710,23 +702,23 @@ and steal_loop w =
       | Some (victim, task) ->
         Atomic.decr sh.hungry;
         w.stats.Stats.steals <- w.stats.Stats.steals + 1;
-        (if Prof.live w.w_prof then
+        (if Prof.live w.k.prof then
            match task with
            | Node { n_goal; _ } ->
              let k = Prof.key_of_term n_goal in
-             Prof.stole w.w_prof k;
-             Prof.redo w.w_prof k
+             Prof.stole w.k.prof k;
+             Prof.redo w.k.prof k
            | Slot s -> (
              match s.ps_body with
              | Clause.Call g :: _ ->
                let k = Prof.key_of_term g in
-               Prof.stole w.w_prof k;
-               Prof.redo w.w_prof k
+               Prof.stole w.k.prof k;
+               Prof.redo w.k.prof k
              | _ -> ())
            | Root _ -> ());
         Metrics.hist_add w.shard.Metrics.s_steal_tries (misses + 1);
         end_idle ();
-        Trace.record w.tbuf Trace.Steal victim;
+        Trace.record w.k.tbuf Trace.Steal victim;
         (* preempt between grabbing the task and running it: the thief
            holds work while looking idle to the hungry counter *)
         Chaos.preempt w.chaos;
@@ -803,27 +795,27 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
           match output with None -> None | Some _ -> Some (Buffer.create 64)
         in
         let shard = Metrics.shard metrics i in
-        let tbuf = Trace.buffer trace ~dom:i in
-        let w_prof =
+        let k =
+          Kernel.agent ~name:"the or-parallel engine" ~cost:config.Config.cost
+            ~stats:shard.Metrics.s_stats ~cancel ~clock:Kernel.Wall
+            (Trace.buffer trace ~dom:i)
+        in
+        if Prof.enabled prof then
           (* registered on the spawning domain, before the workers start:
              the profile registry is never touched concurrently *)
-          if Prof.enabled prof then
-            Prof.shard prof ~dom:i ~stats:shard.Metrics.s_stats
-              ~clock:(fun () -> Trace.now_ns tbuf)
-              ()
-          else Prof.null
-        in
+          k.prof <-
+            Prof.shard prof ~dom:i ~stats:k.stats
+              ~clock:(fun () -> Trace.now_ns k.tbuf)
+              ();
         {
           w_id = i;
           sh;
           shard;
-          stats = shard.Metrics.s_stats;
-          tbuf;
+          stats = k.stats;
           out;
           chaos = Chaos.agent chaos i;
           root = make_mach ?output:out ();
-          w_prof;
-          w_scratch = Code.create_scratch ();
+          k;
         })
   in
   Deque.push_bottom sh.deques.(0) (Root (Kernel.sentinel_body goal));

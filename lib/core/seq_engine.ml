@@ -46,26 +46,22 @@ type t = {
   db : Database.t;
   table : Table.t; (* shared answer table for tabled predicates *)
   trail : Trail.t;
-  stats : Stats.t;
-  cost : Cost.t;
   ctx : Builtins.ctx;
   goal : Term.t;
   compile : bool; (* execute flat clause code instead of interpreting *)
-  tbuf : Trace.buffer; (* events stamped with the abstract-cycle clock *)
   chaos : Chaos.agent;
     (* jitter charges extra abstract cycles at yield sites; answers must
        not depend on it (there is no concurrency here — the hook exists so
        the checker can assert cycle-jitter invariance uniformly) *)
-  sc : Code.scratch; (* frame buffer + argument registers (compiled path) *)
-  cancel : Cancel.t;
-    (* polled at the call and backtrack chokepoints; {!Cancel.none} costs
-       one physical-equality test there (the allocation gate covers it) *)
-  mutable prof : Prof.shard;
-    (* per-predicate profiler shard ([Prof.null] when off); mutable only
-       because its clock closure needs the machine *)
+  a : Kernel.agent;
+    (* the kernel's view of the engine: cost table, the single stats
+       shard, the compiled-code scratch, the profiler shard, the cancel
+       token (polled at the call and backtrack chokepoints; {!Cancel.none}
+       costs one physical-equality test there) and the abstract-cycle
+       accumulator every charge is paid into, which also stamps trace
+       events *)
   mutable cps : cp list;
   mutable height : int;
-  mutable charge : int; (* accumulated abstract cycles *)
   mutable started : bool;
   mutable exhausted : bool;
 }
@@ -74,50 +70,29 @@ let create ?(cost = Cost.default) ?(compile = false) ?output
     ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
     ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) db goal =
   let trail = Trail.create () in
-  let m =
-    {
-      db;
-      table = (match table with Some t -> t | None -> Table.create ());
-      trail;
-      stats = Stats.create ();
-      cost;
-      ctx = Builtins.make_ctx ?output ~trail ();
-      goal;
-      compile;
-      tbuf = Trace.buffer trace ~dom:0;
-      chaos = Chaos.agent chaos 0;
-      sc = Code.create_scratch ();
-      cancel;
-      prof = Prof.null;
-      cps = [];
-      height = 0;
-      charge = 0;
-      started = false;
-      exhausted = false;
-    }
+  let a =
+    Kernel.agent ~name:"the sequential engine" ~cost ~stats:(Stats.create ())
+      ~cancel ~clock:Kernel.Cycles (Trace.buffer trace ~dom:0)
   in
   if Prof.enabled prof then
-    m.prof <-
-      Prof.shard prof ~dom:0 ~stats:m.stats ~clock:(fun () -> m.charge) ();
-  m
+    a.prof <-
+      Prof.shard prof ~dom:0 ~stats:a.stats ~clock:(fun () -> a.cycles) ();
+  {
+    db;
+    table = (match table with Some t -> t | None -> Table.create ());
+    trail;
+    ctx = Builtins.make_ctx ?output ~trail ();
+    goal;
+    compile;
+    chaos = Chaos.agent chaos 0;
+    a;
+    cps = [];
+    height = 0;
+    started = false;
+    exhausted = false;
+  }
 
-let spend m n = m.charge <- m.charge + n
-
-(* The kernel resolver instantiated for this engine: charges go to the
-   private abstract-cycle accumulator, stats to the single machine
-   shard. *)
-module K = Kernel.Resolver (struct
-  type nonrec t = t
-
-  let name = "the sequential engine"
-  let cost m = m.cost
-  let stats m = m.stats
-  let charge = spend
-  let scratch m = m.sc
-  let prof m = m.prof
-  let record m kind arg = Trace.record_at m.tbuf ~ts:m.charge kind arg
-  let cancel m = m.cancel
-end)
+let spend m n = m.a.cycles <- m.a.cycles + n
 
 (* [mark] is the trail height the choice point restores on backtracking —
    the caller's mark from *before* any bindings the first taken
@@ -125,9 +100,10 @@ end)
    after a head has already matched). *)
 let push_cp m ~mark ~goal ~alts ~cont =
   spend m (Chaos.jitter m.chaos);
-  spend m m.cost.Cost.cp_alloc;
-  m.stats.Stats.cp_allocs <- m.stats.Stats.cp_allocs + 1;
-  m.stats.Stats.stack_words <- m.stats.Stats.stack_words + Cost.words_choice_point;
+  spend m m.a.cost.Cost.cp_alloc;
+  m.a.stats.Stats.cp_allocs <- m.a.stats.Stats.cp_allocs + 1;
+  m.a.stats.Stats.stack_words <-
+    m.a.stats.Stats.stack_words + Cost.words_choice_point;
   let cp =
     {
       cp_goal = goal;
@@ -140,7 +116,7 @@ let push_cp m ~mark ~goal ~alts ~cont =
   m.cps <- cp :: m.cps;
   m.height <- m.height + 1
 
-let undo_to m mark = K.untrail m m.trail mark
+let undo_to m mark = Kernel.untrail m.a m.trail mark
 
 let cut m barrier =
   while m.height > barrier do
@@ -176,7 +152,7 @@ let rec run m (cont : seg list) : bool =
    finish; trimming and calling are scheduling policy, so they live
    here. *)
 and exec_frame m xf ~barrier cont =
-  match K.exec_body m ~ctx:m.ctx xf with
+  match Kernel.exec_body m.a ~ctx:m.ctx xf with
   | Kernel.Ex_fail -> backtrack m
   | Kernel.Ex_done -> run m cont
   | Kernel.Ex_goal (g, pc) -> dispatch m g ~barrier (resume xf pc ~barrier cont)
@@ -205,7 +181,7 @@ and dispatch m g ~barrier cont =
   let g = Term.deref g in
   if Kernel.is_plain g then
     (* the hot case, allocation-free: a plain user or builtin call *)
-    match K.call_builtin m m.ctx g with
+    match Kernel.call_builtin m.a m.ctx g with
     | Builtins.Ok -> run m cont
     | Builtins.Fail -> backtrack m
     | Builtins.Not_builtin -> user_call m g cont
@@ -235,7 +211,7 @@ and dispatch m g ~barrier cont =
       (* dynamically built '&'/2 goals and the '$solution' sentinel are not
          part of this engine's language: both fall through to the database
          (and its existence error), as they always have *)
-      match K.call_builtin m m.ctx g with
+      match Kernel.call_builtin m.a m.ctx g with
       | Builtins.Ok -> run m cont
       | Builtins.Fail -> backtrack m
       | Builtins.Not_builtin -> user_call m g cont)
@@ -265,21 +241,24 @@ and user_call m g cont =
   (* call chokepoint: a fired token unwinds out of [next] through the
      [Cancelled] handler, so no further (possibly wrong-under-
      cancellation) solution can be reported *)
-  Cancel.check m.cancel;
+  Cancel.check m.a.cancel;
   let clauses =
     (* tabled predicates are answered from the shared answer table; the
        kernel completes the subgoal first if needed and the pseudo-fact
        answers flow through the ordinary clause machinery below *)
     if Database.is_tabled_goal m.db g then
-      K.table_call m ~table:m.table ~ctx:m.ctx ~compiled:m.compile ~db:m.db g
-    else K.select m ~compiled:m.compile m.db g
+      Kernel.table_call m.a ~table:m.table ~ctx:m.ctx ~compiled:m.compile
+        ~db:m.db g
+    else Kernel.select m.a ~compiled:m.compile m.db g
   in
   match clauses with
   | [] -> backtrack m
   | [ clause ] ->
     (* Determinate after indexing: no choice point (the property LPCO and
        SPO key on in the parallel engines). *)
-    continue m (K.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g clause)
+    continue m
+      (Kernel.resolve m.a ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g
+         clause)
       cont
   | clauses -> shallow m g clauses cont
 
@@ -299,19 +278,21 @@ and continue m resolved cont =
    Only the nondeterminate case materializes a goal term — alternatives
    stored in a choice point must outlive the registers. *)
 and user_call_regs m sym arity cont =
-  Cancel.check m.cancel;
+  Cancel.check m.a.cancel;
   if Database.is_tabled m.db sym arity then
     (* materialize the register call: tabled answers must outlive the
        registers, and the table keys on the goal term *)
-    user_call m (Kernel.goal_of_regs sym arity m.sc.Code.s_regs) cont
+    user_call m (Kernel.goal_of_regs sym arity m.a.sc.Code.s_regs) cont
   else
-  match K.select_args m m.db sym arity m.sc.Code.s_regs with
+  match Kernel.select_args m.a m.db sym arity m.a.sc.Code.s_regs with
   | [] -> backtrack m
   | [ clause ] ->
-    continue m (K.try_code_args m ~ctx:m.ctx ~trail:m.trail m.sc.Code.s_regs clause)
+    continue m
+      (Kernel.try_code_args m.a ~ctx:m.ctx ~trail:m.trail m.a.sc.Code.s_regs
+         clause)
       cont
   | clauses ->
-    let g = Kernel.goal_of_regs sym arity m.sc.Code.s_regs in
+    let g = Kernel.goal_of_regs sym arity m.a.sc.Code.s_regs in
     shallow m g clauses cont
 
 (* Shallow backtracking (WAM-style): scan the candidates for the first
@@ -324,53 +305,58 @@ and shallow m g clauses cont =
   let mark = Trail.mark m.trail in
   let rec scan = function
     | [] ->
-      if Prof.live m.prof then Prof.fail m.prof (Prof.key_of_term g);
+      if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term g);
       backtrack m
     | clause :: rest -> (
-      match K.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g clause with
+      match
+        Kernel.resolve m.a ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g
+          clause
+      with
       | Kernel.R_fail ->
         undo_to m mark;
         scan rest
       | resolved ->
         (* The choice point is pushed before [continue] consumes the
            resolution, so an [R_exec] callee's segments sit above it —
-           its barrier (the pre-push height) is captured first. *)
+           its barrier (the pre-push height) is captured first.  A
+           matched fact ([R_body []]) stacks nothing. *)
         let barrier = m.height in
         if rest <> [] then
           push_cp m ~mark ~goal:(Some g) ~alts:(Aclauses rest) ~cont;
         (match resolved with
-        | Kernel.R_body items -> run m ({ items; barrier } :: cont)
+        | Kernel.R_body (_ :: _ as items) -> run m ({ items; barrier } :: cont)
         | resolved -> continue m resolved cont))
   in
   scan clauses
 
 and backtrack m =
-  Cancel.check m.cancel;
-  m.stats.Stats.backtracks <- m.stats.Stats.backtracks + 1;
+  Cancel.check m.a.cancel;
+  m.a.stats.Stats.backtracks <- m.a.stats.Stats.backtracks + 1;
   spend m (Chaos.jitter m.chaos);
   match m.cps with
   | [] -> false
   | cp :: below -> (
-    spend m m.cost.Cost.backtrack_node;
-    m.stats.Stats.bt_nodes_visited <- m.stats.Stats.bt_nodes_visited + 1;
+    spend m m.a.cost.Cost.backtrack_node;
+    m.a.stats.Stats.bt_nodes_visited <- m.a.stats.Stats.bt_nodes_visited + 1;
     match cp.cp_alts with
     | Aclauses clauses ->
       undo_to m cp.cp_trail;
-      spend m m.cost.Cost.cp_restore;
+      spend m m.a.cost.Cost.cp_restore;
       let goal = match cp.cp_goal with Some g -> g | None -> assert false in
-      if Prof.live m.prof then Prof.redo m.prof (Prof.key_of_term goal);
+      if Prof.live m.a.prof then Prof.redo m.a.prof (Prof.key_of_term goal);
       (* Shallow scan, as in [shallow]: head-rejected alternatives are
          dropped without re-entering the backtracker; the last matching
          alternative pops the choice point (WAM "trust"). *)
       let rec rescan = function
         | [] ->
-          if Prof.live m.prof then Prof.fail m.prof (Prof.key_of_term goal);
+          if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term goal);
           m.cps <- below;
           m.height <- m.height - 1;
           backtrack m
         | clause :: alts -> (
           match
-            K.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail goal clause
+            Kernel.resolve m.a ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail
+              goal clause
           with
           | Kernel.R_fail ->
             undo_to m cp.cp_trail;
@@ -384,17 +370,17 @@ and backtrack m =
               (* the retained choice point is updated in place with the
                  shrunken alternative list *)
               cp.cp_alts <- Aclauses alts;
-              m.stats.Stats.cp_updates <- m.stats.Stats.cp_updates + 1
+              m.a.stats.Stats.cp_updates <- m.a.stats.Stats.cp_updates + 1
             end;
             (match resolved with
-            | Kernel.R_body items ->
+            | Kernel.R_body (_ :: _ as items) ->
               run m ({ items; barrier = cp.cp_height } :: cp.cp_cont)
             | resolved -> continue m resolved cp.cp_cont))
       in
       rescan clauses
     | Agoal body ->
       undo_to m cp.cp_trail;
-      spend m m.cost.Cost.cp_restore;
+      spend m m.a.cost.Cost.cp_restore;
       (* a disjunction's right branch is its only alternative: trust *)
       m.cps <- below;
       m.height <- m.height - 1;
@@ -422,8 +408,8 @@ let next m =
       | exception Cancel.Cancelled -> false
     in
     if found then begin
-      m.stats.Stats.solutions <- m.stats.Stats.solutions + 1;
-      Trace.record_at m.tbuf ~ts:m.charge Trace.Solution m.stats.Stats.solutions;
+      m.a.stats.Stats.solutions <- m.a.stats.Stats.solutions + 1;
+      Kernel.record m.a Trace.Solution m.a.stats.Stats.solutions;
       Some (Term.copy_resolved m.goal)
     end
     else begin
@@ -432,24 +418,23 @@ let next m =
     end
   end
 
-let all_solutions ?limit m =
-  let rec go acc n =
-    match limit with
-    | Some l when n >= l -> List.rev acc
-    | Some _ | None -> (
-      match next m with
-      | Some s -> go (s :: acc) (n + 1)
-      | None -> List.rev acc)
-  in
-  go [] 0
+let rec collect m limit acc n =
+  match limit with
+  | Some l when n >= l -> List.rev acc
+  | Some _ | None -> (
+    match next m with
+    | Some s -> collect m limit (s :: acc) (n + 1)
+    | None -> List.rev acc)
+
+let all_solutions ?limit m = collect m limit [] 0
 
 (* Named query-variable bindings, snapshotted against backtracking. *)
 let bindings _m vars =
   List.map (fun (name, v) -> (name, Term.copy_resolved (Term.Var v))) vars
 
-let stats m = m.stats
+let stats m = m.a.stats
 
-let time m = m.charge
+let time m = m.a.cycles
 
 let solve ?cost ?compile ?output ?trace ?chaos ?prof ?table ?cancel ?limit db
     goal =

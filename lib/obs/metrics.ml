@@ -121,7 +121,7 @@ let create ~domains =
    per-worker stats); the distribution counters start empty. *)
 let of_stats_array stats = { shards = Array.mapi make_shard stats }
 
-let of_stats stats = of_stats_array [| stats |]
+let of_stats stats = { shards = [| make_shard 0 stats |] }
 
 let domains t = Array.length t.shards
 

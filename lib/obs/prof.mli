@@ -11,7 +11,7 @@
     off, so engines call the hooks unconditionally.
 
     Port mapping onto the kernel protocol (see DESIGN.md § Profiling):
-    clause selection ({!Ace_core} [Resolver.select]/[select_args]) is
+    clause selection ({!Ace_core} [Kernel.select]/[select_args]) is
     {e call}; compiled-frame completion ([Ex_done] / an inline
     scratch-body completion) is {e exit}; a choice-point retry is
     {e redo}; candidate exhaustion is {e fail}.  Builtins record a

@@ -305,7 +305,14 @@ let test_builtin_call_words () =
        loop(X) :- X > 0, M is X - 1, loop(M).\n\
        loopb(0).\n\
        loopb(X) :- X > 0, X \\= b, X \\= b, X \\= b, X \\= b, X \\= b, X \\= b,\n\
-      \  X \\= b, X \\= b, M is X - 1, loopb(M).\n"
+      \  X \\= b, X \\= b, M is X - 1, loopb(M).\n\
+       loopc(0).\n\
+       loopc(X) :- X > 0, X > -1, X >= 0, X =< X + 1, X < 1 + X, X =:= X,\n\
+      \  X =\\= -1, X > -2, X >= -1, M is X - 1, loopc(M).\n\
+       loopi(0).\n\
+       loopi(X) :- X > 0, A is X + 1, B is A + 1, C is B + 1, D is C + 1,\n\
+      \  E is D + 1, F is E + 1, G is F + 1, H is G + 1, H > A,\n\
+      \  M is X - 1, loopi(M).\n"
   in
   let config = { Config.default with Config.compile = true } in
   let words query =
@@ -318,10 +325,46 @@ let test_builtin_call_words () =
       (List.length r.Engine.solutions);
     words
   in
-  let extra = words "loopb(1000)" -. words "loop(1000)" in
-  if extra >= 8000. then
+  let base = words "loop(1000)" in
+  let extra query = words query -. base in
+  let unify = extra "loopb(1000)" in
+  if unify >= 8000. then
     Alcotest.failf "8000 compiled X \\= b calls: %.0f extra minor words >= 8000"
-      extra
+      unify;
+  (* comparisons evaluate the put descriptors and box nothing *)
+  let cmp = extra "loopc(1000)" in
+  if cmp >= 8000. then
+    Alcotest.failf "8000 compiled comparisons: %.0f extra minor words >= 8000"
+      cmp;
+  (* [is/2] into a fresh slot boxes its result, 2 words, and nothing
+     else; 8000 of them plus 1000 comparisons stay within 2 words each *)
+  let is = extra "loopi(1000)" in
+  if is > 18000. then
+    Alcotest.failf "8000 compiled is/2 calls: %.0f extra minor words > 18000"
+      is
+
+(* A matched fact continues with the caller's continuation: nothing is
+   stacked for its empty body, and resuming the caller's compiled body
+   builds no closure.  Backtracking over 100 compiled facts reads 1,921
+   words, the run's set-up and 16 words per retry; an empty segment
+   pushed per matched fact would add 600, a 12-word closure per
+   resumption 1,200. *)
+let test_fact_scan_words () =
+  let b = Buffer.create 1024 in
+  for i = 1 to 100 do
+    Printf.bprintf b "c(%d).\n" i
+  done;
+  Buffer.add_string b "q :- c(_), fail.\n";
+  let p = Engine.prepare_string (Buffer.contents b) in
+  let config = { Config.default with Config.compile = true } in
+  let goal = term "q" in
+  ignore (Engine.run Engine.Sequential config p goal);
+  let w0 = Gc.minor_words () in
+  let r = Engine.run Engine.Sequential config p goal in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "no solution" 0 (List.length r.Engine.solutions);
+  if words > 2000. then
+    Alcotest.failf "q over 100 compiled facts: %.0f minor words > 2000" words
 
 let test_deadline_all_engines () =
   List.iter
@@ -494,6 +537,8 @@ let suite =
     Alcotest.test_case "run: set-up allocation" `Quick test_run_setup_words;
     Alcotest.test_case "run: builtin calls allocate nothing" `Quick
       test_builtin_call_words;
+    Alcotest.test_case "run: a matched fact stacks nothing" `Quick
+      test_fact_scan_words;
     Alcotest.test_case "cancel: deadline on all engines" `Quick
       test_deadline_all_engines;
     Alcotest.test_case "cancel: budget partial + deterministic" `Quick

@@ -1,7 +1,8 @@
 (* The shared solver kernel: schema hook decisions (fired / not fired
    around their thresholds), goal classification, and the and-parallel
    tuple/cross-product helpers — engine-independent, so they are tested
-   once here instead of per engine. *)
+   once here instead of per engine — plus the abstract cycles each
+   engine is charged through the kernel, pinned on one program. *)
 
 module Term = Ace_term.Term
 module Clause = Ace_lang.Clause
@@ -177,6 +178,45 @@ let test_cross_empty_slot_fails () =
   Alcotest.(check int) "an empty slot empties the product" 0
     (List.length (Kernel.Parcall.cross rows))
 
+(* ------------------------------------------------------------------ *)
+(* Charges                                                             *)
+
+(* The abstract clocks every engine reads off the kernel, pinned on
+   examples/queens.pl (queens 6, default configuration): a change to how
+   charges are paid must not change what is charged. *)
+let queens =
+  "sel(X, [X|T], T).\n\
+   sel(X, [H|T], [H|R]) :- sel(X, T, R).\n\
+   noatt(_, [], _).\n\
+   noatt(Q, [Q2|Qs], D) :- Q2 =\\= Q + D, Q2 =\\= Q - D, D1 is D + 1,\n\
+  \  noatt(Q, Qs, D1).\n\
+   place([], Placed, Placed).\n\
+   place(Un, Placed, Qs) :- sel(Q, Un, Rest), noatt(Q, Placed, 1),\n\
+  \  place(Rest, [Q|Placed], Qs).\n\
+   queens(Ns, Qs) :- place(Ns, [], Qs).\n"
+
+let test_cycle_pins () =
+  let module Engine = Ace_core.Engine in
+  let cycles kind agents compile =
+    let config = { Config.default with Config.agents; compile } in
+    let r =
+      Engine.solve_program kind config ~program:queens
+        ~query:"queens([1,2,3,4,5,6], Qs)"
+    in
+    Alcotest.(check int) "four solutions" 4 (List.length r.Engine.solutions);
+    r.Engine.cycles
+  in
+  let pin name expected actual =
+    Alcotest.(check (option int)) name expected actual
+  in
+  pin "seq compiled" (Some 54_707) (cycles Engine.Sequential 1 true);
+  pin "seq interpreted" (Some 71_259) (cycles Engine.Sequential 1 false);
+  pin "and@1" (Some 92_810) (cycles Engine.And_parallel 1 false);
+  pin "and@2" (Some 92_810) (cycles Engine.And_parallel 2 false);
+  pin "or@1" (Some 100_055) (cycles Engine.Or_parallel 1 false);
+  pin "or@2" (Some 53_141) (cycles Engine.Or_parallel 2 false);
+  pin "par@2" None (cycles Engine.Par_or 2 false)
+
 let suite =
   [
     Alcotest.test_case "sequentialize threshold" `Quick
@@ -199,4 +239,5 @@ let suite =
       test_slot_tuples_bound_shared_ok;
     Alcotest.test_case "cross order" `Quick test_cross_order;
     Alcotest.test_case "cross empty slot" `Quick test_cross_empty_slot_fails;
+    Alcotest.test_case "cycle pins (queens 6)" `Quick test_cycle_pins;
   ]
