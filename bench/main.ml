@@ -284,8 +284,9 @@ let profile_run () =
       let program = b.Programs.program size and query = b.Programs.query size in
       let prof = Prof.create () in
       ignore
-        (Engine.solve_program ~prof Engine.Sequential profile_config ~program
-           ~query);
+        (Engine.solve_program
+           ~opts:{ Engine.default_opts with Engine.prof }
+           Engine.Sequential profile_config ~program ~query);
       match Prof.top_hotspot prof with
       | None -> fail "%s: empty profile" name
       | Some row ->
@@ -312,8 +313,9 @@ let profile_run () =
       let prof = if profiled then Prof.create () else Prof.disabled in
       let t0 = Unix.gettimeofday () in
       ignore
-        (Engine.solve ~prof Engine.Sequential profile_config db
-           q.Ace_lang.Program.goal);
+        (Engine.solve
+           ~opts:{ Engine.default_opts with Engine.prof }
+           Engine.Sequential profile_config db q.Ace_lang.Program.goal);
       let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
       if ms < !best then best := ms
     done;

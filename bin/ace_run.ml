@@ -149,7 +149,11 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
         | Some ms -> Ace_core.Cancel.create ~deadline_ms:ms ()
         | None -> Ace_core.Cancel.none
       in
-      let result = Engine.solve ~trace ~prof ~cancel kind config db q.Program.goal in
+      let result =
+        Engine.solve
+          ~opts:{ Engine.default_opts with Engine.trace; prof; cancel }
+          kind config db q.Program.goal
+      in
       let wall_ms = float_of_int result.Engine.wall_ns /. 1e6 in
       List.iteri
         (fun i solution ->

@@ -56,7 +56,9 @@ let run_engine ?chaos ?(profiled = false) kind config ~program ~query =
   let prof =
     if profiled then Ace_obs.Prof.create () else Ace_obs.Prof.disabled
   in
-  match Engine.solve_program ?chaos ~prof kind config ~program ~query with
+  let chaos = Option.value chaos ~default:Ace_sched.Chaos.disabled in
+  let opts = { Engine.default_opts with Engine.chaos; prof } in
+  match Engine.solve_program ~opts kind config ~program ~query with
   | r -> Solutions (Canon.multiset r.Engine.solutions)
   | exception Ace_core.Errors.Engine_error m -> Error m
   | exception Ace_term.Arith.Error m -> Error ("arith: " ^ m)

@@ -37,8 +37,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Database = Ace_lang.Database
-module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
@@ -63,6 +61,7 @@ type entry =
 
 and exec = {
   x_trail : Trail.t;
+  x_ctx : Builtins.ctx; (* the builtin context over [x_trail] *)
   mutable x_stack : entry list; (* newest first *)
   x_slot : slot option;         (* the slot this exec runs; None for root *)
   mutable x_input_marker : bool;
@@ -113,16 +112,15 @@ type agent_state = {
 }
 
 type t = {
-  db : Database.t;
-  table : Table.t; (* shared answer table for tabled predicates *)
   config : Config.t;
   cost : Cost.t;
   ks : Kernel.agent array;
-    (* the kernel's view of each simulated agent: its stats shard, trace
-       ring and profiler shard, charges ticking the simulator *)
+    (* the kernel's view of each simulated agent: the database and answer
+       table, its stats shard, trace ring and profiler shard, charges
+       ticking the simulator *)
   chaos : Chaos.agent array; (* per-agent schedule-jitter streams *)
   sim : Sim.t;
-  ctx : Builtins.ctx; (* trail field is unused; per-exec trails are passed *)
+  output : Buffer.t option;
   agents : agent_state array;
   mutable pool : frame list; (* frames that may have free slots, oldest first *)
   mutable frame_counter : int;
@@ -195,9 +193,11 @@ let charge_bt_node st =
 (* Exec and frame bookkeeping                                          *)
 (* ------------------------------------------------------------------ *)
 
-let make_exec ?slot () =
+let make_exec st slot =
+  let trail = Trail.create () in
   {
-    x_trail = Trail.create ();
+    x_trail = trail;
+    x_ctx = Builtins.make_ctx ?output:st.output ~trail ();
     x_stack = [];
     x_slot = slot;
     x_input_marker = false;
@@ -263,11 +263,6 @@ let rec aborting exec =
 (* Resolution within one exec                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ctx_of st exec = { st.ctx with Builtins.trail = exec.x_trail }
-
-let call_builtin st exec goal =
-  Kernel.call_builtin (ka st) (ctx_of st exec) goal
-
 (* SPO: the procrastinated input marker materialises just before the first
    choice point of the slot. *)
 let materialize_input_marker st exec =
@@ -299,51 +294,37 @@ let rec exec_run st (agent : agent_state) exec (cont : Clause.item list) : bool 
   | Clause.Exec _ :: _ ->
     assert false (* only compiled clause tries build these *)
 
-(* Resolves [goal] against one clause and runs its body before [cont]. *)
-and try_clause st agent exec goal clause cont =
-  match Kernel.try_clause (ka st) ~trail:exec.x_trail goal clause with
-  | Kernel.R_fail -> exec_backtrack st agent exec
-  | Kernel.R_body body -> exec_run st agent exec (body @ cont)
-  | Kernel.R_exec _ -> assert false (* [try_clause] never answers R_exec *)
-
+(* A fired cancel token raises out of the kernel's call chokepoint to
+   the agent's body, as from [check_cancel]. *)
 and dispatch st agent exec g cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match call_builtin st exec g with
-    | Builtins.Ok -> exec_run st agent exec cont
-    | Builtins.Fail -> exec_backtrack st agent exec
-    | Builtins.Not_builtin -> user_call st agent exec g cont
-  else
+  match Kernel.step (ka st) exec.x_ctx g with
+  | Kernel.R_control -> (
     match Kernel.classify g with
-    | Kernel.Cut ->
-      Errors.error "cut is not supported inside the and-parallel engine"
-    | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-      Kernel.unsupported (ka st) g
     | Kernel.Conj g | Kernel.Amp g ->
       exec_run st agent exec (Clause.compile_body g @ cont)
     | Kernel.Meta g -> dispatch st agent exec g cont
-    | Kernel.Sentinel _ | Kernel.Goal _ -> (
-      match call_builtin st exec g with
-      | Builtins.Ok -> exec_run st agent exec cont
-      | Builtins.Fail -> exec_backtrack st agent exec
-      | Builtins.Not_builtin -> user_call st agent exec g cont)
+    | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _
+    | Kernel.Sentinel _ | Kernel.Goal _ ->
+      Kernel.unsupported (ka st) g)
+  | resolved -> continue st agent exec resolved cont
 
-and user_call st agent exec g cont =
-  let clauses =
-    (* tabled predicates answer from the shared table; the kernel
-       completes the subgoal first when needed (see Kernel.table_call) *)
-    if Database.is_tabled_goal st.db g then
-      Kernel.table_call (ka st) ~table:st.table ~ctx:(ctx_of st exec)
-        ~compiled:false ~db:st.db g
-    else Kernel.select (ka st) ~compiled:false st.db g
-  in
-  match clauses with
-  | [] -> exec_backtrack st agent exec
-  | [ clause ] -> try_clause st agent exec g clause cont
-  | clause :: rest ->
-    push_cp st exec ~goal:g ~alts:rest ~cont;
-    try_clause st agent exec g clause cont
+(* Schedules what a step or one clause try came to.  Several candidates
+   get a choice point before the first is tried. *)
+and continue st agent exec resolved cont =
+  match resolved with
+  | Kernel.R_fail -> exec_backtrack st agent exec
+  | Kernel.R_body body -> exec_run st agent exec (body @ cont)
+  | Kernel.R_exec (sym, arity) ->
+    continue st agent exec (Kernel.step_regs (ka st) exec.x_ctx sym arity) cont
+  | Kernel.R_alts -> (
+    let a = ka st in
+    let g = a.Kernel.goal in
+    match a.Kernel.alts with
+    | clause :: rest ->
+      push_cp st exec ~goal:g ~alts:rest ~cont;
+      continue st agent exec (Kernel.try_clause a exec.x_ctx g clause) cont
+    | [] -> assert false (* [R_alts] leaves at least two candidates *))
+  | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
 
 (* Backtracking inside one exec.  Walks the private stack: choice points
    are retried; completed parcall frames get outside backtracking. *)
@@ -368,7 +349,9 @@ and exec_backtrack st agent exec : bool =
         cp.a_alts <- alts;
         (shard st).Stats.cp_updates <- (shard st).Stats.cp_updates + 1
       end;
-      try_clause st agent exec cp.a_goal clause cp.a_cont)
+      continue st agent exec
+        (Kernel.try_clause (ka st) exec.x_ctx cp.a_goal clause)
+        cp.a_cont)
   | Eframe (frame, mark) :: below ->
     charge st st.cost.Cost.frame_unwind;
     (shard st).Stats.bt_nodes_visited <- (shard st).Stats.bt_nodes_visited + 1;
@@ -651,7 +634,7 @@ and steal st agent =
 and run_slot st agent slot =
   let frame = slot.sl_frame in
   assert (match slot.sl_state with Srunning id -> id = agent.ag_id | _ -> false);
-  let exec = make_exec ~slot () in
+  let exec = make_exec st (Some slot) in
   slot.sl_exec <- Some exec;
   (* PDO contiguity check: did this agent just finish the sequentially
      preceding slot of the same frame? *)
@@ -824,7 +807,7 @@ let worker_body st agent () =
 
 let root_body st () =
   let agent = st.agents.(0) in
-  let exec = make_exec () in
+  let exec = make_exec st None in
   let record () =
     (shard st).Stats.solutions <- (shard st).Stats.solutions + 1;
     st.sol_count <- st.sol_count + 1;
@@ -850,71 +833,45 @@ let root_body st () =
   st.finished <- true;
   Sim.stop st.sim
 
-let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) (config : Config.t)
-    db goal =
+let solve (opts : Run.opts) table (config : Config.t) db goal =
+  let t0 = Unix.gettimeofday () in
   let config = Config.validate config in
   let sim = Sim.create ~max_steps:3_000_000 () in
-  let agents =
-    Array.init config.Config.agents (fun i ->
-        { ag_id = i; ag_last_done = None; ag_pending_end = None })
-  in
+  let n = config.Config.agents in
   let ks =
-    Array.init config.Config.agents (fun i ->
-        let a =
-          Kernel.agent ~name:"the and-parallel engine" ~cost:config.Config.cost
-            ~stats:(Stats.create ()) ~cancel ~clock:(Kernel.Ticks sim)
-            (Trace.buffer trace ~dom:i)
-        in
-        if Prof.enabled prof then
-          a.prof <-
-            Prof.shard prof ~dom:i ~stats:a.stats
-              ~clock:(fun () -> Sim.now sim)
-              ();
-        a)
+    Array.init n (fun i ->
+        Kernel.agent opts ~name:"the and-parallel engine"
+          ~clock:(Kernel.Ticks sim) ~cost:config.Config.cost
+          ~stats:(Stats.create ()) ~db ~table ~compiled:false ~dom:i)
   in
-  {
-    db;
-    table =
-      (match table with
-      | Some t -> t
-      | None -> Table.create ~max_answers:config.Config.table_max_answers ());
-    config;
-    cost = config.Config.cost;
-    ks;
-    chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
-    sim;
-    ctx = Builtins.make_ctx ?output ~trail:(Trail.create ()) ();
-    agents;
-    pool = [];
-    frame_counter = 0;
-    cancel;
-    finished = false;
-    sol_count = 0;
-    solutions = [];
-    goal;
-  }
-
-type result = {
-  solutions : Term.t list;
-  stats : Stats.t; (* merged over all simulated agents *)
-  per_agent : Stats.t array; (* the per-agent shards behind [stats] *)
-  time : int; (* simulated completion time in abstract cycles *)
-}
-
-let run st =
-  let shards = Array.map (fun (a : Kernel.agent) -> a.stats) st.ks in
-  Sim.spawn st.sim ~agent:0 (root_body st);
-  for i = 1 to st.config.Config.agents - 1 do
-    Sim.spawn st.sim ~agent:i (worker_body st st.agents.(i))
+  let st =
+    {
+      config;
+      cost = config.Config.cost;
+      ks;
+      chaos = Array.init n (fun i -> Chaos.agent opts.Run.chaos i);
+      sim;
+      output = opts.Run.output;
+      agents =
+        Array.init n (fun i ->
+            { ag_id = i; ag_last_done = None; ag_pending_end = None });
+      pool = [];
+      frame_counter = 0;
+      cancel = opts.Run.cancel;
+      finished = false;
+      sol_count = 0;
+      solutions = [];
+      goal;
+    }
+  in
+  Sim.spawn sim ~agent:0 (root_body st);
+  for i = 1 to n - 1 do
+    Sim.spawn sim ~agent:i (worker_body st st.agents.(i))
   done;
-  Sim.run st.sim;
-  {
-    solutions = List.rev st.solutions;
-    stats = Kernel.merge_shards shards;
-    per_agent = shards;
-    time = Sim.stop_time st.sim;
-  }
-
-let solve ?output ?trace ?chaos ?prof ?table ?cancel config db goal =
-  run (create ?output ?trace ?chaos ?prof ?table ?cancel config db goal)
+  Sim.run sim;
+  let metrics =
+    Ace_obs.Metrics.of_stats_array
+      (Array.map (fun (a : Kernel.agent) -> a.Kernel.stats) ks)
+  in
+  Kernel.finish opts ~t0 ~cycles:(Some (Sim.stop_time sim))
+    (List.rev st.solutions) (Ace_obs.Metrics.total metrics) metrics

@@ -5,58 +5,26 @@
 
     Subgoals of a parallel conjunction must be strictly independent (share
     no unbound variables at call time) — the standard &ACE condition.  Cut
-    and control constructs other than [call/1] are rejected.
+    and control constructs other than [,], ['&'] and [call/1] raise the
+    kernel's "not supported" error.
 
-    Clauses are always interpreted (the paper's cost model);
-    [config.compile] is not read. *)
+    Each simulated agent resolves calls through {!Kernel.step}; the engine
+    keeps only its executions (private trails and backtrack stacks),
+    frames, markers and scheduling.  Clauses are always interpreted (the
+    paper's cost model); [config.compile] is not read. *)
 
-type t
+(** Runs the query to exhaustion (or [config.max_solutions]) on
+    [config.agents] simulated agents, with [table] as the answer table
+    ([opts.table] is not read); [cycles] is the simulated completion
+    time.  Solutions come in discovery order; [metrics] holds one
+    single-writer shard per agent.
 
-type result = {
-  solutions : Ace_term.Term.t list;
-      (** snapshots of the instantiated goal, in discovery order *)
-  stats : Ace_machine.Stats.t;  (** merged over all simulated agents *)
-  per_agent : Ace_machine.Stats.t array;
-      (** one single-writer shard per simulated agent; [stats] is their
-          merge *)
-  time : int;  (** simulated completion time, abstract cycles *)
-}
-
-(** [trace] (default {!Ace_obs.Trace.disabled}) collects per-agent event
-    rings (slot start/finish, steal, LPCO/SPO/PDO hits, solutions) stamped
-    with the simulator's virtual clock.
-
-    [chaos] (default {!Ace_sched.Chaos.disabled}) charges seeded extra
-    virtual cycles at choice-point and steal yield sites and skips frames
-    during steal scans — deterministic schedule exploration on the
-    simulator; the solution multiset must be invariant across seeds.
-
-    [cancel] (default {!Cancel.none}) is polled at the exec, backtrack
-    and steal chokepoints; once fired the simulation stops like a
-    satisfied solution limit, returning the solutions recorded so far. *)
-val create :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  Ace_machine.Config.t ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  t
-
-(** Runs the query to exhaustion (or [config.max_solutions]). *)
-val run : t -> result
-
-val solve :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  Ace_machine.Config.t ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  result
+    [opts.trace] collects per-agent event rings (slot start/finish,
+    steal, LPCO/SPO/PDO hits, solutions) stamped with the simulator's
+    virtual clock.  [opts.chaos] charges seeded extra virtual cycles at
+    choice-point and steal yield sites and skips frames during steal
+    scans — deterministic schedule exploration; the solution multiset
+    must be invariant across seeds.  [opts.cancel] is polled at the
+    exec, call, backtrack and steal chokepoints; once fired the
+    simulation stops like a satisfied solution limit. *)
+val solve : Run.solver

@@ -1,12 +1,11 @@
-(* Facade over the three engines, exposing one result type so that the
-   harness, tests and examples can sweep engine × configuration
-   uniformly. *)
+(* Facade over the four engines, exposing one options record and one
+   result type so that the harness, tests and examples can sweep engine
+   × configuration uniformly. *)
 
 module Term = Ace_term.Term
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
 module Database = Ace_lang.Database
-module Metrics = Ace_obs.Metrics
 
 type kind =
   | Sequential   (* baseline; '&' runs as ',' *)
@@ -41,20 +40,7 @@ let check_agents kind agents =
          max_par_agents agents)
   | Sequential | And_parallel | Or_parallel | Par_or -> Ok ()
 
-type result = {
-  solutions : Term.t list;
-  stats : Stats.t;
-  metrics : Metrics.t;
-    (* per-agent shards behind [stats]; the multicore engine also fills
-       the busy/idle and histogram fields *)
-  cycles : int option;
-    (* abstract cycles: charged total (seq) or simulated makespan; [None]
-       on [Par_or], which charges none *)
-  wall_ns : int; (* measured around the engine by [run] *)
-  cancelled : Cancel.reason option;
-    (* [Some _]: the run was aborted and [solutions] is the partial set
-       completed before the token fired *)
-}
+include Run
 
 (* The goal's variables that are unbound at entry, with repeats.  The
    engines bind the caller's goal term in place; [run] unbinds these on
@@ -92,58 +78,7 @@ let prepare_string program =
 let database p = p.pbase
 let session p = Database.overlay p.pbase
 
-(* The facade's result of an engine run started at [t0]. *)
-let result ~t0 ~cancel solutions stats metrics cycles =
-  {
-    solutions;
-    stats;
-    metrics;
-    cycles;
-    wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
-    cancelled = Cancel.fired cancel;
-  }
-
-(* One run of [kind] on [db]; [run] adds the facade's bookkeeping.  Only
-   the sequential branch reads [config.compile]: every other engine has
-   one execution path. *)
-let run_on ?output ?trace ?chaos ?prof ~table ~cancel ~t0 kind
-    (config : Config.t) db goal =
-  match kind with
-  | Sequential ->
-    let m =
-      Seq_engine.create ?output ?trace ?chaos ?prof ~cost:config.Config.cost
-        ~compile:config.Config.compile ~table ~cancel db goal
-    in
-    let solutions =
-      Seq_engine.all_solutions ?limit:config.Config.max_solutions m
-    in
-    let stats = Seq_engine.stats m in
-    result ~t0 ~cancel solutions stats (Metrics.of_stats stats)
-      (Some (Seq_engine.time m))
-  | And_parallel ->
-    let r =
-      And_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
-    in
-    result ~t0 ~cancel r.And_engine.solutions r.And_engine.stats
-      (Metrics.of_stats_array r.And_engine.per_agent)
-      (Some r.And_engine.time)
-  | Or_parallel ->
-    let r =
-      Or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
-    in
-    result ~t0 ~cancel r.Or_engine.solutions r.Or_engine.stats
-      (Metrics.of_stats_array r.Or_engine.per_agent)
-      (Some r.Or_engine.time)
-  | Par_or ->
-    let r =
-      Par_or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db
-        goal
-    in
-    result ~t0 ~cancel r.Par_or_engine.solutions r.Par_or_engine.stats
-      r.Par_or_engine.metrics None
-
-let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
-    kind (config : Config.t) p goal =
+let run ?(opts = default_opts) ?session kind (config : Config.t) p goal =
   let db = match session with Some s -> s | None -> p.pbase in
   (* idempotent on the shared base; for a session overlay this re-caches
      and re-compiles only the session's own asserted clauses *)
@@ -152,19 +87,23 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
      only the multi-domain engine needs the per-shard locks (an unlocked
      table builds its shards at the first tabled call) *)
   let table =
-    match table with
+    match opts.table with
     | Some t -> t
     | None ->
       Ace_lang.Table.create
         ~locked:(kind = Par_or)
         ~max_answers:config.Config.table_max_answers ()
   in
+  let solve =
+    match kind with
+    | Sequential -> Seq_engine.solve
+    | And_parallel -> And_engine.solve
+    | Or_parallel -> Or_engine.solve
+    | Par_or -> Par_or_engine.solve
+  in
   let vars = free_vars [] goal in
-  let t0 = Unix.gettimeofday () in
   let mark = Stats.alloc_mark () in
-  match
-    run_on ?output ?trace ?chaos ?prof ~table ~cancel ~t0 kind config db goal
-  with
+  match solve opts table config db goal with
   | r ->
     (* the calling domain's allocation during the run; [Par_or] counts
        each worker domain's share itself (see
@@ -176,17 +115,10 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
     unbind vars;
     raise e
 
-let solve ?output ?trace ?chaos ?prof ?table ?cancel kind config db goal =
-  run ?output ?trace ?chaos ?prof ?table ?cancel kind config (prepare db) goal
+let solve ?opts kind config db goal = run ?opts kind config (prepare db) goal
 
 (* Convenience: consult a program and run a query in one call. *)
-let solve_program ?output ?trace ?chaos ?prof ?table ?cancel kind config
-    ~program ~query =
+let solve_program ?opts kind config ~program ~query =
   let p = prepare_string program in
   let q = Ace_lang.Program.parse_query query in
-  run ?output ?trace ?chaos ?prof ?table ?cancel kind config p
-    q.Ace_lang.Program.goal
-
-(* Solutions as a sorted list (for multiset comparison between engines,
-   since or-parallel discovery order is interleaved). *)
-let sorted_solutions result = List.sort Term.compare result.solutions
+  run ?opts kind config p q.Ace_lang.Program.goal

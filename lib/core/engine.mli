@@ -33,24 +33,14 @@ val max_par_agents : int
     request spawns nothing. *)
 val check_agents : kind -> int -> (unit, string) result
 
-type result = {
-  solutions : Ace_term.Term.t list;
-  stats : Ace_machine.Stats.t;
-  metrics : Ace_obs.Metrics.t;
-      (** the per-agent shards behind [stats]; for [Par_or] also busy/idle
-          times and copy/task/steal histograms *)
-  cycles : int option;
-      (** abstract cycles: total charge (sequential) or simulated makespan
-          (simulated parallel engines); [None] on [Par_or], which runs on
-          the wall clock only *)
-  wall_ns : int;
-      (** wall-clock nanoseconds of the engine run, measured by {!run}
-          on every engine (excludes freezing and table set-up) *)
-  cancelled : Cancel.reason option;
-      (** [Some _] when the run's cancel token fired: [solutions] holds
-          the solutions completed before the abort (each one was complete
-          when recorded, so the partial set is sound) *)
-}
+(** {1 Run options and results}
+
+    Defined once in {!Run}: [opts], [default_opts], [result] and the
+    engines' common [solver] type. *)
+
+include module type of struct
+  include Run
+end
 
 (** {1 Prepared programs and sessions}
 
@@ -78,34 +68,8 @@ val database : prepared -> Ace_lang.Database.t
     {!Ace_lang.Database.overlay}). *)
 val session : prepared -> Ace_lang.Database.t
 
-(** [trace] (default {!Ace_obs.Trace.disabled}) collects per-agent event
-    rings; export with {!Ace_obs.Trace.to_chrome_json} or
-    {!Ace_obs.Trace.to_jsonl}.  Simulated engines stamp events with the
-    virtual clock, [Par_or] with wall-clock nanoseconds.
-
-    [chaos] (default {!Ace_sched.Chaos.disabled}) is deterministic fault
-    injection for the correctness checker: seeded schedule jitter on the
-    simulated engines, steal-failure / publish-delay / forced-preemption
-    on [Par_or].  Faults only reorder or delay work — the solution
-    multiset must not depend on the chaos seed.
-
-    [prof] (default {!Ace_obs.Prof.disabled}) attaches the per-predicate
-    profiler: 4-port counters, exclusive cost attribution and call-graph
-    edges, sharded per agent/domain.  Profiling observes the run without
-    perturbing it — solutions are unchanged.
-
-    [table] (default: a fresh table sized by
-    [config.table_max_answers], sharded with per-shard locks only for
-    [Par_or]) is the shared SLG answer table for [:- table] predicates.
-    Pass one explicitly to share answers across runs or to inspect
-    entries and the completion log after the run.
-
-    [cancel] (default {!Cancel.none}) aborts the run cooperatively —
-    on request, on a wall-clock deadline or on a poll budget — and the
-    result reports [cancelled = Some reason] with the solutions found so
-    far.
-
-    [session] runs the query against a session overlay (from {!session})
+(** Runs [goal] on [kind] with [opts] (default {!default_opts}).
+    [session] runs it against a session overlay (from {!session})
     instead of the shared base.
 
     The engines bind [goal]'s variables in place while they run; [run]
@@ -115,12 +79,7 @@ val session : prepared -> Ace_lang.Database.t
     and the words promoted meanwhile (summed over the worker domains on
     [Par_or]). *)
 val run :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
+  ?opts:opts ->
   ?session:Ace_lang.Database.t ->
   kind ->
   Ace_machine.Config.t ->
@@ -131,12 +90,7 @@ val run :
 (** [prepare] + {!run} in one call — the one-shot convenience used by the
     harness and tests. *)
 val solve :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
+  ?opts:opts ->
   kind ->
   Ace_machine.Config.t ->
   Ace_lang.Database.t ->
@@ -145,18 +99,9 @@ val solve :
 
 (** Consults [program] source and runs [query]. *)
 val solve_program :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
+  ?opts:opts ->
   kind ->
   Ace_machine.Config.t ->
   program:string ->
   query:string ->
   result
-
-(** Solutions in the standard order of terms, for engine-to-engine multiset
-    comparison. *)
-val sorted_solutions : result -> Ace_term.Term.t list

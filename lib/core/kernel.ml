@@ -1,7 +1,7 @@
-(* The shared solver kernel: goal classification, builtin dispatch,
-   clause selection, trail discipline and the schema-optimization
-   decisions, factored out of the four engines.  See kernel.mli for the
-   architecture notes. *)
+(* The shared solver kernel: the step (builtin dispatch, tabled routing,
+   clause selection, the try of a lone candidate), trail discipline, goal
+   classification and the schema-optimization decisions, factored out of
+   the four engines.  See kernel.mli for the architecture notes. *)
 
 module Term = Ace_term.Term
 module Symbol = Ace_term.Symbol
@@ -16,6 +16,18 @@ module Config = Ace_machine.Config
 module Prof = Ace_obs.Prof
 module Trace = Ace_obs.Trace
 module Table = Ace_lang.Table
+
+(* The result of a run started at [t0]: [wall_ns] is measured now. *)
+let finish (opts : Run.opts) ~t0 ~cycles solutions stats metrics :
+    Run.result =
+  {
+    solutions;
+    stats;
+    metrics;
+    cycles;
+    wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+    cancelled = Cancel.fired opts.Run.cancel;
+  }
 
 (* The execution context every kernel operation is charged against:
    one per sequential machine, per Par_or worker domain and per
@@ -37,20 +49,45 @@ type agent = {
   clock : clock;
   mutable cycles : int;
   tbuf : Trace.buffer;
+  db : Database.t;
+  table : Table.t;
+  compiled : bool;
+  mutable goal : Term.t;
+  mutable alts : Clause.t list;
 }
 
-let agent ~name ~cost ~stats ~cancel ~clock tbuf =
-  {
-    name;
-    cost;
-    stats;
-    sc = Code.create_scratch ();
-    prof = Prof.null;
-    cancel;
-    clock;
-    cycles = 0;
-    tbuf;
-  }
+let agent (opts : Run.opts) ~name ~clock ~cost ~stats ~db ~table ~compiled
+    ~dom =
+  let a =
+    {
+      name;
+      cost;
+      stats;
+      sc = Code.create_scratch ();
+      prof = Prof.null;
+      cancel = opts.Run.cancel;
+      clock;
+      cycles = 0;
+      tbuf = Trace.buffer opts.Run.trace ~dom;
+      db;
+      table;
+      compiled;
+      goal = Term.Atom Symbol.nil;
+      alts = [];
+    }
+  in
+  if Prof.enabled opts.Run.prof then
+    (* registered by the run's calling domain, before any worker starts:
+       the profile registry is never touched concurrently *)
+    a.prof <-
+      Prof.shard opts.Run.prof ~dom ~stats
+        ~clock:(fun () ->
+          match clock with
+          | Cycles -> a.cycles
+          | Wall -> Trace.now_ns a.tbuf
+          | Ticks sim -> Ace_sched.Sim.now sim)
+        ();
+  a
 
 (* Out of line, so that the inlined [charge] stays a load, a compare and
    an add on the sequential engine (and one more compare on Par_or,
@@ -98,44 +135,24 @@ let classify g =
     Sentinel g'
   | g' -> Goal g'
 
-(* Allocation-free test for the dominant classification: [is_plain g] is
-   true exactly when {!classify} would answer [Goal g] — [g] must already
-   be dereferenced.  The engines' dispatch loops test this first, so
-   plain calls (user predicates and builtins, the vast majority of
-   dispatches) never build a [cls] value; only control constructs pay for
-   the full classification. *)
-let is_plain g =
-  match g with
-  | Term.Atom s -> not (Symbol.equal s Symbol.cut)
-  | Term.Struct (s, [| _ |]) ->
-    not
-      (Symbol.equal s Symbol.naf || Symbol.equal s Symbol.call
-     || Symbol.equal s Symbol.solution)
-  | Term.Struct (s, [| _; _ |]) ->
-    not
-      (Symbol.equal s Symbol.comma || Symbol.equal s Symbol.amp
-     || Symbol.equal s Symbol.semicolon || Symbol.equal s Symbol.arrow)
-  | _ -> true
-
 let sentinel_body goal =
   Clause.compile_body goal
   @ [ Clause.Call (Term.Struct (Symbol.solution, [| goal |])) ]
 
-let merge_shards shards =
-  let total = Stats.create () in
-  Array.iter (fun s -> Stats.merge_into ~into:total s) shards;
-  total
-
-(* What one clause try resolved to.  [R_exec] is the last-call case: the
-   clause's body ran to its final user call entirely on the scratch
-   frame, the callee's arguments are loaded in the scratch registers,
-   and no continuation was stacked — the engine re-enters clause
-   selection directly (a determinate recursion loops here in constant
-   space, allocating nothing). *)
+(* What a step (or one clause try) comes to.  [R_exec] is the last-call
+   case: the clause's body ran to its final user call entirely on the
+   scratch frame, the callee's arguments are loaded in the scratch
+   registers, and no continuation was stacked — the engine steps the
+   registers directly (a determinate recursion loops here in constant
+   space, allocating nothing).  [R_alts] leaves its goal and candidates
+   in the agent's [goal]/[alts] fields rather than in a tuple: a
+   nondeterminate call then allocates nothing to reach the engine. *)
 type resolved =
   | R_fail
   | R_body of Clause.body
   | R_exec of Symbol.t * int (* callee symbol, arity; args in registers *)
+  | R_alts
+  | R_control
 
 (* Where {!exec_body} stopped: the next thing the engine must
    schedule.  Register-consuming cases ([Ex_call]/[Ex_exec]) have the
@@ -253,7 +270,8 @@ let call_builtin_step a (ctx : Builtins.ctx) sym frame (puts : Code.put array) =
   if Prof.live a.prof then prof_builtin a.prof (Prof.key sym arity) outcome;
   outcome
 
-let try_clause a ~trail goal clause =
+(* The interpreted clause try: a renamed head unified against the goal. *)
+let try_head a ~trail goal clause =
   charge a a.cost.Cost.clause_try;
   a.stats.Stats.clause_tries <- a.stats.Stats.clause_tries + 1;
   let head, fresh = Clause.rename_head clause in
@@ -310,7 +328,7 @@ let rec run_scratch_body a ~ctx ~trail ~mark code frame pc =
       assert false (* excluded by [c_scratch] *)
   end
 
-(* The compiled counterpart of [try_clause]: runs the clause's flat
+(* The compiled counterpart of [try_head]: runs the clause's flat
    instruction code directly against the caller's argument cells (no
    renamed head copy), charging one [code_instr] per executed
    instruction plus the embedded general-unification steps.  Trail
@@ -323,8 +341,8 @@ let rec run_scratch_body a ~ctx ~trail ~mark code frame pc =
    heap environment (counted in [env_allocs]) that doubles as the
    instance's frame, and its body escapes as a single [Clause.Exec]
    item — the engine executes it step by step through [exec_body]. *)
-let try_code_args a ~ctx ~trail (args : Term.t array) clause =
-  let cost = a.cost and stats = a.stats in
+let try_code_args a ~(ctx : Builtins.ctx) (args : Term.t array) clause =
+  let cost = a.cost and stats = a.stats and trail = ctx.Builtins.trail in
   charge a cost.Cost.clause_try;
   stats.Stats.clause_tries <- stats.Stats.clause_tries + 1;
   let code = Code.of_clause clause in
@@ -357,7 +375,7 @@ let try_code_args a ~ctx ~trail (args : Term.t array) clause =
     | R_body [] ->
       if Prof.live a.prof then
         Prof.exit_key a.prof (Prof.key_of_term clause.Clause.head)
-    | R_fail | R_body _ | R_exec _ -> ());
+    | R_fail | R_body _ | R_exec _ | R_alts | R_control -> ());
     r
   end
   else
@@ -365,20 +383,17 @@ let try_code_args a ~ctx ~trail (args : Term.t array) clause =
       [ Clause.Exec
           { Clause.xf_code = clause.Clause.code; xf_pc = 0; xf_env = frame } ]
 
-let try_code a ~ctx ~trail goal clause =
-  let args =
-    match Term.deref goal with
-    | Term.Struct (_, args) -> args
-    | Term.Atom _ | Term.Int _ | Term.Var _ -> Code.no_args
-  in
-  try_code_args a ~ctx ~trail args clause
-
-(* One entry point for both of the sequential engine's execution modes,
-   so it threads a single [compiled] flag instead of duplicating its
-   resolution sites. *)
-let resolve a ~ctx ~compiled ~trail goal clause =
-  if compiled then try_code a ~ctx ~trail goal clause
-  else try_clause a ~trail goal clause
+(* One clause try in the agent's mode: compiled code against the goal's
+   arguments, or an interpreted head. *)
+let try_clause a (ctx : Builtins.ctx) goal clause =
+  if a.compiled then
+    let args =
+      match Term.deref goal with
+      | Term.Struct (_, args) -> args
+      | Term.Atom _ | Term.Int _ | Term.Var _ -> Code.no_args
+    in
+    try_code_args a ~ctx args clause
+  else try_head a ~trail:ctx.Builtins.trail goal clause
 
 (* Executes a compiled body from [pc]: consecutive builtins run inline
    (the common determinate prefix), and the first step the kernel
@@ -416,7 +431,7 @@ let rec exec_steps a ctx (body : Code.step array) env pc =
     | Code.O_par bodies -> Ex_par (List.map (Code.inst_bbody env) bodies, pc + 1)
   end
 
-let exec_body a ~ctx (xf : Clause.exec_frame) =
+let exec_body a ctx (xf : Clause.exec_frame) =
   exec_steps a ctx (code_of_frame xf).Code.c_body xf.Clause.xf_env
     xf.Clause.xf_pc
 
@@ -437,12 +452,12 @@ let prof_select psh k clauses =
 (* Mode-aware clause selection: the compiled path goes through the
    deep-indexing dispatch tree, the interpreted path through classic
    first-argument indexing. *)
-let select a ~compiled db goal =
+let select a goal =
   charge a a.cost.Cost.index_lookup;
   let clauses =
     match
-      if compiled then Database.lookup_code db goal
-      else Database.lookup db goal
+      if a.compiled then Database.lookup_code a.db goal
+      else Database.lookup a.db goal
     with
     | Some clauses -> clauses
     | None -> existence goal
@@ -453,10 +468,10 @@ let select a ~compiled db goal =
 (* Clause selection for a register call (compiled path only): walks the
    dispatch tree rooted at the register file, so determinate recursion
    selects its one clause without a goal term existing. *)
-let select_args a db sym arity args =
+let select_args a sym arity args =
   charge a a.cost.Cost.index_lookup;
   let clauses =
-    match Database.lookup_code_args db sym arity args with
+    match Database.lookup_code_args a.db sym arity args with
     | Some clauses -> clauses
     | None -> Errors.existence_error (Symbol.name sym) arity
   in
@@ -465,7 +480,7 @@ let select_args a db sym arity args =
 
 let unsupported a g =
   Errors.error "control construct %s not supported inside %s"
-    (Ace_term.Pp.to_string g) a.name
+    (Ace_term.Pp.to_string (Term.deref g)) a.name
 
 (* ---------------------------------------------------------------- *)
 (* Tabling: SLG evaluation of tabled subgoals                        *)
@@ -539,9 +554,6 @@ type tregion = {
 
 type teval = {
   tv_a : agent;
-  tv_table : Table.t;
-  tv_db : Database.t;
-  tv_compiled : bool;
   tv_ctx : Builtins.ctx;     (* engine ctx rebased on the private trail *)
   tv_trail : Trail.t;
   mutable tv_frames : tframe list;        (* generator stack, newest first *)
@@ -560,7 +572,7 @@ let queued rg = match rg.rg_queue with [] -> false | _ :: _ -> true
    opaque construct).  Such a clause's continuations are never saved. *)
 let rec goal_cuts g =
   let g = Term.deref g in
-  (not (is_plain g))
+  Code.is_control g
   &&
   match classify g with
   | Cut -> true
@@ -585,7 +597,7 @@ let rec body_cuts body =
 let tinsert tv fr goal =
   let stats = tv.tv_a.stats in
   let entry = fr.fr_entry in
-  match Table.insert tv.tv_table entry goal with
+  match Table.insert tv.tv_a.table entry goal with
   | Table.Inserted ->
     stats.Stats.table_answers <- stats.Stats.table_answers + 1;
     record tv.tv_a Trace.Table_answer entry.Table.id;
@@ -598,7 +610,7 @@ let tinsert tv fr goal =
   | Table.Overflow ->
     Errors.error "tabled subgoal %s exceeded the answer limit %d (raise it with --table-max-answers)"
       (Ace_term.Pp.to_canonical_string entry.Table.subgoal)
-      (Table.max_answers tv.tv_table)
+      (Table.max_answers tv.tv_a.table)
 
 (* Returns one answer to [goal]. *)
 let return_answer tv goal ans sk =
@@ -701,7 +713,7 @@ let requeue_behind tv rg depth =
    and resumed after the barriers are gone. *)
 let rec tsolve tv ~cut ~safe goal sk =
   let g = Term.deref goal in
-  if is_plain g then tcall tv ~safe g sk
+  if not (Code.is_control g) then tcall tv ~safe g sk
   else
     match classify g with
     | Cut ->
@@ -773,7 +785,7 @@ and tcall tv ~safe g sk =
     untrail a tv.tv_trail mark
   | Builtins.Fail -> untrail a tv.tv_trail mark
   | Builtins.Not_builtin ->
-    if Database.is_tabled_goal tv.tv_db g then ttabled tv ~safe g sk
+    if Database.is_tabled_goal a.db g then ttabled tv ~safe g sk
     else tresolve tv ~safe g sk
 
 (* Plain (untabled) user predicate: ordinary clause resolution.  The
@@ -782,7 +794,7 @@ and tcall tv ~safe g sk =
    equivalent and keeps the generator solver small. *)
 and tresolve tv ~safe goal sk =
   let a = tv.tv_a in
-  let clauses = select a ~compiled:tv.tv_compiled tv.tv_db goal in
+  let clauses = select a goal in
   tv.tv_cuts <- tv.tv_cuts + 1;
   let bid = tv.tv_cuts in
   let mark = Trail.mark tv.tv_trail in
@@ -790,11 +802,12 @@ and tresolve tv ~safe goal sk =
     List.iter
       (fun clause ->
         let m = Trail.mark tv.tv_trail in
-        (match try_clause a ~trail:tv.tv_trail goal clause with
+        (match try_head a ~trail:tv.tv_trail goal clause with
         | R_fail -> ()
         | R_body body ->
           tbody tv ~cut:bid ~safe:(safe && not (body_cuts body)) body sk
-        | R_exec _ -> assert false (* try_clause never answers R_exec *));
+        | R_exec _ | R_alts | R_control ->
+          assert false (* [try_head] answers R_fail or R_body *));
         untrail a tv.tv_trail m)
       clauses
   with Cut_hit i when i = bid -> untrail a tv.tv_trail mark
@@ -817,7 +830,7 @@ and tseq tv ~cut ~safe bodies sk =
 (* A tabled call inside a generator. *)
 and ttabled tv ~safe g sk =
   let stats = tv.tv_a.stats in
-  let entry, created = Table.subgoal_entry tv.tv_table g in
+  let entry, created = Table.subgoal_entry tv.tv_a.table g in
   if created then begin
     stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
     record tv.tv_a Trace.Table_subgoal entry.Table.id
@@ -961,7 +974,7 @@ and lead tv fr rg outer =
         | f :: rest when f.fr_depth >= fr.fr_depth ->
           tv.tv_frames <- rest;
           Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
-          Table.set_complete tv.tv_table f.fr_entry;
+          Table.set_complete tv.tv_a.table f.fr_entry;
           record tv.tv_a Trace.Table_complete f.fr_entry.Table.id;
           pop ()
         | _ -> ()
@@ -975,9 +988,9 @@ and lead tv fr rg outer =
    the answers as pseudo-fact clauses, so the engine's ordinary clause
    machinery (choice points, trail, publication, profiling) enumerates
    them exactly like a predicate of facts. *)
-let table_call a ~table ~ctx ~compiled ~db goal =
+let table_call a (ctx : Builtins.ctx) goal =
   let stats = a.stats in
-  let entry, created = Table.subgoal_entry table goal in
+  let entry, created = Table.subgoal_entry a.table goal in
   if created then begin
     stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
     record a Trace.Table_subgoal entry.Table.id
@@ -990,9 +1003,6 @@ let table_call a ~table ~ctx ~compiled ~db goal =
     let tv =
       {
         tv_a = a;
-        tv_table = table;
-        tv_db = db;
-        tv_compiled = compiled;
         tv_ctx = { ctx with Builtins.trail };
         tv_trail = trail;
         tv_frames = [];
@@ -1021,6 +1031,58 @@ let table_call a ~table ~ctx ~compiled ~db goal =
     in
     entry.Table.answer_clauses <- Some clauses;
     clauses
+
+(* ------------------------------------------------------------------ *)
+(* The step: what calling a goal comes to                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A lone candidate is tried at once: determinate after indexing, the
+   call needs no choice point (the property LPCO and SPO key on).
+   Several go to the engine's own choice point untried, so an engine
+   that pays for its choice point before the first try (the simulators)
+   keeps its charge order. *)
+let candidates a ctx goal = function
+  | [] -> R_fail
+  | [ clause ] -> try_clause a ctx goal clause
+  | clauses ->
+    a.goal <- goal;
+    a.alts <- clauses;
+    R_alts
+
+(* The call chokepoint: a fired token raises {!Cancel.Cancelled} here,
+   out to the engine's handler.  Tabled predicates answer from the
+   shared table (evaluated first when incomplete), as pseudo-facts. *)
+let user a ctx goal =
+  Cancel.check a.cancel;
+  candidates a ctx goal
+    (if Database.is_tabled_goal a.db goal then table_call a ctx goal
+     else select a goal)
+
+let step a ctx goal =
+  let goal = Term.deref goal in
+  if Code.is_control goal then R_control
+  else
+    match call_builtin a ctx goal with
+    | Builtins.Ok -> R_body []
+    | Builtins.Fail -> R_fail
+    | Builtins.Not_builtin -> user a ctx goal
+
+let step_regs a ctx sym arity =
+  Cancel.check a.cancel;
+  let regs = a.sc.Code.s_regs in
+  if Database.is_tabled a.db sym arity then
+    (* materialized: tabled answers must outlive the registers, and the
+       table keys on the goal term *)
+    user a ctx (goal_of_regs sym arity regs)
+  else
+    match select_args a sym arity regs with
+    | [] -> R_fail
+    | [ clause ] -> try_code_args a ~ctx regs clause
+    | clauses ->
+      (* a goal inside a choice point must outlive the registers *)
+      a.goal <- goal_of_regs sym arity regs;
+      a.alts <- clauses;
+      R_alts
 
 (* ------------------------------------------------------------------ *)
 (* Optimization-schema decisions                                       *)
@@ -1105,82 +1167,6 @@ module Schema = struct
 
   let lao_refurbish (config : Config.t) ~top_exhausted =
     config.Config.lao && top_exhausted
-end
-
-(* ------------------------------------------------------------------ *)
-(* State copying                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Copy = struct
-  type table = (int, Term.var) Hashtbl.t
-
-  (* Bindings resolved away, unbound variables made fresh: the receiving
-     worker needs no further setup (publication snapshot). *)
-  let rec snapshot_term table cells t =
-    incr cells;
-    match Term.deref t with
-    | (Term.Atom _ | Term.Int _) as t' -> t'
-    | Term.Var v -> (
-      match Hashtbl.find_opt table v.Term.vid with
-      | Some v' -> Term.Var v'
-      | None ->
-        let v' = Term.fresh_var () in
-        Hashtbl.add table v.Term.vid v';
-        Term.Var v')
-    | Term.Struct (f, args) ->
-      Term.Struct (f, Array.map (snapshot_term table cells) args)
-
-  let rec snapshot_body table cells body =
-    List.map
-      (function
-        | Clause.Call g -> Clause.Call (snapshot_term table cells g)
-        | Clause.Exec xf ->
-          (* the environment is copied cell-wise through the same table,
-             so variables shared between the frame and the rest of the
-             continuation stay shared in the copy *)
-          Clause.Exec
-            {
-              xf with
-              Clause.xf_env =
-                Array.map (snapshot_term table cells) xf.Clause.xf_env;
-            }
-        | Clause.Par bodies ->
-          Clause.Par (List.map (snapshot_body table cells) bodies))
-      body
-
-  (* Bound variables copied as bound variables, so the receiving trail
-     can undo them independently (MUSE stack copy). *)
-  let rec raw_term table cells t =
-    incr cells;
-    match t with
-    | Term.Atom _ | Term.Int _ -> t
-    | Term.Struct (f, args) ->
-      Term.Struct (f, Array.map (raw_term table cells) args)
-    | Term.Var v -> (
-      match Hashtbl.find_opt table v.Term.vid with
-      | Some v' -> Term.Var v'
-      | None ->
-        let v' = Term.fresh_var () in
-        Hashtbl.add table v.Term.vid v';
-        (match v.Term.binding with
-         | Some b -> v'.Term.binding <- Some (raw_term table cells b)
-         | None -> ());
-        Term.Var v')
-
-  let rec raw_items table cells items =
-    List.map
-      (function
-        | Clause.Call g -> Clause.Call (raw_term table cells g)
-        | Clause.Exec _ ->
-          assert false (* the or-parallel simulator runs interpreted clauses *)
-        | Clause.Par bodies ->
-          Clause.Par (List.map (raw_items table cells) bodies))
-      items
-
-  let raw_var table cells v =
-    match raw_term table cells (Term.Var v) with
-    | Term.Var v' -> v'
-    | Term.Atom _ | Term.Int _ | Term.Struct _ -> assert false
 end
 
 (* ------------------------------------------------------------------ *)

@@ -1,16 +1,19 @@
 (** The shared solver kernel.
 
     All four engines (sequential, simulated and-parallel, simulated
-    or-parallel, multicore or+and) resolve goals the same way: classify
-    the goal, dispatch builtins through {!Builtins}, look clauses up in
-    the frozen database, unify a renamed head, and undo the trail on
-    failure — while charging the {!Ace_machine.Cost} table and updating a
+    or-parallel, multicore or+and) call goals through one {!step}: it
+    dispatches builtins through {!Builtins}, checks the cancel token,
+    routes tabled calls through the shared answer table, looks clauses up
+    in the frozen database and tries a lone candidate (a renamed head
+    unified, or compiled code run, the trail undone on failure) — while
+    charging the {!Ace_machine.Cost} table and updating a
     {!Ace_machine.Stats} shard.  This module owns that common machinery
     as plain functions over one concrete {!agent} record, which each
     engine builds per execution context, so each engine keeps only its
-    scheduling policy (stacks, stealing, frames, publication).  A record
-    rather than a functor over the engine: OCaml without flambda calls
-    every functor-argument operation indirectly and never inlines it.
+    scheduling and choice-point policy (stacks, stealing, frames,
+    publication, control constructs).  A record rather than a functor
+    over the engine: OCaml without flambda calls every functor-argument
+    operation indirectly and never inlines it.
 
     The paper's optimization schemas (LPCO, LAO, SPO, PDO and the
     sequentialization/granularity schema) are exposed as pure,
@@ -26,6 +29,13 @@ module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
 
+(** [finish opts ~t0 ~cycles solutions stats metrics] is the result of a
+    run started at [t0] ([Unix.gettimeofday]): [wall_ns] is measured now
+    and [cancelled] read off [opts.cancel]. *)
+val finish :
+  Run.opts -> t0:float -> cycles:int option -> Term.t list -> Stats.t ->
+  Ace_obs.Metrics.t -> Run.result
+
 (** How an agent pays the charges the kernel makes. *)
 type clock =
   | Cycles  (** added up in [cycles] (the sequential engine) *)
@@ -34,9 +44,9 @@ type clock =
       (** each charge advances the simulated agent running it *)
 
 (** One execution context: the sequential machine, one multicore worker
-    domain, or one simulated agent.  Every field but [cycles] and [prof]
-    is fixed at creation; [stats], [sc], [prof] and [tbuf] are private
-    to the context (single writer). *)
+    domain, or one simulated agent.  [stats], [sc], [prof], [tbuf],
+    [goal] and [alts] are private to the context (single writer); [db]
+    and [table] are the run's, shared by all its agents. *)
 type agent = {
   name : string;
       (** the engine, in "control construct ... not supported inside
@@ -47,32 +57,43 @@ type agent = {
       (** frame buffer and argument registers for compiled clause code *)
   mutable prof : Ace_obs.Prof.shard;
       (** {!Ace_obs.Prof.null} when profiling is off (every hook is then
-          a load and a branch); mutable because a profiler clock may need
-          the agent *)
+          a load and a branch) *)
   cancel : Cancel.t;
-      (** polled inside the tabling mini-solver, whose evaluation never
-          passes through an engine chokepoint: {!table_call} then raises
-          {!Cancel.Cancelled}, leaving the entry incomplete but
-          consistent (monotone partial answers; the next caller
-          re-evaluates) *)
+      (** checked at the call chokepoint of {!step} and {!step_regs} and
+          inside the tabling mini-solver: a fired token raises
+          {!Cancel.Cancelled} out to the engine's handler, leaving a
+          table under evaluation incomplete but consistent (monotone
+          partial answers; the next caller re-evaluates) *)
   clock : clock;
   mutable cycles : int;  (** abstract cycles charged so far ([Cycles]) *)
   tbuf : Ace_obs.Trace.buffer;
+  db : Database.t;
+  table : Ace_lang.Table.t;  (** the run's SLG answer table *)
+  compiled : bool;
+      (** run clauses as compiled code through the deep-indexing
+          dispatch tree; interpreted with first-argument indexing
+          otherwise *)
+  mutable goal : Term.t;  (** after {!R_alts}: the call to answer *)
+  mutable alts : Clause.t list;
+      (** after {!R_alts}: its candidate clauses (at least two), none
+          tried yet *)
 }
 
-(** A fresh agent with its own scratch, [cycles] 0 and no profiler
-    shard. *)
+(** A fresh agent with its own scratch and [cycles] 0, its trace buffer
+    for track [dom] of [opts.trace], and, when [opts.prof] is on, a
+    profiler shard for [dom] stamped by [clock]. *)
 val agent :
-  name:string -> cost:Cost.t -> stats:Stats.t -> cancel:Cancel.t ->
-  clock:clock -> Ace_obs.Trace.buffer -> agent
+  Run.opts -> name:string -> clock:clock -> cost:Cost.t -> stats:Stats.t ->
+  db:Database.t -> table:Ace_lang.Table.t -> compiled:bool -> dom:int ->
+  agent
 
 (** Records a trace event into the agent's buffer, stamped by its clock
     (its cycles, the simulator's virtual time, or the wall clock). *)
 val record : agent -> Ace_obs.Trace.kind -> int -> unit
 
-(** Goal classification shared by every dispatch loop.  Constructors
-    carry the decomposed subterms; [Goal] carries the dereferenced
-    term. *)
+(** Goal classification for the control constructs {!step} leaves to the
+    engine.  Constructors carry the decomposed subterms; [Goal] carries
+    the dereferenced term. *)
 type cls =
   | Cut
   | Conj of Term.t  (** a [','/2] goal, to be recompiled into the body *)
@@ -86,31 +107,57 @@ type cls =
 
 val classify : Term.t -> cls
 
-(** True exactly when {!classify} would answer [Goal] — the argument
-    must already be dereferenced.  Allocation-free, so dispatch loops
-    test it before paying for a full classification (plain calls are the
-    vast majority of dispatches). *)
-val is_plain : Term.t -> bool
-
 (** Builds the report-and-fail continuation for a whole-search engine:
     the compiled query followed by the ['$solution'] sentinel. *)
 val sentinel_body : Term.t -> Clause.body
 
-(** Merges per-agent stat shards into a fresh total (the shards must no
-    longer be written; see the {!Stats.merge_into} ownership
-    contract). *)
-val merge_shards : Stats.t array -> Stats.t
+(** What calling a goal comes to, decided once for every engine.
 
-(** What one clause try resolved to.  [R_exec] is the last-call case:
-    the clause body ran to its final user call entirely on the scratch
-    frame, the callee's arguments are loaded in the agent's registers
-    ([agent.sc]), and nothing was stacked — the engine re-enters clause
-    selection directly ({!select_args}), so a determinate recursion loops
-    in constant space. *)
+    - [R_fail]: a builtin failed, no clause matched the index, or the
+      lone candidate's head did not match (its bindings undone).
+    - [R_body body]: a builtin succeeded ([body = []]) or the lone
+      candidate matched; run [body] (instantiated, or one
+      [Clause.Exec] item) before the caller's continuation.
+    - [R_exec (sym, arity)]: the lone candidate ran to its last call on
+      the scratch frame; the callee's arguments are in the agent's
+      registers ([agent.sc]) and nothing was stacked — step them with
+      {!step_regs}, so a determinate recursion loops in constant space.
+    - [R_alts]: several candidates, none tried, in [agent.goal] and
+      [agent.alts], for the engine's own choice point.
+    - [R_control]: a control construct ({!classify} it). *)
 type resolved =
   | R_fail
   | R_body of Clause.body
   | R_exec of Ace_term.Symbol.t * int  (** callee, arity; args in registers *)
+  | R_alts
+  | R_control
+
+val step : agent -> Builtins.ctx -> Term.t -> resolved
+(** One call: builtin dispatch (charged, profiled), then the call
+    chokepoint's {!Cancel.check}, tabled routing through the shared
+    answer table, clause selection (raising the existence error for an
+    unknown procedure) and the try of a lone candidate.  Bindings go on
+    [ctx]'s trail. *)
+
+val step_regs : agent -> Builtins.ctx -> Ace_term.Symbol.t -> int -> resolved
+(** {!step} for a call whose arguments are loaded in the registers (after
+    [R_exec], [Ex_call] or [Ex_exec]; compiled agents only): clause
+    selection walks the dispatch tree straight from the register file,
+    and only a tabled call or several candidates materialize a goal
+    term. *)
+
+val try_clause : agent -> Builtins.ctx -> Term.t -> Clause.t -> resolved
+(** One candidate of a choice point against the goal, in the agent's
+    mode, answering [R_fail], [R_body] or [R_exec].  Interpreted: a
+    renamed head unified against the goal; the body comes back
+    instantiated.  Compiled: the clause's flat instruction code
+    ({!Ace_lang.Code}) runs against the goal's arguments, charged per
+    executed instruction ([Cost.code_instr]) plus embedded unification
+    steps; a scratch-eligible body (builtins + final execute) runs to its
+    last call inline ([R_exec] or [R_body []]), any other body escapes as
+    one [Clause.Exec] item over a heap environment (counted in
+    [Stats.env_allocs]).  Either way a failed try undoes its bindings
+    (charged). *)
 
 (** Where {!exec_body} stopped — the next thing the engine must
     schedule.  [Ex_call]/[Ex_exec] have the callee's arguments loaded in
@@ -125,17 +172,10 @@ type executed =
   | Ex_goal of Term.t * int
   | Ex_par of Clause.body list * int
 
-(** The {!Ace_lang.Code.t} behind an [Exec] item's extensible code slot. *)
-val code_of_frame : Clause.exec_frame -> Ace_lang.Code.t
-
 (** [exec_cont xf pc rest] is the continuation that resumes [xf] at
     [pc] — just [rest] when the body is exhausted, so no empty frames
     are ever stacked (the last-call generalization). *)
 val exec_cont : Clause.exec_frame -> int -> Clause.body -> Clause.body
-
-(** Materializes a register call as a goal term (the multi-candidate
-    slow path: goals inside choice points must outlive the registers). *)
-val goal_of_regs : Ace_term.Symbol.t -> int -> Term.t array -> Term.t
 
 (** [trim_env xf live] clears the dead slot suffix of the frame so the
     terms it holds become collectable.  The clears are not trailed:
@@ -143,39 +183,7 @@ val goal_of_regs : Ace_term.Symbol.t -> int -> Term.t array -> Term.t
     clause entry) before trimming. *)
 val trim_env : Clause.exec_frame -> int -> unit
 
-val call_builtin : agent -> Builtins.ctx -> Term.t -> Builtins.outcome
-(** Runs a builtin, translating its unification/arithmetic work and
-    trail growth into charges and stats. *)
-
-val try_clause : agent -> trail:Trail.t -> Term.t -> Clause.t -> resolved
-(** Unifies a renamed clause head against the goal; on success returns
-    the instantiated body ([R_body], never [R_exec]), on failure undoes
-    the partial bindings (charged). *)
-
-val try_code :
-  agent -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t -> Clause.t -> resolved
-(** Compiled counterpart of {!try_clause}: executes the clause's flat
-    instruction code ({!Ace_lang.Code}) against the goal arguments — same
-    trail contract, charged per executed instruction ([Cost.code_instr])
-    plus embedded unification steps.  A scratch-eligible body (builtins +
-    final execute) runs to its last call inline, yielding [R_exec] or
-    [R_body []]; any other body escapes as one [Clause.Exec] item over a
-    heap environment (counted in [Stats.env_allocs]). *)
-
-val try_code_args :
-  agent -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t array -> Clause.t ->
-  resolved
-(** {!try_code} with the caller's arguments spread in a register file
-    (the [R_exec] fast path — no goal term on either side). *)
-
-val resolve :
-  agent -> ctx:Builtins.ctx -> compiled:bool -> trail:Trail.t -> Term.t ->
-  Clause.t -> resolved
-(** {!try_code} when [compiled], {!try_clause} otherwise (the sequential
-    engine's two modes; every other engine calls one of them
-    directly). *)
-
-val exec_body : agent -> ctx:Builtins.ctx -> Clause.exec_frame -> executed
+val exec_body : agent -> Builtins.ctx -> Clause.exec_frame -> executed
 (** Executes a compiled body from its saved pc: consecutive builtins run
     inline, the first step the kernel cannot finish is decoded for the
     engine.  On [Ex_fail] the trail is NOT unwound here — the engine
@@ -187,38 +195,11 @@ val unify_goal : agent -> trail:Trail.t -> Term.t -> Term.t -> bool
     try (used to replay recorded and-parallel solutions); undoes on
     failure. *)
 
-val select : agent -> compiled:bool -> Database.t -> Term.t -> Clause.t list
-(** Indexed clause lookup, raising the existence error for unknown
-    procedures: the compiled path selects through the deep-indexing
-    dispatch tree ({!Database.lookup_code}), the interpreted path through
-    first-argument indexing. *)
-
-val select_args :
-  agent -> Database.t -> Ace_term.Symbol.t -> int -> Term.t array ->
-  Clause.t list
-(** Clause selection for a register call: the dispatch tree walked from
-    the register file (compiled path only). *)
-
 val untrail : agent -> Trail.t -> int -> unit
 (** [untrail a trail mark] undoes to [mark], charging per entry. *)
 
 val unsupported : agent -> Term.t -> 'a
 (** Raises the "control construct not supported" engine error. *)
-
-val table_call :
-  agent -> table:Ace_lang.Table.t -> ctx:Builtins.ctx -> compiled:bool ->
-  db:Database.t -> Term.t -> Clause.t list
-(** SLG evaluation of a tabled call.  Ensures the call's subgoal table is
-    complete — when it is not, the calling agent evaluates the subgoal to
-    completion right here with a private solver (saved consumers resumed
-    with the answers they have not seen, over the subgoal's
-    strongly-connected region; see DESIGN.md, "Tabling") — then returns
-    the answers as pseudo-fact clauses, precompiled, so the engine
-    enumerates them through its ordinary clause machinery.  Workers never
-    block on each other: concurrent callers of an incomplete subgoal
-    evaluate redundantly and deduplicate through the shared answer
-    table.  Raises the engine error when a subgoal exceeds
-    [Table.max_answers]. *)
 
 (** The paper's optimization schemas as pure decisions (unit-tested in
     [test/test_kernel.ml]); engines implement only the mechanics. *)
@@ -255,20 +236,6 @@ module Schema : sig
   val lao_refurbish : Config.t -> top_exhausted:bool -> bool
   (** LAO (§3.2): reuse the exhausted top choice point in place instead
       of allocating a new node. *)
-end
-
-(** State copying shared by the copying engines: [snapshot_*] resolves
-    bindings away (publishing self-contained tasks), [raw_*] preserves
-    bindings so the receiving trail can undo them (MUSE stack copy).
-    [cells] counts copied cells for cost accounting. *)
-module Copy : sig
-  type table = (int, Term.var) Hashtbl.t
-
-  val snapshot_term : table -> int ref -> Term.t -> Term.t
-  val snapshot_body : table -> int ref -> Clause.body -> Clause.body
-  val raw_term : table -> int ref -> Term.t -> Term.t
-  val raw_items : table -> int ref -> Clause.item list -> Clause.item list
-  val raw_var : table -> int ref -> Term.var -> Term.var
 end
 
 (** Helpers for recomputation-free and-parallel joins: each parcall slot

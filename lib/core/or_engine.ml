@@ -32,8 +32,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Database = Ace_lang.Database
-module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
@@ -52,26 +50,24 @@ type ocp = {
 type worker = {
   w_id : int;
   mutable w_cps : ocp list; (* newest first *)
-  mutable w_trail : Trail.t;
+  mutable w_ctx : Builtins.ctx; (* its builtin context and trail *)
   mutable w_idle : bool;
 }
 
 type t = {
-  db : Database.t;
-  table : Table.t; (* shared answer table for tabled predicates *)
   config : Config.t;
   cost : Cost.t;
   ks : Kernel.agent array;
-    (* the kernel's view of each simulated worker: its stats shard, trace
-       ring and profiler shard, charges ticking the simulator *)
+    (* the kernel's view of each simulated worker: the database and
+       answer table, its stats shard, trace ring and profiler shard,
+       charges ticking the simulator *)
   chaos : Chaos.agent array; (* per-worker schedule-jitter streams *)
   sim : Sim.t;
   workers : worker array;
-  goal : Term.t;
-  output : Buffer.t option;
   cancel : Cancel.t;
     (* polled at the call/backtrack chokepoints; once fired the run stops
-       through the same finished+stop path as a solution limit *)
+       through the same finished+stop path as a solution limit (the call
+       chokepoint's raise is caught in [worker_body]) *)
   mutable finished : bool;
   mutable idle_count : int;
   mutable sol_count : int;
@@ -115,6 +111,41 @@ let stop st =
 (* Raw state copying (the MUSE stack copy)                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Bound variables copied as bound variables, so the receiving trail can
+   undo them independently.  [cells] counts copied cells for the copy
+   charge. *)
+let rec raw_term table cells t =
+  incr cells;
+  match t with
+  | Term.Atom _ | Term.Int _ -> t
+  | Term.Struct (f, args) ->
+    Term.Struct (f, Array.map (raw_term table cells) args)
+  | Term.Var v -> (
+    match Hashtbl.find_opt table v.Term.vid with
+    | Some v' -> Term.Var v'
+    | None ->
+      let v' = Term.fresh_var () in
+      Hashtbl.add table v.Term.vid v';
+      (match v.Term.binding with
+       | Some b -> v'.Term.binding <- Some (raw_term table cells b)
+       | None -> ());
+      Term.Var v')
+
+let rec raw_items table cells items =
+  List.map
+    (function
+      | Clause.Call g -> Clause.Call (raw_term table cells g)
+      | Clause.Exec _ ->
+        assert false (* the or-parallel simulator runs interpreted clauses *)
+      | Clause.Par bodies ->
+        Clause.Par (List.map (raw_items table cells) bodies))
+    items
+
+let raw_var table cells v =
+  match raw_term table cells (Term.Var v) with
+  | Term.Var v' -> v'
+  | Term.Atom _ | Term.Int _ | Term.Struct _ -> assert false
+
 (* Copies the victim's entire machine state into the thief (full stack +
    full trail, exactly like a MUSE stack copy); the caller then backtracks
    the copy to the stolen node.  The alternative refs stay shared. *)
@@ -125,19 +156,19 @@ let copy_state st ~victim ~thief =
     List.map
       (fun cp ->
         {
-          o_goal = Kernel.Copy.raw_term table cells cp.o_goal;
+          o_goal = raw_term table cells cp.o_goal;
           o_alts = cp.o_alts; (* shared *)
-          o_cont = Kernel.Copy.raw_items table cells cp.o_cont;
+          o_cont = raw_items table cells cp.o_cont;
           o_trail = cp.o_trail;
         })
       victim.w_cps
   in
   let trail = Trail.create () in
-  let n = Trail.size victim.w_trail in
-  let entries = Trail.segment victim.w_trail ~lo:0 ~hi:n in
-  Array.iter (fun v -> Trail.push trail (Kernel.Copy.raw_var table cells v)) entries;
+  let vtrail = victim.w_ctx.Builtins.trail in
+  let entries = Trail.segment vtrail ~lo:0 ~hi:(Trail.size vtrail) in
+  Array.iter (fun v -> Trail.push trail (raw_var table cells v)) entries;
   thief.w_cps <- cps;
-  thief.w_trail <- trail;
+  thief.w_ctx <- { thief.w_ctx with Builtins.trail };
   charge st (st.cost.Cost.copy_setup + (!cells * st.cost.Cost.copy_cell));
   (shard st).Stats.copies <- (shard st).Stats.copies + 1;
   (shard st).Stats.copied_cells <- (shard st).Stats.copied_cells + !cells;
@@ -148,13 +179,10 @@ let copy_state st ~victim ~thief =
 (* Resolution                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ctx_of st w = Builtins.make_ctx ?output:st.output ~trail:w.w_trail ()
-
-let call_builtin st w goal = Kernel.call_builtin (ka st) (ctx_of st w) goal
-
 (* Choice-point creation, with the LAO check: if the current top node is
    exhausted, refurbish it in place instead of allocating a new node. *)
 let push_cp st w ~goal ~alts ~cont =
+  let mark = Trail.mark w.w_ctx.Builtins.trail in
   chaos_yield st;
   if st.config.Config.lao then charge st st.cost.Cost.runtime_check;
   match w.w_cps with
@@ -167,14 +195,14 @@ let push_cp st w ~goal ~alts ~cont =
     top.o_goal <- goal;
     top.o_alts <- ref alts; (* fresh ref: old copies keep their dead ref *)
     top.o_cont <- cont;
-    top.o_trail <- Trail.mark w.w_trail
+    top.o_trail <- mark
   | _ ->
     charge st st.cost.Cost.cp_alloc;
     (shard st).Stats.cp_allocs <- (shard st).Stats.cp_allocs + 1;
     (shard st).Stats.stack_words <-
       (shard st).Stats.stack_words + Cost.words_choice_point;
     w.w_cps <-
-      { o_goal = goal; o_alts = ref alts; o_cont = cont; o_trail = Trail.mark w.w_trail }
+      { o_goal = goal; o_alts = ref alts; o_cont = cont; o_trail = mark }
       :: w.w_cps
 
 let record_solution st =
@@ -199,25 +227,12 @@ let rec run_worker st w (cont : Clause.item list) : unit =
     | Clause.Exec _ :: _ ->
       assert false (* only compiled clause tries build these *)
 
-(* Resolves [goal] against one clause and runs its body before [cont]. *)
-and try_clause st w goal clause cont =
-  match Kernel.try_clause (ka st) ~trail:w.w_trail goal clause with
-  | Kernel.R_fail -> backtrack st w
-  | Kernel.R_body body -> run_worker st w (body @ cont)
-  | Kernel.R_exec _ -> assert false (* [try_clause] never answers R_exec *)
-
 and dispatch st w g cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match call_builtin st w g with
-    | Builtins.Ok -> run_worker st w cont
-    | Builtins.Fail -> backtrack st w
-    | Builtins.Not_builtin -> user_call st w g cont
-  else
-    dispatch_control st w g cont
+  match Kernel.step (ka st) w.w_ctx g with
+  | Kernel.R_control -> control st w g cont
+  | resolved -> continue st w resolved cont
 
-and dispatch_control st w g cont =
+and control st w g cont =
   match Kernel.classify g with
   | Kernel.Sentinel goal ->
     record_solution st;
@@ -227,43 +242,31 @@ and dispatch_control st w g cont =
       | Some limit -> st.sol_count >= limit
       | None -> false
     in
-    if enough then begin
-      st.finished <- true;
-      Sim.stop st.sim
-    end
+    if enough then stop st
     else backtrack st w (* report-and-fail drives the full search *)
-  | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-    Kernel.unsupported (ka st) (Term.deref g)
   | Kernel.Conj g | Kernel.Amp g -> run_worker st w (Clause.compile_body g @ cont)
   | Kernel.Meta g -> dispatch st w g cont
-  | Kernel.Goal g -> (
-    (* unreachable from [dispatch] (filtered by [is_plain]); kept for
-       direct [classify] completeness *)
-    match call_builtin st w g with
-    | Builtins.Ok -> run_worker st w cont
-    | Builtins.Fail -> backtrack st w
-    | Builtins.Not_builtin -> user_call st w g cont)
+  | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ | Kernel.Goal _ ->
+    Kernel.unsupported (ka st) g
 
-and user_call st w g cont =
-  if Cancel.poll st.cancel then stop st
-  else
-  match
-    (* tabled predicates answer from the shared table; the kernel
-       completes the subgoal first when needed (see Kernel.table_call) *)
-    if Database.is_tabled_goal st.db g then
-      Kernel.table_call (ka st) ~table:st.table ~ctx:(ctx_of st w)
-        ~compiled:false ~db:st.db g
-    else Kernel.select (ka st) ~compiled:false st.db g
-  with
-  | exception Cancel.Cancelled ->
-    (* an abort inside the tabling mini-solver: the entry stays
-       incomplete but consistent (Kernel.table_call's contract) *)
-    stop st
-  | [] -> backtrack st w
-  | [ clause ] -> try_clause st w g clause cont
-  | clause :: rest ->
-    push_cp st w ~goal:g ~alts:rest ~cont;
-    try_clause st w g clause cont
+(* Schedules what a step or one clause try came to.  Several candidates
+   get a choice point (LAO-refurbished or new) before the first is
+   tried. *)
+and continue st w resolved cont =
+  match resolved with
+  | Kernel.R_fail -> backtrack st w
+  | Kernel.R_body body -> run_worker st w (body @ cont)
+  | Kernel.R_exec (sym, arity) ->
+    continue st w (Kernel.step_regs (ka st) w.w_ctx sym arity) cont
+  | Kernel.R_alts -> (
+    let a = ka st in
+    let g = a.Kernel.goal in
+    match a.Kernel.alts with
+    | clause :: rest ->
+      push_cp st w ~goal:g ~alts:rest ~cont;
+      continue st w (Kernel.try_clause a w.w_ctx g clause) cont
+    | [] -> assert false (* [R_alts] leaves at least two candidates *))
+  | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
 
 (* Local backtracking: exhausted nodes are popped (each visit charged); a
    node with remaining shared alternatives yields the next one. *)
@@ -286,9 +289,11 @@ and backtrack st w =
       | clause :: alts ->
         if Prof.live (psh st) then Prof.redo (psh st) (Prof.key_of_term cp.o_goal);
         cp.o_alts := alts;
-        Kernel.untrail (ka st) w.w_trail cp.o_trail;
+        Kernel.untrail (ka st) w.w_ctx.Builtins.trail cp.o_trail;
         charge st st.cost.Cost.cp_restore;
-        try_clause st w cp.o_goal clause cp.o_cont)
+        continue st w
+          (Kernel.try_clause (ka st) w.w_ctx cp.o_goal clause)
+          cp.o_cont)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -375,7 +380,7 @@ let try_steal st (w : worker) =
             charge st (visited * st.cost.Cost.backtrack_node);
             (shard st).Stats.bt_nodes_visited <-
               (shard st).Stats.bt_nodes_visited + visited;
-            Kernel.untrail (ka st) w.w_trail cp.o_trail;
+            Kernel.untrail (ka st) w.w_ctx.Builtins.trail cp.o_trail;
             charge st (st.cost.Cost.cp_restore + st.cost.Cost.steal_grab);
             (shard st).Stats.steals <- (shard st).Stats.steals + 1;
             record st Trace.Steal victim.w_id;
@@ -386,11 +391,9 @@ let try_steal st (w : worker) =
 
 let worker_body st w ~initial () =
   let resume (cp, clause) =
-    try_clause st w cp.o_goal clause cp.o_cont
+    continue st w (Kernel.try_clause (ka st) w.w_ctx cp.o_goal clause)
+      cp.o_cont
   in
-  (match initial with
-   | Some cont -> run_worker st w cont
-   | None -> ());
   (* steal loop with distributed termination detection: a worker that finds
      nothing to steal while every other worker is idle declares global
      exhaustion *)
@@ -429,78 +432,58 @@ let worker_body st w ~initial () =
       poll ()
     end
   in
-  idle_loop ()
+  (* a fired cancel token raises out of the kernel's call chokepoint:
+     stop the search like a solution limit *)
+  try
+    (match initial with
+     | Some cont -> run_worker st w cont
+     | None -> ());
+    idle_loop ()
+  with Cancel.Cancelled -> stop st
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  solutions : Term.t list; (* in discovery order (nondeterministic for P>1) *)
-  stats : Stats.t; (* merged over all simulated workers *)
-  per_agent : Stats.t array; (* the per-worker shards behind [stats] *)
-  time : int;
-}
-
-let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) (config : Config.t)
-    db goal =
+let solve (opts : Run.opts) table (config : Config.t) db goal =
+  let t0 = Unix.gettimeofday () in
   let config = Config.validate config in
   let sim = Sim.create ~max_steps:3_000_000 () in
-  let workers =
-    Array.init config.Config.agents (fun i ->
-        { w_id = i; w_cps = []; w_trail = Trail.create (); w_idle = false })
+  let n = config.Config.agents in
+  let st =
+    {
+      config;
+      cost = config.Config.cost;
+      ks =
+        Array.init n (fun i ->
+            Kernel.agent opts ~name:"the or-parallel engine"
+              ~clock:(Kernel.Ticks sim) ~cost:config.Config.cost
+              ~stats:(Stats.create ()) ~db ~table ~compiled:false ~dom:i);
+      chaos = Array.init n (fun i -> Chaos.agent opts.Run.chaos i);
+      sim;
+      workers =
+        Array.init n (fun i ->
+            let trail = Trail.create () in
+            { w_id = i; w_cps = [];
+              w_ctx = Builtins.make_ctx ?output:opts.Run.output ~trail ();
+              w_idle = false });
+      cancel = opts.Run.cancel;
+      finished = false;
+      idle_count = 0;
+      sol_count = 0;
+      solutions = [];
+    }
   in
-  let ks =
-    Array.init config.Config.agents (fun i ->
-        let a =
-          Kernel.agent ~name:"the or-parallel engine" ~cost:config.Config.cost
-            ~stats:(Stats.create ()) ~cancel ~clock:(Kernel.Ticks sim)
-            (Trace.buffer trace ~dom:i)
-        in
-        if Prof.enabled prof then
-          a.prof <-
-            Prof.shard prof ~dom:i ~stats:a.stats
-              ~clock:(fun () -> Sim.now sim)
-              ();
-        a)
-  in
-  {
-    db;
-    table =
-      (match table with
-      | Some t -> t
-      | None -> Table.create ~max_answers:config.Config.table_max_answers ());
-    config;
-    cost = config.Config.cost;
-    ks;
-    chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
-    sim;
-    workers;
-    goal;
-    output;
-    cancel;
-    finished = false;
-    idle_count = 0;
-    sol_count = 0;
-    solutions = [];
-  }
-
-let run st =
-  let shards = Array.map (fun (a : Kernel.agent) -> a.stats) st.ks in
-  let init = Kernel.sentinel_body st.goal in
+  let init = Kernel.sentinel_body goal in
   Array.iter
     (fun w ->
       let initial = if w.w_id = 0 then Some init else None in
-      Sim.spawn st.sim ~agent:w.w_id (worker_body st w ~initial))
+      Sim.spawn sim ~agent:w.w_id (worker_body st w ~initial))
     st.workers;
-  Sim.run st.sim;
-  {
-    solutions = List.rev st.solutions;
-    stats = Kernel.merge_shards shards;
-    per_agent = shards;
-    time = Sim.stop_time st.sim;
-  }
-
-let solve ?output ?trace ?chaos ?prof ?table ?cancel config db goal =
-  run (create ?output ?trace ?chaos ?prof ?table ?cancel config db goal)
+  Sim.run sim;
+  let metrics =
+    Ace_obs.Metrics.of_stats_array
+      (Array.map (fun (a : Kernel.agent) -> a.Kernel.stats) st.ks)
+  in
+  Kernel.finish opts ~t0 ~cycles:(Some (Sim.stop_time sim))
+    (List.rev st.solutions) (Ace_obs.Metrics.total metrics) metrics

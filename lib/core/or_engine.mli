@@ -3,59 +3,26 @@
 
     Finds all solutions (or [config.max_solutions]) by exploring the or-tree
     with [config.agents] simulated workers.  Parallel conjunctions run
-    sequentially; cut and other control constructs are rejected.
+    sequentially; cut and the other control constructs but [,], ['&'] and
+    [call/1] raise the kernel's "not supported" error.
 
-    Clauses are always interpreted (the paper's cost model);
-    [config.compile] is not read. *)
+    Each simulated worker resolves calls through {!Kernel.step}; the
+    engine keeps only its private choice-point stacks, the shared
+    alternative lists, LAO and the copying scheduler.  Clauses are always
+    interpreted (the paper's cost model); [config.compile] is not read. *)
 
-type t
+(** Runs the search with [table] as the answer table ([opts.table] is not
+    read); [cycles] is the simulated completion time.  Solutions come in
+    discovery order: deterministic, but interleaved for P > 1 — compare
+    them as multisets against the sequential engine.  [metrics] holds one
+    single-writer shard per simulated worker.
 
-type result = {
-  solutions : Ace_term.Term.t list;
-      (** discovery order; deterministic but interleaved for P > 1 —
-          compare as multisets against the sequential engine *)
-  stats : Ace_machine.Stats.t;  (** merged over all simulated workers *)
-  per_agent : Ace_machine.Stats.t array;
-      (** one single-writer shard per simulated worker; [stats] is their
-          merge *)
-  time : int;
-}
-
-(** [trace] (default {!Ace_obs.Trace.disabled}) collects per-agent event
-    rings (steal, copy, LAO hit, solution, idle spans) stamped with the
-    simulator's virtual clock.
-
-    [chaos] (default {!Ace_sched.Chaos.disabled}) charges seeded extra
-    virtual cycles at yield sites and skips steal victims; because the
-    simulator is deterministic, each chaos seed selects one exact
-    alternative interleaving — deterministic schedule exploration.  The
-    solution multiset must be invariant across seeds.
-
-    [cancel] (default {!Cancel.none}) is polled at every worker's call
-    and backtrack chokepoints; once fired the run stops through the same
-    path as a solution limit, returning the solutions recorded so far. *)
-val create :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  Ace_machine.Config.t ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  t
-
-val run : t -> result
-
-val solve :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  Ace_machine.Config.t ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  result
+    [opts.trace] collects per-agent event rings (steal, copy, LAO hit,
+    solution, idle spans) stamped with the simulator's virtual clock.
+    [opts.chaos] charges seeded extra virtual cycles at yield sites and
+    skips steal victims; because the simulator is deterministic, each
+    chaos seed selects one exact alternative interleaving.  The solution
+    multiset must be invariant across seeds.  [opts.cancel] is polled at
+    every worker's call and backtrack chokepoints; once fired the run
+    stops through the same path as a solution limit. *)
+val solve : Run.solver

@@ -45,9 +45,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Code = Ace_lang.Code
-module Database = Ace_lang.Database
-module Table = Ace_lang.Table
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
 module Deque = Ace_sched.Deque
@@ -98,8 +95,6 @@ type cp = {
 }
 
 type shared = {
-  db : Database.t;
-  table : Table.t; (* shared answer table for tabled predicates (locked) *)
   config : Config.t;
   deques : task Deque.t array;
   hungry : int Atomic.t;      (* workers currently idle and stealing *)
@@ -137,11 +132,12 @@ type worker = {
     (* per-worker fault-injection stream ([Chaos.null_agent] when off) *)
   root : mach;
   k : Kernel.agent;
-    (* the kernel's view of this domain, charging nothing: its stats
-       shard, its trace ring ([Trace.null] when off), its profiler shard
-       ([Prof.null] when off) and its frame buffer + argument registers,
-       shared by the root machine and slot sub-machines (register use
-       never spans a machine switch) *)
+    (* the kernel's view of this domain, charging nothing: the database
+       and the shared (locked) answer table, its stats shard, its trace
+       ring ([Trace.null] when off), its profiler shard ([Prof.null] when
+       off) and its frame buffer + argument registers, shared by the root
+       machine and slot sub-machines (register use never spans a machine
+       switch) *)
 }
 
 let stopped w =
@@ -162,7 +158,7 @@ let aborted w m =
   | Some s -> Atomic.get s.ps_frame.pf_failed
   | None -> false
 
-let make_mach ?slot ?output () =
+let make_mach slot output =
   let trail = Trail.create () in
   {
     m_trail = trail;
@@ -176,8 +172,39 @@ let make_mach ?slot ?output () =
 (* Publishing (the MUSE environment copy)                              *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot_term = Kernel.Copy.snapshot_term
-let snapshot_body = Kernel.Copy.snapshot_body
+(* Bindings resolved away, unbound variables made fresh: the receiving
+   worker needs no further setup.  [cells] counts copied cells. *)
+let rec snapshot_term table cells t =
+  incr cells;
+  match Term.deref t with
+  | (Term.Atom _ | Term.Int _) as t' -> t'
+  | Term.Var v -> (
+    match Hashtbl.find_opt table v.Term.vid with
+    | Some v' -> Term.Var v'
+    | None ->
+      let v' = Term.fresh_var () in
+      Hashtbl.add table v.Term.vid v';
+      Term.Var v')
+  | Term.Struct (f, args) ->
+    Term.Struct (f, Array.map (snapshot_term table cells) args)
+
+let rec snapshot_body table cells body =
+  List.map
+    (function
+      | Clause.Call g -> Clause.Call (snapshot_term table cells g)
+      | Clause.Exec xf ->
+        (* the environment is copied cell-wise through the same table, so
+           variables shared between the frame and the rest of the
+           continuation stay shared in the copy *)
+        Clause.Exec
+          {
+            xf with
+            Clause.xf_env =
+              Array.map (snapshot_term table cells) xf.Clause.xf_env;
+          }
+      | Clause.Par bodies ->
+        Clause.Par (List.map (snapshot_body table cells) bodies))
+    body
 
 let snapshot_alt table cells = function
   | Aclause c -> Aclause c (* clause templates are immutable and shared *)
@@ -264,8 +291,7 @@ let publish w m =
 (* ------------------------------------------------------------------ *)
 
 let try_alt w m goal = function
-  | Aclause clause ->
-    Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail goal clause
+  | Aclause clause -> Kernel.try_clause w.k m.m_ctx goal clause
   | Acombo row ->
     (* join replay: bind the tuple template to one cross-product row *)
     if Kernel.unify_goal w.k ~trail:m.m_trail goal row then Kernel.R_body []
@@ -325,99 +351,55 @@ let rec run_mach w m (cont : Clause.body) : unit =
    trimming here: choice points of this machine may resume the frame at
    an earlier pc, and published snapshots may replay it. *)
 and exec_frame w m xf cont =
-  match Kernel.exec_body w.k ~ctx:m.m_ctx xf with
+  match Kernel.exec_body w.k m.m_ctx xf with
   | Kernel.Ex_fail -> backtrack w m
   | Kernel.Ex_done -> run_mach w m cont
   | Kernel.Ex_goal (g, pc) -> dispatch w m g (Kernel.exec_cont xf pc cont)
   | Kernel.Ex_par (bodies, pc) ->
     exec_parcall w m bodies (Kernel.exec_cont xf pc cont)
   | Kernel.Ex_call (sym, arity, pc, _live) ->
-    user_call_regs w m sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> user_call_regs w m sym arity cont
+    call_regs w m sym arity (Kernel.exec_cont xf pc cont)
+  | Kernel.Ex_exec (sym, arity) -> call_regs w m sym arity cont
 
-(* Schedules what one clause try resolved to; [R_exec] re-enters clause
-   selection straight from the registers (last-call optimization). *)
+(* Schedules what a step or one clause try came to; [R_exec] steps the
+   registers directly (last-call optimization).  Several candidates get
+   a (publishable) choice point before the first is tried.  Tabled
+   predicates answer from the shared (locked) table: workers never block
+   on each other — concurrent callers evaluate redundantly and
+   deduplicate through it. *)
 and continue w m resolved cont =
   match resolved with
   | Kernel.R_fail -> backtrack w m
   | Kernel.R_body body -> run_mach w m (body @ cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs w m sym arity cont
-
-and user_call_regs w m sym arity cont =
-  if aborted w m then ()
-  else
-    let regs = w.k.sc.Code.s_regs in
-    if Database.is_tabled w.sh.db sym arity then
-      (* materialize the register call: tabled answers must outlive the
-         registers, and the table keys on the goal term *)
-      user_call w m (Kernel.goal_of_regs sym arity regs) cont
-    else
-    match Kernel.select_args w.k w.sh.db sym arity regs with
-    | [] -> backtrack w m
-    | [ clause ] ->
-      continue w m
-        (Kernel.try_code_args w.k ~ctx:m.m_ctx ~trail:m.m_trail regs clause)
-        cont
+  | Kernel.R_exec (sym, arity) -> call_regs w m sym arity cont
+  | Kernel.R_alts -> (
+    let g = w.k.Kernel.goal in
+    match w.k.Kernel.alts with
     | clause :: rest ->
-      (* nondeterminate: materialize the goal once — the alternatives in
-         the (publishable) choice point must outlive the registers *)
-      let g = Kernel.goal_of_regs sym arity regs in
       push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
       if should_publish w m then publish w m;
-      continue w m
-        (Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail g clause)
-        cont
+      continue w m (Kernel.try_clause w.k m.m_ctx g clause) cont
+    | [] -> assert false (* [R_alts] leaves at least two candidates *))
+  | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
+
+and call_regs w m sym arity cont =
+  if aborted w m then ()
+  else continue w m (Kernel.step_regs w.k m.m_ctx sym arity) cont
 
 and dispatch w m g cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match Kernel.call_builtin w.k m.m_ctx g with
-    | Builtins.Ok -> run_mach w m cont
-    | Builtins.Fail -> backtrack w m
-    | Builtins.Not_builtin -> user_call w m g cont
-  else
-    dispatch_control w m g cont
-
-and dispatch_control w m g cont =
-  match Kernel.classify g with
-  | Kernel.Sentinel goal ->
-    record_solution w goal;
-    backtrack w m (* report-and-fail drives the full search *)
-  | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-    Kernel.unsupported w.k (Term.deref g)
-  | Kernel.Conj g | Kernel.Amp g -> run_mach w m (Clause.compile_body g @ cont)
-  | Kernel.Meta g -> dispatch w m g cont
-  | Kernel.Goal g -> (
-    match Kernel.call_builtin w.k m.m_ctx g with
-    | Builtins.Ok -> run_mach w m cont
-    | Builtins.Fail -> backtrack w m
-    | Builtins.Not_builtin -> user_call w m g cont)
-
-and user_call w m g cont =
-  let clauses =
-    (* tabled predicates answer from the shared (locked) table; the
-       kernel completes the subgoal first when needed.  Workers never
-       block on each other: concurrent callers evaluate redundantly and
-       deduplicate through the shared answer table. *)
-    if Database.is_tabled_goal w.sh.db g then
-      Kernel.table_call w.k ~table:w.sh.table ~ctx:m.m_ctx ~compiled:true
-        ~db:w.sh.db g
-    else Kernel.select w.k ~compiled:true w.sh.db g
-  in
-  match clauses with
-  | [] -> backtrack w m
-  | [ clause ] ->
-    (* determinate after indexing: no choice point *)
-    continue w m
-      (Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail g clause)
-      cont
-  | clause :: rest ->
-    push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
-    if should_publish w m then publish w m;
-    continue w m
-      (Kernel.try_code w.k ~ctx:m.m_ctx ~trail:m.m_trail g clause)
-      cont
+  match Kernel.step w.k m.m_ctx g with
+  | Kernel.R_control -> (
+    match Kernel.classify g with
+    | Kernel.Sentinel goal ->
+      record_solution w goal;
+      backtrack w m (* report-and-fail drives the full search *)
+    | Kernel.Conj g | Kernel.Amp g ->
+      run_mach w m (Clause.compile_body g @ cont)
+    | Kernel.Meta g -> dispatch w m g cont
+    | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _
+    | Kernel.Goal _ ->
+      Kernel.unsupported w.k g)
+  | resolved -> continue w m resolved cont
 
 (* Private backtracking.  Taking the last alternative of an owned node
    trust-pops it and continues in place — the engine's structural LAO. *)
@@ -466,7 +448,7 @@ and backtrack w m =
 and run_pslot w s =
   Trace.record w.k.tbuf Trace.Task_start s.ps_frame.pf_id;
   w.stats.Stats.task_switches <- w.stats.Stats.task_switches + 1;
-  let m = make_mach ~slot:s ?output:w.out () in
+  let m = make_mach (Some s) w.out in
   run_mach w m s.ps_body;
   ignore (Trail.undo_to m.m_trail 0);
   if s.ps_sols = [] && not (stopped w) then begin
@@ -755,33 +737,19 @@ let worker_main w =
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  solutions : Term.t list; (* discovery order; nondeterministic for P > 1 *)
-  stats : Stats.t; (* merged run total *)
-  metrics : Metrics.t; (* per-domain shards behind [stats] *)
-}
-
-let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) (config : Config.t)
-    db goal =
+let solve (opts : Run.opts) table (config : Config.t) db goal =
+  let t0 = Unix.gettimeofday () in
   let config = Config.validate config in
   let p = config.Config.agents in
   let metrics = Metrics.create ~domains:p in
   let sh =
     {
-      db;
-      table =
-        (match table with
-        | Some t -> t
-        | None ->
-          Table.create ~locked:true
-            ~max_answers:config.Config.table_max_answers ());
       config;
       deques = Array.init p (fun _ -> Deque.create ());
       hungry = Atomic.make 0;
       outstanding = Atomic.make 1;
       frame_ids = Atomic.make 0;
-      cancel;
+      cancel = opts.Run.cancel;
       stop = Atomic.make false;
       failure = Atomic.make None;
       sol_mutex = Mutex.create ();
@@ -789,6 +757,7 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
       sol_count = 0;
     }
   in
+  let output = opts.Run.output in
   let workers =
     Array.init p (fun i ->
         let out =
@@ -796,25 +765,18 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
         in
         let shard = Metrics.shard metrics i in
         let k =
-          Kernel.agent ~name:"the or-parallel engine" ~cost:config.Config.cost
-            ~stats:shard.Metrics.s_stats ~cancel ~clock:Kernel.Wall
-            (Trace.buffer trace ~dom:i)
+          Kernel.agent opts ~name:"the multicore engine" ~clock:Kernel.Wall
+            ~cost:config.Config.cost ~stats:shard.Metrics.s_stats ~db ~table
+            ~compiled:true ~dom:i
         in
-        if Prof.enabled prof then
-          (* registered on the spawning domain, before the workers start:
-             the profile registry is never touched concurrently *)
-          k.prof <-
-            Prof.shard prof ~dom:i ~stats:k.stats
-              ~clock:(fun () -> Trace.now_ns k.tbuf)
-              ();
         {
           w_id = i;
           sh;
           shard;
-          stats = k.stats;
+          stats = k.Kernel.stats;
           out;
-          chaos = Chaos.agent chaos i;
-          root = make_mach ?output:out ();
+          chaos = Chaos.agent opts.Run.chaos i;
+          root = make_mach None out;
           k;
         })
   in
@@ -839,4 +801,4 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
          | Some b -> Buffer.add_buffer buf b
          | None -> ())
        workers);
-  { solutions = List.rev sh.sols_rev; stats; metrics }
+  Kernel.finish opts ~t0 ~cycles:None (List.rev sh.sols_rev) stats metrics

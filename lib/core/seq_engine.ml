@@ -15,11 +15,9 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Code = Ace_lang.Code
-module Database = Ace_lang.Database
-module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
+module Config = Ace_machine.Config
 module Chaos = Ace_sched.Chaos
 module Trace = Ace_obs.Trace
 module Prof = Ace_obs.Prof
@@ -43,53 +41,36 @@ type cp = {
 }
 
 type t = {
-  db : Database.t;
-  table : Table.t; (* shared answer table for tabled predicates *)
   trail : Trail.t;
   ctx : Builtins.ctx;
-  goal : Term.t;
-  compile : bool; (* execute flat clause code instead of interpreting *)
   chaos : Chaos.agent;
     (* jitter charges extra abstract cycles at yield sites; answers must
        not depend on it (there is no concurrency here — the hook exists so
        the checker can assert cycle-jitter invariance uniformly) *)
   a : Kernel.agent;
-    (* the kernel's view of the engine: cost table, the single stats
-       shard, the compiled-code scratch, the profiler shard, the cancel
-       token (polled at the call and backtrack chokepoints; {!Cancel.none}
+    (* the kernel's view of the engine: the database and answer table,
+       the execution mode, cost table, the single stats shard, the
+       compiled-code scratch, the profiler shard, the cancel token
+       (checked at the call and backtrack chokepoints; {!Cancel.none}
        costs one physical-equality test there) and the abstract-cycle
        accumulator every charge is paid into, which also stamps trace
        events *)
   mutable cps : cp list;
   mutable height : int;
-  mutable started : bool;
-  mutable exhausted : bool;
 }
 
-let create ?(cost = Cost.default) ?(compile = false) ?output
-    ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) db goal =
+let create (opts : Run.opts) table (config : Config.t) db =
   let trail = Trail.create () in
-  let a =
-    Kernel.agent ~name:"the sequential engine" ~cost ~stats:(Stats.create ())
-      ~cancel ~clock:Kernel.Cycles (Trace.buffer trace ~dom:0)
-  in
-  if Prof.enabled prof then
-    a.prof <-
-      Prof.shard prof ~dom:0 ~stats:a.stats ~clock:(fun () -> a.cycles) ();
   {
-    db;
-    table = (match table with Some t -> t | None -> Table.create ());
     trail;
-    ctx = Builtins.make_ctx ?output ~trail ();
-    goal;
-    compile;
-    chaos = Chaos.agent chaos 0;
-    a;
+    ctx = Builtins.make_ctx ?output:opts.Run.output ~trail ();
+    chaos = Chaos.agent opts.Run.chaos 0;
+    a =
+      Kernel.agent opts ~name:"the sequential engine" ~clock:Kernel.Cycles
+        ~cost:config.Config.cost ~stats:(Stats.create ()) ~db
+        ~table ~compiled:config.Config.compile ~dom:0;
     cps = [];
     height = 0;
-    started = false;
-    exhausted = false;
   }
 
 let spend m n = m.a.cycles <- m.a.cycles + n
@@ -152,7 +133,7 @@ let rec run m (cont : seg list) : bool =
    finish; trimming and calling are scheduling policy, so they live
    here. *)
 and exec_frame m xf ~barrier cont =
-  match Kernel.exec_body m.a ~ctx:m.ctx xf with
+  match Kernel.exec_body m.a m.ctx xf with
   | Kernel.Ex_fail -> backtrack m
   | Kernel.Ex_done -> run m cont
   | Kernel.Ex_goal (g, pc) -> dispatch m g ~barrier (resume xf pc ~barrier cont)
@@ -167,54 +148,51 @@ and exec_frame m xf ~barrier cont =
        alive) since clause entry, so no earlier pc of this frame can
        ever be resumed. *)
     if m.height = barrier then Kernel.trim_env xf live;
-    user_call_regs m sym arity (resume xf pc ~barrier cont)
+    let cont = resume xf pc ~barrier cont in
+    continue m (Kernel.step_regs m.a m.ctx sym arity) cont
   | Kernel.Ex_exec (sym, arity) ->
     (* Last call: the frame is dropped before the callee runs. *)
-    user_call_regs m sym arity cont
+    continue m (Kernel.step_regs m.a m.ctx sym arity) cont
 
 and resume xf pc ~barrier cont =
   match Kernel.exec_cont xf pc [] with
   | [] -> cont
   | items -> { items; barrier } :: cont
 
+(* A fired cancel token raises out of the kernel's call chokepoint to
+   the [Cancelled] handler in [collect], so no further (possibly
+   wrong-under-cancellation) solution can be reported. *)
 and dispatch m g ~barrier cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match Kernel.call_builtin m.a m.ctx g with
-    | Builtins.Ok -> run m cont
-    | Builtins.Fail -> backtrack m
-    | Builtins.Not_builtin -> user_call m g cont
-  else
-    match Kernel.classify g with
-    | Kernel.Cut ->
-      cut m barrier;
-      run m cont
-    | Kernel.Conj g ->
-      run m ({ items = Clause.compile_body g; barrier } :: cont)
-    | Kernel.Ite (cond, then_, else_) ->
-      if_then_else m cond then_ else_ ~barrier cont
-    | Kernel.Disj (left, else_) ->
-      push_cp m ~mark:(Trail.mark m.trail) ~goal:None
-        ~alts:(Agoal (Clause.compile_body else_)) ~cont;
-      run m ({ items = Clause.compile_body left; barrier } :: cont)
-    | Kernel.Naf g ->
-      let mark = Trail.mark m.trail in
-      let proved = solve_once m g in
-      undo_to m mark;
-      if proved then backtrack m else run m cont
-    | Kernel.Meta g ->
-      (* call/1 is transparent to everything but cut: the cut barrier becomes
-         the current height, making the inner cut local. *)
-      dispatch m g ~barrier:m.height cont
-    | Kernel.Amp _ | Kernel.Sentinel _ | Kernel.Goal _ -> (
-      (* dynamically built '&'/2 goals and the '$solution' sentinel are not
-         part of this engine's language: both fall through to the database
-         (and its existence error), as they always have *)
-      match Kernel.call_builtin m.a m.ctx g with
-      | Builtins.Ok -> run m cont
-      | Builtins.Fail -> backtrack m
-      | Builtins.Not_builtin -> user_call m g cont)
+  match Kernel.step m.a m.ctx g with
+  | Kernel.R_control -> control m g ~barrier cont
+  | resolved -> continue m resolved cont
+
+and control m g ~barrier cont =
+  match Kernel.classify g with
+  | Kernel.Cut ->
+    cut m barrier;
+    run m cont
+  | Kernel.Conj g | Kernel.Amp g ->
+    (* a dynamically built '&' runs as a conjunction, like a static one *)
+    run m ({ items = Clause.compile_body g; barrier } :: cont)
+  | Kernel.Ite (cond, then_, else_) ->
+    if_then_else m cond then_ else_ ~barrier cont
+  | Kernel.Disj (left, else_) ->
+    push_cp m ~mark:(Trail.mark m.trail) ~goal:None
+      ~alts:(Agoal (Clause.compile_body else_)) ~cont;
+    run m ({ items = Clause.compile_body left; barrier } :: cont)
+  | Kernel.Naf g ->
+    let mark = Trail.mark m.trail in
+    let proved = solve_once m g in
+    undo_to m mark;
+    if proved then backtrack m else run m cont
+  | Kernel.Meta g ->
+    (* call/1 is transparent to everything but cut: the cut barrier becomes
+       the current height, making the inner cut local. *)
+    dispatch m g ~barrier:m.height cont
+  | Kernel.Sentinel _ | Kernel.Goal _ ->
+    (* the report-and-fail sentinel belongs to the or-engines *)
+    Kernel.unsupported m.a g
 
 and if_then_else m cond then_ else_ ~barrier cont =
   let mark = Trail.mark m.trail in
@@ -237,63 +215,19 @@ and solve_once m g =
   m.height <- saved_height;
   found
 
-and user_call m g cont =
-  (* call chokepoint: a fired token unwinds out of [next] through the
-     [Cancelled] handler, so no further (possibly wrong-under-
-     cancellation) solution can be reported *)
-  Cancel.check m.a.cancel;
-  let clauses =
-    (* tabled predicates are answered from the shared answer table; the
-       kernel completes the subgoal first if needed and the pseudo-fact
-       answers flow through the ordinary clause machinery below *)
-    if Database.is_tabled_goal m.db g then
-      Kernel.table_call m.a ~table:m.table ~ctx:m.ctx ~compiled:m.compile
-        ~db:m.db g
-    else Kernel.select m.a ~compiled:m.compile m.db g
-  in
-  match clauses with
-  | [] -> backtrack m
-  | [ clause ] ->
-    (* Determinate after indexing: no choice point (the property LPCO and
-       SPO key on in the parallel engines). *)
-    continue m
-      (Kernel.resolve m.a ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g
-         clause)
-      cont
-  | clauses -> shallow m g clauses cont
-
-(* Schedules what one clause try resolved to.  [R_exec] is the last-call
-   case: the callee's arguments sit in the registers and nothing was
-   stacked, so a determinate recursion bounces between [continue] and
-   [user_call_regs] in constant space (both calls are tail calls). *)
+(* Schedules what a step or one clause try came to.  [R_exec] is the
+   last-call case: the callee's arguments sit in the registers and
+   nothing was stacked, so a determinate recursion loops through
+   [continue] in constant space (a tail call). *)
 and continue m resolved cont =
   match resolved with
   | Kernel.R_fail -> backtrack m
   | Kernel.R_body [] -> run m cont
   | Kernel.R_body items -> run m ({ items; barrier = m.height } :: cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs m sym arity cont
-
-(* A user call whose arguments live in the scratch registers: clause
-   selection walks the dispatch tree straight from the register file.
-   Only the nondeterminate case materializes a goal term — alternatives
-   stored in a choice point must outlive the registers. *)
-and user_call_regs m sym arity cont =
-  Cancel.check m.a.cancel;
-  if Database.is_tabled m.db sym arity then
-    (* materialize the register call: tabled answers must outlive the
-       registers, and the table keys on the goal term *)
-    user_call m (Kernel.goal_of_regs sym arity m.a.sc.Code.s_regs) cont
-  else
-  match Kernel.select_args m.a m.db sym arity m.a.sc.Code.s_regs with
-  | [] -> backtrack m
-  | [ clause ] ->
-    continue m
-      (Kernel.try_code_args m.a ~ctx:m.ctx ~trail:m.trail m.a.sc.Code.s_regs
-         clause)
-      cont
-  | clauses ->
-    let g = Kernel.goal_of_regs sym arity m.a.sc.Code.s_regs in
-    shallow m g clauses cont
+  | Kernel.R_exec (sym, arity) ->
+    continue m (Kernel.step_regs m.a m.ctx sym arity) cont
+  | Kernel.R_alts -> shallow m m.a.Kernel.goal m.a.Kernel.alts cont
+  | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
 
 (* Shallow backtracking (WAM-style): scan the candidates for the first
    one whose head matches before allocating a choice point, so clauses
@@ -308,10 +242,7 @@ and shallow m g clauses cont =
       if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term g);
       backtrack m
     | clause :: rest -> (
-      match
-        Kernel.resolve m.a ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g
-          clause
-      with
+      match Kernel.try_clause m.a m.ctx g clause with
       | Kernel.R_fail ->
         undo_to m mark;
         scan rest
@@ -354,10 +285,7 @@ and backtrack m =
           m.height <- m.height - 1;
           backtrack m
         | clause :: alts -> (
-          match
-            Kernel.resolve m.a ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail
-              goal clause
-          with
+          match Kernel.try_clause m.a m.ctx goal clause with
           | Kernel.R_fail ->
             undo_to m cp.cp_trail;
             rescan alts
@@ -390,56 +318,30 @@ and backtrack m =
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let next m =
-  if m.exhausted then None
-  else begin
-    let found =
-      (* a fired cancel token unwinds here like exhaustion: solutions
-         already reported stay valid (each was complete when copied),
-         the machine just stops producing more *)
-      match
-        if not m.started then begin
-          m.started <- true;
-          run m [ { items = Clause.compile_body m.goal; barrier = 0 } ]
-        end
-        else backtrack m
-      with
-      | found -> found
-      | exception Cancel.Cancelled -> false
-    in
-    if found then begin
-      m.a.stats.Stats.solutions <- m.a.stats.Stats.solutions + 1;
-      Kernel.record m.a Trace.Solution m.a.stats.Stats.solutions;
-      Some (Term.copy_resolved m.goal)
-    end
-    else begin
-      m.exhausted <- true;
-      None
-    end
-  end
+(* Solutions [n + 1 ..] up to [limit], newest first onto [acc].  A fired
+   cancel token unwinds here like exhaustion: solutions already reported
+   stay valid (each was complete when copied), the machine just stops
+   producing more. *)
+let rec collect m goal limit acc n =
+  if n >= limit then acc
+  else
+    match
+      if n = 0 then run m [ { items = Clause.compile_body goal; barrier = 0 } ]
+      else backtrack m
+    with
+    | exception Cancel.Cancelled -> acc
+    | false -> acc
+    | true ->
+      let stats = m.a.Kernel.stats in
+      stats.Stats.solutions <- stats.Stats.solutions + 1;
+      Kernel.record m.a Trace.Solution stats.Stats.solutions;
+      collect m goal limit (Term.copy_resolved goal :: acc) (n + 1)
 
-let rec collect m limit acc n =
-  match limit with
-  | Some l when n >= l -> List.rev acc
-  | Some _ | None -> (
-    match next m with
-    | Some s -> collect m limit (s :: acc) (n + 1)
-    | None -> List.rev acc)
-
-let all_solutions ?limit m = collect m limit [] 0
-
-(* Named query-variable bindings, snapshotted against backtracking. *)
-let bindings _m vars =
-  List.map (fun (name, v) -> (name, Term.copy_resolved (Term.Var v))) vars
-
-let stats m = m.a.stats
-
-let time m = m.a.cycles
-
-let solve ?cost ?compile ?output ?trace ?chaos ?prof ?table ?cancel ?limit db
-    goal =
-  let m = create ?cost ?compile ?output ?trace ?chaos ?prof ?table ?cancel db
-      goal
-  in
-  let solutions = all_solutions ?limit m in
-  (solutions, m)
+let solve (opts : Run.opts) table (config : Config.t) db goal =
+  let t0 = Unix.gettimeofday () in
+  let m = create opts table config db in
+  let limit = Option.value config.Config.max_solutions ~default:max_int in
+  let solutions = List.rev (collect m goal limit [] 0) in
+  let stats = m.a.Kernel.stats in
+  Kernel.finish opts ~t0 ~cycles:(Some m.a.Kernel.cycles) solutions stats
+    (Ace_obs.Metrics.of_stats stats)

@@ -1,72 +1,25 @@
 (** Sequential Prolog engine — the paper's "state-of-the-art sequential
-    system" baseline.  Parallel conjunctions ('&') run as ordinary
-    conjunctions.  Supports cut, negation-as-failure, if-then-else and
-    disjunction; charges abstract cycles from the shared cost model so the
-    parallel engines' overhead can be measured against it. *)
+    system" baseline.  Parallel conjunctions ('&'), static or built at
+    run time, run as ordinary conjunctions.  Supports cut,
+    negation-as-failure, if-then-else and disjunction; charges abstract
+    cycles from the shared cost model so the parallel engines' overhead
+    can be measured against it.
 
-type t
+    An explicit machine over {!Kernel.step}: the engine keeps only its
+    continuation stack, its choice-point stack (shallow backtracking: a
+    choice point is pushed only after a candidate's head matched) and
+    the control constructs.  [config.compile] selects compiled clause
+    code (identical solutions, fewer cycles) or the interpreter.
 
-(** [trace] (default {!Ace_obs.Trace.disabled}) records solution events on
-    domain track 0, stamped with the abstract-cycle clock.
+    [opts.trace] records solution events on track 0 and [opts.prof]
+    attributes per-predicate costs, both stamped with the abstract-cycle
+    clock.  [opts.chaos] charges seeded extra cycles at yield sites; with
+    no concurrency the answers must not depend on it.  [opts.cancel] is
+    checked at the call and backtrack chokepoints; once fired the run ends
+    with the solutions found so far — each was complete when copied, so
+    partial results stay valid. *)
 
-    [chaos] (default {!Ace_sched.Chaos.disabled}) charges seeded extra
-    abstract cycles at yield sites; with no concurrency the answers must
-    not depend on it (the checker asserts cycle-jitter invariance
-    uniformly across engines).
-
-    [compile] (default [false]) executes clauses as flat instruction code
-    through the deep-indexing dispatch tree; identical solutions, fewer
-    cycles.
-
-    [prof] (default {!Ace_obs.Prof.disabled}) attributes 4-port counters
-    and exclusive costs per predicate, stamped against the abstract-cycle
-    clock.
-
-    [cancel] (default {!Cancel.none}) is polled at the call and
-    backtrack chokepoints; once fired, {!next} answers [None] (and
-    {!all_solutions} returns the solutions found so far) — each already
-    reported solution was complete when copied, so partial results stay
-    valid. *)
-val create :
-  ?cost:Ace_machine.Cost.t ->
-  ?compile:bool ->
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  t
-
-(** Next solution: a snapshot of the instantiated goal, or [None] when
-    exhausted. *)
-val next : t -> Ace_term.Term.t option
-
-val all_solutions : ?limit:int -> t -> Ace_term.Term.t list
-
-(** Snapshot of named query variables (take before asking for the next
-    solution). *)
-val bindings :
-  t -> (string * Ace_term.Term.var) list -> (string * Ace_term.Term.t) list
-
-val stats : t -> Ace_machine.Stats.t
-
-(** Abstract cycles consumed so far (the sequential execution time). *)
-val time : t -> int
-
-(** Convenience: run to exhaustion (or [limit] solutions). *)
-val solve :
-  ?cost:Ace_machine.Cost.t ->
-  ?compile:bool ->
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  ?limit:int ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  Ace_term.Term.t list * t
+(** Runs [goal] against [db] to exhaustion or [config.max_solutions],
+    with [table] as the answer table ([opts.table] is not read); [cycles]
+    is the abstract-cycle total (the sequential execution time). *)
+val solve : Run.solver

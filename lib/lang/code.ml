@@ -208,10 +208,10 @@ let is_ground_template t =
   (* template variables are never bound, so plain groundness is right *)
   Term.is_ground t
 
-(* Goals the engines treat as control rather than plain calls — must
-   mirror [Kernel.is_plain]/[Kernel.classify] exactly, or compiled
-   dispatch would disagree with the interpreter on what is a
-   predicate. *)
+(* Goals the engines treat as control rather than plain calls — the
+   test [Kernel.step] makes too, so compiled dispatch and the
+   interpreter agree on what is a predicate; must mirror
+   [Kernel.classify]. *)
 let is_control g =
   match g with
   | Term.Atom s -> Symbol.equal s Symbol.cut

@@ -100,6 +100,11 @@ val unset : Ace_term.Term.t
 
 val no_args : Ace_term.Term.t array
 
+(** True for a dereferenced goal that is a control construct ([!], [,],
+    [&], [;], [->], [\+], [call/1] or the ['$solution'/1] sentinel)
+    rather than a predicate call. *)
+val is_control : Ace_term.Term.t -> bool
+
 (** Per-agent execution scratch: the instruction/unify-step counters, a
     frame buffer reused across clause tries and the argument-register
     file.  Each engine allocates one per worker or simulated agent. *)

@@ -164,10 +164,39 @@ let handle_request srv conn req =
     | Error message -> respond (Protocol.Failure { id = Some id; message }));
     true
 
+(* The longest request line read, newline excluded: a peer cannot grow
+   the server's memory past it by withholding the newline. *)
+let max_line = 1 lsl 20
+
+exception Line_too_long
+
+(* [input_line] that reads at most [max_line] bytes of one line into
+   [buf], raising [Line_too_long] on the next one. *)
+let read_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents buf
+    | c ->
+      if Buffer.length buf >= max_line then raise Line_too_long;
+      Buffer.add_char buf c;
+      go ()
+    | exception End_of_file when Buffer.length buf > 0 -> Buffer.contents buf
+  in
+  go ()
+
 let reader srv conn () =
+  let buf = Buffer.create 256 in
   let rec loop () =
-    match input_line conn.c_ic with
+    match read_line conn.c_ic buf with
     | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
+    | exception Line_too_long ->
+      (* the rest of the line is never read: answer once and hang up *)
+      let message =
+        Printf.sprintf "request line longer than %d bytes" max_line
+      in
+      send conn
+        (Protocol.print_response (Protocol.Failure { id = None; message }))
     | "" -> loop ()
     | line -> (
       match Protocol.parse_request line with

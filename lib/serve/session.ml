@@ -109,8 +109,9 @@ let query ?id ?engine ?agents ?limit ?deadline_ms s goal_text =
         with_lock s.run_lock (fun () ->
             guard (fun () ->
                 let r =
-                  Engine.run ~cancel:token ~session:s.sdb kind config
-                    s.prepared q.Program.goal
+                  Engine.run
+                    ~opts:{ Engine.default_opts with Engine.cancel = token }
+                    ~session:s.sdb kind config s.prepared q.Program.goal
                 in
                 {
                   solutions = List.map Ace_term.Pp.to_string r.Engine.solutions;

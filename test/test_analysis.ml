@@ -46,9 +46,12 @@ let test_determinacy_sound () =
   Alcotest.(check bool) "det analysis nonempty" true
     (Determinacy.to_list det <> []);
   let q = Program.parse_query "app([1,2,3], [4], R), len(R, N), double(R, D)" in
-  let _, m = Ace_core.Seq_engine.solve db q.Program.goal in
+  let r =
+    Ace_core.Engine.solve Ace_core.Engine.Sequential Config.default db
+      q.Program.goal
+  in
   Alcotest.(check int) "no choice points at runtime" 0
-    (Ace_core.Seq_engine.stats m).Ace_machine.Stats.cp_allocs
+    r.Ace_core.Engine.stats.Ace_machine.Stats.cp_allocs
 
 let test_mode_parsing () =
   let modes = Independence.no_modes () in

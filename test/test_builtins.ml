@@ -72,8 +72,10 @@ let test_write () =
   let p = Ace_lang.Program.consult_string "" in
   let q = Ace_lang.Program.parse_query "write(f(X, [1,2])), nl" in
   let _ =
-    Ace_core.Seq_engine.solve ~output:buf (Ace_lang.Program.db p)
-      q.Ace_lang.Program.goal
+    Ace_core.Engine.solve
+      ~opts:{ Ace_core.Engine.default_opts with output = Some buf }
+      Ace_core.Engine.Sequential Ace_machine.Config.default
+      (Ace_lang.Program.db p) q.Ace_lang.Program.goal
   in
   Alcotest.(check string) "write output" "f(_G" (String.sub (Buffer.contents buf) 0 4)
 

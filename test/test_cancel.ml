@@ -247,7 +247,10 @@ let test_rerun_parsed_goal () =
         Alcotest.(check int) (name ^ " one answer") 1
           (List.length r.Engine.solutions)
       done;
-      ignore (Engine.run ~cancel:(Cancel.at_polls 3) kind config p goal);
+      ignore
+        (Engine.run
+           ~opts:{ Engine.default_opts with Engine.cancel = Cancel.at_polls 3 }
+           kind config p goal);
       restored (name ^ " cancelled");
       for _ = 1 to 2 do
         (match Engine.run kind config p stuck with
@@ -376,7 +379,8 @@ let test_deadline_all_engines () =
       let cancel = Cancel.create ~deadline_ms:50 () in
       let t0 = Unix.gettimeofday () in
       let r =
-        Engine.solve_program ~cancel kind config ~program:spin ~query:"spin"
+        Engine.solve_program ~opts:{ Engine.default_opts with Engine.cancel }
+          kind config ~program:spin ~query:"spin"
       in
       let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
       Alcotest.check reason (name ^ " cancelled") (Some Cancel.Deadline)
@@ -401,7 +405,9 @@ let test_budget_partial_and_deterministic () =
         { (Config.all_optimizations ~agents ()) with Config.compile = true }
       in
       let run () =
-        Engine.solve_program ~cancel:(Cancel.at_polls 60) kind config ~program
+        Engine.solve_program
+          ~opts:{ Engine.default_opts with Engine.cancel = Cancel.at_polls 60 }
+          kind config ~program
           ~query
       in
       let r1 = run () in
@@ -434,8 +440,12 @@ let test_budget_deterministic_under_chaos () =
   List.iter
     (fun kind ->
       let run () =
-        Engine.solve_program ~chaos:(Chaos.make ~seed:7 ())
-          ~cancel:(Cancel.at_polls 60) kind config ~program ~query
+        Engine.solve_program
+          ~opts:
+            { Engine.default_opts with
+              Engine.chaos = Chaos.make ~seed:7 ();
+              cancel = Cancel.at_polls 60 }
+          kind config ~program ~query
       in
       let r1 = run () and r2 = run () in
       Alcotest.check reason
@@ -462,8 +472,12 @@ let test_cancelled_table_consistent () =
   in
   let table = Table.create () in
   let r1 =
-    Engine.solve_program ~table ~cancel:(Cancel.at_polls 40) Engine.Sequential
-      Config.default ~program ~query
+    Engine.solve_program
+      ~opts:
+        { Engine.default_opts with
+          Engine.table = Some table;
+          cancel = Cancel.at_polls 40 }
+      Engine.Sequential Config.default ~program ~query
   in
   Alcotest.check reason "tabled run aborted" (Some Cancel.Budget)
     r1.Engine.cancelled;
@@ -474,8 +488,9 @@ let test_cancelled_table_consistent () =
           (Table.answer_count e > 0))
     (Table.entries table);
   let r2 =
-    Engine.solve_program ~table Engine.Sequential Config.default ~program
-      ~query
+    Engine.solve_program
+      ~opts:{ Engine.default_opts with Engine.table = Some table }
+      Engine.Sequential Config.default ~program ~query
   in
   Alcotest.check reason "second run completes" None r2.Engine.cancelled;
   Alcotest.(check (list string)) "full answers from the reused table" full
@@ -490,7 +505,9 @@ let test_par_cancel_no_leak () =
   for _ = 1 to 3 do
     let r =
       Engine.solve_program
-        ~cancel:(Cancel.create ~deadline_ms:30 ())
+        ~opts:
+          { Engine.default_opts with
+            Engine.cancel = Cancel.create ~deadline_ms:30 () }
         Engine.Par_or config ~program:spin ~query:"spin"
     in
     Alcotest.(check bool) "cancelled" true (r.Engine.cancelled <> None)
@@ -507,8 +524,8 @@ let test_requested_cancel_from_thread () =
       ()
   in
   let r =
-    Engine.solve_program ~cancel Engine.Sequential Config.default
-      ~program:spin ~query:"spin"
+    Engine.solve_program ~opts:{ Engine.default_opts with Engine.cancel }
+      Engine.Sequential Config.default ~program:spin ~query:"spin"
   in
   Thread.join th;
   Alcotest.check reason "requested" (Some Cancel.Requested) r.Engine.cancelled

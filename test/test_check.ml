@@ -117,8 +117,9 @@ let seq_sorted program query =
 let test_or_schedule_replay () =
   let cfg = Config.all_optimizations ~agents:4 () in
   let run chaos =
-    Engine.solve_program ~chaos Engine.Or_parallel cfg ~program:colors
-      ~query:"pair(X, Y)"
+    Engine.solve_program
+      ~opts:{ Engine.default_opts with Engine.chaos }
+      Engine.Or_parallel cfg ~program:colors ~query:"pair(X, Y)"
   in
   let reference = seq_sorted colors "pair(X, Y)" in
   for seed = 1 to 5 do
@@ -144,8 +145,10 @@ let test_and_schedule_invariance () =
       (Printf.sprintf "and-engine multiset invariant under chaos seed %d" seed)
       reference
       (sorted
-         (Engine.solve_program ~chaos Engine.And_parallel cfg
-            ~program:independent_and ~query:"m(X, Y)"))
+         (Engine.solve_program
+            ~opts:{ Engine.default_opts with Engine.chaos }
+            Engine.And_parallel cfg ~program:independent_and
+            ~query:"m(X, Y)"))
   done
 
 (* The domains engine under injected steal failures, delayed publishes and
@@ -159,8 +162,9 @@ let test_par_chaos_invariance () =
       (Printf.sprintf "par-or multiset invariant under chaos seed %d" seed)
       reference
       (sorted
-         (Engine.solve_program ~chaos Engine.Par_or cfg ~program:colors
-            ~query:"pair(X, Y)"))
+         (Engine.solve_program
+            ~opts:{ Engine.default_opts with Engine.chaos }
+            Engine.Par_or cfg ~program:colors ~query:"pair(X, Y)"))
   done
 
 let test_seq_jitter_invariance () =
@@ -168,8 +172,10 @@ let test_seq_jitter_invariance () =
   let chaos = Chaos.make ~seed:9 () in
   Alcotest.(check (list string)) "sequential answers ignore jitter" reference
     (sorted
-       (Engine.solve_program ~chaos Engine.Sequential Config.default
-          ~program:colors ~query:"pair(X, Y)"))
+       (Engine.solve_program
+          ~opts:{ Engine.default_opts with Engine.chaos }
+          Engine.Sequential Config.default ~program:colors
+          ~query:"pair(X, Y)"))
 
 let suite =
   [

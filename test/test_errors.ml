@@ -93,6 +93,65 @@ let check_error ~expect query () =
           (List.length ss))
     outcomes
 
+(* The parallel engines reject the control constructs they do not
+   implement with one message, the kernel's, naming the engine; seq
+   answers all four. *)
+let test_unsupported_control () =
+  let program = "p.\n" in
+  let cases =
+    [ ("!", "!", 1); ("(p ; p)", "p ; p", 2); ("(p -> p ; p)", "p -> p ; p", 1);
+      ("\\+ p", "\\+ p", 0) ]
+  in
+  List.iter
+    (fun (query, shown, count) ->
+      List.iter
+        (fun compile ->
+          match
+            Oracle.run_engine Engine.Sequential
+              { Config.default with Config.compile } ~program ~query
+          with
+          | Oracle.Solutions ss ->
+            Alcotest.(check int) ("seq answers " ^ query) count
+              (List.length ss)
+          | Oracle.Error m -> Alcotest.failf "seq on %s: %s" query m)
+        (Engine.compile_modes Engine.Sequential);
+      List.iter
+        (fun (kind, name) ->
+          let expected =
+            Printf.sprintf "control construct %s not supported inside %s" shown
+              name
+          in
+          match Oracle.run_engine kind Config.default ~program ~query with
+          | Oracle.Error m -> Alcotest.(check string) query expected m
+          | Oracle.Solutions _ ->
+            Alcotest.failf "%s accepted %s" (Engine.kind_to_string kind) query)
+        [ (Engine.And_parallel, "the and-parallel engine");
+          (Engine.Or_parallel, "the or-parallel engine");
+          (Engine.Par_or, "the multicore engine") ])
+    cases
+
+(* A parallel conjunction built at run time is a conjunction on every
+   engine, as a static one is. *)
+let test_dynamic_amp () =
+  let program =
+    "p(1). p(2). q(3).\nt(X, Y) :- G = (p(X) & q(Y)), call(G).\n"
+  in
+  List.iter
+    (fun (name, kind, config) ->
+      List.iter
+        (fun compile ->
+          match
+            Oracle.run_engine kind { config with Config.compile } ~program
+              ~query:"t(X, Y)"
+          with
+          | Oracle.Solutions ss ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s (compile=%b)" name compile)
+              [ "t(1,3)"; "t(2,3)" ] ss
+          | Oracle.Error m -> Alcotest.failf "%s: %s" name m)
+        (Engine.compile_modes kind))
+    engines
+
 let suite =
   [
     Alcotest.test_case "division by zero" `Quick
@@ -124,4 +183,7 @@ let suite =
     Alcotest.test_case "undefined predicate, fresh name" `Quick
       (check_error ~expect:"undefined predicate zz_late_pred/1"
          "zz_late_pred(1)");
+    Alcotest.test_case "unsupported control constructs" `Quick
+      test_unsupported_control;
+    Alcotest.test_case "dynamic '&' on every engine" `Quick test_dynamic_amp;
   ]

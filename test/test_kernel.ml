@@ -181,9 +181,12 @@ let test_cross_empty_slot_fails () =
 (* ------------------------------------------------------------------ *)
 (* Charges                                                             *)
 
-(* The abstract clocks every engine reads off the kernel, pinned on
-   examples/queens.pl (queens 6, default configuration): a change to how
-   charges are paid must not change what is charged. *)
+(* The abstract clocks and work counters every engine reads off the
+   kernel, pinned on examples/queens.pl (queens 6) and examples/reach.pl
+   (tabled, left-recursive), default configuration: a change to who
+   decides what a call comes to, or to how charges are paid, must not
+   change what is charged or counted.  par@1's counters are deterministic
+   (one domain, nobody to publish to). *)
 let queens =
   "sel(X, [X|T], T).\n\
    sel(X, [H|T], [H|R]) :- sel(X, T, R).\n\
@@ -195,27 +198,59 @@ let queens =
   \  place(Rest, [Q|Placed], Qs).\n\
    queens(Ns, Qs) :- place(Ns, [], Qs).\n"
 
+let reach =
+  ":- table(path/2).\n\
+   edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(d, e). edge(a, f).\n\
+   path(X, Y) :- edge(X, Y).\n\
+   path(X, Y) :- path(X, Z), edge(Z, Y).\n"
+
 let test_cycle_pins () =
   let module Engine = Ace_core.Engine in
-  let cycles kind agents compile =
+  let module Stats = Ace_machine.Stats in
+  let run kind agents compile program query count =
     let config = { Config.default with Config.agents; compile } in
-    let r =
-      Engine.solve_program kind config ~program:queens
-        ~query:"queens([1,2,3,4,5,6], Qs)"
-    in
-    Alcotest.(check int) "four solutions" 4 (List.length r.Engine.solutions);
-    r.Engine.cycles
+    let r = Engine.solve_program kind config ~program ~query in
+    Alcotest.(check int) "solutions" count (List.length r.Engine.solutions);
+    r
   in
-  let pin name expected actual =
-    Alcotest.(check (option int)) name expected actual
+  (* clause_tries, unify_steps, builtin_calls, cp_allocs, cp_updates,
+     backtracks, bt_nodes_visited, trail_pushes, untrails, code_instrs,
+     env_allocs *)
+  let work (s : Stats.t) =
+    [ s.Stats.clause_tries; s.unify_steps; s.builtin_calls; s.cp_allocs;
+      s.cp_updates; s.backtracks; s.bt_nodes_visited; s.trail_pushes;
+      s.untrails; s.code_instrs; s.env_allocs ]
   in
-  pin "seq compiled" (Some 54_707) (cycles Engine.Sequential 1 true);
-  pin "seq interpreted" (Some 71_259) (cycles Engine.Sequential 1 false);
-  pin "and@1" (Some 92_810) (cycles Engine.And_parallel 1 false);
-  pin "and@2" (Some 92_810) (cycles Engine.And_parallel 2 false);
-  pin "or@1" (Some 100_055) (cycles Engine.Or_parallel 1 false);
-  pin "or@2" (Some 53_141) (cycles Engine.Or_parallel 2 false);
-  pin "par@2" None (cycles Engine.Par_or 2 false)
+  let table (s : Stats.t) =
+    [ s.Stats.table_subgoals; s.table_answers; s.table_suspends;
+      s.table_variant_hits ]
+  in
+  List.iter
+    (fun (name, kind, agents, compile, cycles, counters) ->
+      let r = run kind agents compile queens "queens([1,2,3,4,5,6], Qs)" 4 in
+      Alcotest.(check (option int)) (name ^ " cycles") cycles r.Engine.cycles;
+      Alcotest.(check (list int)) (name ^ " work") counters
+        (work r.Engine.stats);
+      let r = run kind agents compile reach "path(a, X)" 6 in
+      Alcotest.(check (list int)) (name ^ " reach table") [ 1; 6; 1; 1 ]
+        (table r.Engine.stats))
+    [ ("seq/c", Engine.Sequential, 1, true, Some 54_707,
+       [ 2261; 716; 2047; 360; 0; 361; 360; 1072; 1066; 22108; 153 ]);
+      ("seq", Engine.Sequential, 1, false, Some 71_259,
+       [ 3048; 14521; 3645; 512; 0; 513; 512; 8579; 8550; 0; 0 ]);
+      ("and@1", Engine.And_parallel, 1, false, Some 92_810,
+       [ 3048; 14521; 3645; 1449; 0; 1450; 1449; 8579; 8550; 0; 0 ]);
+      ("and@2", Engine.And_parallel, 2, false, Some 92_810,
+       [ 3048; 14521; 3645; 1449; 0; 1450; 1449; 8579; 8550; 0; 0 ]);
+      ("or@1", Engine.Or_parallel, 1, false, Some 100_055,
+       [ 3048; 14521; 3645; 1449; 0; 2899; 2898; 8579; 8550; 0; 0 ]);
+      ("or@2", Engine.Or_parallel, 2, false, Some 53_141,
+       [ 3048; 14521; 3645; 1449; 0; 2920; 3000; 8579; 8882; 0; 0 ]);
+      ("par@1", Engine.Par_or, 1, false, None,
+       [ 2261; 716; 2047; 662; 0; 663; 662; 1072; 1066; 22108; 153 ]) ];
+  Alcotest.(check (option int)) "par@2 cycles" None
+    (run Engine.Par_or 2 false queens "queens([1,2,3,4,5,6], Qs)" 4)
+      .Engine.cycles
 
 let suite =
   [

@@ -152,7 +152,9 @@ let run_profiled ?(agents = 1) ?(compile = true) kind =
   let prof = Prof.create () in
   let config = { Config.default with Config.agents; compile } in
   let r =
-    Engine.solve_program ~prof kind config ~program:nrev_program
+    Engine.solve_program
+      ~opts:{ Engine.default_opts with Engine.prof }
+      kind config ~program:nrev_program
       ~query:"nrev([a,b,c,d,e,f,g,h,i,j], R)."
   in
   Alcotest.(check int)
@@ -219,7 +221,9 @@ let test_folded_golden () =
   let prof = Prof.create () in
   let config = { Config.default with Config.agents = 1; compile = true } in
   ignore
-    (Engine.solve_program ~prof Engine.Sequential config
+    (Engine.solve_program
+       ~opts:{ Engine.default_opts with Engine.prof }
+       Engine.Sequential config
        ~program:"leaf(1).\nleaf(2).\nmid(X) :- leaf(X).\ntop(X) :- mid(X)."
        ~query:"top(X).");
   let folded = Prof.to_folded prof in
@@ -261,7 +265,9 @@ let test_profiling_is_pure () =
   let run profiled =
     let prof = if profiled then Prof.create () else Prof.disabled in
     let config = { Config.default with Config.agents = 1; compile = true } in
-    Engine.solve_program ~prof Engine.Sequential config ~program:nrev_program
+    Engine.solve_program
+      ~opts:{ Engine.default_opts with Engine.prof }
+      Engine.Sequential config ~program:nrev_program
       ~query:"nrev([a,b,c], R)."
   in
   let a = run false and b = run true in

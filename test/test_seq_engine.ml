@@ -88,15 +88,22 @@ let test_par_runs_sequentially () =
   Alcotest.(check int) "& as conjunction" 4
     (List.length (solutions lists "member(X, [1,2]) & member(Y, [a,b])"))
 
+(* The solution limit stops the generator after a prefix of the full
+   enumeration order. *)
 let test_limit_and_generator () =
-  let p = Ace_lang.Program.consult_string lists in
-  let q = Ace_lang.Program.parse_query "member(X, [1,2,3,4,5])" in
-  let m = Ace_core.Seq_engine.create (Ace_lang.Program.db p) q.Ace_lang.Program.goal in
-  Alcotest.(check bool) "first" true (Ace_core.Seq_engine.next m <> None);
-  Alcotest.(check bool) "second" true (Ace_core.Seq_engine.next m <> None);
-  let rest = Ace_core.Seq_engine.all_solutions m in
-  Alcotest.(check int) "remaining three" 3 (List.length rest);
-  Alcotest.(check bool) "exhausted" true (Ace_core.Seq_engine.next m = None)
+  let query = "member(X, [1,2,3,4,5])" in
+  let first n =
+    solutions
+      ~config:{ Ace_machine.Config.default with max_solutions = Some n }
+      lists query
+  in
+  let all = solutions lists query in
+  Alcotest.(check int) "five in all" 5 (List.length all);
+  Alcotest.(check (list string)) "first two"
+    (List.filteri (fun i _ -> i < 2) all)
+    (first 2);
+  Alcotest.(check (list string)) "limit zero runs nothing" [] (first 0);
+  Alcotest.(check (list string)) "limit past the end" all (first 9)
 
 let test_time_monotone () =
   let p = Ace_lang.Program.consult_string lists in
@@ -106,8 +113,12 @@ let test_time_monotone () =
         (Printf.sprintf "nrev(%s, R)"
            (Ace_benchmarks.Gen.pp_int_list (List.init n (fun i -> i))))
     in
-    let _, m = Ace_core.Seq_engine.solve (Ace_lang.Program.db p) q.Ace_lang.Program.goal in
-    Ace_core.Seq_engine.time m
+    let r =
+      Ace_core.Engine.solve Ace_core.Engine.Sequential
+        Ace_machine.Config.default (Ace_lang.Program.db p)
+        q.Ace_lang.Program.goal
+    in
+    Option.get r.Ace_core.Engine.cycles
   in
   Alcotest.(check bool) "bigger input costs more" true (run 16 > run 8)
 

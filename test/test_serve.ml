@@ -435,6 +435,55 @@ let test_server_drain_cancels () =
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
   (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* A peer that withholds the newline past the 1 MiB line cap gets one
+   in-band error and is hung up on; the server keeps serving others. *)
+let test_server_line_cap () =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ace_test_cap_%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Server.create ~workers:1 ~listen:(Unix.ADDR_UNIX sock)
+      (Lazy.force prepared)
+  in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    fd
+  in
+  let fd = connect () in
+  let oc = Unix.out_channel_of_descr fd in
+  output_string oc (String.make ((1 lsl 20) + 1) 'x');
+  flush oc;
+  (* the connection stays open: a reply must come without a newline *)
+  (match Unix.select [ fd ] [] [] 10.0 with
+  | [], _, _ -> Alcotest.fail "no reply to an over-long line"
+  | _ -> ());
+  let ic = Unix.in_channel_of_descr fd in
+  let j =
+    match Json.parse (input_line ic) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "bad response json: %s" m
+  in
+  Alcotest.(check bool) "in-band error" true
+    (Json.member "ok" j = Some (Json.Bool false));
+  Alcotest.(check bool) "then hung up" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  let fd = connect () in
+  let j =
+    roundtrip
+      (Unix.in_channel_of_descr fd)
+      (Unix.out_channel_of_descr fd)
+      (Json.Obj
+         [ ("op", Json.Str "query"); ("id", Json.int 1);
+           ("goal", Json.Str "path(a, X)") ])
+  in
+  Alcotest.(check int) "a new connection is served" 3 (num "count" j);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Server.drain srv;
+  Server.wait srv
+
 let suite =
   [
     Alcotest.test_case "protocol: parse requests" `Quick test_protocol_parse;
@@ -458,4 +507,6 @@ let suite =
       test_server_failures_in_band;
     Alcotest.test_case "server: drain cancels in-flight" `Quick
       test_server_drain_cancels;
+    Alcotest.test_case "server: over-long request line" `Quick
+      test_server_line_cap;
   ]

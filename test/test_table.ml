@@ -19,7 +19,9 @@ module Canon = Ace_check.Canon
 
 let solve ?table ?chaos ?(kind = Engine.Sequential) ?(config = Config.default)
     program query =
-  Engine.solve_program ?table ?chaos kind config ~program ~query
+  let chaos = Option.value chaos ~default:Chaos.disabled in
+  Engine.solve_program ~opts:{ Engine.default_opts with Engine.table; chaos }
+    kind config ~program ~query
 
 let multiset ?table ?chaos ?kind ?config program query =
   Canon.multiset (solve ?table ?chaos ?kind ?config program query).Engine.solutions
