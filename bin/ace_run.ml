@@ -64,6 +64,16 @@ let run_check ~count ~seed ~schedules ~chaos_spec ~mutate =
     Format.printf "%a" Ace_check.Fuzz.pp_report report;
     if Ace_check.Fuzz.ok report then 0 else 1
 
+(* The command-line option that sets each checked {!Config} field. *)
+let option_of_field = function
+  | "agents" -> "--agents"
+  | "seq_threshold" -> "--granularity"
+  | "grain" -> "--grain"
+  | "chunk" -> "--chunk"
+  | "table_max_answers" -> "--table-max-answers"
+  | "max_solutions" -> "--limit"
+  | field -> field
+
 let run check check_count check_seed check_schedules check_chaos check_mutate
     check_code_mutate check_table_mutate source query engine agents compile
     lpco lao spo pdo all par_and gc grain chunk limit deadline table_max show_stats
@@ -103,6 +113,28 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
       prerr_endline ("ace_run: " ^ m);
       2
     | Ok () ->
+    let config =
+      {
+        Config.default with
+        agents;
+        lpco = lpco || all;
+        lao = lao || all;
+        spo = spo || all;
+        pdo = pdo || all;
+        par_and;
+        seq_threshold = gc;
+        grain;
+        chunk;
+        compile;
+        max_solutions = limit;
+        table_max_answers = table_max;
+      }
+    in
+    match Config.check config with
+    | Error (field, lo) ->
+      Printf.eprintf "ace_run: %s must be >= %d\n" (option_of_field field) lo;
+      2
+    | Ok () ->
     try
       let program = Program.consult_string program_text in
       let db =
@@ -110,23 +142,6 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
         else Program.db program
       in
       let q = Program.parse_query query in
-      let config =
-        {
-          Config.default with
-          agents;
-          lpco = lpco || all;
-          lao = lao || all;
-          spo = spo || all;
-          pdo = pdo || all;
-          par_and;
-          seq_threshold = gc;
-          grain;
-          chunk;
-          compile;
-          max_solutions = limit;
-          table_max_answers = table_max;
-        }
-      in
       (* A 1-core box "running" 8 domains produces <1x speedups that say
          nothing about the schemas — warn instead of silently misleading. *)
       let cores = Domain.recommended_domain_count () in
@@ -396,7 +411,8 @@ let flag ~docs names doc = Arg.(value & flag & info names ~docs ~doc)
 
 let limit =
   Arg.(value & opt (some int) None & info [ "limit"; "n" ] ~docv:"N"
-         ~docs:g_engine ~doc:"Stop after N solutions.")
+         ~docs:g_engine
+         ~doc:"Stop after N solutions (0: none, without searching).")
 
 let cmd =
   let doc = "run a query on the ACE engines" in

@@ -835,7 +835,6 @@ let root_body st () =
 
 let solve (opts : Run.opts) table (config : Config.t) db goal =
   let t0 = Unix.gettimeofday () in
-  let config = Config.validate config in
   let sim = Sim.create ~max_steps:3_000_000 () in
   let n = config.Config.agents in
   let ks =

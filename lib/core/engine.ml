@@ -78,7 +78,16 @@ let prepare_string program =
 let database p = p.pbase
 let session p = Database.overlay p.pbase
 
-let run ?(opts = default_opts) ?session kind (config : Config.t) p goal =
+(* A limit of 0 asks for no solutions: no engine runs. *)
+let empty_result opts kind =
+  let stats = Stats.create () in
+  Kernel.finish opts ~t0:(Unix.gettimeofday ())
+    ~cycles:(if kind = Par_or then None else Some 0)
+    [] stats (Ace_obs.Metrics.of_stats stats)
+
+let run ?(opts = default_opts) ?session kind config p goal =
+  let config = Config.validate config in
+  if config.Config.max_solutions = Some 0 then empty_result opts kind else
   let db = match session with Some s -> s | None -> p.pbase in
   (* idempotent on the shared base; for a session overlay this re-caches
      and re-compiles only the session's own asserted clauses *)

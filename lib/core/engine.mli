@@ -70,7 +70,10 @@ val session : prepared -> Ace_lang.Database.t
 
 (** Runs [goal] on [kind] with [opts] (default {!default_opts}).
     [session] runs it against a session overlay (from {!session})
-    instead of the shared base.
+    instead of the shared base.  [config] is checked first, the same
+    way for every engine ({!Ace_machine.Config.validate}: raises
+    [Invalid_argument]); [max_solutions = Some 0] returns no solutions
+    without running an engine.
 
     The engines bind [goal]'s variables in place while they run; [run]
     unbinds them again on every exit (exhausted, solution limit,

@@ -447,7 +447,6 @@ let worker_body st w ~initial () =
 
 let solve (opts : Run.opts) table (config : Config.t) db goal =
   let t0 = Unix.gettimeofday () in
-  let config = Config.validate config in
   let sim = Sim.create ~max_steps:3_000_000 () in
   let n = config.Config.agents in
   let st =

@@ -739,7 +739,6 @@ let worker_main w =
 
 let solve (opts : Run.opts) table (config : Config.t) db goal =
   let t0 = Unix.gettimeofday () in
-  let config = Config.validate config in
   let p = config.Config.agents in
   let metrics = Metrics.create ~domains:p in
   let sh =

@@ -62,17 +62,25 @@ let unoptimized ?(agents = 1) () = { default with agents }
 let all_optimizations ?(agents = 1) () =
   { default with agents; lpco = true; lao = true; spo = true; pdo = true }
 
+(* Every rule is a lower bound on one integer field; [max_solutions =
+   Some 0] asks for no solutions and is valid.  Allocates nothing: every
+   engine run calls it. *)
+let check t =
+  if t.agents < 1 then Error ("agents", 1)
+  else if t.seq_threshold < 0 then Error ("seq_threshold", 0)
+  else if t.grain < 1 then Error ("grain", 1)
+  else if t.chunk < 0 then Error ("chunk", 0)
+  else if t.table_max_answers < 0 then Error ("table_max_answers", 0)
+  else
+    match t.max_solutions with
+    | Some n when n < 0 -> Error ("max_solutions", 0)
+    | Some _ | None -> Ok ()
+
 let validate t =
-  if t.agents < 1 then invalid_arg "Config: agents must be >= 1";
-  if t.seq_threshold < 0 then invalid_arg "Config: seq_threshold must be >= 0";
-  if t.grain < 1 then invalid_arg "Config: grain must be >= 1";
-  if t.chunk < 0 then invalid_arg "Config: chunk must be >= 0";
-  if t.table_max_answers < 0 then
-    invalid_arg "Config: table_max_answers must be >= 0";
-  (match t.max_solutions with
-   | Some n when n < 1 -> invalid_arg "Config: max_solutions must be >= 1"
-   | Some _ | None -> ());
-  t
+  match check t with
+  | Ok () -> t
+  | Error (field, lo) ->
+    invalid_arg (Printf.sprintf "Config: %s must be >= %d" field lo)
 
 let pp ppf t =
   let flag name b = if b then [ name ] else [] in

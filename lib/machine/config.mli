@@ -40,8 +40,14 @@ val unoptimized : ?agents:int -> unit -> t
 
 val all_optimizations : ?agents:int -> unit -> t
 
-(** Checks invariants, returning the configuration; raises
-    [Invalid_argument] otherwise. *)
+(** [Error (field, lo)] names the first field below its lower bound
+    [lo], e.g. [Error ("grain", 1)].  [max_solutions = Some 0] is valid:
+    no solutions, and no search. *)
+val check : t -> (unit, string * int) result
+
+(** {!check}, returning the configuration; raises [Invalid_argument
+    "Config: <field> must be >= <lo>"] otherwise.  [Engine.run] calls
+    it once for all four engines. *)
 val validate : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -30,6 +30,8 @@ type request =
       engine : Ace_core.Engine.kind option;  (** server default when absent *)
       agents : int option;
       limit : int option;
+          (** at most this many solutions; 0 answers none without
+              searching, a negative value is an in-band error *)
       deadline_ms : int option;
     }
   | Cancel of { id : int }

@@ -276,6 +276,30 @@ let test_engine_names () =
   Alcotest.(check bool) "unknown engine refused" true
     (Engine.kind_of_string "x" = Error "unknown engine \"x\" (seq|and|or|par)")
 
+(* One rule for the solution limit on every engine: 0 answers nothing
+   without searching (the goal below never ends on its own), a negative
+   limit is refused before any engine runs. *)
+let test_limit_rule () =
+  let p = Engine.prepare_string spin in
+  let goal = term "spin" in
+  List.iter
+    (fun (kind, agents) ->
+      let name = Engine.kind_to_string kind in
+      let config max_solutions =
+        { Config.default with Config.agents; max_solutions }
+      in
+      let r = Engine.run kind (config (Some 0)) p goal in
+      Alcotest.(check int) (name ^ ": limit 0, no solutions") 0
+        (List.length r.Engine.solutions);
+      Alcotest.(check int) (name ^ ": limit 0, no clause tried") 0
+        r.Engine.stats.Ace_machine.Stats.clause_tries;
+      match Engine.run kind (config (Some (-1))) p goal with
+      | _ -> Alcotest.failf "%s: a negative limit must be refused" name
+      | exception Invalid_argument m ->
+        Alcotest.(check string) (name ^ ": refusal names the field")
+          "Config: max_solutions must be >= 0" m)
+    engines
+
 (* The per-run set-up is O(1): no answer-table shards, no histogram
    buckets and no GC-stat records on a run that needs none of them. *)
 let test_run_setup_words () =
@@ -551,6 +575,7 @@ let suite =
     Alcotest.test_case "run: a parsed goal runs again" `Quick
       test_rerun_parsed_goal;
     Alcotest.test_case "run: engine names round-trip" `Quick test_engine_names;
+    Alcotest.test_case "run: one solution-limit rule" `Quick test_limit_rule;
     Alcotest.test_case "run: set-up allocation" `Quick test_run_setup_words;
     Alcotest.test_case "run: builtin calls allocate nothing" `Quick
       test_builtin_call_words;

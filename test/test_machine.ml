@@ -161,11 +161,16 @@ let test_config_validate () =
     (match Config.validate bad_agents with
      | exception Invalid_argument _ -> true
      | _ -> false);
-  let bad_limit = { Config.default with Config.max_solutions = Some 0 } in
-  Alcotest.(check bool) "max_solutions >= 1 enforced" true
+  let no_solutions = { Config.default with Config.max_solutions = Some 0 } in
+  Alcotest.(check bool) "max_solutions 0 accepted" true
+    (Config.validate no_solutions == no_solutions);
+  let bad_limit = { Config.default with Config.max_solutions = Some (-1) } in
+  Alcotest.(check bool) "max_solutions >= 0 enforced" true
     (match Config.validate bad_limit with
-     | exception Invalid_argument _ -> true
+     | exception Invalid_argument m -> m = "Config: max_solutions must be >= 0"
      | _ -> false);
+  Alcotest.(check bool) "check names the field and its bound" true
+    (Config.check { Config.default with Config.grain = 0 } = Error ("grain", 1));
   let bad_threshold = { Config.default with Config.seq_threshold = -1 } in
   Alcotest.(check bool) "seq_threshold >= 0 enforced" true
     (match Config.validate bad_threshold with

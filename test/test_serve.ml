@@ -357,7 +357,9 @@ let test_server_roundtrip () =
 
 (* The same failures over the wire, on a one-worker server: each
    answers an in-band error, and the one worker then serves a normal
-   query and has released its admission slot. *)
+   query and has released its admission slot.  The solution limit has
+   one rule on every engine: 0 answers no solutions, a negative limit an
+   in-band error. *)
 let test_server_failures_in_band () =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -389,6 +391,13 @@ let test_server_failures_in_band () =
   refused 1
     (query 1 "path(a, X)" [ ("engine", Json.Str "par"); ("agents", Json.int 300) ]);
   refused 2 (query 2 "loop" [ ("engine", Json.Str "and") ]);
+  List.iteri
+    (fun i engine ->
+      let limit n = [ ("engine", Json.Str engine); ("limit", Json.int n) ] in
+      Alcotest.(check int) (engine ^ ": limit 0 answers none") 0
+        (num "count" (query (10 + (2 * i)) "path(a, X)" (limit 0)));
+      refused (11 + (2 * i)) (query (11 + (2 * i)) "path(a, X)" (limit (-1))))
+    [ "seq"; "and"; "or"; "par" ];
   Alcotest.(check int) "the worker still serves" 3
     (num "count" (query 3 "path(a, X)" []));
   let j = roundtrip ic oc (Json.Obj [ ("op", Json.Str "stats") ]) in
