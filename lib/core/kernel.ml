@@ -39,6 +39,64 @@ type clock =
   | Wall
   | Ticks of Ace_sched.Sim.t
 
+(* The sequential machine's continuation segment: body items still to
+   run and the choice-point height a cut among them restores.  Defined
+   here so that a saved tabled consumer can hold one. *)
+type seg = { items : Clause.body; barrier : int }
+
+(* An agent's SLG evaluation in progress (see the tabling section). *)
+type tframe = {
+  fr_entry : Table.entry;
+  fr_depth : int;            (* position on the generator stack *)
+  mutable fr_passes : int;
+  mutable fr_consumers : consumer list;  (* saved consumers of the entry *)
+  mutable fr_queued : bool;  (* on its region's queue *)
+}
+
+(* A read of [rd_entry]'s answers by index up to the live count, each
+   unified with the call [rd_goal]. *)
+and reader = {
+  rd_entry : Table.entry;
+  rd_goal : Term.t;
+  mutable rd_next : int;       (* answers already returned *)
+  mutable rd_fallback : bool;  (* an unsaved consumer's read *)
+}
+
+(* A saved consumer: [co_cont] derives answers of [co_owner]'s subgoal
+   (instances of [co_answer]) from each answer its reader returns, once
+   the bindings of its activation ([co_vars] := [co_vals], the
+   private-trail segment since that activation began) are back in
+   place. *)
+and consumer = {
+  co_reader : reader;
+  co_cont : seg list;
+  co_owner : tframe;
+  co_answer : Term.t;
+  co_vars : Term.var array;
+  co_vals : Term.t option array;
+}
+
+(* A region under evaluation: the frames at or above its candidate
+   leader.  Nested regions complete inside an enclosing one; a region
+   that reaches below its candidate is handed to the enclosing one. *)
+type tregion = {
+  mutable rg_low : int;            (* shallowest on-stack frame consumed *)
+  mutable rg_queue : tframe list;  (* frames with answers not yet returned *)
+  mutable rg_fallback : (Table.entry * int) list;
+    (* fallback reads: the entry and how many answers one returned *)
+}
+
+type evaluation = {
+  tv_ctx : Builtins.ctx;     (* engine ctx rebased on the private trail *)
+  tv_trail : Trail.t;
+  mutable tv_frames : tframe list;        (* generator stack, newest first *)
+  tv_on_stack : (int, tframe) Hashtbl.t;  (* entry id -> its frame *)
+  mutable tv_cur : (tframe * Term.t) option;
+    (* the frame whose activation runs, and that activation's answer *)
+  mutable tv_base : int;                  (* trail mark where it began *)
+  mutable tv_region : tregion;
+}
+
 type agent = {
   name : string;
   cost : Cost.t;
@@ -54,6 +112,7 @@ type agent = {
   compiled : bool;
   mutable goal : Term.t;
   mutable alts : Clause.t list;
+  mutable tabling : evaluation option;
 }
 
 let agent (opts : Run.opts) ~name ~clock ~cost ~stats ~db ~table ~compiled
@@ -74,6 +133,7 @@ let agent (opts : Run.opts) ~name ~clock ~cost ~stats ~db ~table ~compiled
       compiled;
       goal = Term.Atom Symbol.nil;
       alts = [];
+      tabling = None;
     }
   in
   if Prof.enabled opts.Run.prof then
@@ -146,13 +206,17 @@ let sentinel_body goal =
    registers directly (a determinate recursion loops here in constant
    space, allocating nothing).  [R_alts] leaves its goal and candidates
    in the agent's [goal]/[alts] fields rather than in a tuple: a
-   nondeterminate call then allocates nothing to reach the engine. *)
+   nondeterminate call then allocates nothing to reach the engine.
+   [R_answers] and [R_consume] reach only a generator's machine (see
+   the tabling section). *)
 type resolved =
   | R_fail
   | R_body of Clause.body
   | R_exec of Symbol.t * int (* callee symbol, arity; args in registers *)
   | R_alts
   | R_control
+  | R_answers of reader
+  | R_consume of reader
 
 (* Where {!exec_body} stopped: the next thing the engine must
    schedule.  Register-consuming cases ([Ex_call]/[Ex_exec]) have the
@@ -375,7 +439,9 @@ let try_code_args a ~(ctx : Builtins.ctx) (args : Term.t array) clause =
     | R_body [] ->
       if Prof.live a.prof then
         Prof.exit_key a.prof (Prof.key_of_term clause.Clause.head)
-    | R_fail | R_body _ | R_exec _ | R_alts | R_control -> ());
+    | R_fail | R_body _ | R_exec _ | R_alts | R_control | R_answers _
+    | R_consume _ ->
+      ());
     r
   end
   else
@@ -482,25 +548,37 @@ let unsupported a g =
   Errors.error "control construct %s not supported inside %s"
     (Ace_term.Pp.to_string (Term.deref g)) a.name
 
+(* A lone candidate is tried at once: determinate after indexing, the
+   call needs no choice point (the property LPCO and SPO key on).
+   Several go to the engine's own choice point untried, so an engine
+   that pays for its choice point before the first try (the simulators)
+   keeps its charge order. *)
+let candidates a ctx goal = function
+  | [] -> R_fail
+  | [ clause ] -> try_clause a ctx goal clause
+  | clauses ->
+    a.goal <- goal;
+    a.alts <- clauses;
+    R_alts
+
 (* ---------------------------------------------------------------- *)
 (* Tabling: SLG evaluation of tabled subgoals                        *)
 (*                                                                   *)
 (* A tabled call is answered from the shared answer table; when the  *)
-(* table is incomplete the calling worker evaluates the subgoal to   *)
-(* completion right here, with a private mini-solver, and only then  *)
-(* returns to the engine.  The engine consumes the finished answers  *)
-(* as pseudo-fact clauses through its ordinary choice-point/trail    *)
-(* machinery, so tabling never adds frame kinds to the engines.      *)
+(* table is incomplete the calling agent first evaluates the subgoal *)
+(* to completion, and the engine then reads the answers as           *)
+(* pseudo-fact clauses through its own choice points.                *)
 (*                                                                   *)
-(* The mini-solver is an SLD interpreter in CPS over a private       *)
-(* trail, with generator frames kept on an explicit stack.  A call   *)
-(* to an incomplete on-stack subgoal is a consumer: it returns the   *)
-(* answers there so far and is saved on the consumed subgoal's frame *)
-(* with its continuation, its cursor and the private-trail bindings  *)
-(* of its activation (CAT-style copying).  A new answer queues its   *)
-(* frame, and the region's leader resumes that frame's consumers     *)
-(* from their cursors, so every consumer sees every answer exactly   *)
-(* once.                                                             *)
+(* Every generator pass and consumer resumption runs on a sequential *)
+(* machine built over the calling agent ([generator]) on a private   *)
+(* trail, so a tabled clause takes the same steps as any other call. *)
+(* A call to an incomplete subgoal on this evaluation's generator    *)
+(* stack is a consumer ([R_consume]): the machine reads the answers  *)
+(* so far through one choice point and saves its continuation on    *)
+(* the consumed frame, with the reader's cursor and the private-     *)
+(* trail bindings of its activation (CAT-style copying).  A new      *)
+(* answer queues its frame, and the region's leader resumes the      *)
+(* frame's consumers from their cursors: each sees every answer once.*)
 (*                                                                   *)
 (* Regions are found Tarjan-style: a region records the shallowest   *)
 (* on-stack frame any of its activations consumed.  A frame whose    *)
@@ -508,99 +586,33 @@ let unsupported a g =
 (* after every round of resumptions, leads the region and completes  *)
 (* it; otherwise it hands the region to the frame that called it.    *)
 (*                                                                   *)
-(* A consumer under a cut, an if-then-else condition, negation or    *)
-(* call/1 could cut across the table if resumed later, so it only    *)
-(* reads the answers present (a fallback read), and the leader       *)
-(* re-passes the whole region until no fallback read missed an       *)
-(* answer.                                                           *)
-(*                                                                   *)
-(* Answer sets only grow and inserts are deduplicated in the shared  *)
-(* table, so workers that evaluate the same region concurrently      *)
-(* never wait on each other: they at worst re-derive answers the     *)
-(* table rejects as duplicates.                                      *)
+(* A consumer inside an if-then-else condition or negation, or whose *)
+(* continuation can cut, is not saved (a fallback read), and the     *)
+(* leader re-passes the region until no fallback read missed an      *)
+(* answer.  Answer sets only grow and the shared table deduplicates, *)
+(* so workers evaluating one region concurrently never wait.         *)
 
-exception Cut_hit of int
-
-type tframe = {
-  fr_entry : Table.entry;
-  fr_depth : int;            (* position on the generator stack *)
-  mutable fr_passes : int;
-  mutable fr_consumers : consumer list;  (* saved consumers of the entry *)
-  mutable fr_queued : bool;  (* on its region's queue *)
-}
-
-(* A saved consumer: [co_sk] derives answers of [co_owner]'s subgoal
-   from each answer unified with [co_goal], once the bindings of its
-   activation ([co_vars] := [co_vals], the private-trail segment since
-   that activation began) are back in place. *)
-and consumer = {
-  co_goal : Term.t;
-  co_sk : unit -> unit;
-  co_owner : tframe;
-  co_vars : Term.var array;
-  co_vals : Term.t option array;
-  mutable co_cursor : int;   (* answers already returned *)
-}
-
-(* A region under evaluation: the frames at or above its candidate
-   leader.  Nested regions complete inside an enclosing one; a region
-   that reaches below its candidate is handed to the enclosing one. *)
-type tregion = {
-  mutable rg_low : int;            (* shallowest on-stack frame consumed *)
-  mutable rg_queue : tframe list;  (* frames with answers not yet returned *)
-  mutable rg_fallback : (Table.entry * int) list;
-    (* fallback reads: the entry and how many answers one returned *)
-}
-
-type teval = {
-  tv_a : agent;
-  tv_ctx : Builtins.ctx;     (* engine ctx rebased on the private trail *)
-  tv_trail : Trail.t;
-  mutable tv_frames : tframe list;        (* generator stack, newest first *)
-  tv_on_stack : (int, tframe) Hashtbl.t;  (* entry id -> its frame *)
-  mutable tv_cur : tframe option;         (* the frame whose activation runs *)
-  mutable tv_base : int;                  (* trail mark where it began *)
-  mutable tv_region : tregion;
-  mutable tv_cuts : int;                  (* fresh cut-barrier ids *)
-}
+let generator :
+    (agent -> Builtins.ctx -> resolved -> seg list -> (unit -> unit) -> unit)
+    ref =
+  ref (fun _ _ _ _ _ -> invalid_arg "Kernel.generator: no sequential engine")
 
 let new_region low = { rg_low = low; rg_queue = []; rg_fallback = [] }
 
 let queued rg = match rg.rg_queue with [] -> false | _ :: _ -> true
 
-(* Whether a body can cut to its clause's barrier ([!] outside any
-   opaque construct).  Such a clause's continuations are never saved. *)
-let rec goal_cuts g =
-  let g = Term.deref g in
-  Code.is_control g
-  &&
-  match classify g with
-  | Cut -> true
-  | Conj g' | Amp g' -> (
-    match Term.deref g' with
-    | Term.Struct (_, [| a; b |]) -> goal_cuts a || goal_cuts b
-    | _ -> false)
-  | Disj (a, b) | Ite (_, a, b) -> goal_cuts a || goal_cuts b
-  | Naf _ | Meta _ | Sentinel _ | Goal _ -> false
-
-let rec body_cuts body =
-  List.exists
-    (function
-      | Clause.Call g -> goal_cuts g
-      | Clause.Par bodies -> List.exists body_cuts bodies
-      | Clause.Exec _ -> false)
-    body
+let behind co = co.co_reader.rd_next < Table.answer_count co.co_reader.rd_entry
 
 (* A solution of [fr]'s subgoal: publish it into the shared table
    (insert-if-new; only a new answer is copied) and queue [fr] for its
    saved consumers. *)
-let tinsert tv fr goal =
-  let stats = tv.tv_a.stats in
+let tinsert a tv fr goal =
+  let stats = a.stats in
   let entry = fr.fr_entry in
-  match Table.insert tv.tv_a.table entry goal with
+  match Table.insert a.table entry goal with
   | Table.Inserted ->
     stats.Stats.table_answers <- stats.Stats.table_answers + 1;
-    record tv.tv_a Trace.Table_answer entry.Table.id;
+    record a Trace.Table_answer entry.Table.id;
     (match fr.fr_consumers with
     | _ :: _ when not fr.fr_queued ->
       fr.fr_queued <- true;
@@ -610,51 +622,23 @@ let tinsert tv fr goal =
   | Table.Overflow ->
     Errors.error "tabled subgoal %s exceeded the answer limit %d (raise it with --table-max-answers)"
       (Ace_term.Pp.to_canonical_string entry.Table.subgoal)
-      (Table.max_answers tv.tv_a.table)
+      (Table.max_answers a.table)
 
-(* Returns one answer to [goal]. *)
-let return_answer tv goal ans sk =
-  let a = tv.tv_a and trail = tv.tv_trail in
-  let inst = if Term.is_ground ans then ans else Term.rename ans in
-  let mark = Trail.mark trail in
-  if unify_goal a ~trail goal inst then begin
-    sk ();
-    untrail a trail mark
-  end
-
-(* Returns answers [i ..] of [entry] to [goal], including answers
-   appended meanwhile; the number read. *)
-let rec read_answers tv entry goal sk i =
-  if i >= Table.answer_count entry then i
-  else begin
-    return_answer tv goal (Table.answer entry i) sk;
-    read_answers tv entry goal sk (i + 1)
-  end
-
-(* Returns a saved consumer the answers past its cursor. *)
-let return_unseen tv entry co =
-  while co.co_cursor < Table.answer_count entry do
-    let ans = Table.answer entry co.co_cursor in
-    co.co_cursor <- co.co_cursor + 1;
-    return_answer tv co.co_goal ans co.co_sk
-  done
-
-(* Runs [f] as an activation of [fr]: consumers saved inside it belong
+(* An activation of [fr] on a generator machine: a pass, which resolves
+   [goal] against the program, or the resumption of [co], which first
+   reinstalls its bindings (trailed, so the activation's end undoes
+   them) and starts from its reader.  Every solution is an instance of
+   [goal] published as an answer of [fr]; consumers saved inside belong
    to [fr] and copy the private-trail segment from here. *)
-let activation tv fr f =
-  let saved_cur = tv.tv_cur and saved_base = tv.tv_base in
-  tv.tv_cur <- Some fr;
-  tv.tv_base <- Trail.mark tv.tv_trail;
-  f ();
-  tv.tv_cur <- saved_cur;
-  tv.tv_base <- saved_base
-
-(* Resumes a saved consumer: reinstalls its bindings (trailed, so the
-   activation's end undoes them) and returns its unseen answers. *)
-let resume tv entry co =
-  let a = tv.tv_a and trail = tv.tv_trail in
-  activation tv co.co_owner (fun () ->
-      let base = Trail.mark trail in
+let activate a tv fr goal co =
+  let trail = tv.tv_trail in
+  let cur = tv.tv_cur and base = tv.tv_base in
+  tv.tv_cur <- Some (fr, goal);
+  tv.tv_base <- Trail.mark trail;
+  let start, cont =
+    match co with
+    | None -> (candidates a tv.tv_ctx goal (select a goal), [])
+    | Some co ->
       let n = Array.length co.co_vars in
       for i = 0 to n - 1 do
         let v = co.co_vars.(i) in
@@ -663,23 +647,26 @@ let resume tv entry co =
       done;
       charge a (n * a.cost.Cost.trail_push);
       a.stats.Stats.trail_pushes <- a.stats.Stats.trail_pushes + n;
-      return_unseen tv entry co;
-      untrail a trail base)
+      (R_answers co.co_reader, co.co_cont)
+  in
+  !generator a tv.tv_ctx start cont (fun () -> tinsert a tv fr goal);
+  untrail a trail tv.tv_base;
+  tv.tv_cur <- cur;
+  tv.tv_base <- base
 
 (* Rounds of resumptions: a queued frame's consumers get its unseen
    answers; new answers queue their frames again. *)
-let rec drain tv rg =
+let rec drain a tv rg =
   match rg.rg_queue with
   | [] -> ()
   | fr :: rest ->
     rg.rg_queue <- rest;
     fr.fr_queued <- false;
-    let entry = fr.fr_entry in
     List.iter
       (fun co ->
-        if co.co_cursor < Table.answer_count entry then resume tv entry co)
+        if behind co then activate a tv co.co_owner co.co_answer (Some co))
       fr.fr_consumers;
-    drain tv rg
+    drain a tv rg
 
 (* Queues every region frame with a consumer behind its entry's count.
    Only another worker's inserts into a shared entry leave one behind:
@@ -687,13 +674,7 @@ let rec drain tv rg =
 let requeue_behind tv rg depth =
   let rec go = function
     | fr :: rest when fr.fr_depth >= depth ->
-      let entry = fr.fr_entry in
-      if
-        (not fr.fr_queued)
-        && List.exists
-             (fun co -> co.co_cursor < Table.answer_count entry)
-             fr.fr_consumers
-      then begin
+      if (not fr.fr_queued) && List.exists behind fr.fr_consumers then begin
         fr.fr_queued <- true;
         rg.rg_queue <- fr :: rg.rg_queue
       end;
@@ -702,217 +683,70 @@ let requeue_behind tv rg depth =
   in
   go tv.tv_frames
 
-(* The body solver: SLD resolution in CPS.  Invariant: every entry
-   point returns with the private trail restored to its state at the
-   call, and [sk] is invoked once per solution with the bindings in
-   place.  Cut is an exception barrier: each predicate invocation (and
-   each cut-opaque construct) allocates a fresh id; [!] succeeds and
-   then raises to its barrier, whose handler restores the trail.
-   [safe] says that no [!] reachable from [sk] targets a barrier of
-   this invocation: only then may a consumer's continuation be saved
-   and resumed after the barriers are gone. *)
-let rec tsolve tv ~cut ~safe goal sk =
-  let g = Term.deref goal in
-  if not (Code.is_control g) then tcall tv ~safe g sk
-  else
-    match classify g with
-    | Cut ->
-      sk ();
-      raise (Cut_hit cut)
-    | Conj g' | Amp g' -> (
-      (* no parallel machinery inside a generator: '&' runs as ',' *)
-      match Term.deref g' with
-      | Term.Struct (_, [| a; b |]) ->
-        tsolve tv ~cut ~safe a (fun () -> tsolve tv ~cut ~safe b sk)
-      | _ -> assert false)
-    | Disj (a, b) ->
-      tsolve tv ~cut ~safe a sk;
-      tsolve tv ~cut ~safe b sk
-    | Ite (c, t, e) ->
-      let a = tv.tv_a in
-      let mark = Trail.mark tv.tv_trail in
-      tv.tv_cuts <- tv.tv_cuts + 1;
-      let bid = tv.tv_cuts in
-      let taken = ref false in
-      (try
-         tsolve tv ~cut:bid ~safe:false c (fun () ->
-             taken := true;
-             raise (Cut_hit bid))
-       with Cut_hit i when i = bid -> ());
-      if !taken then begin
-        (* committed to the condition's first solution: its bindings
-           are still in place (the barrier raise skipped the undos) *)
-        tsolve tv ~cut ~safe t sk;
-        untrail a tv.tv_trail mark
-      end
-      else tsolve tv ~cut ~safe e sk
-    | Naf g' ->
-      let a = tv.tv_a in
-      let mark = Trail.mark tv.tv_trail in
-      tv.tv_cuts <- tv.tv_cuts + 1;
-      let bid = tv.tv_cuts in
-      let found = ref false in
-      (try
-         tsolve tv ~cut:bid ~safe:false g' (fun () ->
-             found := true;
-             raise (Cut_hit bid))
-       with Cut_hit i when i = bid -> ());
-      untrail a tv.tv_trail mark;
-      if not !found then sk ()
-    | Meta g' ->
-      (* call/1 is cut-opaque: a fresh barrier, absorbed here *)
-      tv.tv_cuts <- tv.tv_cuts + 1;
-      let bid = tv.tv_cuts in
-      let mark = Trail.mark tv.tv_trail in
-      (try tsolve tv ~cut:bid ~safe:false g' sk
-       with Cut_hit i when i = bid -> untrail tv.tv_a tv.tv_trail mark)
-    | Sentinel _ ->
-      Errors.error "solution sentinel inside a tabled generator"
-    | Goal g' -> tcall tv ~safe g' sk
-
-and tcall tv ~safe g sk =
-  let a = tv.tv_a in
-  (* the generator's chokepoint: a region's evaluation never returns
-     to the engine, so an abort must fire here.  The raise unwinds out
-     of [table_call] before [set_complete]: the entry keeps its
-     (monotone, deduplicated) partial answers and is simply
-     re-evaluated by the next caller. *)
-  Cancel.check a.cancel;
-  let mark = Trail.mark tv.tv_trail in
-  match call_builtin a tv.tv_ctx g with
-  | Builtins.Ok ->
-    sk ();
-    untrail a tv.tv_trail mark
-  | Builtins.Fail -> untrail a tv.tv_trail mark
-  | Builtins.Not_builtin ->
-    if Database.is_tabled_goal a.db g then ttabled tv ~safe g sk
-    else tresolve tv ~safe g sk
-
-(* Plain (untabled) user predicate: ordinary clause resolution.  The
-   compiled flag only steers clause selection through the dispatch
-   tree; bodies are resolved interpreted, which is observationally
-   equivalent and keeps the generator solver small. *)
-and tresolve tv ~safe goal sk =
-  let a = tv.tv_a in
-  let clauses = select a goal in
-  tv.tv_cuts <- tv.tv_cuts + 1;
-  let bid = tv.tv_cuts in
-  let mark = Trail.mark tv.tv_trail in
-  try
-    List.iter
-      (fun clause ->
-        let m = Trail.mark tv.tv_trail in
-        (match try_head a ~trail:tv.tv_trail goal clause with
-        | R_fail -> ()
-        | R_body body ->
-          tbody tv ~cut:bid ~safe:(safe && not (body_cuts body)) body sk
-        | R_exec _ | R_alts | R_control ->
-          assert false (* [try_head] answers R_fail or R_body *));
-        untrail a tv.tv_trail m)
-      clauses
-  with Cut_hit i when i = bid -> untrail a tv.tv_trail mark
-
-and tbody tv ~cut ~safe body sk =
-  match body with
-  | [] -> sk ()
-  | Clause.Call g :: rest ->
-    tsolve tv ~cut ~safe g (fun () -> tbody tv ~cut ~safe rest sk)
-  | Clause.Par bodies :: rest ->
-    (* parallel conjunctions run sequentially inside a generator *)
-    tseq tv ~cut ~safe bodies (fun () -> tbody tv ~cut ~safe rest sk)
-  | Clause.Exec _ :: _ -> assert false (* interpreted bodies only *)
-
-and tseq tv ~cut ~safe bodies sk =
-  match bodies with
-  | [] -> sk ()
-  | b :: rest -> tbody tv ~cut ~safe b (fun () -> tseq tv ~cut ~safe rest sk)
-
-(* A tabled call inside a generator. *)
-and ttabled tv ~safe g sk =
-  let stats = tv.tv_a.stats in
-  let entry, created = Table.subgoal_entry tv.tv_a.table g in
-  if created then begin
-    stats.Stats.table_subgoals <- stats.Stats.table_subgoals + 1;
-    record tv.tv_a Trace.Table_subgoal entry.Table.id
-  end
-  else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
-  let read_complete () =
-    stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1;
-    ignore (read_answers tv entry g sk 0 : int)
-  in
-  if Table.is_complete entry then read_complete ()
-  else
-    match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
-    | Some fr -> tconsume tv ~safe fr g sk
-    | None -> (
-      teval_entry tv entry;
-      if Table.is_complete entry then read_complete ()
-      else
-        (* the new entry joined an enclosing region *)
-        match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
-        | Some fr -> tconsume tv ~safe fr g sk
-        | None -> assert false (* a handed-up frame stays on the stack *))
-
-(* A consumer of [fr]'s incomplete subgoal (see the section comment):
-   saved and returned the answers so far, or, when not [safe], a
-   fallback read. *)
-and tconsume tv ~safe fr g sk =
-  let a = tv.tv_a in
-  let stats = a.stats in
-  stats.Stats.table_suspends <- stats.Stats.table_suspends + 1;
-  record a Trace.Table_suspend fr.fr_entry.Table.id;
-  let rg = tv.tv_region in
-  if fr.fr_depth < rg.rg_low then rg.rg_low <- fr.fr_depth;
-  if safe then begin
-    let owner =
-      match tv.tv_cur with
-      | Some cur -> cur
-      | None -> assert false (* on-stack entries imply an activation *)
-    in
-    let vars =
-      Trail.segment tv.tv_trail ~lo:tv.tv_base ~hi:(Trail.size tv.tv_trail)
-    in
-    let co =
-      {
-        co_goal = g;
-        co_sk = sk;
-        co_owner = owner;
-        co_vars = vars;
-        co_vals = Array.map (fun (v : Term.var) -> v.Term.binding) vars;
-        co_cursor = 0;
-      }
-    in
-    fr.fr_consumers <- co :: fr.fr_consumers;
-    return_unseen tv fr.fr_entry co
-  end
-  else begin
-    (* a read cut short by a commit ([!], a condition, [\+] finding a
-       solution) records nothing: answers only append, so the answers
-       before the committing one, and the commit, are the same in any
-       later pass *)
-    let n = read_answers tv fr.fr_entry g sk 0 in
-    rg.rg_fallback <- (fr.fr_entry, n) :: rg.rg_fallback
-  end
-
-(* One generator pass: a fresh instance of the subgoal resolved
-   against the program, every solution published into the entry.
-   Passes after the first are the fallback's naive re-passes. *)
-and tpass tv fr =
-  let a = tv.tv_a in
+(* One generator pass: a fresh instance of the subgoal run against the
+   program, every solution published into the entry.  Passes after the
+   first are the fallback's naive re-passes. *)
+let tpass a tv fr =
   let stats = a.stats in
   fr.fr_passes <- fr.fr_passes + 1;
   if fr.fr_passes > 1 then begin
     stats.Stats.table_resumes <- stats.Stats.table_resumes + 1;
     record a Trace.Table_resume fr.fr_entry.Table.id
   end;
-  activation tv fr (fun () ->
-      let goal = Term.rename fr.fr_entry.Table.subgoal in
-      tresolve tv ~safe:true goal (fun () -> tinsert tv fr goal))
+  activate a tv fr (Term.rename fr.fr_entry.Table.subgoal) None
+
+(* The leader rule, checked after the first pass and after every
+   round of resumptions: a region that consumed a frame below [fr] is
+   handed to [outer] (its queue and fallback reads with it), and the
+   frame that called [fr] keeps evaluating it.  Otherwise [fr] leads:
+   resume queued consumers, requeue consumers another worker's answers
+   left behind, re-pass the region while a fallback read missed an
+   answer, and complete the region once nothing is left to return. *)
+let rec lead a tv fr rg outer =
+  if rg.rg_low < fr.fr_depth then begin
+    tv.tv_region <- outer;
+    if rg.rg_low < outer.rg_low then outer.rg_low <- rg.rg_low;
+    outer.rg_queue <- List.rev_append rg.rg_queue outer.rg_queue;
+    outer.rg_fallback <- List.rev_append rg.rg_fallback outer.rg_fallback
+  end
+  else if queued rg then begin
+    drain a tv rg;
+    lead a tv fr rg outer
+  end
+  else begin
+    requeue_behind tv rg fr.fr_depth;
+    if queued rg then lead a tv fr rg outer
+    else if
+      List.exists (fun (e, n) -> Table.answer_count e > n) rg.rg_fallback
+    then begin
+      rg.rg_fallback <- [];
+      let region =
+        List.rev
+          (List.filter (fun f -> f.fr_depth >= fr.fr_depth) tv.tv_frames)
+      in
+      List.iter (fun f -> tpass a tv f) region;
+      lead a tv fr rg outer
+    end
+    else begin
+      tv.tv_region <- outer;
+      (* completion, deepest frame first (the leader logs last) *)
+      let rec pop () =
+        match tv.tv_frames with
+        | f :: rest when f.fr_depth >= fr.fr_depth ->
+          tv.tv_frames <- rest;
+          Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
+          Table.set_complete a.table f.fr_entry;
+          record a Trace.Table_complete f.fr_entry.Table.id;
+          pop ()
+        | _ -> ()
+      in
+      pop ()
+    end
+  end
 
 (* Evaluates a new entry: push a generator frame, run its first pass
    in a region of its own, then lead or hand up (see [lead]). *)
-and teval_entry tv entry =
-  let a = tv.tv_a in
+let teval_entry a tv entry =
   charge a a.cost.Cost.index_lookup;
   let depth =
     match tv.tv_frames with [] -> 0 | f :: _ -> f.fr_depth + 1
@@ -931,64 +765,88 @@ and teval_entry tv entry =
   let outer = tv.tv_region in
   let rg = new_region depth in
   tv.tv_region <- rg;
-  tpass tv fr;
-  lead tv fr rg outer
+  tpass a tv fr;
+  lead a tv fr rg outer
 
-(* The leader rule, checked after the first pass and after every
-   round of resumptions: a region that consumed a frame below [fr] is
-   handed to [outer] (its queue and fallback reads with it), and the
-   frame that called [fr] keeps evaluating it.  Otherwise [fr] leads:
-   resume queued consumers, requeue consumers another worker's answers
-   left behind, re-pass the region while a fallback read missed an
-   answer, and complete the region once nothing is left to return. *)
-and lead tv fr rg outer =
-  if rg.rg_low < fr.fr_depth then begin
-    tv.tv_region <- outer;
-    if rg.rg_low < outer.rg_low then outer.rg_low <- rg.rg_low;
-    outer.rg_queue <- List.rev_append rg.rg_queue outer.rg_queue;
-    outer.rg_fallback <- List.rev_append rg.rg_fallback outer.rg_fallback
-  end
-  else if queued rg then begin
-    drain tv rg;
-    lead tv fr rg outer
+let reader entry goal ~fallback =
+  { rd_entry = entry; rd_goal = goal; rd_next = 0; rd_fallback = fallback }
+
+(* A consumer of [fr]'s incomplete subgoal: its reader, a fallback read
+   until the machine saves it (see [save]). *)
+let consume a tv fr goal =
+  a.stats.Stats.table_suspends <- a.stats.Stats.table_suspends + 1;
+  record a Trace.Table_suspend fr.fr_entry.Table.id;
+  let rg = tv.tv_region in
+  if fr.fr_depth < rg.rg_low then rg.rg_low <- fr.fr_depth;
+  R_consume (reader fr.fr_entry goal ~fallback:true)
+
+let save a rd cont =
+  let tv = Option.get a.tabling in
+  let owner, answer = Option.get tv.tv_cur in
+  let fr = Hashtbl.find tv.tv_on_stack rd.rd_entry.Table.id in
+  let vars =
+    Trail.segment tv.tv_trail ~lo:tv.tv_base ~hi:(Trail.size tv.tv_trail)
+  in
+  rd.rd_fallback <- false;
+  fr.fr_consumers <-
+    {
+      co_reader = rd;
+      co_cont = cont;
+      co_owner = owner;
+      co_answer = answer;
+      co_vars = vars;
+      co_vals = Array.map (fun (v : Term.var) -> v.Term.binding) vars;
+    }
+    :: fr.fr_consumers
+
+(* A read cut short by a commit ([!], a condition, [\+] finding a
+   solution) records nothing: answers only append, so the answers
+   before the committing one, and the commit, are the same in any later
+   pass.  An exhausted fallback read records how many it returned. *)
+let rec next_answer a ~trail rd =
+  let entry = rd.rd_entry in
+  let i = rd.rd_next in
+  if i < Table.answer_count entry then begin
+    rd.rd_next <- i + 1;
+    let ans = Table.answer entry i in
+    unify_goal a ~trail rd.rd_goal
+      (if Term.is_ground ans then ans else Term.rename ans)
+    || next_answer a ~trail rd
   end
   else begin
-    requeue_behind tv rg fr.fr_depth;
-    if queued rg then lead tv fr rg outer
-    else if
-      List.exists (fun (e, n) -> Table.answer_count e > n) rg.rg_fallback
-    then begin
-      rg.rg_fallback <- [];
-      let region =
-        List.rev
-          (List.filter (fun f -> f.fr_depth >= fr.fr_depth) tv.tv_frames)
-      in
-      List.iter (fun f -> tpass tv f) region;
-      lead tv fr rg outer
-    end
-    else begin
-      tv.tv_region <- outer;
-      (* completion, deepest frame first (the leader logs last) *)
-      let rec pop () =
-        match tv.tv_frames with
-        | f :: rest when f.fr_depth >= fr.fr_depth ->
-          tv.tv_frames <- rest;
-          Hashtbl.remove tv.tv_on_stack f.fr_entry.Table.id;
-          Table.set_complete tv.tv_a.table f.fr_entry;
-          record tv.tv_a Trace.Table_complete f.fr_entry.Table.id;
-          pop ()
-        | _ -> ()
-      in
-      pop ()
-    end
+    if rd.rd_fallback then begin
+      let rg = (Option.get a.tabling).tv_region in
+      rg.rg_fallback <- (entry, i) :: rg.rg_fallback
+    end;
+    false
   end
 
-(* The engine entry point.  Ensures [goal]'s table is complete —
-   evaluating the subgoal synchronously when it is not — and returns
-   the answers as pseudo-fact clauses, so the engine's ordinary clause
-   machinery (choice points, trail, publication, profiling) enumerates
-   them exactly like a predicate of facts. *)
-let table_call a (ctx : Builtins.ctx) goal =
+(* A complete table's answers as pseudo-fact clauses, so the engine's
+   ordinary clause machinery (choice points, trail, publication,
+   profiling) enumerates them exactly like a predicate of facts. *)
+let answers a ctx goal (entry : Table.entry) =
+  candidates a ctx goal
+    (match entry.Table.answer_clauses with
+    | Some clauses -> clauses
+    | None ->
+      let clauses =
+        List.init (Table.answer_count entry) (fun i ->
+            let c = Clause.of_term (Table.answer entry i) in
+            (* precompile before publishing the clause so concurrent
+               readers never race on the mutable code slot *)
+            ignore (Code.of_clause c : Code.t);
+            c)
+      in
+      entry.Table.answer_clauses <- Some clauses;
+      clauses)
+
+(* A tabled call.  Outside an evaluation an incomplete subgoal is
+   evaluated synchronously, with no enclosing generator, so it leads its
+   own region and completes; the engine gets the answers as
+   pseudo-facts.  Inside one (on a generator's machine) an on-stack
+   subgoal is consumed, any other is evaluated first, and a complete
+   table is read by index like a consumer's. *)
+let table_call a ctx goal =
   let stats = a.stats in
   let entry, created = Table.subgoal_entry a.table goal in
   if created then begin
@@ -996,67 +854,57 @@ let table_call a (ctx : Builtins.ctx) goal =
     record a Trace.Table_subgoal entry.Table.id
   end
   else stats.Stats.table_variant_hits <- stats.Stats.table_variant_hits + 1;
-  if Table.is_complete entry then
-    stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1
-  else begin
-    let trail = Trail.create () in
-    let tv =
-      {
-        tv_a = a;
-        tv_ctx = { ctx with Builtins.trail };
-        tv_trail = trail;
-        tv_frames = [];
-        tv_on_stack = Hashtbl.create 16;
-        tv_cur = None;
-        tv_base = 0;
-        tv_region = new_region max_int;
-        tv_cuts = 0;
-      }
-    in
-    teval_entry tv entry;
-    (* with no enclosing generator the entry's region cannot reach
-       below it, so it led its own region and is complete *)
-    assert (Table.is_complete entry)
-  end;
-  match entry.Table.answer_clauses with
-  | Some clauses -> clauses
-  | None ->
-    let clauses =
-      List.init (Table.answer_count entry) (fun i ->
-          let c = Clause.of_term (Table.answer entry i) in
-          (* precompile before publishing the clause so concurrent
-             readers never race on the mutable code slot *)
-          ignore (Code.of_clause c : Code.t);
-          c)
-    in
-    entry.Table.answer_clauses <- Some clauses;
-    clauses
+  let complete () =
+    stats.Stats.table_answer_hits <- stats.Stats.table_answer_hits + 1;
+    match a.tabling with
+    | None -> answers a ctx goal entry
+    | Some _ -> R_answers (reader entry goal ~fallback:false)
+  in
+  if Table.is_complete entry then complete ()
+  else
+    match a.tabling with
+    | None ->
+      let trail = Trail.create () in
+      let tv =
+        {
+          tv_ctx = { ctx with Builtins.trail };
+          tv_trail = trail;
+          tv_frames = [];
+          tv_on_stack = Hashtbl.create 16;
+          tv_cur = None;
+          tv_base = 0;
+          tv_region = new_region max_int;
+        }
+      in
+      a.tabling <- Some tv;
+      Fun.protect
+        ~finally:(fun () -> a.tabling <- None)
+        (fun () -> teval_entry a tv entry);
+      assert (Table.is_complete entry);
+      answers a ctx goal entry
+    | Some tv -> (
+      match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
+      | Some fr -> consume a tv fr goal
+      | None -> (
+        teval_entry a tv entry;
+        if Table.is_complete entry then complete ()
+        else
+          (* the new entry joined an enclosing region *)
+          match Hashtbl.find_opt tv.tv_on_stack entry.Table.id with
+          | Some fr -> consume a tv fr goal
+          | None -> assert false (* a handed-up frame stays on the stack *)))
 
 (* ------------------------------------------------------------------ *)
 (* The step: what calling a goal comes to                              *)
 (* ------------------------------------------------------------------ *)
-
-(* A lone candidate is tried at once: determinate after indexing, the
-   call needs no choice point (the property LPCO and SPO key on).
-   Several go to the engine's own choice point untried, so an engine
-   that pays for its choice point before the first try (the simulators)
-   keeps its charge order. *)
-let candidates a ctx goal = function
-  | [] -> R_fail
-  | [ clause ] -> try_clause a ctx goal clause
-  | clauses ->
-    a.goal <- goal;
-    a.alts <- clauses;
-    R_alts
 
 (* The call chokepoint: a fired token raises {!Cancel.Cancelled} here,
    out to the engine's handler.  Tabled predicates answer from the
    shared table (evaluated first when incomplete), as pseudo-facts. *)
 let user a ctx goal =
   Cancel.check a.cancel;
-  candidates a ctx goal
-    (if Database.is_tabled_goal a.db goal then table_call a ctx goal
-     else select a goal)
+  if Database.is_tabled_goal a.db goal then table_call a ctx goal
+  else candidates a ctx goal (select a goal)
 
 let step a ctx goal =
   let goal = Term.deref goal in

@@ -43,6 +43,15 @@ type clock =
   | Ticks of Ace_sched.Sim.t
       (** each charge advances the simulated agent running it *)
 
+(** The sequential machine's continuation segment (body items and the
+    choice-point height a cut among them restores), held by a saved
+    tabled consumer. *)
+type seg = { items : Clause.body; barrier : int }
+
+(** A tabled evaluation in progress: generator stack, regions, saved
+    consumers. *)
+type evaluation
+
 (** One execution context: the sequential machine, one multicore worker
     domain, or one simulated agent.  [stats], [sc], [prof], [tbuf],
     [goal] and [alts] are private to the context (single writer); [db]
@@ -59,8 +68,8 @@ type agent = {
       (** {!Ace_obs.Prof.null} when profiling is off (every hook is then
           a load and a branch) *)
   cancel : Cancel.t;
-      (** checked at the call chokepoint of {!step} and {!step_regs} and
-          inside the tabling mini-solver: a fired token raises
+      (** checked at the call chokepoint of {!step} and {!step_regs}
+          (on a generator's machine too): a fired token raises
           {!Cancel.Cancelled} out to the engine's handler, leaving a
           table under evaluation incomplete but consistent (monotone
           partial answers; the next caller re-evaluates) *)
@@ -77,6 +86,8 @@ type agent = {
   mutable alts : Clause.t list;
       (** after {!R_alts}: its candidate clauses (at least two), none
           tried yet *)
+  mutable tabling : evaluation option;
+      (** the evaluation this agent is running (the kernel's own) *)
 }
 
 (** A fresh agent with its own scratch and [cycles] 0, its trace buffer
@@ -90,6 +101,9 @@ val agent :
 (** Records a trace event into the agent's buffer, stamped by its clock
     (its cycles, the simulator's virtual time, or the wall clock). *)
 val record : agent -> Ace_obs.Trace.kind -> int -> unit
+
+(** Pays a charge on the agent's clock. *)
+val charge : agent -> int -> unit
 
 (** Goal classification for the control constructs {!step} leaves to the
     engine.  Constructors carry the decomposed subterms; [Goal] carries
@@ -111,6 +125,9 @@ val classify : Term.t -> cls
     the compiled query followed by the ['$solution'] sentinel. *)
 val sentinel_body : Term.t -> Clause.body
 
+(** A read of a table's answers on a generator's machine. *)
+type reader
+
 (** What calling a goal comes to, decided once for every engine.
 
     - [R_fail]: a builtin failed, no clause matched the index, or the
@@ -124,13 +141,18 @@ val sentinel_body : Term.t -> Clause.body
       {!step_regs}, so a determinate recursion loops in constant space.
     - [R_alts]: several candidates, none tried, in [agent.goal] and
       [agent.alts], for the engine's own choice point.
-    - [R_control]: a control construct ({!classify} it). *)
+    - [R_control]: a control construct ({!classify} it).
+    - [R_answers], [R_consume]: on a generator's machine only (see
+      {!generator}), a tabled call reading a complete table or
+      consuming one this evaluation is producing (see {!save}). *)
 type resolved =
   | R_fail
   | R_body of Clause.body
   | R_exec of Ace_term.Symbol.t * int  (** callee, arity; args in registers *)
   | R_alts
   | R_control
+  | R_answers of reader
+  | R_consume of reader
 
 val step : agent -> Builtins.ctx -> Term.t -> resolved
 (** One call: builtin dispatch (charged, profiled), then the call
@@ -145,6 +167,24 @@ val step_regs : agent -> Builtins.ctx -> Ace_term.Symbol.t -> int -> resolved
     selection walks the dispatch tree straight from the register file,
     and only a tabled call or several candidates materialize a goal
     term. *)
+
+(** Set by the sequential engine when it initializes: [!generator a ctx
+    start cont answer] runs [start] (a pass's first step, or [R_answers]
+    resuming a saved consumer) then [cont] to exhaustion on a fresh
+    machine over [a] and [ctx]'s private trail, calling [answer] at each
+    solution. *)
+val generator :
+  (agent -> Builtins.ctx -> resolved -> seg list -> (unit -> unit) -> unit)
+  ref
+
+val next_answer : agent -> trail:Trail.t -> reader -> bool
+(** Unifies the reader's call with its next answer, read by index up to
+    the table's live count; [false] once none is left. *)
+
+val save : agent -> reader -> seg list -> unit
+(** Saves a consumer's reader with a continuation that no [!] can cut
+    and that ends its activation's: it is resumed on the table's new
+    answers.  An unsaved consumer is a fallback read. *)
 
 val try_clause : agent -> Builtins.ctx -> Term.t -> Clause.t -> resolved
 (** One candidate of a choice point against the goal, in the agent's

@@ -266,7 +266,8 @@ and continue st w resolved cont =
       push_cp st w ~goal:g ~alts:rest ~cont;
       continue st w (Kernel.try_clause a w.w_ctx g clause) cont
     | [] -> assert false (* [R_alts] leaves at least two candidates *))
-  | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
+  | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
+    assert false (* [dispatch] takes control; readers: generators only *)
 
 (* Local backtracking: exhausted nodes are popped (each visit charged); a
    node with remaining shared alternatives yields the next one. *)

@@ -380,7 +380,8 @@ and continue w m resolved cont =
       if should_publish w m then publish w m;
       continue w m (Kernel.try_clause w.k m.m_ctx g clause) cont
     | [] -> assert false (* [R_alts] leaves at least two candidates *))
-  | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
+  | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
+    assert false (* [dispatch] takes control; readers: generators only *)
 
 and call_regs w m sym arity cont =
   if aborted w m then ()

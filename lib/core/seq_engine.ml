@@ -10,7 +10,9 @@
    The engine charges every operation to an abstract-cycle accumulator
    using the same {!Ace_machine.Cost} table as the simulated parallel
    engines; the resulting total is the T_seq that parallel overhead is
-   computed against. *)
+   computed against.  It also evaluates tabled subgoals for every engine:
+   {!generate} runs each generator pass and consumer resumption on a
+   fresh machine over the calling agent, on that agent's clock. *)
 
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
@@ -18,6 +20,7 @@ module Clause = Ace_lang.Clause
 module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
+module Code = Ace_lang.Code
 module Chaos = Ace_sched.Chaos
 module Trace = Ace_obs.Trace
 module Prof = Ace_obs.Prof
@@ -27,8 +30,10 @@ type alts =
       (* remaining candidate clauses, stored as the selection's own list
          so a nondeterminate call allocates no per-clause wrapper *)
   | Agoal of Clause.body (* right branch of a disjunction *)
+  | Aanswers of Kernel.reader
+      (* a table reader's answers, read up to the table's live count *)
 
-type seg = { items : Clause.item list; barrier : int }
+type seg = Kernel.seg = { items : Clause.item list; barrier : int }
 (* [barrier] is the choice-point stack height a cut in these items
    restores. *)
 
@@ -73,14 +78,17 @@ let create (opts : Run.opts) table (config : Config.t) db =
     height = 0;
   }
 
-let spend m n = m.a.cycles <- m.a.cycles + n
+let spend m n = Kernel.charge m.a n
+
+(* No charge (a simulator's tick yields) when the jitter draws none. *)
+let jitter m = match Chaos.jitter m.chaos with 0 -> () | n -> spend m n
 
 (* [mark] is the trail height the choice point restores on backtracking —
    the caller's mark from *before* any bindings the first taken
    alternative made (shallow backtracking pushes the choice point only
    after a head has already matched). *)
 let push_cp m ~mark ~goal ~alts ~cont =
-  spend m (Chaos.jitter m.chaos);
+  jitter m;
   spend m m.a.cost.Cost.cp_alloc;
   m.a.stats.Stats.cp_allocs <- m.a.stats.Stats.cp_allocs + 1;
   m.a.stats.Stats.stack_words <-
@@ -107,6 +115,60 @@ let cut m barrier =
       m.cps <- below;
       m.height <- m.height - 1
   done
+
+(* The end of a [solve_once] continuation (a condition's or [\+]'s). *)
+let once = { items = []; barrier = 0 }
+
+let once_cont = [ once ]
+
+(* Whether running [item] can execute a [!] that cuts to its segment's
+   barrier ([\+], a condition and [call/1] keep their cuts local); a
+   compiled frame's goals are built on a copy of its environment. *)
+let rec item_cuts = function
+  | Clause.Call g -> goal_cuts g
+  | Clause.Par bodies -> List.exists (List.exists item_cuts) bodies
+  | Clause.Exec { Clause.xf_code = Code.Compiled code; xf_pc; xf_env } ->
+    let env = Array.copy xf_env and body = code.Code.c_body in
+    let rec from pc =
+      pc < Array.length body
+      && ((match body.(pc).Code.s_op with
+          | Code.O_goal p -> goal_cuts (Code.build_put env p)
+          | Code.O_par bodies ->
+            List.exists
+              (List.exists item_cuts)
+              (List.map (Code.inst_bbody env) bodies)
+          | Code.O_builtin _ | Code.O_call _ | Code.O_execute _ -> false)
+         || from (pc + 1))
+    in
+    from xf_pc
+  | Clause.Exec _ -> false
+
+and goal_cuts g =
+  match Kernel.classify g with
+  | Kernel.Cut -> true
+  | Kernel.Conj g | Kernel.Amp g -> (
+    match Term.deref g with
+    | Term.Struct (_, [| l; r |]) -> goal_cuts l || goal_cuts r
+    | _ -> false)
+  | Kernel.Disj (l, r) | Kernel.Ite (_, l, r) -> goal_cuts l || goal_cuts r
+  | Kernel.Naf _ | Kernel.Meta _ | Kernel.Sentinel _ | Kernel.Goal _ -> false
+
+(* A tabled consumer's continuation as saved for resumption, or [None]
+   (a fallback read) when it stops at a [solve_once] or a [!] in it
+   would cut the table's reader.  Compiled frames get a copy of their
+   environment (the running instance keeps writing its own), and every
+   segment a barrier no height equals, so they are never trimmed. *)
+let rec saved = function
+  | [] -> Some []
+  | seg :: _ when seg == once || List.exists item_cuts seg.items -> None
+  | seg :: rest ->
+    let copy = function
+      | Clause.Exec xf -> Clause.Exec { xf with xf_env = Array.copy xf.xf_env }
+      | item -> item
+    in
+    Option.map
+      (List.cons { items = List.map copy seg.items; barrier = max_int })
+      (saved rest)
 
 (* [run] drives forward execution; [backtrack] resumes at the newest choice
    point.  Both return [true] when a solution is reached (the machine state
@@ -210,7 +272,7 @@ and solve_once m g =
   let saved_cps = m.cps and saved_height = m.height in
   m.cps <- [];
   m.height <- 0;
-  let found = dispatch m g ~barrier:0 [] in
+  let found = dispatch m g ~barrier:0 once_cont in
   m.cps <- saved_cps;
   m.height <- saved_height;
   found
@@ -227,7 +289,21 @@ and continue m resolved cont =
   | Kernel.R_exec (sym, arity) ->
     continue m (Kernel.step_regs m.a m.ctx sym arity) cont
   | Kernel.R_alts -> shallow m m.a.Kernel.goal m.a.Kernel.alts cont
+  | Kernel.R_answers rd -> read m rd cont
+  | Kernel.R_consume rd ->
+    Option.iter (Kernel.save m.a rd) (saved cont);
+    read m rd cont
   | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
+
+(* A table reader's answers before [cont]; its choice point stays until
+   the live count is read, so answers [cont] adds are returned too. *)
+and read m rd cont =
+  let mark = Trail.mark m.trail in
+  if Kernel.next_answer m.a ~trail:m.trail rd then begin
+    push_cp m ~mark ~goal:None ~alts:(Aanswers rd) ~cont;
+    run m cont
+  end
+  else backtrack m
 
 (* Shallow backtracking (WAM-style): scan the candidates for the first
    one whose head matches before allocating a choice point, so clauses
@@ -263,7 +339,7 @@ and shallow m g clauses cont =
 and backtrack m =
   Cancel.check m.a.cancel;
   m.a.stats.Stats.backtracks <- m.a.stats.Stats.backtracks + 1;
-  spend m (Chaos.jitter m.chaos);
+  jitter m;
   match m.cps with
   | [] -> false
   | cp :: below -> (
@@ -312,7 +388,33 @@ and backtrack m =
       (* a disjunction's right branch is its only alternative: trust *)
       m.cps <- below;
       m.height <- m.height - 1;
-      run m ({ items = body; barrier = m.height } :: cp.cp_cont))
+      run m ({ items = body; barrier = m.height } :: cp.cp_cont)
+    | Aanswers rd ->
+      undo_to m cp.cp_trail;
+      spend m m.a.cost.Cost.cp_restore;
+      if Kernel.next_answer m.a ~trail:m.trail rd then run m cp.cp_cont
+      else begin
+        m.cps <- below;
+        m.height <- m.height - 1;
+        backtrack m
+      end)
+
+(* {!Kernel.generator}: a fresh machine over the calling agent, on the
+   evaluation's private trail. *)
+let generate a (ctx : Builtins.ctx) start cont answer =
+  let m =
+    { trail = ctx.Builtins.trail; ctx; chaos = Chaos.null_agent; a; cps = [];
+      height = 0 }
+  in
+  let rec loop found =
+    if found then begin
+      answer ();
+      loop (backtrack m)
+    end
+  in
+  loop (continue m start cont)
+
+let () = Kernel.generator := generate
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)

@@ -9,7 +9,9 @@
     continuation stack, its choice-point stack (shallow backtracking: a
     choice point is pushed only after a candidate's head matched) and
     the control constructs.  [config.compile] selects compiled clause
-    code (identical solutions, fewer cycles) or the interpreter.
+    code (identical solutions, fewer cycles) or the interpreter.  The
+    same machine runs every engine's tabled generators
+    ({!Kernel.generator}), over the calling agent.
 
     [opts.trace] records solution events on track 0 and [opts.prof]
     attributes per-predicate costs, both stamped with the abstract-cycle

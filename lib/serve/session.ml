@@ -81,12 +81,20 @@ let guard f =
   | exception Invalid_argument msg -> Error msg
   | exception Failure msg -> Error msg
 
+(* The run options a request sets, refused by their wire names. *)
+let check_request kind ~agents ~limit =
+  if agents < 1 then Error (Printf.sprintf "agents must be >= 1 (got %d)" agents)
+  else
+    match limit with
+    | Some n when n < 0 -> Error (Printf.sprintf "limit must be >= 0 (got %d)" n)
+    | Some _ | None -> Engine.check_agents kind agents
+
 let query ?id ?engine ?agents ?limit ?deadline_ms s goal_text =
   let t0 = Unix.gettimeofday () in
   let kind = Option.value ~default:s.engine engine in
   let agents = Option.value ~default:s.config.Config.agents agents in
   match
-    Result.bind (Engine.check_agents kind agents) (fun () ->
+    Result.bind (check_request kind ~agents ~limit) (fun () ->
         guard (fun () -> Program.parse_query goal_text))
   with
   | Error _ as e -> e

@@ -380,13 +380,22 @@ let test_server_failures_in_band () =
             ("goal", Json.Str goal) ]
          @ extra))
   in
-  let refused id j =
+  let refused ?msg id j =
     Alcotest.(check bool)
       (Printf.sprintf "query %d answers an error" id)
       true
       (Json.member "ok" j = Some (Json.Bool false)
       && Json.member "error" j <> None);
-    Alcotest.(check int) (Printf.sprintf "error carries id %d" id) id (num "id" j)
+    Alcotest.(check int) (Printf.sprintf "error carries id %d" id) id (num "id" j);
+    Option.iter
+      (fun msg ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "query %d names the wire field" id)
+          (Some msg)
+          (match Json.member "error" j with
+          | Some (Json.Str s) -> Some s
+          | _ -> None))
+      msg
   in
   refused 1
     (query 1 "path(a, X)" [ ("engine", Json.Str "par"); ("agents", Json.int 300) ]);
@@ -396,7 +405,11 @@ let test_server_failures_in_band () =
       let limit n = [ ("engine", Json.Str engine); ("limit", Json.int n) ] in
       Alcotest.(check int) (engine ^ ": limit 0 answers none") 0
         (num "count" (query (10 + (2 * i)) "path(a, X)" (limit 0)));
-      refused (11 + (2 * i)) (query (11 + (2 * i)) "path(a, X)" (limit (-1))))
+      refused ~msg:"limit must be >= 0 (got -1)" (11 + (2 * i))
+        (query (11 + (2 * i)) "path(a, X)" (limit (-1)));
+      refused ~msg:"agents must be >= 1 (got 0)" (20 + i)
+        (query (20 + i) "path(a, X)"
+           [ ("engine", Json.Str engine); ("agents", Json.int 0) ]))
     [ "seq"; "and"; "or"; "par" ];
   Alcotest.(check int) "the worker still serves" 3
     (num "count" (query 3 "path(a, X)" []));

@@ -4,7 +4,8 @@
    deduplication, the golden incremental-completion order on a
    hand-built SCC chain, nested SCCs whose inner region reaches the
    outer one late, the fallback for consumers under control
-   constructs, the acceptance-criterion 200-node cyclic
+   constructs on every engine, generators running in the calling
+   agent's mode, the acceptance-criterion 200-node cyclic
    left-recursive reachability on every engine (the sequential one
    compiled and interpreted), chaos-schedule determinism of the
    suspend/resume interleaving, and concurrent 4-domain answer-table
@@ -199,16 +200,23 @@ let test_nested_scc () =
 (* The fallback: consumers under control constructs                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each program consumes an incomplete table under a construct whose
-   saved continuation could cut across the table — an if-then-else
-   condition, negation, call/1, a clause with a cut — so the consumer is
-   a fallback read and the leader re-passes the region until no read
-   missed an answer.  Answers pinned from the naive-fixpoint
-   evaluator. *)
+(* Each program consumes an incomplete table under or beside a control
+   construct.  Inside an if-then-else condition or negation the consumer
+   is a fallback read (its continuation stops short of its clause's),
+   and the leader re-passes the region until no read missed an answer.
+   [call/1] only moves the cut barrier and a cut already run cannot cut
+   again, so there the continuation is cut-free and the consumer is
+   saved: nothing is re-passed.  The last condition reads the table
+   before the answer it looks for exists, so any evaluation must re-pass
+   its region; its answers are the closure plus the one the condition
+   adds once p(a,d) is there.  The other answers are pinned from the
+   naive-fixpoint evaluator.  Every engine, in each of its modes. *)
 let fallback_edges = "e(a,b). e(b,c). e(c,a). e(c,d).\n"
 
 let closure = [ "p(a,a)"; "p(a,b)"; "p(a,c)"; "p(a,d)" ]
 
+(* name, rules, answers, and whether the region is re-passed (when the
+   evaluation decides it) *)
 let fallback_cases =
   [ ( "if-then-else condition",
       {|
@@ -216,14 +224,14 @@ let fallback_cases =
 p(X, Y) :- e(X, Y).
 p(X, Y) :- ( p(X, Z) -> e(Z, Y) ; fail ).
 |},
-      [ "p(a,b)"; "p(a,c)" ] );
+      [ "p(a,b)"; "p(a,c)" ], None );
     ( "negation",
       {|
 :- table(p/2).
 p(X, Y) :- e(X, Y).
 p(X, Y) :- \+ \+ p(X, _), p(X, Z), e(Z, Y), \+ p(X, zz).
 |},
-      closure );
+      closure, None );
     ( "call/1",
       {|
 :- table(p/2).
@@ -232,32 +240,77 @@ p(X, Y) :- e(X, Y).
 p(X, Y) :- call(q(X, Z)), e(Z, Y).
 q(X, Y) :- p(X, Y).
 |},
-      closure );
+      closure, Some false );
     ( "clause with a cut",
       {|
 :- table(p/2).
 p(X, Y) :- e(X, Y).
 p(X, Y) :- !, p(X, Z), e(Z, Y).
 |},
-      closure ) ]
+      closure, None );
+    ( "condition read before its answers exist",
+      {|
+:- table(p/2).
+p(X, Y) :- ( p(X, W), W == d -> Y = found ; fail ).
+p(X, Y) :- e(X, Y).
+p(X, Y) :- p(X, Z), e(Z, Y).
+|},
+      closure @ [ "p(a,found)" ], Some true ) ]
 
 let test_fallback () =
   List.iter
-    (fun (name, rules, expected) ->
+    (fun (name, rules, expected, repassed) ->
       List.iter
-        (fun compile ->
-          let config = { Config.default with Config.compile } in
-          let r = solve ~config (fallback_edges ^ rules) "p(a, X)" in
-          let label = Printf.sprintf "%s (seq%s)" name (if compile then "/c" else "") in
+        (fun (kind, compile) ->
+          let config = mode_config kind compile in
+          let r = solve ~kind ~config (fallback_edges ^ rules) "p(a, X)" in
+          let stats = r.Engine.stats in
+          let label = Printf.sprintf "%s (%s)" name (mode_name kind compile) in
           Alcotest.(check (list string)) label expected
             (Canon.multiset r.Engine.solutions);
           Alcotest.(check bool) (label ^ ": consumed an incomplete table") true
-            (r.Engine.stats.Ace_machine.Stats.table_suspends > 0);
-          if name = "call/1" then
-            Alcotest.(check bool) (label ^ ": re-passed the region") true
-              (r.Engine.stats.Ace_machine.Stats.table_resumes > 0))
-        [ true; false ])
+            (stats.Ace_machine.Stats.table_suspends > 0);
+          Option.iter
+            (fun repassed ->
+              Alcotest.(check bool) (label ^ ": re-passed the region") repassed
+                (stats.Ace_machine.Stats.table_resumes > 0))
+            repassed)
+        engine_modes)
     fallback_cases
+
+(* ------------------------------------------------------------------ *)
+(* Generators run in the calling agent's mode                          *)
+(* ------------------------------------------------------------------ *)
+
+(* examples/reach.pl.  Its tabled clauses run on the calling agent's
+   machine in that agent's mode: compiled code on seq/c and par, beyond
+   the 12 instructions of the outer call's six answer-clause tries, and
+   interpreted (no instructions at all) on seq, and and or. *)
+let reach_program =
+  {|
+:- table(path/2).
+edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(d, e). edge(a, f).
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- path(X, Z), edge(Z, Y).
+|}
+
+let test_generator_mode () =
+  List.iter
+    (fun (name, kind, compiled) ->
+      let config = { Config.default with Config.compile = compiled } in
+      let r = solve ~kind ~config reach_program "path(a, X)" in
+      let instrs = r.Engine.stats.Ace_machine.Stats.code_instrs in
+      Alcotest.(check int) (name ^ ": answers") 6
+        (List.length r.Engine.solutions);
+      if compiled then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: generator compiled (%d instructions)" name
+             instrs)
+          true (instrs > 12)
+      else Alcotest.(check int) (name ^ ": generator interpreted") 0 instrs)
+    [ ("seq/c", Engine.Sequential, true); ("par@1", Engine.Par_or, true);
+      ("seq", Engine.Sequential, false); ("and", Engine.And_parallel, false);
+      ("or", Engine.Or_parallel, false) ]
 
 (* ------------------------------------------------------------------ *)
 (* 200-node cyclic reachability (the acceptance criterion)             *)
@@ -397,6 +450,8 @@ let suite =
       test_nested_scc;
     Alcotest.test_case "fallback under control constructs" `Quick
       test_fallback;
+    Alcotest.test_case "generators run in the agent's mode" `Quick
+      test_generator_mode;
     Alcotest.test_case "200-node cyclic reachability" `Slow
       test_cyclic_reachability;
     Alcotest.test_case "chaos suspend/resume replay" `Slow test_chaos_replay;
