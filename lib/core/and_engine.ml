@@ -314,8 +314,8 @@ and continue st agent exec resolved cont =
   match resolved with
   | Kernel.R_fail -> exec_backtrack st agent exec
   | Kernel.R_body body -> exec_run st agent exec (body @ cont)
-  | Kernel.R_exec (sym, arity) ->
-    continue st agent exec (Kernel.step_regs (ka st) exec.x_ctx sym arity) cont
+  | Kernel.R_exec ->
+    continue st agent exec (Kernel.step_callee (ka st) exec.x_ctx) cont
   | Kernel.R_alts -> (
     let a = ka st in
     let g = a.Kernel.goal in

@@ -112,6 +112,8 @@ type agent = {
   compiled : bool;
   mutable goal : Term.t;
   mutable alts : Clause.t list;
+  mutable callee : Symbol.t;
+  mutable callee_arity : int;
   mutable tabling : evaluation option;
 }
 
@@ -133,6 +135,8 @@ let agent (opts : Run.opts) ~name ~clock ~cost ~stats ~db ~table ~compiled
       compiled;
       goal = Term.Atom Symbol.nil;
       alts = [];
+      callee = Symbol.nil;
+      callee_arity = 0;
       tabling = None;
     }
   in
@@ -204,15 +208,16 @@ let sentinel_body goal =
    scratch frame, the callee's arguments are loaded in the scratch
    registers, and no continuation was stacked — the engine steps the
    registers directly (a determinate recursion loops here in constant
-   space, allocating nothing).  [R_alts] leaves its goal and candidates
-   in the agent's [goal]/[alts] fields rather than in a tuple: a
-   nondeterminate call then allocates nothing to reach the engine.
+   space, allocating nothing).  [R_exec] leaves the callee in the
+   agent's [callee]/[callee_arity] fields, and [R_alts] its goal and
+   candidates in [goal]/[alts], rather than in a tuple: neither a last
+   call nor a nondeterminate one allocates to reach the engine.
    [R_answers] and [R_consume] reach only a generator's machine (see
    the tabling section). *)
 type resolved =
   | R_fail
   | R_body of Clause.body
-  | R_exec of Symbol.t * int (* callee symbol, arity; args in registers *)
+  | R_exec
   | R_alts
   | R_control
   | R_answers of reader
@@ -226,7 +231,7 @@ type executed =
   | Ex_done
   | Ex_call of Symbol.t * int * int * int
       (* callee, arity, pc after the call, frame slots still live *)
-  | Ex_exec of Symbol.t * int (* last call: the frame is dead *)
+  | Ex_exec (* last call: the frame is dead; callee as for [R_exec] *)
   | Ex_goal of Term.t * int (* control construct (engine dispatch), next pc *)
   | Ex_par of Clause.body list * int (* parallel conjunction, next pc *)
 
@@ -246,7 +251,7 @@ let exec_cont xf pc rest =
    path, taken only when clause selection leaves more than one candidate
    (the goal must outlive the scratch registers inside choice points). *)
 let goal_of_regs sym arity (args : Term.t array) =
-  if arity = 0 then Term.Atom sym else Term.Struct (sym, Array.sub args 0 arity)
+  if arity = 0 then Term.Atom sym else Term.Struct (sym, Term.prefix args arity)
 
 (* Environment trimming: clears the dead suffix of a frame so the terms
    it holds become collectable.  Unsafe in general — the clears are not
@@ -381,13 +386,15 @@ let rec run_scratch_body a ~ctx ~trail ~mark code frame pc =
                 {
                   Clause.xf_code = Code.Compiled code;
                   xf_pc = pc + 1;
-                  xf_env = Array.sub frame 0 code.Code.c_nvars;
+                  xf_env = Term.prefix frame code.Code.c_nvars;
                 } ]
         in
         R_body (Clause.Call (goal_of_regs sym nput a.sc.Code.s_regs) :: rest))
     | Code.O_execute sym ->
       ignore (Code.load_regs a.sc frame step.Code.s_puts : Term.t array);
-      R_exec (sym, nput)
+      a.callee <- sym;
+      a.callee_arity <- nput;
+      R_exec
     | Code.O_call _ | Code.O_goal _ | Code.O_par _ ->
       assert false (* excluded by [c_scratch] *)
   end
@@ -439,7 +446,7 @@ let try_code_args a ~(ctx : Builtins.ctx) (args : Term.t array) clause =
     | R_body [] ->
       if Prof.live a.prof then
         Prof.exit_key a.prof (Prof.key_of_term clause.Clause.head)
-    | R_fail | R_body _ | R_exec _ | R_alts | R_control | R_answers _
+    | R_fail | R_body _ | R_exec | R_alts | R_control | R_answers _
     | R_consume _ ->
       ());
     r
@@ -492,7 +499,9 @@ let rec exec_steps a ctx (body : Code.step array) env pc =
       Ex_call (sym, nput, pc + 1, live)
     | Code.O_execute sym ->
       ignore (Code.load_regs a.sc env step.Code.s_puts : Term.t array);
-      Ex_exec (sym, nput)
+      a.callee <- sym;
+      a.callee_arity <- nput;
+      Ex_exec
     | Code.O_goal p -> Ex_goal (Code.build_put env p, pc + 1)
     | Code.O_par bodies -> Ex_par (List.map (Code.inst_bbody env) bodies, pc + 1)
   end
@@ -931,6 +940,8 @@ let step_regs a ctx sym arity =
       a.goal <- goal_of_regs sym arity regs;
       a.alts <- clauses;
       R_alts
+
+let step_callee a ctx = step_regs a ctx a.callee a.callee_arity
 
 (* ------------------------------------------------------------------ *)
 (* Optimization-schema decisions                                       *)

@@ -86,6 +86,10 @@ type agent = {
   mutable alts : Clause.t list;
       (** after {!R_alts}: its candidate clauses (at least two), none
           tried yet *)
+  mutable callee : Ace_term.Symbol.t;
+      (** after {!R_exec} or {!Ex_exec}: the last call's predicate, its
+          arguments in the registers *)
+  mutable callee_arity : int;  (** and its arity *)
   mutable tabling : evaluation option;
       (** the evaluation this agent is running (the kernel's own) *)
 }
@@ -135,10 +139,11 @@ type reader
     - [R_body body]: a builtin succeeded ([body = []]) or the lone
       candidate matched; run [body] (instantiated, or one
       [Clause.Exec] item) before the caller's continuation.
-    - [R_exec (sym, arity)]: the lone candidate ran to its last call on
-      the scratch frame; the callee's arguments are in the agent's
-      registers ([agent.sc]) and nothing was stacked — step them with
-      {!step_regs}, so a determinate recursion loops in constant space.
+    - [R_exec]: the lone candidate ran to its last call on the scratch
+      frame; the callee is in [agent.callee]/[agent.callee_arity], its
+      arguments in the agent's registers ([agent.sc]), and nothing was
+      stacked — step it with {!step_callee}, so a determinate recursion
+      loops in constant space, allocating nothing.
     - [R_alts]: several candidates, none tried, in [agent.goal] and
       [agent.alts], for the engine's own choice point.
     - [R_control]: a control construct ({!classify} it).
@@ -148,7 +153,7 @@ type reader
 type resolved =
   | R_fail
   | R_body of Clause.body
-  | R_exec of Ace_term.Symbol.t * int  (** callee, arity; args in registers *)
+  | R_exec
   | R_alts
   | R_control
   | R_answers of reader
@@ -163,10 +168,14 @@ val step : agent -> Builtins.ctx -> Term.t -> resolved
 
 val step_regs : agent -> Builtins.ctx -> Ace_term.Symbol.t -> int -> resolved
 (** {!step} for a call whose arguments are loaded in the registers (after
-    [R_exec], [Ex_call] or [Ex_exec]; compiled agents only): clause
-    selection walks the dispatch tree straight from the register file,
+    [Ex_call]; compiled agents only): clause selection walks the
+    dispatch tree straight from the register file, allocating nothing,
     and only a tabled call or several candidates materialize a goal
     term. *)
+
+val step_callee : agent -> Builtins.ctx -> resolved
+(** {!step_regs} of the agent's [callee], after [R_exec] or
+    [Ex_exec]. *)
 
 (** Set by the sequential engine when it initializes: [!generator a ctx
     start cont answer] runs [start] (a pass's first step, or [R_answers]
@@ -203,12 +212,13 @@ val try_clause : agent -> Builtins.ctx -> Term.t -> Clause.t -> resolved
     schedule.  [Ex_call]/[Ex_exec] have the callee's arguments loaded in
     the scratch registers; [Ex_call] also carries the pc to resume the
     frame at and the number of frame slots still live there (see
-    {!trim_env}). *)
+    {!trim_env}), and [Ex_exec] leaves its callee in the agent, as
+    [R_exec] does. *)
 type executed =
   | Ex_fail
   | Ex_done
   | Ex_call of Ace_term.Symbol.t * int * int * int
-  | Ex_exec of Ace_term.Symbol.t * int
+  | Ex_exec
   | Ex_goal of Term.t * int
   | Ex_par of Clause.body list * int
 

@@ -256,8 +256,7 @@ and continue st w resolved cont =
   match resolved with
   | Kernel.R_fail -> backtrack st w
   | Kernel.R_body body -> run_worker st w (body @ cont)
-  | Kernel.R_exec (sym, arity) ->
-    continue st w (Kernel.step_regs (ka st) w.w_ctx sym arity) cont
+  | Kernel.R_exec -> continue st w (Kernel.step_callee (ka st) w.w_ctx) cont
   | Kernel.R_alts -> (
     let a = ka st in
     let g = a.Kernel.goal in

@@ -359,7 +359,8 @@ and exec_frame w m xf cont =
     exec_parcall w m bodies (Kernel.exec_cont xf pc cont)
   | Kernel.Ex_call (sym, arity, pc, _live) ->
     call_regs w m sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> call_regs w m sym arity cont
+  | Kernel.Ex_exec ->
+    call_regs w m w.k.Kernel.callee w.k.Kernel.callee_arity cont
 
 (* Schedules what a step or one clause try came to; [R_exec] steps the
    registers directly (last-call optimization).  Several candidates get
@@ -371,7 +372,8 @@ and continue w m resolved cont =
   match resolved with
   | Kernel.R_fail -> backtrack w m
   | Kernel.R_body body -> run_mach w m (body @ cont)
-  | Kernel.R_exec (sym, arity) -> call_regs w m sym arity cont
+  | Kernel.R_exec ->
+    call_regs w m w.k.Kernel.callee w.k.Kernel.callee_arity cont
   | Kernel.R_alts -> (
     let g = w.k.Kernel.goal in
     match w.k.Kernel.alts with
@@ -734,6 +736,28 @@ let worker_main w =
      Atomic.set w.sh.stop true);
   Stats.add_alloc_since w.stats mark
 
+(* The spawn that worker domains start with.  A test seam, never set
+   outside tests: a test swaps in a spawn that fails, to check that a
+   failed spawn leaves no domain running. *)
+let spawn : ((unit -> unit) -> unit Domain.t) ref = ref Domain.spawn
+
+(* Starts workers 1 .. p-1 on domains of their own.  If a spawn fails,
+   the domains already started, which may have stolen the root from
+   deque 0 and be running the query, are stopped and joined before the
+   failure propagates: no domain outlives the run. *)
+let spawn_workers sh workers =
+  let started = ref [] in
+  match
+    for i = 1 to Array.length workers - 1 do
+      started := !spawn (fun () -> worker_main workers.(i)) :: !started
+    done
+  with
+  | () -> !started
+  | exception e ->
+    Atomic.set sh.stop true;
+    List.iter Domain.join !started;
+    raise e
+
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -781,11 +805,9 @@ let solve (opts : Run.opts) table (config : Config.t) db goal =
         })
   in
   Deque.push_bottom sh.deques.(0) (Root (Kernel.sentinel_body goal));
-  let domains =
-    Array.init (p - 1) (fun i -> Domain.spawn (fun () -> worker_main workers.(i + 1)))
-  in
+  let domains = spawn_workers sh workers in
   worker_main workers.(0);
-  Array.iter Domain.join domains;
+  List.iter Domain.join domains;
   (match Atomic.get sh.failure with Some e -> raise e | None -> ());
   (* the domains have joined: aggregating the single-writer shards is safe
      from here on (see the Stats.merge_into ownership contract) *)

@@ -52,3 +52,9 @@
     all domains wind down and join, and the solutions recorded so far
     are returned. *)
 val solve : Run.solver
+
+(** The spawn that {!solve} starts its worker domains with
+    ([Domain.spawn]).  A test seam, not a run option: tests replace it
+    to make a spawn fail.  When one does, {!solve} stops and joins the
+    domains it had already started, then re-raises the failure. *)
+val spawn : ((unit -> unit) -> unit Domain.t) ref

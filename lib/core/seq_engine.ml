@@ -212,9 +212,9 @@ and exec_frame m xf ~barrier cont =
     if m.height = barrier then Kernel.trim_env xf live;
     let cont = resume xf pc ~barrier cont in
     continue m (Kernel.step_regs m.a m.ctx sym arity) cont
-  | Kernel.Ex_exec (sym, arity) ->
+  | Kernel.Ex_exec ->
     (* Last call: the frame is dropped before the callee runs. *)
-    continue m (Kernel.step_regs m.a m.ctx sym arity) cont
+    continue m (Kernel.step_callee m.a m.ctx) cont
 
 and resume xf pc ~barrier cont =
   match Kernel.exec_cont xf pc [] with
@@ -286,8 +286,7 @@ and continue m resolved cont =
   | Kernel.R_fail -> backtrack m
   | Kernel.R_body [] -> run m cont
   | Kernel.R_body items -> run m ({ items; barrier = m.height } :: cont)
-  | Kernel.R_exec (sym, arity) ->
-    continue m (Kernel.step_regs m.a m.ctx sym arity) cont
+  | Kernel.R_exec -> continue m (Kernel.step_callee m.a m.ctx) cont
   | Kernel.R_alts -> shallow m m.a.Kernel.goal m.a.Kernel.alts cont
   | Kernel.R_answers rd -> read m rd cont
   | Kernel.R_consume rd ->

@@ -403,7 +403,7 @@ let no_args : Term.t array = [||]
 (* A heap environment frame for one clause instance (used when the body
    needs a continuation — [c_scratch] bodies never allocate one). *)
 let frame code =
-  if code.c_nvars = 0 then no_args else Array.make code.c_nvars unset
+  if code.c_nvars = 0 then no_args else Term.cells code.c_nvars unset
 
 (* Per-agent execution scratch reused across clause tries: the two
    counters, a frame buffer and the argument-register file.  A scratch
@@ -422,18 +422,23 @@ type scratch = {
 let create_scratch () =
   { s_instrs = 0; s_steps = ref 0; s_buf = [||]; s_regs = [||] }
 
+let[@inline never] grow_scratch sc n = sc.s_buf <- Array.make n unset
+
 (* A frame for [code] carved out of the scratch buffer: slots [0 ..
    c_nvars-1] reset to [unset] (the buffer may be longer; slots past
    [c_nvars] are never read). *)
+
 let scratch_frame sc code =
   let n = code.c_nvars in
   if n = 0 then no_args
-  else if Array.length sc.s_buf < n then begin
-    sc.s_buf <- Array.make n unset;
-    sc.s_buf
-  end
   else begin
-    Array.fill sc.s_buf 0 n unset;
+    if Array.length sc.s_buf < n then grow_scratch sc n
+    else begin
+      let buf = sc.s_buf in
+      for i = 0 to n - 1 do
+        Array.unsafe_set buf i unset
+      done
+    end;
     sc.s_buf
   end
 
@@ -501,7 +506,7 @@ let rec exec_sub code sc frame trail ip (cells : Term.t array) pos write =
         ip + 1
       | U_struct (f, arity) ->
         if write then begin
-          let cs = Array.make arity Term.nil in
+          let cs = Term.cells arity Term.nil in
           cells.(pos) <- Term.Struct (f, cs);
           exec_sub code sc frame trail (ip + 1) cs 0 true
         end
@@ -511,7 +516,7 @@ let rec exec_sub code sc frame trail ip (cells : Term.t array) pos write =
             ->
             exec_sub code sc frame trail (ip + 1) cs 0 false
           | Term.Var v ->
-            let cs = Array.make arity Term.nil in
+            let cs = Term.cells arity Term.nil in
             Unify.bind trail v (Term.Struct (f, cs));
             exec_sub code sc frame trail (ip + 1) cs 0 true
           | _ -> raise Fail)
@@ -558,7 +563,7 @@ let rec exec_top code n sc frame trail (args : Term.t array) ip =
           ->
           exec_sub code sc frame trail (ip + 1) cs 0 false
         | Term.Var v ->
-          let cs = Array.make arity Term.nil in
+          let cs = Term.cells arity Term.nil in
           Unify.bind trail v (Term.Struct (f, cs));
           exec_sub code sc frame trail (ip + 1) cs 0 true
         | _ -> raise Fail)
@@ -587,15 +592,42 @@ let rec build_put frame = function
     frame.(slot) <- v;
     v
   | P_void -> Term.var ()
-  | P_struct (f, ps) -> Term.Struct (f, Array.map (build_put frame) ps)
+  | P_struct (f, ps) -> Term.Struct (f, build_cells frame ps)
+
+(* A structure's cells, built left to right: a [P_fresh] fills its slot
+   before a later [P_val] of the same slot reads it. *)
+and build_cells frame ps =
+  match Array.length ps with
+  | 1 -> [| build_put frame ps.(0) |]
+  | 2 ->
+    let x = build_put frame ps.(0) in
+    let y = build_put frame ps.(1) in
+    [| x; y |]
+  | 3 ->
+    let x = build_put frame ps.(0) in
+    let y = build_put frame ps.(1) in
+    let z = build_put frame ps.(2) in
+    [| x; y; z |]
+  | 4 ->
+    let x = build_put frame ps.(0) in
+    let y = build_put frame ps.(1) in
+    let z = build_put frame ps.(2) in
+    let w = build_put frame ps.(3) in
+    [| x; y; z; w |]
+  | _ -> build_wide frame ps
+
+and[@inline never] build_wide frame ps = Array.map (build_put frame) ps
+
+let[@inline never] grow_regs sc n = sc.s_regs <- Array.make (max n 8) unset
 
 (* Loads a step's argument registers.  The register file is scratch
    state: put trees only read the frame and constants, never the
    registers, so an [O_execute] may overwrite the registers that hold
    its own caller's arguments in place. *)
+
 let load_regs sc frame (puts : put array) =
   let n = Array.length puts in
-  if Array.length sc.s_regs < n then sc.s_regs <- Array.make (max n 8) unset;
+  if Array.length sc.s_regs < n then grow_regs sc n;
   let regs = sc.s_regs in
   for i = 0 to n - 1 do
     regs.(i) <- build_put frame puts.(i)

@@ -22,6 +22,10 @@
    O(N) total — the old representation appended to a plain list, making
    [assertz] of N clauses O(N²).
 
+   The compiled path selects clauses through a switch-on-term dispatch
+   tree instead (below), whose case tables are integer-keyed too and
+   whose walk allocates nothing.
+
    The structure is mutated only at assert time; lookups are read-only, so
    a consulted program can be shared by concurrently running engine
    workers (the hardware or-parallel engine relies on this). *)
@@ -129,25 +133,34 @@ let key_of_term t =
 type entry = { seq : int; e_key : key; e_clause : Clause.t }
 
 (* Switch-on-term dispatch tree with deep argument indexing (built by
-   {!freeze}, consumed by {!lookup_code} on the compiled execution path).
+   {!freeze}, walked by {!lookup_code} and {!lookup_code_args}).
 
-   A [Dswitch] discriminates on the key found at [d_path] — a sequence of
-   argument positions from the call's root, so paths longer than one look
-   *inside* structure arguments, beyond the classic first-argument key.
-   [d_cases] maps each rigid key to the subtree over the clauses
-   compatible with it (bucket clauses plus the variable-at-path clauses,
-   merged in source order); a rigid call key with no case falls back to
-   [d_anys] (just the variable-at-path clauses) and a call with a
-   variable at the path to [d_all] (every clause of the subtree).
+   A [Dswitch] discriminates on the subterm at [d_path] — a sequence of
+   argument positions from the call's root, so paths longer than one
+   look *inside* structure arguments, beyond the classic first-argument
+   key.  Its case table maps each rigid key to the subtree over the
+   clauses compatible with it (that key's clauses plus the
+   variable-at-path clauses, in source order); a rigid call key with no
+   case gets [d_anys] (just the variable-at-path clauses) and a call
+   with a variable at the path [d_all] (every clause of the subtree).
    Dropping a clause therefore only ever happens on provably
-   non-unifiable rigid-key disagreement. *)
+   non-unifiable rigid-key disagreement.
+
+   A walk allocates nothing.  A case key is two integers read off the
+   subterm, its tag (1 an integer, 2 an atom, 3 + 4 x arity a
+   structure; 0, an unbound subterm, has no case) and its value (the
+   integer or the symbol id).  The case table is open addressing over
+   [cap] slots: slot [i] holds its key's tag and value at [d_keys.(2i)]
+   and [d_keys.(2i+1)] (tag 0 = empty) and its subtree at [d_subs.(i)].
+   Every result a walk returns is a [Some] built here, once. *)
 type dtree =
-  | Dleaf of Clause.t list
+  | Dleaf of Clause.t list option
   | Dswitch of {
       d_path : int array;
-      d_cases : dtree KeyTbl.t;
-      d_anys : Clause.t list;
-      d_all : Clause.t list;
+      d_keys : int array;
+      d_subs : dtree array;
+      d_anys : Clause.t list option;
+      d_all : Clause.t list option;
     }
 
 type pred = {
@@ -314,45 +327,74 @@ let merge_desc a b =
   in
   go a b []
 
-(* Candidate clauses for a call, filtered by first-argument indexing.
-   Returns [None] when the predicate is undefined (distinct from defined
-   with no matching clause). *)
+let entry_clauses entries = List.map (fun e -> e.e_clause) entries
+
+(* All clauses in source order: the freeze cache when it is built. *)
 let all_clauses p =
   match p.all_cache with
   | Some clauses -> clauses
-  | None -> List.map (fun e -> e.e_clause) (all_entries p)
-
-let lookup db call =
-  match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup: callable expected"
-  | Some (sym, arity) ->
-    (match find_pred_sym db sym arity with
-     | None -> None
-     | Some p ->
-       if arity = 0 then Some (all_clauses p)
-       else
-         let call_key =
-           match Term.deref call with
-           | Term.Struct (_, args) -> key_of_term args.(0)
-           | Term.Atom _ | Term.Int _ | Term.Var _ -> Kany
-         in
-         (match call_key with
-          | Kany -> Some (all_clauses p)
-          | key ->
-            (match KeyTbl.find_opt p.key_cache key with
-             | Some clauses -> Some clauses
-             | None -> (
-               match KeyTbl.find_opt p.buckets key with
-               | None -> (
-                 (* no bucket: the result is exactly the Kany clauses *)
-                 match p.anys_cache with
-                 | Some anys -> Some anys
-                 | None -> Some (merge_desc [] p.anys))
-               | Some bucket -> Some (merge_desc bucket p.anys)))))
+  | None -> entry_clauses (all_entries p)
 
 (* ------------------------------------------------------------------ *)
 (* Deep-indexing dispatch tree (compiled execution path)               *)
 (* ------------------------------------------------------------------ *)
+
+let case_tag = function
+  | Term.Var _ -> 0
+  | Term.Int _ -> 1
+  | Term.Atom _ -> 2
+  | Term.Struct (_, args) -> 3 + (Array.length args lsl 2)
+
+let case_value = function
+  | Term.Var _ -> 0
+  | Term.Int n -> n
+  | Term.Atom s | Term.Struct (s, _) -> Symbol.id s
+
+(* Slots for [n] cases: one and a half per case, so a probe always
+   meets an empty slot and runs are short. *)
+let slot_count n = n + (n lsr 1) + 1
+
+(* The slot holding key ([tag], [v]), or the empty slot where it would
+   go: linear probing from a multiplicative hash of the key, scaled to
+   [cap] slots without a division. *)
+let rec slot_from (keys : int array) cap tag v i =
+  let t = keys.(2 * i) in
+  if t = 0 || (t = tag && keys.((2 * i) + 1) = v) then i
+  else slot_from keys cap tag v (if i + 1 = cap then 0 else i + 1)
+
+let slot keys tag v =
+  let cap = Array.length keys lsr 1 in
+  let h = ((v lxor (tag lsl 32)) * 0x2545F4914F6CDD1D) lsr 32 in
+  slot_from keys cap tag v ((h * cap) lsr 31)
+
+(* A dereferenced subterm's stand-in when a variable sits along a path
+   or the path cannot descend: it selects no case. *)
+let unbound = Term.Var { Term.vid = -1; binding = None }
+
+let rec at_path_from (path : int array) t i =
+  let t = Term.deref t in
+  if i = Array.length path then t
+  else
+    match t with
+    | Term.Struct (_, cells) when path.(i) < Array.length cells ->
+      at_path_from path cells.(path.(i)) (i + 1)
+    | Term.Struct _ | Term.Var _ | Term.Atom _ | Term.Int _ -> unbound
+
+(* The dereferenced subterm at [path] of a call or head whose arguments
+   are the first cells of [args]. *)
+let at_path (args : Term.t array) path = at_path_from path args.(path.(0)) 1
+
+(* The one dispatch walk, over a goal's arguments or a register file. *)
+let rec walk tree (args : Term.t array) =
+  match tree with
+  | Dleaf clauses -> clauses
+  | Dswitch sw ->
+    let t = at_path args sw.d_path in
+    let tag = case_tag t in
+    if tag = 0 then sw.d_all
+    else
+      let s = slot sw.d_keys tag (case_value t) in
+      if sw.d_keys.(2 * s) = 0 then sw.d_anys else walk sw.d_subs.(s) args
 
 (* Bounds on tree construction: paths never look more than [max_depth]
    positions into the call, and a node tracks at most [max_paths]
@@ -361,220 +403,180 @@ let lookup db call =
 let max_depth = 3
 let max_paths = 8
 
-(* Key of a clause head at an argument path; [Kany] when a variable sits
-   anywhere along it (such a clause matches any call, so it must be kept
-   in every case). *)
-let clause_key_at clause (path : int array) =
-  let rec go t i =
-    match Term.deref t with
-    | Term.Var _ -> Kany
-    | t' when i >= Array.length path -> key_of_term t'
-    | Term.Struct (_, args) when path.(i) < Array.length args ->
-      go args.(path.(i)) (i + 1)
-    | _ -> Kany (* cannot descend: treat as compatible with anything *)
-  in
+let head_args clause =
   match Term.deref clause.Clause.head with
-  | Term.Struct (_, args) when path.(0) < Array.length args ->
-    go args.(path.(0)) 1
-  | _ -> Kany
+  | Term.Struct (_, args) -> args
+  | Term.Atom _ | Term.Int _ | Term.Var _ -> [||]
 
-let entry_clauses entries = List.map (fun e -> e.e_clause) entries
+(* The clauses of one node grouped by their key at a path: clause [e]
+   falls in case [which.(e)] (-1: a variable at the path), case [k]'s
+   tag and value are [keys.(2k)] and [keys.(2k+1)], first occurrence
+   first; [worst] counts the largest case's clauses, [anys] the
+   variable-at-path ones. *)
+type grouping = {
+  which : int array;
+  keys : int array;
+  cases : int;
+  worst : int;
+  anys : int;
+}
 
-(* Builds the tree over [entries] (ascending seq = source order).  A path
-   is worth switching on when it has at least two distinct rigid keys and
-   every case strictly shrinks (largest bucket + variable-keyed clauses
-   < total); the most discriminating such path wins.  Each [Kstruct]
-   case adds the positions inside that structure as new candidate paths —
-   that is the deep indexing. *)
-let rec build_dtree entries paths =
-  match entries with
-  | [] | [ _ ] -> Dleaf (entry_clauses entries)
-  | _ when paths = [] -> Dleaf (entry_clauses entries)
+let group heads path =
+  let n = Array.length heads in
+  let cap = slot_count n in
+  let seen = Array.make (2 * cap) 0 and case_at = Array.make cap 0 in
+  let which = Array.make n (-1) and keys = Array.make (2 * n) 0 in
+  let sizes = Array.make n 0 in
+  let cases = ref 0 and worst = ref 0 and anys = ref 0 in
+  Array.iteri
+    (fun e args ->
+      let t = at_path args path in
+      let tag = case_tag t in
+      if tag = 0 then incr anys
+      else begin
+        let v = case_value t in
+        let s = slot seen tag v in
+        if seen.(2 * s) = 0 then begin
+          seen.(2 * s) <- tag;
+          seen.((2 * s) + 1) <- v;
+          case_at.(s) <- !cases;
+          keys.(2 * !cases) <- tag;
+          keys.((2 * !cases) + 1) <- v;
+          incr cases
+        end;
+        let k = case_at.(s) in
+        which.(e) <- k;
+        sizes.(k) <- sizes.(k) + 1;
+        if sizes.(k) > !worst then worst := sizes.(k)
+      end)
+    heads;
+  { which; keys; cases = !cases; worst = !worst; anys = !anys }
+
+(* Two ascending lists of clause positions merged, source order. *)
+let rec merge a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: xs, y :: ys -> if x < y then x :: merge xs b else y :: merge a ys
+
+let empty_leaf = Dleaf (Some [])
+
+(* Builds the tree over [clauses] (source order).  A path is worth
+   switching on when it has at least two distinct rigid keys and every
+   case strictly shrinks (largest case + variable-keyed clauses <
+   total).  Each structure case adds the positions inside that
+   structure as new candidate paths — that is the deep indexing.
+
+   Candidates are tried leftmost-shallowest first and the first
+   qualifying path wins, not the best-scoring one: calls instantiate
+   early (input) arguments far more often than late (output) ones, and
+   a switch on a position that is unbound at run time degenerates to
+   [d_all] however well it discriminates the clause heads.  Refinements
+   of the matched position go ahead of later arguments for the same
+   reason. *)
+let rec build_dtree clauses paths =
+  match clauses with
+  | [] | [ _ ] -> Dleaf (Some clauses)
   | _ ->
-    let total = List.length entries in
-    let score path =
-      let tbl = KeyTbl.create 8 in
-      let nanys = ref 0 in
-      List.iter
-        (fun e ->
-          match clause_key_at e.e_clause path with
-          | Kany -> incr nanys
-          | k -> KeyTbl.replace tbl k (1 + Option.value ~default:0 (KeyTbl.find_opt tbl k)))
-        entries;
-      let distinct = KeyTbl.length tbl in
-      let worst = KeyTbl.fold (fun _ n acc -> max n acc) tbl 0 in
-      if distinct >= 2 && worst + !nanys < total then Some (worst + !nanys)
-      else None
+    let cl = Array.of_list clauses in
+    let heads = Array.map head_args cl in
+    let n = Array.length cl in
+    let rec first = function
+      | [] -> Dleaf (Some clauses)
+      | path :: rest ->
+        let g = group heads path in
+        if g.cases >= 2 && g.worst + g.anys < n then
+          switch clauses cl paths path g
+        else first rest
     in
-    (* Prefer the earliest qualifying path over the best-scoring one:
-       calls instantiate early (input) arguments far more often than
-       late (output) ones, and a switch on a position that is unbound at
-       run time degenerates to [d_all] however well it discriminates the
-       clause heads.  Candidate order is leftmost-shallowest first, and
-       [sub_paths] below keeps refinements of the matched position ahead
-       of later arguments for the same reason. *)
-    let best =
-      List.find_map
-        (fun path -> Option.map (fun _ -> path) (score path))
-        paths
+    first paths
+
+and switch clauses cl paths path g =
+  let n = Array.length cl in
+  let cases = Array.make g.cases [] and anys = ref [] in
+  for e = n - 1 downto 0 do
+    let k = g.which.(e) in
+    if k < 0 then anys := e :: !anys else cases.(k) <- e :: cases.(k)
+  done;
+  let anys = !anys in
+  let pick positions = List.map (fun e -> cl.(e)) positions in
+  let rest_paths = List.filter (fun p -> p != path) paths in
+  let cap = slot_count g.cases in
+  let keys = Array.make (2 * cap) 0 and subs = Array.make cap empty_leaf in
+  for k = 0 to g.cases - 1 do
+    let tag = g.keys.(2 * k) and v = g.keys.((2 * k) + 1) in
+    let sub_paths =
+      if tag land 3 = 3 && Array.length path < max_depth then
+        let ext = List.init (tag lsr 2) (fun j -> Array.append path [| j |]) in
+        List.filteri (fun i _ -> i < max_paths) (ext @ rest_paths)
+      else rest_paths
     in
-    (match best with
-     | None -> Dleaf (entry_clauses entries)
-     | Some path ->
-       let buckets = KeyTbl.create 8 in
-       let anys_rev = ref [] in
-       List.iter
-         (fun e ->
-           match clause_key_at e.e_clause path with
-           | Kany -> anys_rev := e :: !anys_rev
-           | k ->
-             KeyTbl.replace buckets k
-               (e :: Option.value ~default:[] (KeyTbl.find_opt buckets k)))
-         entries;
-       let anys = List.rev !anys_rev in
-       let rest_paths = List.filter (fun p -> p != path) paths in
-       let cases = KeyTbl.create (KeyTbl.length buckets) in
-       KeyTbl.iter
-         (fun k bucket_rev ->
-           let bucket = List.rev bucket_rev in
-           (* merge bucket and anys back into source order (both ascending) *)
-           let rec merge a b =
-             match (a, b) with
-             | [], l | l, [] -> l
-             | x :: xs, y :: ys ->
-               if x.seq < y.seq then x :: merge xs b else y :: merge a ys
-           in
-           let sub_entries = merge bucket anys in
-           let sub_paths =
-             match k with
-             | Kstruct (_, arity) when Array.length path < max_depth ->
-               let ext =
-                 List.init arity (fun j -> Array.append path [| j |])
-               in
-               let paths' = ext @ rest_paths in
-               if List.length paths' > max_paths then
-                 List.filteri (fun i _ -> i < max_paths) paths'
-               else paths'
-             | _ -> rest_paths
-           in
-           KeyTbl.replace cases k (build_dtree sub_entries sub_paths))
-         buckets;
-       Dswitch
-         {
-           d_path = path;
-           d_cases = cases;
-           d_anys = entry_clauses anys;
-           d_all = entry_clauses entries;
-         })
+    let s = slot keys tag v in
+    keys.(2 * s) <- tag;
+    keys.((2 * s) + 1) <- v;
+    subs.(s) <- build_dtree (pick (merge cases.(k) anys)) sub_paths
+  done;
+  Dswitch
+    {
+      d_path = path;
+      d_keys = keys;
+      d_subs = subs;
+      d_anys = Some (pick anys);
+      d_all = Some clauses;
+    }
 
 let build_pred_dtree p =
-  if p.p_arity = 0 then Dleaf (all_clauses p)
+  build_dtree (all_clauses p) (List.init p.p_arity (fun i -> [| i |]))
+
+(* ------------------------------------------------------------------ *)
+(* Lookups                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* First-argument indexing of a call whose arguments are the first
+   cells of [args] (a goal's, or a register file that may be longer). *)
+let indexed p (args : Term.t array) =
+  if p.p_arity = 0 then all_clauses p
   else
-    build_dtree (all_entries p)
-      (List.init p.p_arity (fun i -> [| i |]))
+    match key_of_term args.(0) with
+    | Kany -> all_clauses p
+    | key -> (
+      match KeyTbl.find_opt p.key_cache key with
+      | Some clauses -> clauses
+      | None -> (
+        match KeyTbl.find_opt p.buckets key with
+        | None -> (
+          (* no bucket: the result is exactly the Kany clauses *)
+          match p.anys_cache with
+          | Some anys -> anys
+          | None -> merge_desc [] p.anys)
+        | Some bucket -> merge_desc bucket p.anys))
 
-(* Key of a call at a path; [None] when a variable is met along it (the
-   call could take any branch). *)
-let call_key_at call (path : int array) =
-  let rec go t i =
-    match Term.deref t with
-    | Term.Var _ -> None
-    | t' when i >= Array.length path -> Some (key_of_term t')
-    | Term.Struct (_, args) when path.(i) < Array.length args ->
-      go args.(path.(i)) (i + 1)
-    | _ -> None (* cannot descend; be conservative *)
-  in
+let goal_args call =
   match Term.deref call with
-  | Term.Struct (_, args) when path.(0) < Array.length args ->
-    go args.(path.(0)) 1
-  | _ -> None
+  | Term.Struct (_, args) -> args
+  | Term.Atom _ | Term.Int _ | Term.Var _ -> Code.no_args
 
-let rec walk_dtree tree call =
-  match tree with
-  | Dleaf clauses -> clauses
-  | Dswitch { d_path; d_cases; d_anys; d_all } -> (
-    match call_key_at call d_path with
-    | None | Some Kany -> d_all
-    | Some key -> (
-      match KeyTbl.find_opt d_cases key with
-      | Some sub -> walk_dtree sub call
-      | None -> d_anys))
-
-(* Candidate clauses via the dispatch tree — the compiled path's
-   {!lookup}.  Falls back to first-argument indexing when the database
-   has not been frozen (never mutates, so a frozen database stays
-   shareable across domains). *)
-let lookup_code db call =
+(* Candidate clauses for a call, filtered by first-argument indexing.
+   Returns [None] when the predicate is undefined (distinct from defined
+   with no matching clause). *)
+let lookup db call =
   match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup_code: callable expected"
+  | None -> invalid_arg "Database.lookup: callable expected"
   | Some (sym, arity) -> (
     match find_pred_sym db sym arity with
     | None -> None
-    | Some p -> (
-      match p.dtree with
-      | Some tree -> Some (walk_dtree tree (Term.deref call))
-      | None -> lookup db call))
+    | Some p -> Some (indexed p (goal_args call)))
 
-(* ------------------------------------------------------------------ *)
-(* Register-rooted lookups                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The compiled body path calls with the goal's arguments spread in a
-   register file instead of packed in a [Term.Struct]: these variants
-   root the key computations at the register array.  [args] may be
-   longer than [arity] (a shared register buffer) — only the first
-   [arity] cells are the call. *)
-
-let call_key_at_args arity (args : Term.t array) (path : int array) =
-  let rec go t i =
-    match Term.deref t with
-    | Term.Var _ -> None
-    | t' when i >= Array.length path -> Some (key_of_term t')
-    | Term.Struct (_, cells) when path.(i) < Array.length cells ->
-      go cells.(path.(i)) (i + 1)
-    | _ -> None (* cannot descend; be conservative *)
-  in
-  if path.(0) < arity then go args.(path.(0)) 1 else None
-
-let rec walk_dtree_args tree arity args =
-  match tree with
-  | Dleaf clauses -> clauses
-  | Dswitch { d_path; d_cases; d_anys; d_all } -> (
-    match call_key_at_args arity args d_path with
-    | None | Some Kany -> d_all
-    | Some key -> (
-      match KeyTbl.find_opt d_cases key with
-      | Some sub -> walk_dtree_args sub arity args
-      | None -> d_anys))
-
-(* {!lookup} rooted at a register file. *)
-let lookup_args db sym arity (args : Term.t array) =
-  match find_pred_sym db sym arity with
-  | None -> None
-  | Some p ->
-    if arity = 0 then Some (all_clauses p)
-    else (
-      match key_of_term args.(0) with
-      | Kany -> Some (all_clauses p)
-      | key ->
-        (match KeyTbl.find_opt p.key_cache key with
-         | Some clauses -> Some clauses
-         | None -> (
-           match KeyTbl.find_opt p.buckets key with
-           | None -> (
-             match p.anys_cache with
-             | Some anys -> Some anys
-             | None -> Some (merge_desc [] p.anys))
-           | Some bucket -> Some (merge_desc bucket p.anys))))
-
-(* {!lookup_code} rooted at a register file. *)
+(* Candidate clauses via the dispatch tree — the compiled path's
+   {!lookup}, rooted at an argument array.  Falls back to first-argument
+   indexing when the database has not been frozen (never mutates, so a
+   frozen database stays shareable across domains). *)
 let lookup_code_args db sym arity (args : Term.t array) =
   match find_pred_sym db sym arity with
   | None -> None
   | Some p -> (
     match p.dtree with
-    | Some tree -> Some (walk_dtree_args tree arity args)
-    | None -> lookup_args db sym arity args)
+    | Some tree -> walk tree args
+    | None -> Some (indexed p args))
 
 (* Precomputes every lookup result reachable from the current clause set,
    so subsequent lookups are pure reads — safe to share across domains
@@ -660,27 +662,32 @@ let overlay_entries p key =
     in
     go bucket p.anys []
 
-(* The session view of one (keyed) lookup, in overlay source order:
-   asserta'd session clauses (negative seq), then the base's (cached,
-   indexed) answer with this session's tombstones filtered out, then
-   assertz'd session clauses.  [None] exactly when neither side defines
-   the predicate.  When the session has no tombstones and no clause of
-   the predicate, this is the base's list itself, not a copy. *)
-let overlay_view db p_opt key base_part =
-  let bs =
-    match base_part, db.removed with
-    | None, _ -> []
-    | Some bs, [] -> bs
-    | Some bs, removed -> List.filter (fun c -> not (List.memq c removed)) bs
-  in
-  match p_opt, base_part with
-  | None, None -> None
-  | Some p, _ when p.count > 0 ->
+(* The base's answer without this session's tombstones. *)
+let visible db = function
+  | None -> []
+  | Some bs -> (
+    match db.removed with
+    | [] -> bs
+    | removed -> List.filter (fun c -> not (List.memq c removed)) bs)
+
+(* The session view of one lookup, in overlay source order: asserta'd
+   session clauses (negative seq), then the base's (cached, indexed)
+   answer with this session's tombstones filtered out, then assertz'd
+   session clauses.  [None] exactly when neither side defines the
+   predicate.  The session's first-argument key is computed only when
+   it holds clauses of the predicate; when it holds none and has no
+   tombstones, the view is the base's answer itself, not a copy. *)
+let overlay_view db p_opt arity (args : Term.t array) base_part =
+  match p_opt, base_part, db.removed with
+  | Some p, _, _ when p.count > 0 ->
+    let key = if arity = 0 then Kany else key_of_term args.(0) in
     let front, back =
       List.partition (fun e -> e.seq < 0) (overlay_entries p key)
     in
-    Some (entry_clauses front @ bs @ entry_clauses back)
-  | _ -> Some bs
+    Some (entry_clauses front @ visible db base_part @ entry_clauses back)
+  | None, None, _ -> None
+  | _, Some _, [] -> base_part
+  | _ -> Some (visible db base_part)
 
 (* Deletes [c] from the session's own clauses, if it is one: a clause
    the session asserted and now retracts leaves the overlay, instead of
@@ -716,54 +723,35 @@ let remove_own db c =
    overlay part by first-argument key only — both filters drop only
    provably non-unifiable clauses, so the combination is still sound. *)
 
-let overlay_call_key call arity =
-  if arity = 0 then Kany
-  else
-    match Term.deref call with
-    | Term.Struct (_, args) -> key_of_term args.(0)
-    | Term.Atom _ | Term.Int _ | Term.Var _ -> Kany
-
 let direct_lookup = lookup
-let direct_lookup_code = lookup_code
-let direct_lookup_args = lookup_args
 let direct_lookup_code_args = lookup_code_args
-
-let overlay_lookup db b ~base_part call =
-  match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup: callable expected"
-  | Some (sym, arity) ->
-    let key = overlay_call_key call arity in
-    overlay_view db (find_pred_sym db sym arity) key (base_part b call)
 
 let lookup db call =
   match db.base with
   | None -> direct_lookup db call
-  | Some b -> overlay_lookup db b ~base_part:direct_lookup call
-
-let lookup_code db call =
-  match db.base with
-  | None -> direct_lookup_code db call
-  | Some b -> overlay_lookup db b ~base_part:direct_lookup_code call
-
-let lookup_args db sym arity (args : Term.t array) =
-  match db.base with
-  | None -> direct_lookup_args db sym arity args
-  | Some b ->
-    let key = if arity = 0 then Kany else key_of_term args.(0) in
-    overlay_view db
-      (find_pred_sym db sym arity)
-      key
-      (direct_lookup_args b sym arity args)
+  | Some b -> (
+    match Term.functor_of (Term.deref call) with
+    | None -> invalid_arg "Database.lookup: callable expected"
+    | Some (sym, arity) ->
+      overlay_view db
+        (find_pred_sym db sym arity)
+        arity (goal_args call) (direct_lookup b call))
 
 let lookup_code_args db sym arity (args : Term.t array) =
   match db.base with
   | None -> direct_lookup_code_args db sym arity args
   | Some b ->
-    let key = if arity = 0 then Kany else key_of_term args.(0) in
     overlay_view db
       (find_pred_sym db sym arity)
-      key
+      arity args
       (direct_lookup_code_args b sym arity args)
+
+let lookup_code db call =
+  match Term.deref call with
+  | Term.Struct (sym, args) -> lookup_code_args db sym (Array.length args) args
+  | Term.Atom sym -> lookup_code_args db sym 0 Code.no_args
+  | Term.Int _ | Term.Var _ ->
+    invalid_arg "Database.lookup_code: callable expected"
 
 (* Retracts the first clause of the session view whose [H :- B] term
    unifies with [pattern]'s.  The candidates are the session view's

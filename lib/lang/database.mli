@@ -30,13 +30,11 @@ val lookup : t -> Ace_term.Term.t -> Clause.t list option
     shrink). *)
 val lookup_code : t -> Ace_term.Term.t -> Clause.t list option
 
-(** {!lookup} with the call spread in a register file (the compiled body
-    path never packs a [Term.Struct] for the call): [args] holds the
-    goal's arguments in its first [arity] cells and may be longer. *)
-val lookup_args :
-  t -> Ace_term.Symbol.t -> int -> Ace_term.Term.t array -> Clause.t list option
-
-(** {!lookup_code} rooted at a register file (see {!lookup_args}). *)
+(** {!lookup_code} with the call spread in a register file (the
+    compiled body path never packs a [Term.Struct] for the call): [args]
+    holds the goal's arguments in its first [arity] cells and may be
+    longer.  On a frozen database that the caller has not overlaid, it
+    allocates nothing: the result is one the dispatch tree holds. *)
 val lookup_code_args :
   t -> Ace_term.Symbol.t -> int -> Ace_term.Term.t array -> Clause.t list option
 

@@ -43,6 +43,77 @@ let rec deref t =
   | Var { binding = Some t'; _ } -> deref t'
   | Var _ | Atom _ | Int _ | Struct _ -> t
 
+(* Small arrays built inline.  In OCaml 5, [Array.make], [Array.sub] and
+   [Array.map] reach the runtime through C calls, each a switch to the C
+   stack; an array literal of terms (never floats) is an inline
+   allocation.  The solver's hot paths therefore build their small
+   arrays by literal, and each wide case goes through one out-of-line
+   helper, so the callers' bodies hold no C call. *)
+
+let[@inline never] cells_wide n (x : t) = Array.make n x
+
+(* [n] fresh cells holding [x]. *)
+let cells n (x : t) : t array =
+  match n with
+  | 0 -> [||]
+  | 1 -> [| x |]
+  | 2 -> [| x; x |]
+  | 3 -> [| x; x; x |]
+  | 4 -> [| x; x; x; x |]
+  | 5 -> [| x; x; x; x; x |]
+  | 6 -> [| x; x; x; x; x; x |]
+  | 7 -> [| x; x; x; x; x; x; x |]
+  | 8 -> [| x; x; x; x; x; x; x; x |]
+  | 9 -> [| x; x; x; x; x; x; x; x; x |]
+  | 10 -> [| x; x; x; x; x; x; x; x; x; x |]
+  | 11 -> [| x; x; x; x; x; x; x; x; x; x; x |]
+  | 12 -> [| x; x; x; x; x; x; x; x; x; x; x; x |]
+  | 13 -> [| x; x; x; x; x; x; x; x; x; x; x; x; x |]
+  | 14 -> [| x; x; x; x; x; x; x; x; x; x; x; x; x; x |]
+  | 15 -> [| x; x; x; x; x; x; x; x; x; x; x; x; x; x; x |]
+  | 16 -> [| x; x; x; x; x; x; x; x; x; x; x; x; x; x; x; x |]
+  | _ -> cells_wide n x
+
+let[@inline never] prefix_wide (a : t array) n = Array.sub a 0 n
+
+(* A fresh copy of the first [n] cells of [a]. *)
+let prefix (a : t array) n : t array =
+  match n with
+  | 0 -> [||]
+  | 1 -> [| a.(0) |]
+  | 2 -> [| a.(0); a.(1) |]
+  | 3 -> [| a.(0); a.(1); a.(2) |]
+  | 4 -> [| a.(0); a.(1); a.(2); a.(3) |]
+  | 5 -> [| a.(0); a.(1); a.(2); a.(3); a.(4) |]
+  | 6 -> [| a.(0); a.(1); a.(2); a.(3); a.(4); a.(5) |]
+  | 7 -> [| a.(0); a.(1); a.(2); a.(3); a.(4); a.(5); a.(6) |]
+  | 8 -> [| a.(0); a.(1); a.(2); a.(3); a.(4); a.(5); a.(6); a.(7) |]
+  | _ -> prefix_wide a n
+
+let[@inline never] map_wide f (a : t array) : t array = Array.map f a
+
+(* [Array.map f a], left to right. *)
+let map_cells f (a : t array) : t array =
+  match Array.length a with
+  | 0 -> [||]
+  | 1 -> [| f a.(0) |]
+  | 2 ->
+    let x = f a.(0) in
+    let y = f a.(1) in
+    [| x; y |]
+  | 3 ->
+    let x = f a.(0) in
+    let y = f a.(1) in
+    let z = f a.(2) in
+    [| x; y; z |]
+  | 4 ->
+    let x = f a.(0) in
+    let y = f a.(1) in
+    let z = f a.(2) in
+    let w = f a.(3) in
+    [| x; y; z; w |]
+  | _ -> map_wide f a
+
 let nil = Atom Symbol.nil
 
 let cons h t = Struct (Symbol.dot, [| h; t |])
@@ -180,7 +251,7 @@ let rename t = rename_with (Hashtbl.create 16) t
    actually encountered. *)
 let copy_resolved t =
   let table = ref None in
-  let rec go t =
+  let rec resolve t =
     match deref t with
     | (Atom _ | Int _) as t' -> t'
     | Var v ->
@@ -198,9 +269,9 @@ let copy_resolved t =
          let v' = fresh_var () in
          Hashtbl.add tbl v.vid v';
          Var v')
-    | Struct (f, args) -> Struct (f, Array.map go args)
+    | Struct (f, args) -> Struct (f, map_cells resolve args)
   in
-  go t
+  resolve t
 
 let functor_of t =
   match deref t with

@@ -45,6 +45,19 @@ val app : string -> t list -> t
     inspection must go through [deref]. *)
 val deref : t -> t
 
+(** {2 Small arrays without C calls}
+
+    [Array.make] and [Array.sub] reach the OCaml 5 runtime through C
+    calls, each a switch to the C stack.  These build small arrays of
+    terms by inline allocation instead; wide ones go through one
+    out-of-line helper each. *)
+
+(** [cells n x] is [Array.make n x] (inline up to 16 cells). *)
+val cells : int -> t -> t array
+
+(** [prefix a n] is [Array.sub a 0 n] (inline up to 8 cells). *)
+val prefix : t array -> int -> t array
+
 val nil : t
 val cons : t -> t -> t
 val of_list : t list -> t

@@ -11,7 +11,7 @@ let mark t = t.size
 
 let size t = t.size
 
-let grow t =
+let[@inline never] grow t =
   let entries = Array.make (2 * Array.length t.entries) dummy_var in
   Array.blit t.entries 0 entries 0 t.size;
   t.entries <- entries

@@ -370,6 +370,46 @@ let test_builtin_call_words () =
     Alcotest.failf "8000 compiled is/2 calls: %.0f extra minor words > 18000"
       is
 
+(* Compiled clause selection allocates nothing: the dispatch walk reads
+   the switched subterm's tag, symbol id, arity or integer straight off
+   the call and returns a result the tree holds.  Each iteration of
+   [sloop] makes three last calls that [loop] does not, each through one
+   switch: on an integer ([si]), an atom ([sa]) and a functor ([sf])
+   first argument.  A walk that built a key, a closure or an option per
+   switch level would cost at least 2 words a switch, 6,000 over 1,000
+   iterations. *)
+let test_dispatch_words () =
+  let p =
+    Engine.prepare_string
+      "loop(0).\n\
+       loop(X) :- X > 0, M is X - 1, loop(M).\n\
+       sloop(0).\n\
+       sloop(X) :- X > 0, M is X - 1, si(1, M).\n\
+       si(1, M) :- sa(a, M).\n\
+       si(2, M) :- sa(b, M).\n\
+       sa(a, M) :- sf(f(x), M).\n\
+       sa(b, M) :- sf(g(x), M).\n\
+       sf(f(_), M) :- sloop(M).\n\
+       sf(g(_), M) :- sloop(M).\n"
+  in
+  let config = { Config.default with Config.compile = true } in
+  let run query =
+    let goal = term query in
+    ignore (Engine.run Engine.Sequential config p goal);
+    let w0 = Gc.minor_words () in
+    let r = Engine.run Engine.Sequential config p goal in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (query ^ ": one solution") 1
+      (List.length r.Engine.solutions);
+    (words, r.Engine.stats.Ace_machine.Stats.cp_allocs)
+  in
+  let base, base_cps = run "loop(1000)" in
+  let switched, cps = run "sloop(1000)" in
+  Alcotest.(check int) "every switch selects one clause" base_cps cps;
+  let extra = switched -. base in
+  if extra <> 0. then
+    Alcotest.failf "3000 switched calls: %.0f extra minor words, not 0" extra
+
 (* A matched fact continues with the caller's continuation: nothing is
    stacked for its empty body, and resuming the caller's compiled body
    builds no closure.  Backtracking over 100 compiled facts reads 1,921
@@ -537,6 +577,40 @@ let test_par_cancel_no_leak () =
     Alcotest.(check bool) "cancelled" true (r.Engine.cancelled <> None)
   done
 
+(* A failed [Domain.spawn] must not leave the domains spawned before it
+   running: they would steal the root task and run the query unjoined.
+   The third spawn of a 4-agent run fails; both domains started before
+   it must have finished by the time the failure reaches [Engine.run].
+   The deadline only bounds a leaked domain's life. *)
+let test_par_spawn_failure_joins () =
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  let calls = ref 0 in
+  let failing body =
+    incr calls;
+    if !calls = 3 then failwith "spawn 3 refused";
+    Atomic.incr started;
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.incr finished) body)
+  in
+  let config = { Config.default with Config.agents = 4; compile = true } in
+  Fun.protect
+    ~finally:(fun () -> Ace_core.Par_or_engine.spawn := Domain.spawn)
+    (fun () ->
+      Ace_core.Par_or_engine.spawn := failing;
+      match
+        Engine.solve_program
+          ~opts:
+            { Engine.default_opts with
+              Engine.cancel = Cancel.create ~deadline_ms:5000 () }
+          Engine.Par_or config ~program:spin ~query:"spin"
+      with
+      | _ -> Alcotest.fail "the run survived a failed spawn"
+      | exception Failure msg ->
+        Alcotest.(check string) "the spawn failure reaches Engine.run"
+          "spawn 3 refused" msg);
+  Alcotest.(check int) "domains started" 2 (Atomic.get started);
+  Alcotest.(check int) "started domains joined" 2 (Atomic.get finished)
+
 let test_requested_cancel_from_thread () =
   (* cancel fired from another thread mid-run: the seq engine aborts *)
   let cancel = Cancel.create () in
@@ -581,6 +655,8 @@ let suite =
       test_builtin_call_words;
     Alcotest.test_case "run: a matched fact stacks nothing" `Quick
       test_fact_scan_words;
+    Alcotest.test_case "run: compiled dispatch allocates nothing" `Quick
+      test_dispatch_words;
     Alcotest.test_case "cancel: deadline on all engines" `Quick
       test_deadline_all_engines;
     Alcotest.test_case "cancel: budget partial + deterministic" `Quick
@@ -591,6 +667,8 @@ let suite =
       test_cancelled_table_consistent;
     Alcotest.test_case "cancel: par run joins its domains" `Quick
       test_par_cancel_no_leak;
+    Alcotest.test_case "cancel: a failed spawn joins its domains" `Quick
+      test_par_spawn_failure_joins;
     Alcotest.test_case "cancel: requested from another thread" `Quick
       test_requested_cancel_from_thread;
   ]

@@ -162,6 +162,114 @@ let test_dispatch_solutions () =
     [ "m(a, R)"; "m(f(c), R)"; "m(f(Z), R)"; "m([], R)"; "m([x], R)";
       "m([y], R)"; "m(X, R)"; "m(99, R)" ]
 
+(* The case table keeps every clause a call can match, in source order.
+   Heads of [k/3] mix atoms, integers that collide once shifted into a
+   hash code (0, -1, max_int, min_int), same-named functors of
+   different arities, structures nested three deep (deep paths) and
+   variables; calls draw from the same terms, so each switched position
+   is sometimes bound, sometimes unbound, and sometimes bound to a key
+   no clause has.  Built from terms: max_int and min_int have no
+   literal.  Every compiled lookup must be a source-order subsequence of
+   the predicate that holds each clause whose renamed head unifies with
+   the call, and the goal-rooted and register-rooted lookups must return
+   the same list. *)
+let random_term rng depth =
+  let leaf () =
+    match Random.State.int rng 10 with
+    | 0 -> Term.atom "a"
+    | 1 -> Term.atom "b"
+    | 2 -> Term.nil
+    | 3 -> Term.Int 0
+    | 4 -> Term.Int (-1)
+    | 5 -> Term.Int max_int
+    | 6 -> Term.Int min_int
+    | 7 -> Term.Int 1
+    | _ -> Term.var ()
+  in
+  let rec go d =
+    if d = 0 then leaf ()
+    else
+      match Random.State.int rng 5 with
+      | 0 | 1 -> leaf ()
+      | 2 -> Term.app "f" [ go (d - 1) ]
+      | 3 -> Term.app "f" [ go (d - 1); go (d - 1) ]
+      | _ -> Term.app "g" [ go (d - 1) ]
+  in
+  go depth
+
+let dispatch_complete_prop =
+  Test_util.qcheck ~count:300 "dispatch: complete and in source order"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let k3 () =
+        Term.app "k" (List.init 3 (fun _ -> random_term rng 3))
+      in
+      let db = Database.create () in
+      for _ = 1 to 2 + Random.State.int rng 24 do
+        Database.assertz db (Clause.of_term (k3 ()))
+      done;
+      Database.freeze db;
+      let all = Database.clauses_of db "k" 3 in
+      let rec subsequence xs ys =
+        match (xs, ys) with
+        | [], _ -> true
+        | _, [] -> false
+        | x :: xs', y :: ys' ->
+          if x == y then subsequence xs' ys' else subsequence xs ys'
+      in
+      List.for_all
+        (fun _ ->
+          let call = k3 () in
+          let args =
+            match call with Term.Struct (_, a) -> a | _ -> assert false
+          in
+          (* a register file may be longer than the call *)
+          let regs = Array.append args [| Term.atom "junk"; Term.Int 7 |] in
+          let sym = Ace_term.Symbol.intern "k" in
+          match
+            ( Database.lookup_code db call,
+              Database.lookup_code_args db sym 3 regs )
+          with
+          | Some found, Some found_regs ->
+            let matching c =
+              Ace_term.Unify.matches (fst (Clause.rename_head c)) call
+            in
+            List.equal ( == ) found found_regs
+            && subsequence found all
+            && List.for_all
+                 (fun c -> (not (matching c)) || List.memq c found)
+                 all
+          | _ -> false)
+        (List.init 30 Fun.id))
+
+(* Keys that collide once shifted into a hash code (0 and min_int, -1
+   and max_int), an atom, and same-named functors of different arities
+   each keep a case of their own: a ground call selects exactly its one
+   fact. *)
+let test_dispatch_keys_apart () =
+  let keys =
+    [ Term.Int 0; Term.Int (-1); Term.Int max_int; Term.Int min_int;
+      Term.Int 1; Term.atom "a"; Term.nil; Term.app "f" [ Term.atom "a" ];
+      Term.app "f" [ Term.atom "a"; Term.atom "a" ] ]
+  in
+  let db = Database.create () in
+  List.iter
+    (fun k -> Database.assertz db (Clause.of_term (Term.app "e" [ k ])))
+    keys;
+  Database.freeze db;
+  List.iter2
+    (fun k c ->
+      let call = Term.app "e" [ k ] in
+      match Database.lookup_code db call with
+      | Some [ c' ] when c' == c -> ()
+      | Some cs ->
+        Alcotest.failf "%s selects %d clauses, not its own fact"
+          (Ace_term.Pp.to_string call) (List.length cs)
+      | None -> Alcotest.fail "e/1 undefined")
+    keys
+    (Database.clauses_of db "e" 1)
+
 (* ------------------------------------------------------------------ *)
 (* Mutation hook                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -278,6 +386,9 @@ let suite =
     Alcotest.test_case "dispatch: candidate counts" `Quick test_dispatch_counts;
     Alcotest.test_case "dispatch: solutions unchanged" `Quick
       test_dispatch_solutions;
+    dispatch_complete_prop;
+    Alcotest.test_case "dispatch: colliding keys stay apart" `Quick
+      test_dispatch_keys_apart;
     Alcotest.test_case "mutation hook" `Quick test_mutation_hook;
     Alcotest.test_case "mutation: body code" `Quick test_mutation_body;
     Alcotest.test_case "lco: constant environment space" `Quick
