@@ -1,260 +1,155 @@
-(* Wall-clock benchmarks (bechamel): one Test.make per table and figure of
-   the paper, plus ablation benches for the design choices called out in
-   DESIGN.md.
+(* The bench tool: each suite runs its programs, checks its gates and
+   writes its timings and counters to BENCH_<suite>.json in the current
+   directory, in the one schema of Ace_harness.Bench (timed rows read
+   with perfbench's estimator).
 
-   Each benchmark body runs one representative measurement cell of the
-   corresponding experiment — the workload of the table's first row at the
-   table's largest processor count, optimization on — so the numbers here
-   track the cost of *regenerating* the paper's results.  (The simulated
-   cycle counts that the tables themselves report are deterministic and do
-   not depend on this host; run `ace_experiments` for those.)
+     dune exec bench/main.exe -- seq_core [record] # hot path + solution digests
+     dune exec bench/main.exe -- alloc [record]    # minor words/solution pins
+     dune exec bench/main.exe -- profile           # hotspots + profiler cost
+     dune exec bench/main.exe -- par_or            # or-parallel domains sweep
+     dune exec bench/main.exe -- par_and           # parcall frames sweep
+     dune exec bench/main.exe -- tabling           # SLG answers + work gates
+     dune exec bench/main.exe -- serve             # query server + deadline
 
-     dune exec bench/main.exe             # bechamel suite + par-or sweep
-     dune exec bench/main.exe -- par_or   # only the domain sweep (CI smoke)
-     dune exec bench/main.exe -- par_and  # and-parallel frame sweep (CI smoke)
-     dune exec bench/main.exe -- seq_core # engine hot-path wall clock + digests
-     dune exec bench/main.exe -- alloc    # minor-words/solution gate (CI smoke)
-     dune exec bench/main.exe -- tabling  # SLG answer-table suite (CI smoke)
-
-   The first two forms write BENCH_par_or.json (wall-clock runs of the
-   hardware or-parallel engine at 1, 2 and 4 domains) to the current
-   directory; `par_and` writes BENCH_par_and.json (parcall frames at the
-   same domain counts).
-*)
-
-open Bechamel
-open Toolkit
+   seq_core and alloc read their pinned files from bench/ under the
+   current directory (`record` rewrites them instead), and profile reads
+   the BENCH_seq_core.json there.  A suite whose gate fails exits 1. *)
 
 module Config = Ace_machine.Config
-module Cost = Ace_machine.Cost
 module Engine = Ace_core.Engine
 module Programs = Ace_benchmarks.Programs
-module Experiment = Ace_harness.Experiment
-
-(* Bench sizes are scaled down from the experiment defaults so a single
-   iteration stays in the tens of milliseconds. *)
-let bench_size name =
-  let b = Programs.find name in
-  max b.Programs.small_size (b.Programs.default_size / 4)
-
-let run_benchmark ?(config = Config.default) name size =
-  let b = Programs.find name in
-  let program = b.Programs.program size and query = b.Programs.query size in
-  Engine.solve_program b.Programs.kind config ~program ~query
-
-(* One cell of a paper experiment: first workload, largest P, opt on. *)
-let experiment_cell (e : Experiment.t) =
-  let w = List.hd e.Experiment.workloads in
-  let agents = List.fold_left max 1 e.Experiment.processors in
-  let config =
-    Experiment.apply_optimization { Config.default with agents }
-      e.Experiment.optimization
-  in
-  let b = Programs.find w.Experiment.w_benchmark in
-  let size = max b.Programs.small_size (w.Experiment.w_size / 4) in
-  fun () -> ignore (run_benchmark ~config w.Experiment.w_benchmark size)
-
-let paper_tests =
-  List.map
-    (fun (e : Experiment.t) ->
-      Test.make ~name:e.Experiment.id (Staged.stage (experiment_cell e)))
-    Experiment.all
-
-(* X1/X2: the unnumbered claims. *)
-let extra_tests =
-  [ Test.make ~name:"overhead"
-      (Staged.stage (fun () ->
-           ignore
-             (Ace_harness.Extras.run_overhead ~benchmarks:[ "map2"; "occur" ]
-                ~size_of:(fun b -> max b.Programs.small_size (b.Programs.default_size / 8))
-                ())));
-    Test.make ~name:"memory"
-      (Staged.stage (fun () ->
-           ignore (Ace_harness.Extras.run_memory ~benchmarks:[ "occur" ] ~agents:3 ()))) ]
-
-(* Ablations (DESIGN.md §5):
-   - lao-copy-cost: LAO's profit depends on the stack-copy cost; double it
-     and the LAO benefit at 8 workers should grow.
-   - lpco-vs-unopt: the flattened and nested runs side by side.
-   - engine substrate microbenches: parser and sequential resolution. *)
-let ablation_tests =
-  let queen_size = 5 in
-  let copy2 = { Cost.default with Cost.copy_cell = 2 * Cost.default.Cost.copy_cell } in
-  [ Test.make ~name:"ablate:lao-copy-cost"
-      (Staged.stage (fun () ->
-           ignore
-             (run_benchmark
-                ~config:{ Config.default with agents = 8; lao = true; cost = copy2 }
-                "queen2" queen_size)));
-    Test.make ~name:"ablate:lpco-on"
-      (Staged.stage (fun () ->
-           ignore
-             (run_benchmark
-                ~config:{ Config.default with agents = 4; lpco = true }
-                "map2" (bench_size "map2"))));
-    Test.make ~name:"ablate:lpco-off"
-      (Staged.stage (fun () ->
-           ignore
-             (run_benchmark ~config:{ Config.default with agents = 4 } "map2"
-                (bench_size "map2"))));
-    Test.make ~name:"ablate:granularity-ctl"
-      (Staged.stage (fun () ->
-           ignore
-             (run_benchmark
-                ~config:{ Config.default with agents = 4; seq_threshold = 24 }
-                "takeuchi" 10)));
-    (let source = (Programs.find "annotator").Programs.program 0 in
-     Test.make ~name:"substrate:parse"
-       (Staged.stage (fun () ->
-            ignore (Ace_lang.Program.consult_string source))));
-    (let b = Programs.find "quick_sort" in
-     let program = b.Programs.program 0 and query = b.Programs.query 40 in
-     Test.make ~name:"substrate:seq-resolution"
-       (Staged.stage (fun () ->
-            ignore (Engine.solve_program Engine.Sequential Config.default ~program ~query)))) ]
-
-let benchmark tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.8) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"ace" tests) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  results
-
-(* The hardware or-parallel sweep is measured directly (min of repeats)
-   rather than through bechamel: each row is a multi-domain run whose
-   set-up/tear-down (Domain.spawn/join) is part of the measured cost. *)
-let par_or_sweep () =
-  Ace_harness.Extras.warn_domains ~requested:4;
-  let rows = Ace_harness.Extras.run_par_or () in
-  Format.printf "@[<v>%a@]@." Ace_harness.Extras.pp_par_or rows;
-  let json = Ace_harness.Extras.par_or_json rows in
-  Out_channel.with_open_text "BENCH_par_or.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Format.printf "wrote BENCH_par_or.json (%d rows)@." (List.length rows);
-  if not (List.for_all (fun r -> r.Ace_harness.Extras.p_matches_seq) rows)
-  then begin
-    Format.eprintf "par-or solution set diverged from the sequential engine@.";
-    exit 1
-  end
-
-(* The hardware and-parallel sweep: parcall frames at 1, 2 and 4 domains,
-   SPO off so every independent '&' builds a frame.  Fails if any run's
-   solution multiset diverges from the sequential engine, or if no frame
-   was ever built (the machinery silently not running is itself a bug). *)
-let par_and_sweep () =
-  Ace_harness.Extras.warn_domains ~requested:4;
-  let rows = Ace_harness.Extras.run_par_and () in
-  Format.printf "@[<v>%a@]@." Ace_harness.Extras.pp_par_and rows;
-  let json = Ace_harness.Extras.par_and_json rows in
-  Out_channel.with_open_text "BENCH_par_and.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Format.printf "wrote BENCH_par_and.json (%d rows)@." (List.length rows);
-  if not (List.for_all (fun r -> r.Ace_harness.Extras.a_matches_seq) rows)
-  then begin
-    Format.eprintf "par-and solution multiset diverged from the sequential engine@.";
-    exit 1
-  end;
-  if List.for_all (fun r -> r.Ace_harness.Extras.a_frames = 0) rows then begin
-    Format.eprintf "par-and sweep never built a parcall frame@.";
-    exit 1
-  end
-
-(* The sequential-core smoke: wall clock of the hot path per engine, plus a
-   canonical-solution-set digest compared against the seed recording in
-   bench/seq_core_expected.txt (guards core refactors against semantic
-   drift).  `record` regenerates the expected file. *)
-let seq_core_run ~record () =
-  let rows =
-    (* pderiv's experiment-default size solves in ~0.25 ms — below
-       reliable wall-clock resolution — so the bench quadruples it *)
-    Ace_harness.Extras.run_seq_core
-      ~size_of:(fun b ->
-        if b.Programs.name = "pderiv" then 4 * b.Programs.default_size
-        else b.Programs.default_size)
-      ()
-  in
-  Format.printf "@[<v>%a@]@." Ace_harness.Extras.pp_seq_core rows;
-  let json = Ace_harness.Extras.seq_core_json rows in
-  Out_channel.with_open_text "BENCH_seq_core.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Format.printf "wrote BENCH_seq_core.json (%d rows)@." (List.length rows);
-  let expected_file = "bench/seq_core_expected.txt" in
-  if record then begin
-    Out_channel.with_open_text expected_file (fun oc ->
-        Out_channel.output_string oc
-          (Ace_harness.Extras.expected_of_rows rows));
-    Format.printf "recorded %s@." expected_file
-  end
-  else
-    match In_channel.with_open_text expected_file In_channel.input_all with
-    | exception Sys_error _ ->
-      Format.eprintf "missing %s (run `seq_core record` once)@." expected_file;
-      exit 1
-    | expected ->
-      (match Ace_harness.Extras.check_seq_core ~expected rows with
-       | [] -> Format.printf "solution sets match the seed recording@."
-       | diffs ->
-         List.iter (fun d -> Format.eprintf "seq-core drift: %s@." d) diffs;
-         exit 1)
-
-(* The allocation-regression gate: minor GC words per solution of the
-   sequential engine (interpreted and compiled) on the seq-core suite,
-   compared against pinned baselines in bench/seq_core_alloc_expected.txt
-   with 10% relative tolerance.  Allocation counts are deterministic for
-   the single-domain engine, so one repeat suffices.  `record` pins the
-   current numbers. *)
-let alloc_run ~record () =
-  let rows =
-    Ace_harness.Extras.run_seq_core ~engines:[ Engine.Sequential ] ~repeat:1
-      ~size_of:(fun b ->
-        if b.Programs.name = "pderiv" then 4 * b.Programs.default_size
-        else b.Programs.default_size)
-      ()
-  in
-  Format.printf "@[<v>%a@]@." Ace_harness.Extras.pp_seq_core rows;
-  let json = Ace_harness.Extras.seq_core_json rows in
-  Out_channel.with_open_text "BENCH_alloc.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Format.printf "wrote BENCH_alloc.json (%d rows)@." (List.length rows);
-  let expected_file = "bench/seq_core_alloc_expected.txt" in
-  if record then begin
-    Out_channel.with_open_text expected_file (fun oc ->
-        Out_channel.output_string oc
-          (Ace_harness.Extras.alloc_expected_of_rows rows));
-    Format.printf "recorded %s@." expected_file
-  end
-  else
-    match In_channel.with_open_text expected_file In_channel.input_all with
-    | exception Sys_error _ ->
-      Format.eprintf "missing %s (run `alloc record` once)@." expected_file;
-      exit 1
-    | expected ->
-      (match Ace_harness.Extras.check_alloc ~expected rows with
-       | [] -> Format.printf "allocation per solution within 10%% of the pinned baselines@."
-       | regressions ->
-         List.iter
-           (fun d -> Format.eprintf "alloc regression: %s@." d)
-           regressions;
-         exit 1)
-
-(* `profile`: run the seq-core suite on the compiled sequential engine
-   under the per-predicate profiler, assert the known top-1 hotspot per
-   benchmark, and measure profiler overhead two ways: enabled vs
-   disabled in this process, and disabled vs the pinned wall times in
-   BENCH_seq_core.json.  The hooks compile to a load and a branch when
-   profiling is off, so the disabled delta must stay within wall-clock
-   noise (< 2%% target on the geomean). *)
+module Program = Ace_lang.Program
+module Canon = Ace_check.Canon
 module Prof = Ace_obs.Prof
 module Json = Ace_obs.Json
+module Metrics = Ace_obs.Metrics
+module Bench = Ace_harness.Bench
+module Extras = Ace_harness.Extras
+module Stat = Ace_harness.Stat
+
+let solutions r = float_of_int (List.length r.Engine.solutions)
+let stat f r = float_of_int (f r.Engine.stats)
+
+let warn_domains requested =
+  let cores = Bench.cores () in
+  if requested > cores then
+    Format.eprintf
+      "warning: sweep requests %d domains but this host has %d core(s); \
+       speedups above %d domains measure scheduling, not parallelism@."
+      requested cores cores
+
+(* A pinned file: [record] rewrites it from this run, otherwise [check]
+   compares this run with it. *)
+let pinned ~record file ~render ~check =
+  if record then begin
+    Out_channel.with_open_text file (fun oc ->
+        Out_channel.output_string oc (render ()));
+    Format.printf "recorded %s@." file;
+    []
+  end
+  else
+    match In_channel.with_open_text file In_channel.input_all with
+    | exception Sys_error _ ->
+      [ Printf.sprintf "missing %s (run with `record` once)" file ]
+    | expected -> check expected
+
+(* ------------------------------------------------------------------ *)
+(* seq_core, alloc and profile: the engine hot path                     *)
+(* ------------------------------------------------------------------ *)
+
+(* pderiv's experiment size solves in ~0.25 ms; the suite quadruples it *)
+let seq_core_size b =
+  if b.Programs.name = "pderiv" then 4 * b.Programs.default_size
+  else b.Programs.default_size
+
+(* One run on a fresh database, after a full major collection so each
+   run starts from the same heap; consult and freeze are not timed
+   (they are the same for every engine and mode). *)
+let fresh_run ?(prof = Prof.disabled) kind compile name =
+  let b = Programs.find name in
+  let size = seq_core_size b in
+  let db = Program.db (Program.consult_string (b.Programs.program size)) in
+  let q = Program.parse_query (b.Programs.query size) in
+  Ace_lang.Database.freeze db;
+  Gc.full_major ();
+  Engine.solve
+    ~opts:{ Engine.default_opts with Engine.prof }
+    kind
+    { Config.default with Config.agents = 1; compile }
+    db q.Program.goal
+
+let seq_core_key suite name kind compile =
+  { Bench.suite; benchmark = name;
+    engine = Engine.kind_to_string kind ^ (if compile then "/c" else "");
+    domains = 1; config = "default" }
+
+let words_per_solution r =
+  float_of_int r.Engine.stats.Ace_machine.Stats.minor_words
+  /. float_of_int (max 1 (List.length r.Engine.solutions))
+
+(* Every engine in each of its execution modes: the rows double as a
+   cross-engine check, and the seq/seq/c pair as a compiler check, of
+   the alpha-canonical solution digests pinned in
+   bench/seq_core_expected.txt. *)
+let seq_core ~record =
+  let digests = ref [] in
+  let rows =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun kind ->
+            List.concat_map
+              (fun compile ->
+                let key = seq_core_key "seq_core" name kind compile in
+                let run () =
+                  let r = fresh_run kind compile name in
+                  let d =
+                    ( (name, key.Bench.engine),
+                      (List.length r.Engine.solutions, Canon.digest r.Engine.solutions) )
+                  in
+                  if not (List.mem d !digests) then digests := d :: !digests;
+                  r
+                in
+                Bench.run key run
+                  [ ("solutions", solutions);
+                    ("words_per_solution", words_per_solution) ])
+              (Engine.compile_modes kind))
+          [ Engine.Sequential; Engine.And_parallel; Engine.Or_parallel;
+            Engine.Par_or ])
+      Extras.seq_core_benchmarks
+  in
+  let digests = List.rev !digests in
+  Format.printf "%a" Bench.pp rows;
+  Bench.write "BENCH_seq_core.json" rows;
+  pinned ~record "bench/seq_core_expected.txt"
+    ~render:(fun () -> Extras.expected_of_digests digests)
+    ~check:(fun expected -> Extras.check_seq_core ~expected digests)
+
+(* Minor words per solution of the sequential engine in both modes,
+   pinned in bench/seq_core_alloc_expected.txt: exact counts, so one run
+   a row. *)
+let alloc ~record =
+  let rows =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun compile ->
+            Bench.count
+              (seq_core_key "alloc" name Engine.Sequential compile)
+              "words_per_solution"
+              [| words_per_solution (fresh_run Engine.Sequential compile name) |])
+          (Engine.compile_modes Engine.Sequential))
+      Extras.seq_core_benchmarks
+  in
+  Format.printf "%a" Bench.pp rows;
+  Bench.write "BENCH_alloc.json" rows;
+  pinned ~record "bench/seq_core_alloc_expected.txt"
+    ~render:(fun () -> Extras.alloc_expected_of_rows rows)
+    ~check:(fun expected -> Extras.check_alloc ~expected rows)
 
 (* Known hotspots, pinned: the top-ranked user predicate by exclusive
-   cost.  A benchmark absent from this table is printed but not
-   asserted. *)
+   cost on seq/c.  A benchmark absent from this table is printed but
+   not asserted. *)
 let profile_expected =
   [ ("queen1", [ "noatt/3" ]);
     ("queen2", [ "noatt/3" ]);
@@ -268,131 +163,183 @@ let profile_expected =
     ("bt_cluster", [ "cluster/3" ]);
     ("quick_sort", [ "qsort/2"; "part/4" ]) ]
 
-let profile_size b =
-  if b.Programs.name = "pderiv" then 4 * b.Programs.default_size
-  else b.Programs.default_size
+(* The profiler's hooks are a load and a branch when it is off, so
+   seq/c with the profiler disabled must read within 1.15x of the
+   seq_core rows in the current directory's BENCH_seq_core.json
+   (geomean), timed the same way. *)
+let profile_bound = 1.15
 
-let profile_config = { Config.default with Config.agents = 1; compile = true }
-
-let profile_run () =
+let profile () =
   let failures = ref [] in
   let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
   List.iter
     (fun name ->
-      let b = Programs.find name in
-      let size = profile_size b in
-      let program = b.Programs.program size and query = b.Programs.query size in
       let prof = Prof.create () in
-      ignore
-        (Engine.solve_program
-           ~opts:{ Engine.default_opts with Engine.prof }
-           Engine.Sequential profile_config ~program ~query);
+      ignore (fresh_run ~prof Engine.Sequential true name);
       match Prof.top_hotspot prof with
       | None -> fail "%s: empty profile" name
-      | Some row ->
+      | Some row -> (
         Format.printf "%-12s hotspot %-16s %9d calls %12d cycles@." name
           row.Prof.r_name row.Prof.r_calls row.Prof.r_cycles;
-        (match List.assoc_opt name profile_expected with
-         | Some allowed when not (List.mem row.Prof.r_name allowed) ->
-           fail "%s: hotspot %s, expected one of [%s]" name row.Prof.r_name
-             (String.concat "; " allowed)
-         | _ -> ()))
-    Ace_harness.Extras.seq_core_benchmarks;
-  (* Enabled-vs-disabled overhead, best-of-5 in this process. *)
-  let measure ~profiled name =
-    let b = Programs.find name in
-    let size = profile_size b in
-    let program = b.Programs.program size and query = b.Programs.query size in
-    let p = Ace_lang.Program.consult_string program in
-    let q = Ace_lang.Program.parse_query query in
-    let db = Ace_lang.Program.db p in
-    Ace_lang.Database.freeze db;
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      Gc.full_major ();
-      let prof = if profiled then Prof.create () else Prof.disabled in
-      let t0 = Unix.gettimeofday () in
-      ignore
-        (Engine.solve
-           ~opts:{ Engine.default_opts with Engine.prof }
-           Engine.Sequential profile_config db q.Ace_lang.Program.goal);
-      let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      if ms < !best then best := ms
-    done;
-    !best
+        match List.assoc_opt name profile_expected with
+        | Some allowed when not (List.mem row.Prof.r_name allowed) ->
+          fail "%s: hotspot %s, expected one of [%s]" name row.Prof.r_name
+            (String.concat "; " allowed)
+        | Some _ | None -> ()))
+    Extras.seq_core_benchmarks;
+  let median ~profiled name =
+    let prof () = if profiled then Prof.create () else Prof.disabled in
+    (List.hd
+       (Bench.run
+          (seq_core_key "profile" name Engine.Sequential true)
+          (fun () -> fresh_run ~prof:(prof ()) Engine.Sequential true name)
+          []))
+      .Bench.median
   in
-  let overhead_benchmarks = [ "queen1"; "takeuchi"; "quick_sort" ] in
-  let log_sum = ref 0. in
-  List.iter
-    (fun name ->
-      let off = measure ~profiled:false name in
-      let on = measure ~profiled:true name in
-      log_sum := !log_sum +. log (on /. off);
-      Format.printf "%-12s disabled %8.3f ms   enabled %8.3f ms   x%.3f@."
-        name off on (on /. off))
-    overhead_benchmarks;
-  Format.printf "profiler-enabled overhead geomean: x%.3f@."
-    (exp (!log_sum /. float_of_int (List.length overhead_benchmarks)));
-  (* Disabled wall clock vs the pinned baseline recording. *)
-  (match In_channel.with_open_text "BENCH_seq_core.json" In_channel.input_all with
-   | exception Sys_error _ ->
-     Format.printf "no BENCH_seq_core.json; skipping the baseline comparison@."
-   | text -> (
-     let baseline =
-       match Json.parse text with
-       | Error _ -> []
-       | Ok doc ->
-         let rows =
-           Option.bind (Json.member "rows" doc) Json.to_list
-           |> Option.value ~default:[]
-         in
-         List.filter_map
-           (fun row ->
-             match
-               ( Json.member "benchmark" row,
-                 Json.member "engine" row,
-                 Json.member "wall_ms" row )
-             with
-             | Some (Json.Str b), Some (Json.Str "seq/c"), Some (Json.Num w) ->
-               Some (b, w)
-             | _ -> None)
-           rows
+  let geomean l = Stat.geomean (Array.of_list l) in
+  let enabled =
+    List.map
+      (fun name ->
+        let off = median ~profiled:false name
+        and on = median ~profiled:true name in
+        Format.printf "%-12s disabled %8.3f ms   enabled %8.3f ms   x%.3f@."
+          name off on (on /. off);
+        on /. off)
+      [ "queen1"; "takeuchi"; "quick_sort" ]
+  in
+  Format.printf "profiler-enabled overhead geomean: x%.3f@." (geomean enabled);
+  (match
+     List.filter
+       (fun r ->
+         r.Bench.key.Bench.suite = "seq_core"
+         && r.Bench.key.Bench.engine = "seq/c"
+         && r.Bench.metric = "wall_ms")
+       (Bench.read "BENCH_seq_core.json")
+   with
+   | [] ->
+     Format.printf
+       "no seq/c wall_ms rows in BENCH_seq_core.json; skipping the baseline \
+        comparison@."
+   | baseline ->
+     let geo =
+       geomean
+         (List.map
+            (fun r ->
+              median ~profiled:false r.Bench.key.Bench.benchmark /. r.Bench.median)
+            baseline)
      in
-     match baseline with
-     | [] -> Format.printf "BENCH_seq_core.json has no seq/c rows; skipping@."
-     | baseline ->
-       let log_sum = ref 0. and n = ref 0 in
-       List.iter
-         (fun (name, base_ms) ->
-           let now_ms = measure ~profiled:false name in
-           log_sum := !log_sum +. log (now_ms /. base_ms);
-           incr n)
-         baseline;
-       let geo = exp (!log_sum /. float_of_int !n) in
-       Format.printf
-         "disabled-profiler geomean vs BENCH_seq_core.json (seq/c): x%.3f \
-          (target < 1.02)@."
-         geo;
-       if geo > 1.15 then
-         fail "disabled-profiler wall clock regressed x%.3f vs baseline" geo));
-  match !failures with
-  | [] -> Format.printf "profile: all hotspot assertions passed@."
-  | fs ->
-    List.iter (fun f -> Format.eprintf "profile: %s@." f) (List.rev fs);
-    exit 1
+     Format.printf
+       "disabled-profiler geomean vs BENCH_seq_core.json (seq/c): x%.3f \
+        (bound %.2f)@."
+       geo profile_bound;
+     if geo > profile_bound then
+       fail "disabled-profiler wall clock regressed x%.3f vs baseline" geo);
+  List.rev !failures
 
-(* `tabling`: wall-clock suite for the SLG answer table — left-recursive
-   reachability over a cyclic graph, same-generation over a complete
-   binary tree, and doubly-recursive transitive closure — on all four
-   engines.  Tabled results are answer *sets*, so each run's solution
-   count is asserted exactly; a lost or duplicated answer fails the
-   bench.  Two clock-free work gates hold the answer-delta evaluation in
-   place: the sequential engine never re-passes a region (its
-   [table_resumes] is 0: no consumer here sits under a control
-   construct), and left-recursive reachability tries at most
-   2 × (answers + edges) clauses there.  Writes BENCH_tabling.json (wall
-   clock, answer counts and table counters per row) with the standard
-   host object. *)
+(* ------------------------------------------------------------------ *)
+(* par_or and par_and: the domains engine                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs each benchmark on Par_or in every cell [(domains, config label,
+   config)], and counts per run whether its solution multiset equals the
+   sequential engine's. *)
+let par_sweep ~suite benchmarks cells counters =
+  warn_domains 4;
+  List.concat_map
+    (fun name ->
+      let b = Programs.find name in
+      let size = b.Programs.default_size in
+      let prepared = Engine.prepare_string (b.Programs.program size) in
+      let goal = (Program.parse_query (b.Programs.query size)).Program.goal in
+      let reference =
+        Canon.multiset
+          (Engine.run Engine.Sequential Config.default prepared goal)
+            .Engine.solutions
+      in
+      let matches r =
+        if Canon.multiset r.Engine.solutions = reference then 1. else 0.
+      in
+      List.concat_map
+        (fun (domains, config, c) ->
+          Bench.run
+            { Bench.suite; benchmark = name; engine = "par"; domains; config }
+            (fun () -> Engine.run Engine.Par_or c prepared goal)
+            ([ ("solutions", solutions); ("matches_seq", matches) ] @ counters))
+        cells)
+    benchmarks
+
+(* matches_seq is 1 in every run, or the solution set diverged. *)
+let diverged rows =
+  List.filter_map
+    (fun r ->
+      if r.Bench.metric <> "matches_seq" || (r.Bench.n = 1 && r.Bench.median = 1.)
+      then None
+      else
+        Some
+          (Printf.sprintf "%s@%d %s: solution set diverged from the sequential engine"
+             r.Bench.key.Bench.benchmark r.Bench.key.Bench.domains
+             r.Bench.key.Bench.config))
+    rows
+
+(* One 1-domain row per benchmark (no worker is ever hungry there, so
+   grain cannot matter), then 2 and 4 domains crossed with the publish
+   grain. *)
+let par_or () =
+  let cell domains grain =
+    (domains, Printf.sprintf "grain=%d" grain,
+     { Config.default with Config.agents = domains; grain })
+  in
+  let busy_frac r =
+    match Metrics.utilization r.Engine.metrics with
+    | [] -> 0.
+    | us ->
+      List.fold_left (fun acc u -> acc +. u.Metrics.u_busy_frac) 0. us
+      /. float_of_int (List.length us)
+  in
+  let rows =
+    par_sweep ~suite:"par_or"
+      [ "queen1"; "queen2"; "puzzle"; "members"; "maps" ]
+      (cell 1 1
+       :: List.concat_map (fun d -> List.map (cell d) [ 1; 2; 4 ]) [ 2; 4 ])
+      [ ("steals", stat (fun s -> s.Ace_machine.Stats.steals));
+        ("busy_frac", busy_frac) ]
+  in
+  Format.printf "%a" Bench.pp rows;
+  Bench.write "BENCH_par_or.json" rows;
+  diverged rows
+
+(* All optimizations with SPO off, so every independent '&' builds a
+   parcall frame instead of being procrastinated away whenever the
+   machine happens to be saturated; a sweep that builds no frame at all
+   is itself a failure (the machinery silently not running). *)
+let par_and () =
+  let open Ace_machine.Stats in
+  let rows =
+    par_sweep ~suite:"par_and"
+      [ "map2"; "matrix"; "hanoi"; "takeuchi"; "quick_sort" ]
+      (List.map
+         (fun d ->
+           (d, "spo=off",
+            { (Config.all_optimizations ~agents:d ()) with
+              Config.par_and = true; spo = false }))
+         [ 1; 2; 4 ])
+      [ ("frames", stat (fun s -> s.frames));
+        ("slots", stat (fun s -> s.slots));
+        ("spo_hits", stat (fun s -> s.spo_hits));
+        ("pdo_hits", stat (fun s -> s.pdo_hits));
+        ("steals", stat (fun s -> s.steals)) ]
+  in
+  Format.printf "%a" Bench.pp rows;
+  Bench.write "BENCH_par_and.json" rows;
+  diverged rows
+  @
+  if List.for_all (fun r -> r.Bench.metric <> "frames" || r.Bench.median = 0.) rows
+  then [ "the sweep never built a parcall frame" ]
+  else []
+
+(* ------------------------------------------------------------------ *)
+(* tabling: the SLG answer table on every engine                        *)
+(* ------------------------------------------------------------------ *)
 
 let tabling_workloads =
   let path_cycle n =
@@ -443,96 +390,73 @@ let tabling_workloads =
     (* every leaf is the same generation as the leftmost leaf *)
     ("same_gen", same_gen 6, "sg(n64, X)", 64, None) ]
 
-let tabling_run () =
-  let engines =
-    [ (Engine.Sequential, 1); (Engine.And_parallel, 4);
-      (Engine.Or_parallel, 4); (Engine.Par_or, 2); (Engine.Par_or, 4) ]
-  in
-  let rows = ref [] in
-  let failed = ref false in
-  List.iter
-    (fun (bench, program, query, expected, tries_bound) ->
-      List.iter
-        (fun (kind, agents) ->
-          let config =
-            { (Config.all_optimizations ~agents ()) with Config.compile = true }
-          in
-          let best = ref infinity and answers = ref 0 in
-          let stats = ref None in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            let r = Engine.solve_program kind config ~program ~query in
-            let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-            if ms < !best then best := ms;
-            answers := List.length r.Engine.solutions;
-            stats := Some r.Engine.stats;
-            if !answers <> expected then begin
-              Format.eprintf
-                "tabling: %s on %s@%d produced %d answers, expected %d@."
-                bench (Engine.kind_to_string kind) agents !answers expected;
-              failed := true
-            end
-          done;
-          let st = Option.get !stats in
-          if kind = Engine.Sequential then begin
-            let resumes = st.Ace_machine.Stats.table_resumes
-            and tries = st.Ace_machine.Stats.clause_tries in
-            if resumes <> 0 then begin
-              Format.eprintf "tabling: %s on seq re-passed %d times, expected 0@."
-                bench resumes;
-              failed := true
+(* Tabled results are answer sets, so every run's answer count is
+   checked exactly.  Two clock-free work gates hold the answer-delta
+   evaluation in place on seq: no region is re-passed (table_resumes 0:
+   no consumer here sits under a control construct), and left-recursive
+   reachability tries at most 2 x (answers + edges) clauses. *)
+let tabling () =
+  let failures = ref [] in
+  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+  let open Ace_machine.Stats in
+  let rows =
+    List.concat_map
+      (fun (bench, program, query, expected, tries_bound) ->
+        let prepared = Engine.prepare_string program in
+        let goal = (Program.parse_query query).Program.goal in
+        List.concat_map
+          (fun (kind, agents) ->
+            let config =
+              { (Config.all_optimizations ~agents ()) with Config.compile = true }
+            in
+            let key =
+              { Bench.suite = "tabling"; benchmark = bench;
+                engine = Engine.kind_to_string kind; domains = agents;
+                config = "all" }
+            in
+            let rows =
+              Bench.run key
+                (fun () -> Engine.run kind config prepared goal)
+                [ ("answers", solutions);
+                  ("table_subgoals", stat (fun s -> s.table_subgoals));
+                  ("table_answers", stat (fun s -> s.table_answers));
+                  ("answer_hits", stat (fun s -> s.table_answer_hits));
+                  ("variant_hits", stat (fun s -> s.table_variant_hits));
+                  ("suspends", stat (fun s -> s.table_suspends));
+                  ("resumes", stat (fun s -> s.table_resumes));
+                  ("clause_tries", stat (fun s -> s.clause_tries)) ]
+            in
+            (* a counter's row is one reading exactly when every run
+               read the same *)
+            let every metric want ok =
+              let r = List.find (fun r -> r.Bench.metric = metric) rows in
+              if not (r.Bench.n = 1 && ok r.Bench.median) then
+                fail "%s on %s@%d: %s %g (n %d), expected %s in every run" bench
+                  (Engine.kind_to_string kind) agents metric r.Bench.median
+                  r.Bench.n want
+            in
+            every "answers" (string_of_int expected) (fun a ->
+                a = float_of_int expected);
+            if kind = Engine.Sequential then begin
+              every "resumes" "0" (fun r -> r = 0.);
+              Option.iter
+                (fun bound ->
+                  every "clause_tries" (Printf.sprintf "<= %d" bound) (fun t ->
+                      t <= float_of_int bound))
+                tries_bound
             end;
-            match tries_bound with
-            | Some bound when tries > bound ->
-              Format.eprintf "tabling: %s on seq tried %d clauses, bound %d@."
-                bench tries bound;
-              failed := true
-            | Some _ | None -> ()
-          end;
-          Format.printf
-            "%-12s %s@%d %5d answers %10.2f ms   subgoals %d  answers %d  hits %d@."
-            bench (Engine.kind_to_string kind) agents !answers !best
-            st.Ace_machine.Stats.table_subgoals
-            st.Ace_machine.Stats.table_answers
-            st.Ace_machine.Stats.table_answer_hits;
-          rows :=
-            Json.Obj
-              [ ("benchmark", Json.Str bench);
-                ("engine", Json.Str (Engine.kind_to_string kind));
-                ("agents", Json.int agents);
-                ("wall_ms", Json.Num !best);
-                ("answers", Json.int !answers);
-                ("table_subgoals", Json.int st.Ace_machine.Stats.table_subgoals);
-                ("table_answers", Json.int st.Ace_machine.Stats.table_answers);
-                ("answer_hits", Json.int st.Ace_machine.Stats.table_answer_hits);
-                ("variant_hits", Json.int st.Ace_machine.Stats.table_variant_hits);
-                ("suspends", Json.int st.Ace_machine.Stats.table_suspends);
-                ("resumes", Json.int st.Ace_machine.Stats.table_resumes) ]
-            :: !rows)
-        engines)
-    tabling_workloads;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [ ("host", Ace_harness.Extras.host_json ());
-           ("rows", Json.List (List.rev !rows)) ])
+            rows)
+          [ (Engine.Sequential, 1); (Engine.And_parallel, 4);
+            (Engine.Or_parallel, 4); (Engine.Par_or, 2); (Engine.Par_or, 4) ])
+      tabling_workloads
   in
-  Out_channel.with_open_text "BENCH_tabling.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Format.printf "wrote BENCH_tabling.json (%d rows)@." (List.length !rows);
-  if !failed then begin
-    Format.eprintf "tabling: a tabled answer count or work gate failed@.";
-    exit 1
-  end
+  Format.printf "%a" Bench.pp rows;
+  Bench.write "BENCH_tabling.json" rows;
+  List.rev !failures
 
-(* `serve [clients=N] [queries=Q]`: wall-clock suite for the query
-   server (lib/serve) — an in-process Server on a Unix socket, each
-   client thread holding one connection (one session) and running Q
-   line-delimited JSON queries back to back.  Rows report queries/sec
-   and p50/p99 latency at clients x domains; a final deadline row sends
-   a non-terminating query with a wall-clock deadline and asserts the
-   cancellation lands within a bounded interval.  Writes
-   BENCH_serve.json with the standard host object. *)
+(* ------------------------------------------------------------------ *)
+(* serve: the query server over a Unix socket                           *)
+(* ------------------------------------------------------------------ *)
 
 let serve_program =
   let b = Buffer.create 4096 in
@@ -565,32 +489,35 @@ let serve_connect addr =
   Unix.connect fd addr;
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-let serve_client addr ~queries ~expected ~failed () =
+(* One client: one connection (one session), queries back to back;
+   each query's latency (ms) and answer count (-1 for a reply without
+   one). *)
+let serve_queries = 25
+
+let serve_client addr =
   let fd, ic, oc = serve_connect addr in
-  let lat = ref [] in
-  for i = 1 to queries do
-    let t0 = Unix.gettimeofday () in
-    let j =
-      serve_roundtrip ic oc
-        (Json.Obj
-           [ ("op", Json.Str "query"); ("id", Json.int i);
-             ("goal", Json.Str serve_goal) ])
-    in
-    lat := ((Unix.gettimeofday () -. t0) *. 1e3) :: !lat;
-    (match Json.member "count" j with
-    | Some (Json.Num c) when int_of_float c = expected -> ()
-    | _ ->
-      Format.eprintf "serve: bad answer %s@." (Json.to_string j);
-      Atomic.set failed true)
-  done;
+  let replies =
+    List.init serve_queries (fun i ->
+        let t0 = Stat.now_ns () in
+        let j =
+          serve_roundtrip ic oc
+            (Json.Obj
+               [ ("op", Json.Str "query"); ("id", Json.int i);
+                 ("goal", Json.Str serve_goal) ])
+        in
+        ( Stat.ms_of_ns (Stat.now_ns () - t0),
+          match Json.member "count" j with Some (Json.Num c) -> c | _ -> -1. ))
+  in
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  !lat
+  replies
 
-let serve_percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(max 0 (min (n - 1) (int_of_float (p *. float_of_int (n - 1)))))
-
-let serve_run ~clients ~queries =
+(* Each client mix's rows are quantiles over its one stream of
+   concurrent queries, every latency scaled to full host speed by the
+   slower calibration reading around the mix, and every query must
+   answer in full; a last row asserts that a query that never
+   terminates comes back cancelled within 2,000 ms of its 80 ms
+   deadline. *)
+let serve () =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ace_bench_serve_%d.sock" (Unix.getpid ()))
@@ -598,199 +525,125 @@ let serve_run ~clients ~queries =
   let addr = Unix.ADDR_UNIX sock in
   let prepared = Engine.prepare_string serve_program in
   let expected =
-    let r =
-      Engine.solve Engine.Sequential Config.default (Engine.database prepared)
-        (Ace_lang.Program.parse_query serve_goal).Ace_lang.Program.goal
-    in
-    List.length r.Engine.solutions
+    List.length
+      (Engine.run Engine.Sequential Config.default prepared
+         (Program.parse_query serve_goal).Program.goal)
+        .Engine.solutions
   in
   Format.printf "serve: %d solutions per query, socket %s@." expected sock;
-  let failed = Atomic.make false in
-  let rows = ref [] in
-  let combos =
-    (* the CI host may be single-core: modest domain counts only *)
-    [ (1, Engine.Sequential, 1); (2, Engine.Sequential, 1);
-      (clients, Engine.Sequential, 1); (2, Engine.Par_or, 2) ]
+  let died = Atomic.make false in
+  let workers = 4 in
+  let mix (nclients, kind, agents) =
+    let config =
+      { (Config.all_optimizations ~agents ()) with Config.compile = true }
+    in
+    let srv =
+      Ace_server.Server.create ~workers ~engine:kind ~config ~listen:addr prepared
+    in
+    let results = Array.make nclients [] in
+    let cal0 = Stat.calibrate_ns () in
+    let threads =
+      List.init nclients (fun i ->
+          Thread.create
+            (fun () ->
+              try results.(i) <- serve_client addr
+              with e ->
+                Format.eprintf "serve: client died: %s@." (Printexc.to_string e);
+                Atomic.set died true)
+            ())
+    in
+    List.iter Thread.join threads;
+    let cal = Stat.ms_of_ns (max cal0 (Stat.calibrate_ns ())) in
+    Ace_server.Server.drain srv;
+    Ace_server.Server.wait srv;
+    let replies = List.concat (Array.to_list results) in
+    let lats =
+      Array.of_list
+        (List.map (fun (ms, _) -> Stat.at_full_speed { Stat.ms; cal; e = 1.0 }) replies)
+    in
+    let key =
+      { Bench.suite = "serve"; benchmark = serve_goal;
+        engine = Engine.kind_to_string kind ^ (if kind = Engine.Sequential then "/c" else "");
+        domains = agents;
+        config = Printf.sprintf "clients=%d,workers=%d" nclients workers }
+    in
+    if replies = [] then []
+    else
+      [ Bench.timed key "latency_ms" lats;
+        Bench.count key "answers" (Array.of_list (List.map snd replies)) ]
   in
-  List.iter
-    (fun (nclients, kind, agents) ->
-      let config =
-        { (Config.all_optimizations ~agents ()) with Config.compile = true }
-      in
-      let srv =
-        Ace_server.Server.create ~workers:4 ~engine:kind ~config ~listen:addr
-          prepared
-      in
-      let results = Array.make nclients [] in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        List.init nclients (fun i ->
-            Thread.create
-              (fun () ->
-                try results.(i) <- serve_client addr ~queries ~expected ~failed ()
-                with e ->
-                  Format.eprintf "serve: client died: %s@."
-                    (Printexc.to_string e);
-                  Atomic.set failed true)
-              ())
-      in
-      List.iter Thread.join threads;
-      let wall_s = Unix.gettimeofday () -. t0 in
-      Ace_server.Server.drain srv;
-      Ace_server.Server.wait srv;
-      let lats = Array.of_list (List.concat (Array.to_list results)) in
-      Array.sort compare lats;
-      if Array.length lats = 0 then Atomic.set failed true
-      else begin
-        let total = nclients * queries in
-        let qps = float_of_int total /. wall_s in
-        let p50 = serve_percentile lats 0.50
-        and p99 = serve_percentile lats 0.99 in
-        Format.printf
-          "serve %d client(s) %s@%d  %4d queries %8.1f q/s  p50 %6.2f ms  \
-           p99 %6.2f ms@."
-          nclients (Engine.kind_to_string kind) agents total qps p50 p99;
-        rows :=
-          Json.Obj
-            [ ("clients", Json.int nclients);
-              ("engine", Json.Str (Engine.kind_to_string kind));
-              ("domains", Json.int agents);
-              ("workers", Json.int 4);
-              ("queries", Json.int total);
-              ("qps", Json.Num qps);
-              ("p50_ms", Json.Num p50);
-              ("p99_ms", Json.Num p99) ]
-          :: !rows
-      end)
-    combos;
-  (* deadline row: a query that never terminates on its own must come
-     back cancelled within a bounded interval of its deadline *)
-  let deadline_ms = 80 in
-  let overshoot_bound_ms = 2000.0 in
+  let rows =
+    List.concat_map mix
+      (* the CI host may be single-core: modest domain counts only *)
+      [ (1, Engine.Sequential, 1); (2, Engine.Sequential, 1);
+        (4, Engine.Sequential, 1); (2, Engine.Par_or, 2) ]
+  in
+  let deadline_ms = 80 and overshoot_bound_ms = 2000.0 in
   let srv =
     Ace_server.Server.create ~workers:2 ~engine:Engine.Sequential
       ~config:{ Config.default with Config.compile = true }
       ~listen:addr prepared
   in
   let fd, ic, oc = serve_connect addr in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stat.now_ns () in
   let j =
     serve_roundtrip ic oc
       (Json.Obj
          [ ("op", Json.Str "query"); ("id", Json.int 1);
            ("goal", Json.Str "spin"); ("deadline_ms", Json.int deadline_ms) ])
   in
-  let observed_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let overshoot_ms = Stat.ms_of_ns (Stat.now_ns () - t0) -. float_of_int deadline_ms in
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Ace_server.Server.drain srv;
   Ace_server.Server.wait srv;
   let cancelled =
     match Json.member "cancelled" j with Some (Json.Str s) -> s | _ -> ""
   in
-  let overshoot_ms = observed_ms -. float_of_int deadline_ms in
-  Format.printf
-    "serve deadline: %d ms deadline, answered in %.1f ms (overshoot %.1f ms, \
-     cancelled=%S)@."
-    deadline_ms observed_ms overshoot_ms cancelled;
-  if cancelled <> "deadline" || overshoot_ms > overshoot_bound_ms then begin
-    Format.eprintf "serve: deadline cancellation out of bounds@.";
-    Atomic.set failed true
-  end;
-  let json =
-    Json.to_string
-      (Json.Obj
-         [ ("host", Ace_harness.Extras.host_json ());
-           ("rows", Json.List (List.rev !rows));
-           ("deadline",
-            Json.Obj
-              [ ("deadline_ms", Json.int deadline_ms);
-                ("observed_ms", Json.Num observed_ms);
-                ("overshoot_ms", Json.Num overshoot_ms);
-                ("overshoot_bound_ms", Json.Num overshoot_bound_ms);
-                ("cancelled", Json.Str cancelled) ]) ])
+  let rows =
+    rows
+    @ [ Bench.count
+          { Bench.suite = "serve"; benchmark = "spin"; engine = "seq/c";
+            domains = 1; config = Printf.sprintf "deadline_ms=%d" deadline_ms }
+          "overshoot_ms" [| overshoot_ms |] ]
   in
-  Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Format.printf "wrote BENCH_serve.json (%d rows)@." (List.length !rows);
-  if Atomic.get failed then begin
-    Format.eprintf "serve: bench failed@.";
-    exit 1
-  end
-
-(* `fuzz [count=N] [seed=N] [schedules=N]`: differential-fuzz throughput —
-   run the lib/check oracle over N generated cases and report cases/sec;
-   exits 1 on any cross-engine discrepancy, so it doubles as a deep
-   correctness sweep. *)
-let fuzz_run ~count ~seed ~schedules ~profile_all =
-  Format.printf "fuzz: %d cases from seed %d, %d chaos schedules%s@." count
-    seed schedules
-    (if profile_all then ", profiler on every row" else "");
-  let t0 = Unix.gettimeofday () in
-  let report =
-    Ace_check.Fuzz.run ~count ~seed ~schedules ~profile_all
-      ~log:(Format.eprintf "fuzz: %s@.")
-      ()
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  Format.printf "%a" Ace_check.Fuzz.pp_report report;
-  Format.printf "fuzz: %.1f cases/sec, %.1f engine runs/sec (%.2fs total)@."
-    (float_of_int report.Ace_check.Fuzz.r_count /. dt)
-    (float_of_int report.Ace_check.Fuzz.r_runs /. dt)
-    dt;
-  if Ace_check.Fuzz.ok report then exit 0 else exit 1
+  Format.printf "%a" Bench.pp rows;
+  Bench.write "BENCH_serve.json" rows;
+  List.filter_map
+    (fun r ->
+      if r.Bench.metric <> "answers" || (r.Bench.n = 1 && r.Bench.median = float_of_int expected)
+      then None
+      else
+        Some
+          (Printf.sprintf "%s: answers %g (n %d), expected %d in every query"
+             r.Bench.key.Bench.config r.Bench.median r.Bench.n expected))
+    rows
+  @ (if Atomic.get died then [ "a client died" ] else [])
+  @
+  if cancelled <> "deadline" || overshoot_ms > overshoot_bound_ms then
+    [ Printf.sprintf
+        "spin with a %d ms deadline: cancelled=%S, overshoot %.1f ms (bound %.0f)"
+        deadline_ms cancelled overshoot_ms overshoot_bound_ms ]
+  else []
 
 let () =
-  let has a = Array.length Sys.argv > 1 && Array.mem a Sys.argv in
-  let keyed key default =
-    Array.fold_left
-      (fun acc a ->
-        match String.split_on_char '=' a with
-        | [ k; v ] when k = key -> ( match int_of_string_opt v with
-                                     | Some n -> n
-                                     | None -> acc)
-        | _ -> acc)
-      default Sys.argv
+  let failures =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ "seq_core" ] -> seq_core ~record:false
+    | [ "seq_core"; "record" ] -> seq_core ~record:true
+    | [ "alloc" ] -> alloc ~record:false
+    | [ "alloc"; "record" ] -> alloc ~record:true
+    | [ "profile" ] -> profile ()
+    | [ "par_or" ] -> par_or ()
+    | [ "par_and" ] -> par_and ()
+    | [ "tabling" ] -> tabling ()
+    | [ "serve" ] -> serve ()
+    | _ ->
+      prerr_endline
+        "usage: main.exe (seq_core | alloc) [record] | profile | par_or | \
+         par_and | tabling | serve";
+      exit 2
   in
-  if has "fuzz" then
-    fuzz_run ~count:(keyed "count" 200) ~seed:(keyed "seed" 0)
-      ~schedules:(keyed "schedules" 2)
-      ~profile_all:(keyed "profile_all" 0 <> 0);
-  if has "profile" then begin
-    profile_run ();
-    exit 0
-  end;
-  if has "seq_core" then begin
-    seq_core_run ~record:(has "record") ();
-    exit 0
-  end;
-  if has "alloc" then begin
-    alloc_run ~record:(has "record") ();
-    exit 0
-  end;
-  if has "par_and" then begin
-    par_and_sweep ();
-    exit 0
-  end;
-  if has "tabling" then begin
-    tabling_run ();
-    exit 0
-  end;
-  if has "serve" then begin
-    serve_run ~clients:(keyed "clients" 4) ~queries:(keyed "queries" 25);
-    exit 0
-  end;
-  let par_or_only = has "par_or" in
-  if not par_or_only then begin
-    let tests = paper_tests @ extra_tests @ ablation_tests in
-    Format.printf "benchmarking %d targets (wall-clock per regeneration run)@."
-      (List.length tests);
-    let results = benchmark tests in
-    let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-    List.iter
-      (fun (name, ols) ->
-        match Analyze.OLS.estimates ols with
-        | Some [ ns ] -> Format.printf "%-28s %12.3f ms/run@." name (ns /. 1e6)
-        | Some _ | None -> Format.printf "%-28s (no estimate)@." name)
-      (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
-  end;
-  par_or_sweep ()
+  let suite = Sys.argv.(1) in
+  List.iter (fun f -> Format.eprintf "%s: %s@." suite f) failures;
+  if failures <> [] then exit 1;
+  Format.printf "%s: every gate passed@." suite

@@ -18,9 +18,6 @@ let run_one ~structural id =
   | "memory" ->
     let rows = Extras.run_memory () in
     Format.printf "@[<v>%a@]@." Extras.pp_memory rows
-  | "par_or" ->
-    let rows = Extras.run_par_or () in
-    Format.printf "@[<v>%a@]@." Extras.pp_par_or rows
   | id ->
     let e = Experiment.find id in
     let progress label = Format.eprintf "  running %s: %s...@." id label in
@@ -30,7 +27,7 @@ let run_one ~structural id =
 
 let all_ids =
   List.map (fun (e : Experiment.t) -> e.Experiment.id) Experiment.all
-  @ [ "overhead"; "memory"; "par_or" ]
+  @ [ "overhead"; "memory" ]
 
 let main list_only structural ids =
   if list_only then begin

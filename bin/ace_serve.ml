@@ -17,8 +17,23 @@ module Engine = Ace_core.Engine
 module Program = Ace_lang.Program
 module Server = Ace_server.Server
 
+(* The start-up options, checked before anything is consulted; the
+   error names the option. *)
+let check_options kind ~workers ~max_active ~agents =
+  if workers < 1 then Error "--workers must be >= 1"
+  else if Option.value max_active ~default:1 < 1 then
+    Error "--max-active must be >= 1"
+  else if agents < 1 then Error "--agents must be >= 1"
+  else Result.map_error (( ^ ) "--agents: ") (Engine.check_agents kind agents)
+
 let serve socket port workers max_active engine agents files =
-  match Engine.kind_of_string engine with
+  let checked =
+    Result.bind (Engine.kind_of_string engine) (fun kind ->
+        match check_options kind ~workers ~max_active ~agents with
+        | Ok () -> Ok kind
+        | Error m -> Error ("ace_serve: " ^ m))
+  in
+  match checked with
   | Error m ->
     prerr_endline m;
     2

@@ -26,14 +26,14 @@ type report = {
 let case_seed ~seed i = seed + i
 
 let run ?(count = 500) ?(seed = 0) ?(schedules = 2) ?mutation ?extra_chaos
-    ?profile_all ?log () =
+    ?log () =
   let log s = match log with Some f -> f s | None -> () in
   let agreed = ref 0 and skipped = ref 0 and runs = ref 0 in
   let failures = ref [] in
   for i = 0 to count - 1 do
     let cs = case_seed ~seed i in
     let case = Gen_prog.generate ~seed:cs in
-    (match Oracle.check ~schedules ?mutation ?extra_chaos ?profile_all case with
+    (match Oracle.check ~schedules ?mutation ?extra_chaos case with
     | Oracle.Agree n ->
       incr agreed;
       runs := !runs + n
@@ -43,7 +43,7 @@ let run ?(count = 500) ?(seed = 0) ?(schedules = 2) ?mutation ?extra_chaos
              d_label);
       let shrunk =
         Shrink.minimize
-          ~property:(Oracle.fails ~schedules ?mutation ?extra_chaos ?profile_all)
+          ~property:(Oracle.fails ~schedules ?mutation ?extra_chaos)
           case
       in
       failures :=

@@ -23,15 +23,13 @@ type report = {
 (** [run ~count ~seed ~schedules ()] checks [count] cases from consecutive
     seeds starting at [seed].  [mutation] injects a semantics bug into one
     engine's program copy (smoke test that the oracle catches real bugs).
-    [log] receives progress lines.  [profile_all] runs every matrix row
-    with the per-predicate profiler enabled (see {!Oracle.check}). *)
+    [log] receives progress lines. *)
 val run :
   ?count:int ->
   ?seed:int ->
   ?schedules:int ->
   ?mutation:Oracle.mutation ->
   ?extra_chaos:Ace_sched.Chaos.t ->
-  ?profile_all:bool ->
   ?log:(string -> unit) ->
   unit ->
   report

@@ -199,8 +199,7 @@ let tabled_matrix ?extra_chaos ~seed ~schedules () =
   let profiled_row = [ ("par@4 tabled profiled", Engine.Par_or, all4, None) ] in
   (fixed @ sched @ extra, profiled_row)
 
-let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
-    (case : Gen_prog.t) =
+let check ?(schedules = 2) ?mutation ?extra_chaos (case : Gen_prog.t) =
   let program = Gen_prog.program_text case in
   let query = Gen_prog.query_text case in
   let mutated_program kind =
@@ -234,7 +233,7 @@ let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
         ?extra_chaos ~seed:case.Gen_prog.seed ~schedules ()
     in
     let runs =
-      List.map (fun (l, k, c, ch) -> (l, k, c, ch, profile_all)) plain
+      List.map (fun (l, k, c, ch) -> (l, k, c, ch, false)) plain
       @ List.map (fun (l, k, c, ch) -> (l, k, c, ch, true)) profiled
     in
     let serve_rows =
@@ -282,7 +281,7 @@ let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
     go 1 runs
 
 (* True when the case still FAILS the oracle — the shrinker's property. *)
-let fails ?schedules ?mutation ?extra_chaos ?profile_all case =
-  match check ?schedules ?mutation ?extra_chaos ?profile_all case with
+let fails ?schedules ?mutation ?extra_chaos case =
+  match check ?schedules ?mutation ?extra_chaos case with
   | Disagree _ -> true
   | Agree _ | Skip _ -> false

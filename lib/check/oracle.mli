@@ -42,14 +42,12 @@ val run_engine :
     [extra_chaos] appends one run per engine under exactly that spec —
     counterexample replay from a printed [--check-chaos] line.
 
-    One matrix row always runs with the per-predicate profiler enabled;
-    [profile_all] enables it on {e every} row — profiling must never
-    perturb the solution multiset. *)
+    One matrix row always runs with the per-predicate profiler enabled:
+    profiling must never perturb the solution multiset. *)
 val check :
   ?schedules:int ->
   ?mutation:mutation ->
   ?extra_chaos:Ace_sched.Chaos.t ->
-  ?profile_all:bool ->
   Gen_prog.t ->
   verdict
 
@@ -58,6 +56,5 @@ val fails :
   ?schedules:int ->
   ?mutation:mutation ->
   ?extra_chaos:Ace_sched.Chaos.t ->
-  ?profile_all:bool ->
   Gen_prog.t ->
   bool

@@ -113,6 +113,89 @@ let test_memory_direction () =
         (r.Extras.opt_words < r.Extras.unopt_words))
     rows
 
+module Bench = Ace_harness.Bench
+module Json = Ace_obs.Json
+module Engine = Ace_core.Engine
+
+let key suite =
+  { Bench.suite; benchmark = "b"; engine = "seq/c"; domains = 1; config = "default" }
+
+(* The timed row of a trivial goal, sampled by the bench policy. *)
+let trivial_rows () =
+  let prepared = Engine.prepare_string "p(1).\n" in
+  let goal = (Ace_lang.Program.parse_query "p(X)").Ace_lang.Program.goal in
+  Bench.run (key "t")
+    (fun () -> Engine.run Engine.Sequential Ace_machine.Config.default prepared goal)
+    [ ("solutions", fun r -> float_of_int (List.length r.Engine.solutions)) ]
+
+let test_bench_sampler () =
+  match trivial_rows () with
+  | [ wall; sols ] ->
+    Alcotest.(check string) "timed row first" "wall_ms" wall.Bench.metric;
+    Alcotest.(check bool) "5 to 31 samples" true (wall.Bench.n >= 5 && wall.Bench.n <= 31);
+    Alcotest.(check bool) "iqr >= 0" true (wall.Bench.iqr >= 0.);
+    Alcotest.(check (pair int (float 0.))) "a deterministic count is one reading"
+      (1, 1.) (sols.Bench.n, sols.Bench.median)
+  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
+
+let test_bench_schema () =
+  let rows =
+    trivial_rows ()
+    @ [ Bench.count (key "c") "steals" [| 3.; 1.; 2.; 2. |];
+        Bench.timed (key "q") "latency_ms" [| 0.5; 0.25; 1.0 |] ]
+  in
+  let file = Filename.temp_file "bench" ".json" in
+  Bench.write file rows;
+  let text = In_channel.with_open_text file In_channel.input_all in
+  Alcotest.(check bool) "read back" true (Bench.read file = rows);
+  Sys.remove file;
+  let doc =
+    match Json.parse text with Ok d -> d | Error m -> Alcotest.fail m
+  in
+  let has keys j = List.for_all (fun k -> Json.member k j <> None) keys in
+  (match Json.member "host" doc with
+   | Some h ->
+     Alcotest.(check bool) "host keys" true (has [ "cores"; "ocaml"; "git_rev" ] h)
+   | None -> Alcotest.fail "no host");
+  let num k j = match Json.member k j with Some (Json.Num f) -> f | _ -> nan in
+  match Option.bind (Json.member "rows" doc) Json.to_list with
+  | None -> Alcotest.fail "no rows"
+  | Some js ->
+    Alcotest.(check int) "every row written" (List.length rows) (List.length js);
+    List.iter
+      (fun j ->
+        Alcotest.(check bool) "nine fields" true
+          (has [ "suite"; "benchmark"; "engine"; "domains"; "config"; "metric";
+                 "median"; "iqr"; "n" ] j);
+        Alcotest.(check bool) "median is a number" false (Float.is_nan (num "median" j));
+        Alcotest.(check bool) "iqr >= 0" true (num "iqr" j >= 0.);
+        Alcotest.(check bool) "n >= 1" true (num "n" j >= 1.))
+      js
+
+(* Every pinned line must name a row that ran, and parse. *)
+let test_seq_core_pins () =
+  let expected = "queen1 seq 4 d1\nqueen2 seq 40 d2\n" in
+  let ran = [ (("queen1", "seq"), (4, "d1")); (("queen2", "seq"), (40, "d2")) ] in
+  Alcotest.(check (list string)) "all pinned rows match" []
+    (Extras.check_seq_core ~expected ran);
+  Alcotest.(check int) "a pinned row that did not run fails" 1
+    (List.length (Extras.check_seq_core ~expected [ List.hd ran ]));
+  Alcotest.(check int) "a line that does not parse fails" 1
+    (List.length
+       (Extras.check_seq_core ~expected:"queen1 seq 4 d1\nqueen2 se" ran))
+
+let test_alloc_pins () =
+  let row b w = Bench.count { (key "alloc") with Bench.benchmark = b } "words_per_solution" [| w |] in
+  let rows = [ row "queen1" 100.; row "queen2" 50. ] in
+  let expected = "queen1 seq/c 100.0\nqueen2 seq/c 50.0\n" in
+  Alcotest.(check (list string)) "within the pins" [] (Extras.check_alloc ~expected rows);
+  Alcotest.(check int) "over 10% fails" 1
+    (List.length (Extras.check_alloc ~expected [ row "queen1" 200.; row "queen2" 50. ]));
+  Alcotest.(check int) "a pinned row that did not run fails" 1
+    (List.length (Extras.check_alloc ~expected [ List.hd rows ]));
+  Alcotest.(check int) "a line that does not parse fails" 1
+    (List.length (Extras.check_alloc ~expected:"queen1 seq/c 100.0\nqueen2 seq/c" rows))
+
 let suite =
   [ Alcotest.test_case "registry covers paper" `Quick test_registry_covers_paper;
     Alcotest.test_case "processor axes" `Quick test_paper_processor_axes;
@@ -121,4 +204,8 @@ let suite =
     Alcotest.test_case "apply optimization" `Quick test_apply_optimization;
     Alcotest.test_case "report renders" `Quick test_report_renders;
     Alcotest.test_case "overhead direction" `Quick test_overhead_direction;
-    Alcotest.test_case "memory direction" `Quick test_memory_direction ]
+    Alcotest.test_case "memory direction" `Quick test_memory_direction;
+    Alcotest.test_case "bench sampler" `Quick test_bench_sampler;
+    Alcotest.test_case "bench schema" `Quick test_bench_schema;
+    Alcotest.test_case "seq_core pins" `Quick test_seq_core_pins;
+    Alcotest.test_case "alloc pins" `Quick test_alloc_pins ]
