@@ -55,7 +55,7 @@ check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Code.o" camlAce_lang__Code \
 check "$b/lib/core/.ace_core.objs/native/ace_core__Kernel.o" camlAce_core__Kernel \
   goal_of_regs || status=1
 check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Database.o" camlAce_lang__Database \
-  walk at_path at_path_from slot slot_from case_tag case_value lookup_code_args lookup_code || status=1
+  walk at_path at_path_from slot slot_from case_tag case_value lookup lookup_args candidates lookup_code_args lookup_code || status=1
 check "$b/lib/term/.ace_term.objs/native/ace_term__Term.o" camlAce_term__Term \
   copy_resolved resolve map_cells cells prefix || status=1
 if [ "$status" -eq 0 ]; then echo "hot-path guard: no C call in the listed functions"; fi

@@ -69,14 +69,13 @@ let option_of_field = function
   | "agents" -> "--agents"
   | "seq_threshold" -> "--granularity"
   | "grain" -> "--grain"
-  | "chunk" -> "--chunk"
   | "table_max_answers" -> "--table-max-answers"
   | "max_solutions" -> "--limit"
   | field -> field
 
 let run check check_count check_seed check_schedules check_chaos check_mutate
     check_code_mutate check_table_mutate source query engine agents compile
-    lpco lao spo pdo all par_and gc grain chunk limit deadline table_max show_stats
+    lpco lao spo pdo all par_and gc grain limit deadline table_max show_stats
     verbose_stats annotate trace_file trace_jsonl trace_buf stats_json
     utilization profile profile_json profile_folded =
   (match check_code_mutate with
@@ -110,7 +109,7 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
   | Ok kind -> (
     match Engine.check_agents kind agents with
     | Error m ->
-      prerr_endline ("ace_run: " ^ m);
+      prerr_endline ("ace_run: --agents: " ^ m);
       2
     | Ok () ->
     let config =
@@ -124,7 +123,6 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
         par_and;
         seq_threshold = gc;
         grain;
-        chunk;
         compile;
         max_solutions = limit;
         table_max_answers = table_max;
@@ -271,7 +269,6 @@ let groups =
         ("par-and", "par engine: run '&' conjunctions in parallel");
         ("granularity CELLS", "sequentialize parallel calls below CELLS");
         ("grain N", "publish nodes with >= N alternatives (par)");
-        ("chunk N", "at most N alternatives per published task (par)");
       ] );
     ( g_obs,
       [
@@ -499,10 +496,6 @@ let cmd =
                      point only if it still has at least N untried \
                      alternatives; smaller nodes stay private (1 = publish \
                      anything).")
-      $ Arg.(value & opt int 0 & info [ "chunk" ] ~docv:"N" ~docs:g_schemas
-               ~doc:"Or-parallel chunking (par engine): ship a published \
-                     node's alternatives in tasks of at most N alternatives \
-                     each (0 = whole node in one task).")
       $ limit
       $ Arg.(value & opt (some int) None & info [ "deadline" ] ~docv:"MS"
                ~docs:g_engine

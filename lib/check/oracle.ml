@@ -112,9 +112,9 @@ let matrix ?extra_chaos ~seed ~schedules () =
        { all4 with Config.seq_threshold = 64 }, None);
       ("or@4", Engine.Or_parallel, all4, None);
       ("or@4 unopt", Engine.Or_parallel, un4, None);
-      ("or@4 grain2", Engine.Or_parallel, { all4 with Config.grain = 2 }, None);
-      ("or@4 chunk1", Engine.Or_parallel, { all4 with Config.chunk = 1 }, None);
       ("par@4", Engine.Par_or, all4, None);
+      (* only the domains engine reads [grain] (its publisher) *)
+      ("par@4 grain2", Engine.Par_or, { all4 with Config.grain = 2 }, None);
       ("par@4 and+or", Engine.Par_or, andor4, None);
       ("par@4 and+or thresh", Engine.Par_or,
        { andor4 with Config.seq_threshold = 64 }, None);

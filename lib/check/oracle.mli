@@ -36,7 +36,8 @@ val run_engine :
 
 (** [check ~schedules case] runs the full matrix: sequential reference,
     jittered sequential, and/or engines with each optimization schema on
-    and off plus grain/chunk/threshold sweeps, the domains engine, and
+    and off plus a threshold sweep, the domains engine (plus a publish
+    grain of 2), and
     [schedules] seeded chaos schedules per parallel engine (derived from
     the case seed, so counterexamples replay from the printed pair).
     [extra_chaos] appends one run per engine under exactly that spec —

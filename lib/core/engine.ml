@@ -66,7 +66,7 @@ let unbind vars = List.iter (fun (v : Term.var) -> v.Term.binding <- None) vars
 type prepared = { pbase : Database.t }
 
 let prepare db =
-  (* warm the lookup caches and precompile clause code once; runs then
+  (* build the clause indexes and precompile clause code once; runs then
      read the database without mutating it (required by the multi-domain
      engine) *)
   Database.freeze db;
@@ -89,8 +89,8 @@ let run ?(opts = default_opts) ?session kind config p goal =
   let config = Config.validate config in
   if config.Config.max_solutions = Some 0 then empty_result opts kind else
   let db = match session with Some s -> s | None -> p.pbase in
-  (* idempotent on the shared base; for a session overlay this re-caches
-     and re-compiles only the session's own asserted clauses *)
+  (* idempotent on the shared base; for a session overlay this compiles
+     only the session's own asserted clauses *)
   Database.freeze db;
   (* one answer table per run unless the caller shares one across runs;
      only the multi-domain engine needs the per-shard locks (an unlocked

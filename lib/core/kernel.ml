@@ -1011,19 +1011,6 @@ module Schema = struct
 
   let publish_grain (config : Config.t) ~nalts = nalts >= config.Config.grain
 
-  let chunk_alts (config : Config.t) alts =
-    let chunk = config.Config.chunk in
-    if chunk <= 0 then [ alts ]
-    else begin
-      let rec go acc run n = function
-        | [] -> List.rev (List.rev run :: acc)
-        | a :: rest ->
-          if n = chunk then go (List.rev run :: acc) [ a ] 1 rest
-          else go acc (a :: run) (n + 1) rest
-      in
-      go [] [] 0 alts
-    end
-
   let lao_refurbish (config : Config.t) ~top_exhausted =
     config.Config.lao && top_exhausted
 end

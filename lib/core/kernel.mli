@@ -279,10 +279,6 @@ module Schema : sig
   (** Or-parallel granularity: a node is worth publishing only with at
       least [config.grain] untried alternatives. *)
 
-  val chunk_alts : Config.t -> 'a list -> 'a list list
-  (** Splits published alternatives into runs of at most [config.chunk]
-      (0 = one run). *)
-
   val lao_refurbish : Config.t -> top_exhausted:bool -> bool
   (** LAO (§3.2): reuse the exhausted top choice point in place instead
       of allocating a new node. *)

@@ -224,11 +224,9 @@ let should_publish w m =
 (* Snapshots the bottom-most choice point whose untried-alternative count
    reaches the configured grain, at its creation state (trail segment above
    its mark temporarily unwound — the incremental copy), and pushes its
-   alternatives as tasks of at most [chunk] alternatives each; every chunk
-   gets its own snapshot inside the unwind window so tasks stay fully
-   private to whichever worker takes them.  The node itself becomes
-   exhausted for the owner.  Nodes below the grain are skipped — they stay
-   reserved for private (cheap) backtracking. *)
+   alternatives as one task, private to whichever worker takes it.  The
+   node itself becomes exhausted for the owner.  Nodes below the grain are
+   skipped — they stay reserved for private (cheap) backtracking. *)
 let publish w m =
   let config = w.sh.config in
   let rec last_live skipped acc = function
@@ -250,41 +248,29 @@ let publish w m =
     let seg = Trail.segment m.m_trail ~lo:cp.cp_trail ~hi:(Trail.size m.m_trail) in
     let saved = Array.map (fun (v : Term.var) -> v.Term.binding) seg in
     Array.iter (fun (v : Term.var) -> v.Term.binding <- None) seg;
-    let chunks = Schema.chunk_alts config cp.cp_alts in
-    let tasks =
-      List.map
-        (fun alts ->
-          let table = Hashtbl.create 64 in
-          let cells = ref 0 in
-          let goal = snapshot_term table cells cp.cp_goal in
-          let n_alts = List.map (snapshot_alt table cells) alts in
-          let cont = snapshot_body table cells cp.cp_cont in
-          w.stats.Stats.copies <- w.stats.Stats.copies + 1;
-          w.stats.Stats.copied_cells <- w.stats.Stats.copied_cells + !cells;
-          if Prof.live w.k.prof then Prof.copied w.k.prof !cells;
-          Metrics.hist_add w.shard.Metrics.s_copy_cells !cells;
-          Trace.record w.k.tbuf Trace.Copy !cells;
-          Node { n_goal = goal; n_alts; n_cont = cont })
-        chunks
-    in
+    let table = Hashtbl.create 64 in
+    let cells = ref 0 in
+    let goal = snapshot_term table cells cp.cp_goal in
+    let n_alts = List.map (snapshot_alt table cells) cp.cp_alts in
+    let cont = snapshot_body table cells cp.cp_cont in
+    w.stats.Stats.copies <- w.stats.Stats.copies + 1;
+    w.stats.Stats.copied_cells <- w.stats.Stats.copied_cells + !cells;
+    if Prof.live w.k.prof then Prof.copied w.k.prof !cells;
+    Metrics.hist_add w.shard.Metrics.s_copy_cells !cells;
+    Trace.record w.k.tbuf Trace.Copy !cells;
     Array.iteri (fun i (v : Term.var) -> v.Term.binding <- saved.(i)) seg;
     cp.cp_alts <- [];
     m.m_live <- m.m_live - 1;
-    if Prof.live w.k.prof then Prof.spawned w.k.prof (List.length tasks);
-    Trace.record w.k.tbuf Trace.Publish (List.length tasks);
-    List.iter
-      (fun task ->
-        (match task with
-         | Node { n_alts; _ } ->
-           Trace.record w.k.tbuf Trace.Task_spawn (List.length n_alts)
-         | Root _ | Slot _ -> ());
-        Atomic.incr w.sh.outstanding;
-        (* forced preemption between the accounting and the push widens the
-           window in which thieves observe outstanding > 0 with an empty
-           deque — the termination-detection corner under test *)
-        Chaos.preempt w.chaos;
-        Deque.push_bottom w.sh.deques.(w.w_id) task)
-      tasks
+    if Prof.live w.k.prof then Prof.spawned w.k.prof 1;
+    Trace.record w.k.tbuf Trace.Publish 1;
+    Trace.record w.k.tbuf Trace.Task_spawn (List.length n_alts);
+    Atomic.incr w.sh.outstanding;
+    (* forced preemption between the accounting and the push widens the
+       window in which thieves observe outstanding > 0 with an empty
+       deque — the termination-detection corner under test *)
+    Chaos.preempt w.chaos;
+    Deque.push_bottom w.sh.deques.(w.w_id)
+      (Node { n_goal = goal; n_alts; n_cont = cont })
 
 (* ------------------------------------------------------------------ *)
 (* Resolution (private, no synchronization)                            *)

@@ -6,25 +6,22 @@
    LPCO and shallow-parallelism optimizations of the paper are driven by.
 
    Indexing is fully integer-keyed: predicates are found by indexing an
-   array with their symbol id ({!Sym_index}) and first-argument buckets
-   sit under a key whose equality and hash touch only machine integers.
-   No string is compared or hashed anywhere on the lookup path — callers
-   resolve names through the symbol intern table at the (cold) API
-   boundary.
+   array with their symbol id ({!Sym_index}), and a switched argument is
+   read as two integers (a case tag and a value) that probe an
+   open-addressing case table.  No string is compared or hashed anywhere
+   on the lookup path — callers resolve names through the symbol intern
+   table at the (cold) API boundary.
 
-   Representation.  Each predicate keeps its clauses in per-key hash
-   buckets plus a separate list for variable-headed (Kany) clauses, so a
-   lookup touches only the clauses that survive indexing instead of
-   scanning the whole predicate.  Source order is reconstructed from
-   per-clause sequence numbers: [assertz] counts up, [asserta] counts
-   down, and a lookup merges the (sequence-sorted) bucket and Kany lists.
-   Both assert directions prepend to lists, so asserting N clauses costs
-   O(N) total — the old representation appended to a plain list, making
-   [assertz] of N clauses O(N²).
-
-   The compiled path selects clauses through a switch-on-term dispatch
-   tree instead (below), whose case tables are integer-keyed too and
-   whose walk allocates nothing.
+   Representation.  Each predicate keeps its clauses in two lists, the
+   asserta'd ones in source order and the assertz'd ones newest first,
+   so asserting N clauses costs O(N) in either direction.  {!freeze}
+   builds two case-table trees per predicate from them: a one-level
+   first-argument table, walked by the interpreted {!lookup}, and the
+   switch-on-term dispatch tree with deep argument indexing, walked by
+   the compiled {!lookup_code}.  Neither walk allocates.  Until the
+   next freeze, and always for a session overlay's own clauses (few,
+   and changing often), a lookup filters the clause list by one linear
+   first-argument test instead.
 
    The structure is mutated only at assert time; lookups are read-only, so
    a consulted program can be shared by concurrently running engine
@@ -32,36 +29,6 @@
 
 module Term = Ace_term.Term
 module Symbol = Ace_term.Symbol
-
-type key =
-  | Kany                      (* head first argument is a variable *)
-  | Kint of int
-  | Katom of Symbol.t
-  | Kstruct of Symbol.t * int
-
-(* Buckets dispatch on integers only: constructor tag, symbol id, arity.
-   The polymorphic hash/equality would walk the same data, but through
-   generic traversal; these monomorphic versions compile to straight-line
-   integer code. *)
-module Key = struct
-  type t = key
-
-  let equal a b =
-    match a, b with
-    | Kany, Kany -> true
-    | Kint x, Kint y -> x = y
-    | Katom x, Katom y -> Symbol.equal x y
-    | Kstruct (x, n), Kstruct (y, m) -> Symbol.equal x y && n = m
-    | (Kany | Kint _ | Katom _ | Kstruct _), _ -> false
-
-  let hash = function
-    | Kany -> 0
-    | Kint n -> (n lsl 2) lor 1
-    | Katom s -> (Symbol.id s lsl 2) lor 2
-    | Kstruct (s, n) -> (((Symbol.id s lsl 5) lxor n) lsl 2) lor 3
-end
-
-module KeyTbl = Hashtbl.Make (Key)
 
 (* Values filed under (symbol id, arity), in an array of chains at slot
    [id land (length - 1)] (the length is a power of two).  A dense index
@@ -119,23 +86,10 @@ module Sym_index = struct
     else file t.slots (id, arity, v)
 end
 
-let key_of_term t =
-  match Term.deref t with
-  | Term.Var _ -> Kany
-  | Term.Int n -> Kint n
-  | Term.Atom a -> Katom a
-  | Term.Struct (f, args) -> Kstruct (f, Array.length args)
+(* Switch-on-term case-table tree (built by {!freeze}, walked by
+   {!lookup}, {!lookup_code} and {!lookup_code_args}).
 
-(* Key compatibility (the old per-clause filter) is structural equality
-   between non-Kany keys, and always true when either side is Kany; the
-   bucket map below encodes exactly that relation. *)
-
-type entry = { seq : int; e_key : key; e_clause : Clause.t }
-
-(* Switch-on-term dispatch tree with deep argument indexing (built by
-   {!freeze}, walked by {!lookup_code} and {!lookup_code_args}).
-
-   A [Dswitch] discriminates on the subterm at [d_path] — a sequence of
+   A [Dswitch] discriminates on the subterm at [d_path] — an array of
    argument positions from the call's root, so paths longer than one
    look *inside* structure arguments, beyond the classic first-argument
    key.  Its case table maps each rigid key to the subtree over the
@@ -166,26 +120,13 @@ type dtree =
 type pred = {
   p_name : Symbol.t;
   p_arity : int;
-  mutable front : entry list;
-    (* asserta'd clauses, ascending [seq] (all negative) *)
-  mutable back_rev : entry list;
-    (* assertz'd clauses, descending [seq] (newest first) *)
-  mutable count : int;
-  mutable next_seq : int; (* next assertz sequence number (counts up) *)
-  mutable prev_seq : int; (* next asserta sequence number (counts down) *)
-  buckets : entry list KeyTbl.t;
-    (* non-Kany clauses by key, descending [seq] *)
-  mutable anys : entry list; (* Kany clauses, descending [seq] *)
-  (* Lookup caches, populated by {!freeze} and invalidated by asserts.
-     [lookup] never writes them, so a frozen database stays read-only and
-     can be shared across domains. *)
-  mutable all_cache : Clause.t list option; (* source-order clause list *)
-  mutable anys_cache : Clause.t list option;
-    (* ascending Kany clauses: the result for keys with no bucket *)
-  key_cache : Clause.t list KeyTbl.t; (* merged bucket + anys per key *)
-  mutable dtree : dtree option;
-    (* deep-indexing dispatch tree for the compiled path; built by
-       {!freeze}, invalidated by asserts *)
+  mutable front : Clause.t list; (* asserta'd clauses, source order *)
+  mutable back_rev : Clause.t list; (* assertz'd clauses, newest first *)
+  (* Indexes, built by {!freeze} on a database without a base and
+     dropped by asserts.  Lookups never write them, so a frozen database
+     stays read-only and can be shared across domains. *)
+  mutable first_arg : dtree option; (* one-level first-argument table *)
+  mutable dtree : dtree option; (* deep-indexing dispatch tree *)
 }
 
 type t = {
@@ -194,11 +135,12 @@ type t = {
        assert (never once frozen and shared); sparse on an overlay,
        holding the session's own predicates *)
   mutable frozen : bool;
-    (* caches are complete and the database is read-only; cleared by
-       asserts, making a second {!freeze} O(1) *)
+    (* indexes are built (on an overlay: clauses are compiled) and the
+       database is read-only; cleared by asserts, making a second
+       {!freeze} O(1) *)
   freeze_lock : Mutex.t;
-    (* serializes cache construction: two sessions freezing the shared
-       base concurrently must not race the dispatch-tree build *)
+    (* serializes index construction: two sessions freezing the shared
+       base concurrently must not race the build *)
   tabled : unit Sym_index.t;
     (* predicates declared [:- table name/arity].  Registered at consult
        time, read-only afterwards.  An overlay shares its base's
@@ -227,12 +169,6 @@ let create () =
     removed = [];
   }
 
-let clause_key clause =
-  match Term.deref clause.Clause.head with
-  | Term.Struct (_, args) when Array.length args > 0 -> key_of_term args.(0)
-  | Term.Struct _ | Term.Atom _ -> Kany
-  | Term.Int _ | Term.Var _ -> assert false
-
 let find_pred_sym db sym arity = Sym_index.find db.preds (Symbol.id sym) arity
 
 let find_pred db name arity = find_pred_sym db (Symbol.intern name) arity
@@ -247,96 +183,41 @@ let get_pred db sym arity =
         p_arity = arity;
         front = [];
         back_rev = [];
-        count = 0;
-        next_seq = 0;
-        prev_seq = -1;
-        buckets = KeyTbl.create 8;
-        anys = [];
-        all_cache = None;
-        anys_cache = None;
-        key_cache = KeyTbl.create 8;
+        first_arg = None;
         dtree = None;
       }
     in
     Sym_index.add db.preds (Symbol.id sym) arity p;
     p
 
-(* Files an entry under its index key.  [at_front] distinguishes the
-   asserta direction, whose (descending-sorted) bucket position is the
-   tail — an O(bucket) insertion, acceptable because asserta is rare and
-   the cost is bounded by the matching clauses, not the predicate. *)
-let index_entry p entry ~at_front =
-  match entry.e_key with
-  | Kany ->
-    if at_front then p.anys <- p.anys @ [ entry ]
-    else p.anys <- entry :: p.anys
-  | key ->
-    let bucket = Option.value ~default:[] (KeyTbl.find_opt p.buckets key) in
-    let bucket = if at_front then bucket @ [ entry ] else entry :: bucket in
-    KeyTbl.replace p.buckets key bucket
-
-let invalidate p =
-  p.all_cache <- None;
-  p.anys_cache <- None;
-  p.dtree <- None;
-  KeyTbl.reset p.key_cache
+let invalidate db p =
+  db.frozen <- false;
+  p.first_arg <- None;
+  p.dtree <- None
 
 let assertz db clause =
   let sym, arity = Clause.functor_arity clause in
   let p = get_pred db sym arity in
-  let entry = { seq = p.next_seq; e_key = clause_key clause; e_clause = clause } in
-  p.next_seq <- p.next_seq + 1;
-  p.back_rev <- entry :: p.back_rev;
-  p.count <- p.count + 1;
-  db.frozen <- false;
-  invalidate p;
-  index_entry p entry ~at_front:false
+  p.back_rev <- clause :: p.back_rev;
+  invalidate db p
 
 let asserta db clause =
   let sym, arity = Clause.functor_arity clause in
   let p = get_pred db sym arity in
-  let entry = { seq = p.prev_seq; e_key = clause_key clause; e_clause = clause } in
-  p.prev_seq <- p.prev_seq - 1;
-  p.front <- entry :: p.front;
-  p.count <- p.count + 1;
-  db.frozen <- false;
-  invalidate p;
-  index_entry p entry ~at_front:true
+  p.front <- clause :: p.front;
+  invalidate db p
 
-(* All clauses in source order: the ascending front then the reversed
-   back. *)
-let all_entries p = p.front @ List.rev p.back_rev
+(* All clauses in source order. *)
+let all_clauses p = p.front @ List.rev p.back_rev
+
+let holds_clauses p =
+  match p.front, p.back_rev with [], [] -> false | _ -> true
 
 let clauses_of db name arity =
-  match find_pred db name arity with
-  | None -> []
-  | Some p -> List.map (fun e -> e.e_clause) (all_entries p)
-
-(* Merges two descending-[seq] entry lists into one ascending clause list:
-   source order, O(length of the inputs) — i.e. proportional to the
-   clauses that survive indexing, never to the whole predicate. *)
-let merge_desc a b =
-  let rec go a b acc =
-    match a, b with
-    | [], [] -> acc
-    | x :: xs, [] -> go xs [] (x.e_clause :: acc)
-    | [], y :: ys -> go [] ys (y.e_clause :: acc)
-    | x :: xs, y :: ys ->
-      if x.seq > y.seq then go xs b (x.e_clause :: acc)
-      else go a ys (y.e_clause :: acc)
-  in
-  go a b []
-
-let entry_clauses entries = List.map (fun e -> e.e_clause) entries
-
-(* All clauses in source order: the freeze cache when it is built. *)
-let all_clauses p =
-  match p.all_cache with
-  | Some clauses -> clauses
-  | None -> entry_clauses (all_entries p)
+  match find_pred db name arity with None -> [] | Some p -> all_clauses p
 
 (* ------------------------------------------------------------------ *)
-(* Deep-indexing dispatch tree (compiled execution path)               *)
+(* Case keys, tables and the walk                                      *)
 (* ------------------------------------------------------------------ *)
 
 let case_tag = function
@@ -396,17 +277,38 @@ let rec walk tree (args : Term.t array) =
       let s = slot sw.d_keys tag (case_value t) in
       if sw.d_keys.(2 * s) = 0 then sw.d_anys else walk sw.d_subs.(s) args
 
+let head_args clause =
+  match Term.deref clause.Clause.head with
+  | Term.Struct (_, args) -> args
+  | Term.Atom _ | Term.Int _ | Term.Var _ -> [||]
+
+(* The one linear first-argument test, for clauses no freeze has
+   indexed: those of [clauses] (kept in order) whose head's first
+   argument can match the call's, whose arguments are the first cells
+   of [args].  It drops what the first-argument table drops. *)
+let first_arg_filter arity (args : Term.t array) clauses =
+  let a = if arity = 0 then unbound else Term.deref args.(0) in
+  let tag = case_tag a in
+  if tag = 0 then clauses
+  else
+    let v = case_value a in
+    List.filter
+      (fun c ->
+        let h = Term.deref (head_args c).(0) in
+        let t = case_tag h in
+        t = 0 || (t = tag && case_value h = v))
+      clauses
+
+(* ------------------------------------------------------------------ *)
+(* Building the case-table trees                                       *)
+(* ------------------------------------------------------------------ *)
+
 (* Bounds on tree construction: paths never look more than [max_depth]
    positions into the call, and a node tracks at most [max_paths]
    candidate paths.  Both cap build time on wide fact tables while
    leaving typical recursive predicates fully discriminated. *)
 let max_depth = 3
 let max_paths = 8
-
-let head_args clause =
-  match Term.deref clause.Clause.head with
-  | Term.Struct (_, args) -> args
-  | Term.Atom _ | Term.Int _ | Term.Var _ -> [||]
 
 (* The clauses of one node grouped by their key at a path: clause [e]
    falls in case [which.(e)] (-1: a variable at the path), case [k]'s
@@ -452,6 +354,12 @@ let group heads path =
     heads;
   { which; keys; cases = !cases; worst = !worst; anys = !anys }
 
+let first_path = [| 0 |]
+
+(* The grouping of clauses [cl] (source order) by first argument; the
+   first-argument table is built from it. *)
+let group_first cl = group (Array.map head_args cl) first_path
+
 (* Two ascending lists of clause positions merged, source order. *)
 let rec merge a b =
   match (a, b) with
@@ -460,9 +368,52 @@ let rec merge a b =
 
 let empty_leaf = Dleaf (Some [])
 
-(* Builds the tree over [clauses] (source order).  A path is worth
-   switching on when it has at least two distinct rigid keys and every
-   case strictly shrinks (largest case + variable-keyed clauses <
+(* A switch at [path] over [clauses] (source order; [cl] the same as an
+   array), grouped as [g].  Each case's subtree is [sub tag compatible],
+   [compatible] being the clauses that can match the case's key (tag
+   [tag]), in source order. *)
+let switch clauses cl path g sub =
+  let n = Array.length cl in
+  let cases = Array.make g.cases [] and anys = ref [] in
+  for e = n - 1 downto 0 do
+    let k = g.which.(e) in
+    if k < 0 then anys := e :: !anys else cases.(k) <- e :: cases.(k)
+  done;
+  let anys = !anys in
+  let pick positions = List.map (fun e -> cl.(e)) positions in
+  let cap = slot_count g.cases in
+  let keys = Array.make (2 * cap) 0 and subs = Array.make cap empty_leaf in
+  for k = 0 to g.cases - 1 do
+    let tag = g.keys.(2 * k) and v = g.keys.((2 * k) + 1) in
+    let s = slot keys tag v in
+    keys.(2 * s) <- tag;
+    keys.((2 * s) + 1) <- v;
+    subs.(s) <- sub tag (pick (merge cases.(k) anys))
+  done;
+  Dswitch
+    {
+      d_path = path;
+      d_keys = keys;
+      d_subs = subs;
+      d_anys = Some (pick anys);
+      d_all = Some clauses;
+    }
+
+(* The interpreted path's index: one switch on argument 1 whenever any
+   head has a rigid first argument, however little that discriminates,
+   so a call keeps exactly the clauses the linear test keeps ([p(a).
+   p(X).] called as [p(b)] gets [p(X)] alone). *)
+let build_first_arg p clauses =
+  if p.p_arity = 0 then Dleaf (Some clauses)
+  else
+    let cl = Array.of_list clauses in
+    let g = group_first cl in
+    if g.cases = 0 then Dleaf (Some clauses)
+    else switch clauses cl first_path g (fun _ picked -> Dleaf (Some picked))
+
+(* Builds the dispatch tree over [clauses] (source order).  A path is
+   worth switching on when it has at least two distinct rigid keys and
+   every case strictly shrinks (largest case + variable-keyed clauses <
    total).  Each structure case adds the positions inside that
    structure as new candidate paths — that is the deep indexing.
 
@@ -485,131 +436,53 @@ let rec build_dtree clauses paths =
       | path :: rest ->
         let g = group heads path in
         if g.cases >= 2 && g.worst + g.anys < n then
-          switch clauses cl paths path g
+          let rest_paths = List.filter (fun p -> p != path) paths in
+          switch clauses cl path g (fun tag picked ->
+              let sub_paths =
+                if tag land 3 = 3 && Array.length path < max_depth then
+                  let ext =
+                    List.init (tag lsr 2) (fun j -> Array.append path [| j |])
+                  in
+                  List.filteri (fun i _ -> i < max_paths) (ext @ rest_paths)
+                else rest_paths
+              in
+              build_dtree picked sub_paths)
         else first rest
     in
     first paths
 
-and switch clauses cl paths path g =
-  let n = Array.length cl in
-  let cases = Array.make g.cases [] and anys = ref [] in
-  for e = n - 1 downto 0 do
-    let k = g.which.(e) in
-    if k < 0 then anys := e :: !anys else cases.(k) <- e :: cases.(k)
-  done;
-  let anys = !anys in
-  let pick positions = List.map (fun e -> cl.(e)) positions in
-  let rest_paths = List.filter (fun p -> p != path) paths in
-  let cap = slot_count g.cases in
-  let keys = Array.make (2 * cap) 0 and subs = Array.make cap empty_leaf in
-  for k = 0 to g.cases - 1 do
-    let tag = g.keys.(2 * k) and v = g.keys.((2 * k) + 1) in
-    let sub_paths =
-      if tag land 3 = 3 && Array.length path < max_depth then
-        let ext = List.init (tag lsr 2) (fun j -> Array.append path [| j |]) in
-        List.filteri (fun i _ -> i < max_paths) (ext @ rest_paths)
-      else rest_paths
-    in
-    let s = slot keys tag v in
-    keys.(2 * s) <- tag;
-    keys.((2 * s) + 1) <- v;
-    subs.(s) <- build_dtree (pick (merge cases.(k) anys)) sub_paths
-  done;
-  Dswitch
-    {
-      d_path = path;
-      d_keys = keys;
-      d_subs = subs;
-      d_anys = Some (pick anys);
-      d_all = Some clauses;
-    }
-
-let build_pred_dtree p =
-  build_dtree (all_clauses p) (List.init p.p_arity (fun i -> [| i |]))
-
 (* ------------------------------------------------------------------ *)
-(* Lookups                                                             *)
+(* Freezing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* First-argument indexing of a call whose arguments are the first
-   cells of [args] (a goal's, or a register file that may be longer). *)
-let indexed p (args : Term.t array) =
-  if p.p_arity = 0 then all_clauses p
-  else
-    match key_of_term args.(0) with
-    | Kany -> all_clauses p
-    | key -> (
-      match KeyTbl.find_opt p.key_cache key with
-      | Some clauses -> clauses
-      | None -> (
-        match KeyTbl.find_opt p.buckets key with
-        | None -> (
-          (* no bucket: the result is exactly the Kany clauses *)
-          match p.anys_cache with
-          | Some anys -> anys
-          | None -> merge_desc [] p.anys)
-        | Some bucket -> merge_desc bucket p.anys))
-
-let goal_args call =
-  match Term.deref call with
-  | Term.Struct (_, args) -> args
-  | Term.Atom _ | Term.Int _ | Term.Var _ -> Code.no_args
-
-(* Candidate clauses for a call, filtered by first-argument indexing.
-   Returns [None] when the predicate is undefined (distinct from defined
-   with no matching clause). *)
-let lookup db call =
-  match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup: callable expected"
-  | Some (sym, arity) -> (
-    match find_pred_sym db sym arity with
-    | None -> None
-    | Some p -> Some (indexed p (goal_args call)))
-
-(* Candidate clauses via the dispatch tree — the compiled path's
-   {!lookup}, rooted at an argument array.  Falls back to first-argument
-   indexing when the database has not been frozen (never mutates, so a
-   frozen database stays shareable across domains). *)
-let lookup_code_args db sym arity (args : Term.t array) =
-  match find_pred_sym db sym arity with
-  | None -> None
-  | Some p -> (
-    match p.dtree with
-    | Some tree -> walk tree args
-    | None -> Some (indexed p args))
-
-(* Precomputes every lookup result reachable from the current clause set,
-   so subsequent lookups are pure reads — safe to share across domains
-   (the next assert invalidates, so freeze again after updates).  Also
-   builds the dispatch trees and precompiles every clause to instruction
-   code, so parallel workers on the compiled path never write.
-
-   Idempotent: O(1) on an already-frozen database, so per-query freezing
-   (as the engine front end does) costs nothing after the first. *)
+(* Builds every predicate's first-argument table and dispatch tree, so
+   later lookups are pure reads — safe to share across domains (the
+   next assert drops the affected predicate's, so freeze again after
+   updates) — and precompiles every clause to instruction code, so
+   parallel workers on the compiled path never write.  An overlay's
+   own clauses are only compiled: its lookups filter them linearly. *)
 let freeze_preds db =
   Sym_index.fold
     (fun _ _ p () ->
-      p.all_cache <- Some (List.map (fun e -> e.e_clause) (all_entries p));
-      p.anys_cache <- Some (merge_desc [] p.anys);
-      KeyTbl.reset p.key_cache;
-      KeyTbl.iter
-        (fun key bucket ->
-          KeyTbl.replace p.key_cache key (merge_desc bucket p.anys))
-        p.buckets;
-      p.dtree <- Some (build_pred_dtree p);
-      List.iter
-        (fun e -> ignore (Code.of_clause e.e_clause))
-        (all_entries p))
+      let clauses = all_clauses p in
+      if db.base = None then begin
+        p.first_arg <- Some (build_first_arg p clauses);
+        p.dtree <-
+          Some (build_dtree clauses (List.init p.p_arity (fun i -> [| i |])))
+      end;
+      List.iter (fun c -> ignore (Code.of_clause c)) clauses)
     db.preds ()
 
+(* Idempotent: O(1) on an already-frozen database, so per-query freezing
+   (as the engine front end does) costs nothing after the first. *)
 let rec freeze db =
   (match db.base with Some b -> freeze b | None -> ());
   (* Double-checked under the lock, and the flag is set only AFTER the
-     caches are built: a concurrent freezer that loses the race blocks on
-     the mutex until the build is done, and one that reads [frozen =
-     true] without the lock can only do so once the caches are complete.
-     (The unlocked fast path makes the per-query re-freeze of an
-     already-frozen database one load, as before.) *)
+     indexes are built: a concurrent freezer that loses the race blocks
+     on the mutex until the build is done, and one that reads [frozen =
+     true] without the lock can only do so once the indexes are
+     complete.  (The unlocked fast path makes the per-query re-freeze of
+     an already-frozen database one load.) *)
   if not db.frozen then begin
     Mutex.lock db.freeze_lock;
     match
@@ -634,7 +507,7 @@ let overlay b =
   freeze b;
   {
     preds = Sym_index.create ~dense:false;
-    frozen = true; (* nothing to cache yet *)
+    frozen = true; (* nothing to compile yet *)
     freeze_lock = Mutex.create ();
     tabled = b.tabled; (* shared: sessions never declare tables *)
     has_tabled = b.has_tabled;
@@ -643,24 +516,6 @@ let overlay b =
   }
 
 let base db = db.base
-
-(* The overlay's own entries surviving first-argument indexing for
-   [key], ascending seq.  Overlays are small and mutate often, so this
-   reads the buckets directly instead of the freeze caches. *)
-let overlay_entries p key =
-  match key with
-  | Kany -> all_entries p
-  | key ->
-    let bucket = Option.value ~default:[] (KeyTbl.find_opt p.buckets key) in
-    let rec go a b acc =
-      match a, b with
-      | [], [] -> acc
-      | x :: xs, [] -> go xs [] (x :: acc)
-      | [], y :: ys -> go [] ys (y :: acc)
-      | x :: xs, y :: ys ->
-        if x.seq > y.seq then go xs b (x :: acc) else go a ys (y :: acc)
-    in
-    go bucket p.anys []
 
 (* The base's answer without this session's tombstones. *)
 let visible db = function
@@ -671,20 +526,19 @@ let visible db = function
     | removed -> List.filter (fun c -> not (List.memq c removed)) bs)
 
 (* The session view of one lookup, in overlay source order: asserta'd
-   session clauses (negative seq), then the base's (cached, indexed)
-   answer with this session's tombstones filtered out, then assertz'd
-   session clauses.  [None] exactly when neither side defines the
-   predicate.  The session's first-argument key is computed only when
-   it holds clauses of the predicate; when it holds none and has no
-   tombstones, the view is the base's answer itself, not a copy. *)
-let overlay_view db p_opt arity (args : Term.t array) base_part =
-  match p_opt, base_part, db.removed with
-  | Some p, _, _ when p.count > 0 ->
-    let key = if arity = 0 then Kany else key_of_term args.(0) in
-    let front, back =
-      List.partition (fun e -> e.seq < 0) (overlay_entries p key)
-    in
-    Some (entry_clauses front @ visible db base_part @ entry_clauses back)
+   session clauses, then the base's (indexed) answer with this
+   session's tombstones filtered out, then assertz'd session clauses,
+   both session parts through the linear first-argument test.  [None]
+   exactly when neither side defines the predicate.  When the session
+   holds no clause of the predicate and has no tombstones, the view is
+   the base's answer itself, not a copy. *)
+let overlay_view db own arity (args : Term.t array) base_part =
+  match own, base_part, db.removed with
+  | Some p, _, _ when holds_clauses p ->
+    Some
+      (first_arg_filter arity args p.front
+      @ visible db base_part
+      @ first_arg_filter arity args (List.rev p.back_rev))
   | None, None, _ -> None
   | _, Some _, [] -> base_part
   | _ -> Some (visible db base_part)
@@ -695,56 +549,64 @@ let overlay_view db p_opt arity (args : Term.t array) base_part =
    [false] when [c] is a base clause. *)
 let remove_own db c =
   let sym, arity = Clause.functor_arity c in
+  let drop = List.filter (fun c' -> c' != c) in
   match find_pred_sym db sym arity with
-  | None -> false
+  | Some p when List.memq c p.front ->
+    p.front <- drop p.front;
+    invalidate db p;
+    true
+  | Some p when List.memq c p.back_rev ->
+    p.back_rev <- drop p.back_rev;
+    invalidate db p;
+    true
+  | Some _ | None -> false
+
+(* ------------------------------------------------------------------ *)
+(* Lookups                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The linear test over all of [p]'s clauses, until the next freeze;
+   out of line, so the frozen path's bodies stay small. *)
+let[@inline never] unindexed p (args : Term.t array) =
+  Some (first_arg_filter p.p_arity args (all_clauses p))
+
+(* One database's own candidates for a call whose arguments are the
+   first cells of [args]: a walk of the predicate's dispatch tree
+   ([code]) or first-argument table once frozen, the linear test
+   before.  [None] when the predicate is undefined (distinct from
+   defined with no matching clause). *)
+let candidates db ~code sym arity (args : Term.t array) =
+  match find_pred_sym db sym arity with
+  | None -> None
   | Some p -> (
-    match List.find_opt (fun e -> e.e_clause == c) (all_entries p) with
-    | None -> false
-    | Some e ->
-      let drop = List.filter (fun e' -> e' != e) in
-      if e.seq < 0 then p.front <- drop p.front
-      else p.back_rev <- drop p.back_rev;
-      (match e.e_key with
-       | Kany -> p.anys <- drop p.anys
-       | key -> (
-         match drop (KeyTbl.find p.buckets key) with
-         | [] -> KeyTbl.remove p.buckets key
-         | bucket -> KeyTbl.replace p.buckets key bucket));
-      p.count <- p.count - 1;
-      db.frozen <- false;
-      invalidate p;
-      true)
+    match if code then p.dtree else p.first_arg with
+    | Some tree -> walk tree args
+    | None -> unindexed p args)
 
-(* Overlay-aware public lookups, shadowing the direct versions above.
-   A database without a base pays exactly one extra load and branch;
-   an overlay merges its (bucket-indexed) delta around the base's
-   answer, never touching the base's caches.  The compiled-path
-   variants run the base through its dispatch tree and filter the
-   overlay part by first-argument key only — both filters drop only
-   provably non-unifiable clauses, so the combination is still sound. *)
-
-let direct_lookup = lookup
-let direct_lookup_code_args = lookup_code_args
-
-let lookup db call =
+(* A database without a base pays one load and branch for overlays; an
+   overlay merges its own clauses around the base's answer, never
+   touching the base's indexes.  On the compiled path the base's part
+   comes through its dispatch tree and the session's through the
+   first-argument test — both drop only provably non-unifiable clauses,
+   so the combination is still sound. *)
+let lookup_args db ~code sym arity (args : Term.t array) =
   match db.base with
-  | None -> direct_lookup db call
-  | Some b -> (
-    match Term.functor_of (Term.deref call) with
-    | None -> invalid_arg "Database.lookup: callable expected"
-    | Some (sym, arity) ->
-      overlay_view db
-        (find_pred_sym db sym arity)
-        arity (goal_args call) (direct_lookup b call))
-
-let lookup_code_args db sym arity (args : Term.t array) =
-  match db.base with
-  | None -> direct_lookup_code_args db sym arity args
+  | None -> candidates db ~code sym arity args
   | Some b ->
     overlay_view db
       (find_pred_sym db sym arity)
       arity args
-      (direct_lookup_code_args b sym arity args)
+      (candidates b ~code sym arity args)
+
+let lookup db call =
+  match Term.deref call with
+  | Term.Struct (sym, args) ->
+    lookup_args db ~code:false sym (Array.length args) args
+  | Term.Atom sym -> lookup_args db ~code:false sym 0 Code.no_args
+  | Term.Int _ | Term.Var _ -> invalid_arg "Database.lookup: callable expected"
+
+let lookup_code_args db sym arity (args : Term.t array) =
+  lookup_args db ~code:true sym arity args
 
 let lookup_code db call =
   match Term.deref call with
@@ -788,15 +650,11 @@ let clauses_of db name arity =
       | [] -> fun _ -> true
       | removed -> fun c -> not (List.memq c removed)
     in
-    let split =
+    let front, back =
       match find_pred db name arity with
       | None -> ([], [])
-      | Some p ->
-        let f, bk = List.partition (fun e -> e.seq < 0) (all_entries p) in
-        ( List.map (fun e -> e.e_clause) f,
-          List.map (fun e -> e.e_clause) bk )
+      | Some p -> (p.front, List.rev p.back_rev)
     in
-    let front, back = split in
     List.filter keep (front @ clauses_of b name arity @ back)
 
 (* ------------------------------------------------------------------ *)
@@ -815,9 +673,10 @@ let is_tabled db sym arity =
 let is_tabled_goal db goal =
   db.has_tabled
   &&
-  match Term.functor_of (Term.deref goal) with
-  | Some (sym, arity) -> is_tabled db sym arity
-  | None -> false
+  match Term.deref goal with
+  | Term.Struct (sym, args) -> is_tabled db sym (Array.length args)
+  | Term.Atom sym -> is_tabled db sym 0
+  | Term.Int _ | Term.Var _ -> false
 
 let tabled_preds db =
   Sym_index.fold
@@ -836,7 +695,11 @@ let predicates db =
   |> List.sort_uniq compare
 
 let total_clauses db =
-  let clauses db = Sym_index.fold (fun _ _ p acc -> acc + p.count) db.preds 0 in
+  let clauses db =
+    Sym_index.fold
+      (fun _ _ p acc -> acc + List.length p.front + List.length p.back_rev)
+      db.preds 0
+  in
   match db.base with
   | None -> clauses db
   | Some b -> clauses db + clauses b - List.length db.removed
@@ -847,10 +710,9 @@ let tombstones db = List.length db.removed
    clauses can match the same (non-variable) first argument.  Used by the
    analysis library and by LPCO's applicability conditions.
 
-   Two non-Kany keys are compatible exactly when they are equal, i.e. when
-   they share a bucket — so with two or more clauses the predicate is
-   exclusive iff no clause is variable-headed and every bucket is a
-   singleton. *)
+   Two rigid first arguments are compatible exactly when they fall in
+   one case of the first-argument grouping, so with two or more clauses
+   the predicate is exclusive iff every clause has a case of its own. *)
 let rec first_arg_exclusive db name arity =
   match find_pred db name arity with
   | None -> (
@@ -861,10 +723,9 @@ let rec first_arg_exclusive db name arity =
     | _ -> false)
   | Some _ when db.base <> None ->
     false (* session clauses may overlap the base's: stay conservative *)
-  | Some p ->
-    p.count <= 1
-    || (p.anys = []
-        && KeyTbl.fold
-             (fun _ bucket ok ->
-               ok && match bucket with [ _ ] -> true | _ -> false)
-             p.buckets true)
+  | Some p -> (
+    match all_clauses p with
+    | [] | [ _ ] -> true
+    | clauses ->
+      let cl = Array.of_list clauses in
+      p.p_arity > 0 && (group_first cl).cases = Array.length cl)

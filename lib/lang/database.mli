@@ -3,7 +3,10 @@
     Indexing is what makes runtime determinacy observable to the engines:
     a call with a single surviving clause allocates no choice point, which
     is the trigger condition for the paper's LPCO and shallow-parallelism
-    optimizations. *)
+    optimizations.  {!freeze} builds each predicate's indexes, a
+    first-argument case table ({!lookup}) and a switch-on-term dispatch
+    tree ({!lookup_code}); on a frozen database neither lookup
+    allocates. *)
 
 type t
 
@@ -17,17 +20,22 @@ val mem : t -> string -> int -> bool
 (** Clauses of a predicate in source order (no indexing). *)
 val clauses_of : t -> string -> int -> Clause.t list
 
-(** Candidate clauses for a call after first-argument indexing; [None] when
-    the predicate is undefined. *)
+(** Candidate clauses for a call after first-argument indexing, in
+    source order: exactly the clauses whose head's first argument can
+    match the call's (an unbound argument on either side matches
+    anything; rigid ones match when they are the same integer or atom,
+    or structures of one name and arity).  [None] when the predicate is
+    undefined.  On a frozen database, and through an overlay holding no
+    clause of the predicate and no tombstone, it allocates nothing. *)
 val lookup : t -> Ace_term.Term.t -> Clause.t list option
 
 (** Candidate clauses for a call through the switch-on-term dispatch tree
     with deep argument indexing (the compiled path's {!lookup}); built by
-    {!freeze}, falls back to {!lookup} on an unfrozen database.  Like
-    {!lookup}, [None] means the predicate is undefined, and the result is
-    in source order — only provably non-unifiable clauses are filtered
-    out, so solution sets are unchanged (choice-point counts may
-    shrink). *)
+    {!freeze}, falls back to {!lookup}'s first-argument test on an
+    unfrozen database.  Like {!lookup}, [None] means the predicate is
+    undefined, and the result is in source order — only provably
+    non-unifiable clauses are filtered out, so solution sets are
+    unchanged (choice-point counts may shrink). *)
 val lookup_code : t -> Ace_term.Term.t -> Clause.t list option
 
 (** {!lookup_code} with the call spread in a register file (the
@@ -38,12 +46,14 @@ val lookup_code : t -> Ace_term.Term.t -> Clause.t list option
 val lookup_code_args :
   t -> Ace_term.Symbol.t -> int -> Ace_term.Term.t array -> Clause.t list option
 
-(** Precomputes every {!lookup} result so later lookups are allocation-free
-    pure reads (safe to share across domains).  Asserting invalidates the
-    affected predicate; freeze again after updates.  Idempotent, and
-    thread-safe: concurrent freezes serialize on an internal lock and the
-    frozen flag is published only after the caches (including the
-    dispatch trees) are completely built, so two sessions freezing the
+(** Builds every predicate's first-argument table and dispatch tree, so
+    later lookups are allocation-free pure reads (safe to share across
+    domains), and compiles every clause.  Asserting drops the affected
+    predicate's indexes; freeze again after updates.  On a session
+    overlay it only compiles the session's own clauses, which lookups
+    filter linearly.  Idempotent, and thread-safe: concurrent freezes
+    serialize on an internal lock and the frozen flag is published only
+    after the indexes are completely built, so two sessions freezing the
     same base cannot race the build or observe a half-built index. *)
 val freeze : t -> unit
 
@@ -69,10 +79,10 @@ val base : t -> t option
 (** [retract db pattern] removes the first clause of the session view
     (overlay [asserta]s, then base, then overlay [assertz]s) whose
     [H :- B] term unifies with [pattern]'s; returns [false] when no
-    clause matches.  Candidates come from the first-argument index on
-    the pattern's head, so the cost follows the matching clauses, not
-    the predicate's size.  Overlay-only: raises [Invalid_argument] on a
-    database without a base. *)
+    clause matches.  Candidates come from {!lookup} on the pattern's
+    head, so only clauses whose first argument can match are unified.
+    Overlay-only: raises [Invalid_argument] on a database without a
+    base. *)
 val retract : t -> Clause.t -> bool
 
 (** Registers a predicate for SLG tabling (the [:- table name/arity]

@@ -21,10 +21,6 @@ type t = {
        copy) only if it still has at least this many untried alternatives;
        smaller nodes are kept for private backtracking.  1 = publish
        anything (no granularity control). *)
-  chunk : int;
-    (* or-parallel chunking: a published node's alternatives are shipped
-       in tasks of at most this many alternatives each, so several thieves
-       can share one wide node.  0 = all alternatives in one task. *)
   compile : bool;
     (* sequential engine only: execute flat clause code (get/unify/put
        instructions) through the switch-on-term dispatch tree instead of
@@ -50,7 +46,6 @@ let default =
     par_and = false;
     seq_threshold = 0;
     grain = 1;
-    chunk = 0;
     compile = false;
     table_max_answers = 0;
     cost = Cost.default;
@@ -69,7 +64,6 @@ let check t =
   if t.agents < 1 then Error ("agents", 1)
   else if t.seq_threshold < 0 then Error ("seq_threshold", 0)
   else if t.grain < 1 then Error ("grain", 1)
-  else if t.chunk < 0 then Error ("chunk", 0)
   else if t.table_max_answers < 0 then Error ("table_max_answers", 0)
   else
     match t.max_solutions with
@@ -89,7 +83,6 @@ let pp ppf t =
     @ flag "par_and" t.par_and
     @ (if t.seq_threshold > 0 then [ Printf.sprintf "gc=%d" t.seq_threshold ] else [])
     @ (if t.grain > 1 then [ Printf.sprintf "grain=%d" t.grain ] else [])
-    @ (if t.chunk > 0 then [ Printf.sprintf "chunk=%d" t.chunk ] else [])
     @ (if t.table_max_answers > 0 then
          [ Printf.sprintf "table_max=%d" t.table_max_answers ]
        else [])

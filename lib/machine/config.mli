@@ -17,9 +17,6 @@ type t = {
   grain : int;
       (** or-parallel granularity: publish a choice point only if it still
           has at least this many untried alternatives (1 = no control) *)
-  chunk : int;
-      (** or-parallel chunking: at most this many alternatives per
-          published task (0 = whole node in one task) *)
   compile : bool;
       (** sequential engine only: run clauses as flat instruction code
           through the switch-on-term dispatch tree; off by default (the

@@ -172,7 +172,11 @@ let test_dispatch_solutions () =
    literal.  Every compiled lookup must be a source-order subsequence of
    the predicate that holds each clause whose renamed head unifies with
    the call, and the goal-rooted and register-rooted lookups must return
-   the same list. *)
+   the same list.  The interpreted lookup must return exactly the
+   clauses whose first argument is compatible with the call's, in
+   source order (the simulators' cycle counts depend on it): before
+   freeze, after it, and through a session overlay that asserta's,
+   assertz's and retracts clauses. *)
 let random_term rng depth =
   let leaf () =
     match Random.State.int rng 10 with
@@ -197,6 +201,23 @@ let random_term rng depth =
   in
   go depth
 
+(* Whether clause [c]'s first argument can match [call]'s, written from
+   the terms alone: a variable on either side, the same integer or
+   atom, or structures of one name and arity. *)
+let first_arg_compatible call c =
+  let arg1 t =
+    match Term.deref t with
+    | Term.Struct (_, args) -> Term.deref args.(0)
+    | _ -> Alcotest.fail "k/3 expected"
+  in
+  match (arg1 c.Clause.head, arg1 call) with
+  | Term.Var _, _ | _, Term.Var _ -> true
+  | Term.Int a, Term.Int b -> a = b
+  | Term.Atom a, Term.Atom b -> Ace_term.Symbol.equal a b
+  | Term.Struct (f, xs), Term.Struct (g, ys) ->
+    Ace_term.Symbol.equal f g && Array.length xs = Array.length ys
+  | _ -> false
+
 let dispatch_complete_prop =
   Test_util.qcheck ~count:300 "dispatch: complete and in source order"
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -209,7 +230,21 @@ let dispatch_complete_prop =
       for _ = 1 to 2 + Random.State.int rng 24 do
         Database.assertz db (Clause.of_term (k3 ()))
       done;
+      let calls = List.init 30 (fun _ -> k3 ()) in
+      let interpreted_exact db =
+        let all = Database.clauses_of db "k" 3 in
+        List.for_all
+          (fun call ->
+            match Database.lookup db call with
+            | Some found ->
+              List.equal ( == ) found
+                (List.filter (first_arg_compatible call) all)
+            | None -> false)
+          calls
+      in
+      let unfrozen = interpreted_exact db in
       Database.freeze db;
+      let frozen = interpreted_exact db in
       let all = Database.clauses_of db "k" 3 in
       let rec subsequence xs ys =
         match (xs, ys) with
@@ -218,30 +253,41 @@ let dispatch_complete_prop =
         | x :: xs', y :: ys' ->
           if x == y then subsequence xs' ys' else subsequence xs ys'
       in
-      List.for_all
-        (fun _ ->
-          let call = k3 () in
-          let args =
-            match call with Term.Struct (_, a) -> a | _ -> assert false
-          in
-          (* a register file may be longer than the call *)
-          let regs = Array.append args [| Term.atom "junk"; Term.Int 7 |] in
-          let sym = Ace_term.Symbol.intern "k" in
-          match
-            ( Database.lookup_code db call,
-              Database.lookup_code_args db sym 3 regs )
-          with
-          | Some found, Some found_regs ->
-            let matching c =
-              Ace_term.Unify.matches (fst (Clause.rename_head c)) call
+      let compiled =
+        List.for_all
+          (fun call ->
+            let args =
+              match call with Term.Struct (_, a) -> a | _ -> assert false
             in
-            List.equal ( == ) found found_regs
-            && subsequence found all
-            && List.for_all
-                 (fun c -> (not (matching c)) || List.memq c found)
-                 all
-          | _ -> false)
-        (List.init 30 Fun.id))
+            (* a register file may be longer than the call *)
+            let regs = Array.append args [| Term.atom "junk"; Term.Int 7 |] in
+            let sym = Ace_term.Symbol.intern "k" in
+            match
+              ( Database.lookup_code db call,
+                Database.lookup_code_args db sym 3 regs )
+            with
+            | Some found, Some found_regs ->
+              let matching c =
+                Ace_term.Unify.matches (fst (Clause.rename_head c)) call
+              in
+              List.equal ( == ) found found_regs
+              && subsequence found all
+              && List.for_all
+                   (fun c -> (not (matching c)) || List.memq c found)
+                   all
+            | _ -> false)
+          calls
+      in
+      let s = Database.overlay db in
+      for _ = 1 to 1 + Random.State.int rng 6 do
+        let c = Clause.of_term (k3 ()) in
+        if Random.State.bool rng then Database.asserta s c
+        else Database.assertz s c
+      done;
+      ignore (Database.retract s (Clause.of_term (k3 ())));
+      let overlaid = interpreted_exact s in
+      Database.freeze s;
+      unfrozen && frozen && compiled && overlaid && interpreted_exact s)
 
 (* Keys that collide once shifted into a hash code (0 and min_int, -1
    and max_int), an atom, and same-named functors of different arities

@@ -92,15 +92,6 @@ let test_publish_grain () =
   Alcotest.(check bool) "at grain" true (Schema.publish_grain g2 ~nalts:2);
   Alcotest.(check bool) "below grain" false (Schema.publish_grain g2 ~nalts:1)
 
-let test_chunk_alts () =
-  let c2 = { cfg with Config.chunk = 2 } in
-  Alcotest.(check (list (list int))) "chunks of two"
-    [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
-    (Schema.chunk_alts c2 [ 1; 2; 3; 4; 5 ]);
-  Alcotest.(check (list (list int))) "chunk 0 keeps the node whole"
-    [ [ 1; 2; 3 ] ]
-    (Schema.chunk_alts { cfg with Config.chunk = 0 } [ 1; 2; 3 ])
-
 let test_lao_refurbish () =
   Alcotest.(check bool) "fires on an exhausted top" true
     (Schema.lao_refurbish cfg ~top_exhausted:true);
@@ -264,7 +255,6 @@ let suite =
     Alcotest.test_case "spo inline" `Quick test_spo_inline;
     Alcotest.test_case "pdo contiguous" `Quick test_pdo_contiguous;
     Alcotest.test_case "publish grain" `Quick test_publish_grain;
-    Alcotest.test_case "chunk alts" `Quick test_chunk_alts;
     Alcotest.test_case "lao refurbish" `Quick test_lao_refurbish;
     Alcotest.test_case "classify" `Quick test_classify;
     Alcotest.test_case "slot tuples independent" `Quick

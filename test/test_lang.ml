@@ -201,8 +201,8 @@ let test_database_order () =
     heads
 
 let test_database_bucket_order () =
-  (* keyed and variable-headed clauses interleaved: the bucketed index
-     must still return candidates in source order *)
+  (* keyed and variable-headed clauses interleaved: first-argument
+     indexing must still return candidates in source order *)
   let db = Database.create () in
   List.iter
     (fun s -> Database.assertz db (Clause.of_term (term s)))
@@ -228,7 +228,7 @@ let test_database_bucket_order () =
     [ "any1"; "any2" ]
     (snd_args (lookup "m(9, R)"));
   Database.asserta db (Clause.of_term (term "m(1, front)"));
-  Alcotest.(check (list string)) "asserta lands first in its bucket"
+  Alcotest.(check (list string)) "asserta lands first"
     [ "front"; "a"; "any1"; "b"; "any2"; "d" ]
     (snd_args (lookup "m(1, R)"));
   Alcotest.(check bool) "duplicate keys not exclusive" false
@@ -243,7 +243,7 @@ let test_database_bucket_order () =
 let test_database_assertz_bulk () =
   (* assertz of N clauses is linear: a quadratic append would make this
      test hang rather than fail, but the count and order checks also pin
-     the bucket bookkeeping under load *)
+     the clause lists under load *)
   let db = Database.create () in
   let n = 10_000 in
   for i = 1 to n do
@@ -258,6 +258,38 @@ let test_database_assertz_bulk () =
   in
   Alcotest.(check string) "indexed lookup finds one" "big(7777)"
     (first_of "big(7777)")
+
+(* A frozen database's interpreted lookup allocates nothing: the
+   first-argument table reads the call's first argument as two
+   integers, and every list it returns is built, in its [Some], at
+   freeze.  10,000 calls each with an integer, an atom, a structure, an
+   unbound and an unmatched first argument, on the database and through
+   a session overlay that holds no clause of the predicate. *)
+let test_database_lookup_words () =
+  let db =
+    Program.db
+      (Program.consult_string
+         "f(0, zero). f(s(N), succ) :- f(N, _). f(foo, atom). g(X) :- f(X, _).")
+  in
+  Database.freeze db;
+  let session = Database.overlay db in
+  Database.assertz session (Clause.of_term (term "h(1)"));
+  List.iter
+    (fun (label, db) ->
+      List.iter
+        (fun goal ->
+          let call = term goal in
+          ignore (Database.lookup db call);
+          let w0 = Gc.minor_words () in
+          for _ = 1 to 10_000 do
+            ignore (Sys.opaque_identity (Database.lookup db call))
+          done;
+          let words = Gc.minor_words () -. w0 in
+          if words <> 0. then
+            Alcotest.failf "%s %s: %.0f minor words over 10,000 lookups, not 0"
+              label goal words)
+        [ "f(0, R)"; "f(foo, R)"; "f(s(0), R)"; "f(X, R)"; "f(99, R)" ])
+    [ ("frozen", db); ("overlay", session) ]
 
 let test_program_directives () =
   let p = Program.consult_string ":- mode(f(+, -)). f(X, X)." in
@@ -293,6 +325,8 @@ let suite =
     Alcotest.test_case "database order" `Quick test_database_order;
     Alcotest.test_case "database bucket order" `Quick test_database_bucket_order;
     Alcotest.test_case "database bulk assertz" `Quick test_database_assertz_bulk;
+    Alcotest.test_case "database lookup allocates nothing" `Quick
+      test_database_lookup_words;
     Alcotest.test_case "program directives" `Quick test_program_directives;
     Alcotest.test_case "parse query" `Quick test_parse_query;
     prop_print_parse_roundtrip ]
