@@ -1,11 +1,12 @@
 #!/bin/sh
 # Hot-path C-call guard: every compiled call's allocation sites and the
 # clause-dispatch walk must allocate inline and make no C call (in OCaml 5
-# each C call switches to the C stack).  Disassembles the four objects
+# each C call switches to the C stack).  Disassembles the six objects
 # that hold them and fails if any listed function body references
 # caml_c_call, caml_make_vect, caml_array_sub, caml_array_fill or a
 # Stdlib.Array function, or if a listed function is missing (a rename
-# must update this list, not slip past it).
+# must update this list, not slip past it).  The binding primitive
+# (Unify.bind and Trail.push) is listed too.
 #
 #   sh .github/hot_path_guard.sh [build-dir]    (default: _build/default)
 #
@@ -58,5 +59,11 @@ check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Database.o" camlAce_lang__Dat
   walk at_path at_path_from slot slot_from case_tag case_value lookup lookup_args candidates lookup_code_args lookup_code || status=1
 check "$b/lib/term/.ace_term.objs/native/ace_term__Term.o" camlAce_term__Term \
   copy_resolved resolve map_cells cells prefix || status=1
+# the binding path: the watermark compare stays inline and [Trail.grow]
+# (which calls Array.make) stays out of line
+check "$b/lib/term/.ace_term.objs/native/ace_term__Trail.o" camlAce_term__Trail \
+  push || status=1
+check "$b/lib/term/.ace_term.objs/native/ace_term__Unify.o" camlAce_term__Unify \
+  bind || status=1
 if [ "$status" -eq 0 ]; then echo "hot-path guard: no C call in the listed functions"; fi
 exit "$status"

@@ -355,6 +355,40 @@ let reject_unknown_flag arg =
   Printf.eprintf "Run 'ace_run --help' for the full option list.\n";
   exit 2
 
+(* The option words that take a value ("--limit", "-n"): a spec's last
+   name carries its docv ("limit, -n N"). *)
+let value_options =
+  List.concat_map
+    (fun (_, flags) ->
+      List.concat_map
+        (fun (spec, _) ->
+          match List.rev (String.split_on_char ',' spec) with
+          | last :: _ when String.contains (String.trim last) ' ' ->
+            List.map
+              (fun n -> if String.length n = 1 then "-" ^ n else "--" ^ n)
+              (flag_names spec)
+          | _ -> [])
+        flags)
+    groups
+
+(* Cmdliner reads any word that starts with '-' as an option, so
+   "--limit -1" would stop at "unknown option '-1'" before
+   [Config.check] could name the option.  A value-taking option
+   followed by a negative number is joined into one word: "--limit=-1",
+   "-n-1". *)
+let join_negative_values options argv =
+  let rec go = function
+    | "--" :: _ as rest -> rest
+    | opt :: v :: rest
+      when List.mem opt options
+           && String.starts_with ~prefix:"-" v
+           && int_of_string_opt v <> None ->
+      (if opt.[1] = '-' then opt ^ "=" ^ v else opt ^ v) :: go rest
+    | w :: rest -> w :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
 let check_argv () =
   let known =
     "help" :: "version"
@@ -553,4 +587,4 @@ let cmd =
 
 let () =
   check_argv ();
-  exit (Cmd.eval' cmd)
+  exit (Cmd.eval' ~argv:(join_negative_values value_options Sys.argv) cmd)

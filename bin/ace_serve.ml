@@ -89,6 +89,28 @@ let serve socket port workers max_active engine agents files =
         Format.eprintf "error: %s(%s): %s@." fn arg (Unix.error_message e);
         1))
 
+(* Cmdliner reads any word that starts with '-' as an option, so
+   "--workers -1" would stop at "unknown option '-1'" before
+   [check_options] could name the option.  A value-taking option
+   followed by a negative number is joined into one word:
+   "--workers=-1", "-j-1". *)
+let join_negative_values argv =
+  let options =
+    [ "--socket"; "-s"; "--port"; "--workers"; "-j"; "--max-active";
+      "--engine"; "-e"; "--agents"; "-p" ]
+  in
+  let rec go = function
+    | "--" :: _ as rest -> rest
+    | opt :: v :: rest
+      when List.mem opt options
+           && String.starts_with ~prefix:"-" v
+           && int_of_string_opt v <> None ->
+      (if opt.[1] = '-' then opt ^ "=" ^ v else opt ^ v) :: go rest
+    | w :: rest -> w :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
 open Cmdliner
 
 let cmd =
@@ -115,4 +137,4 @@ let cmd =
       $ Arg.(value & pos_all string [] & info [] ~docv:"PROGRAM"
                ~doc:"Prolog source files, consulted in order."))
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval' ~argv:(join_negative_values Sys.argv) cmd)

@@ -167,11 +167,15 @@ let defs =
     def "halt" 0 (fun _ _ -> Errors.error "halt/0: not allowed in embedded engine");
     def "=" 2 (fun ctx args -> unify2 ctx args.(0) args.(1));
     def "\\=" 2 (fun ctx args ->
-        let mark = Trail.mark ctx.trail in
+        (* it goes on after undoing its own bindings, so it unifies under
+           full trailing, whatever the caller's watermark *)
+        let mark = Trail.mark ctx.trail and hb = Trail.hb ctx.trail in
+        Trail.set_hb ctx.trail max_int;
         let unified =
           Unify.unify ~trail:ctx.trail ~steps:ctx.steps args.(0) args.(1)
         in
         ignore (Trail.undo_to ctx.trail mark);
+        Trail.set_hb ctx.trail hb;
         bool_outcome (not unified));
     def "==" 2 (fun _ args -> bool_outcome (Term.equal args.(0) args.(1)));
     def "\\==" 2 (fun _ args -> bool_outcome (not (Term.equal args.(0) args.(1))));

@@ -42,6 +42,7 @@ type cp = {
   mutable cp_alts : alts;
   cp_cont : seg list;
   cp_trail : int;
+  cp_hb : int; (* the trail's watermark below this choice point *)
   cp_height : int; (* stack height below this choice point *)
 }
 
@@ -64,8 +65,19 @@ type t = {
   mutable height : int;
 }
 
+(* Conditional trailing: the compiled machine keeps its trail's
+   watermark at the stamp of the newest of its choice points and open
+   [solve_once] marks, and at -1 when there is none (nothing can be
+   undone then; {!Engine.run} unbinds the goal's variables itself).
+   Every site that pushes a choice point or opens a [solve_once] raises
+   it with {!Trail.raise_hb}, which returns the value below, and every
+   pop puts that value back.  The interpreted machine and a tabled generator's machine keep
+   a full trail ([max_int], which [raise_hb] leaves alone): the
+   interpreter's trail pushes are charged in the paper's cost model, and
+   a saved consumer copies its activation's complete trail segment. *)
 let create (opts : Run.opts) table (config : Config.t) db =
   let trail = Trail.create () in
+  if config.Config.compile then Trail.set_hb trail (-1);
   {
     trail;
     ctx = Builtins.make_ctx ?output:opts.Run.output ~trail ();
@@ -86,8 +98,10 @@ let jitter m = match Chaos.jitter m.chaos with 0 -> () | n -> spend m n
 (* [mark] is the trail height the choice point restores on backtracking —
    the caller's mark from *before* any bindings the first taken
    alternative made (shallow backtracking pushes the choice point only
-   after a head has already matched). *)
-let push_cp m ~mark ~goal ~alts ~cont =
+   after a head has already matched).  [hb] is the watermark below it,
+   which a pop restores; the caller has raised the trail's own before
+   the first such binding. *)
+let push_cp m ~mark ~hb ~goal ~alts ~cont =
   jitter m;
   spend m m.a.cost.Cost.cp_alloc;
   m.a.stats.Stats.cp_allocs <- m.a.stats.Stats.cp_allocs + 1;
@@ -99,11 +113,19 @@ let push_cp m ~mark ~goal ~alts ~cont =
       cp_alts = alts;
       cp_cont = cont;
       cp_trail = mark;
+      cp_hb = hb;
       cp_height = m.height;
     }
   in
   m.cps <- cp :: m.cps;
   m.height <- m.height + 1
+
+(* Pops the newest choice point [cp], restoring the watermark below
+   it. *)
+let pop m cp below =
+  m.cps <- below;
+  m.height <- m.height - 1;
+  Trail.set_hb m.trail cp.cp_hb
 
 let undo_to m mark = Kernel.untrail m.a m.trail mark
 
@@ -111,9 +133,7 @@ let cut m barrier =
   while m.height > barrier do
     match m.cps with
     | [] -> assert false
-    | _ :: below ->
-      m.cps <- below;
-      m.height <- m.height - 1
+    | cp :: below -> pop m cp below
   done
 
 (* The end of a [solve_once] continuation (a condition's or [\+]'s). *)
@@ -240,7 +260,8 @@ and control m g ~barrier cont =
   | Kernel.Ite (cond, then_, else_) ->
     if_then_else m cond then_ else_ ~barrier cont
   | Kernel.Disj (left, else_) ->
-    push_cp m ~mark:(Trail.mark m.trail) ~goal:None
+    let hb = Trail.raise_hb m.trail in
+    push_cp m ~mark:(Trail.mark m.trail) ~hb ~goal:None
       ~alts:(Agoal (Clause.compile_body else_)) ~cont;
     run m ({ items = Clause.compile_body left; barrier } :: cont)
   | Kernel.Naf g ->
@@ -267,14 +288,17 @@ and if_then_else m cond then_ else_ ~barrier cont =
   end
 
 (* Proves [g] once on a private choice-point stack, keeping bindings.  Used
-   by negation and if-then-else. *)
+   by negation and if-then-else, whose callers undo to their own mark:
+   the watermark is raised for the proof and restored after it. *)
 and solve_once m g =
   let saved_cps = m.cps and saved_height = m.height in
+  let hb = Trail.raise_hb m.trail in
   m.cps <- [];
   m.height <- 0;
   let found = dispatch m g ~barrier:0 once_cont in
   m.cps <- saved_cps;
   m.height <- saved_height;
+  Trail.set_hb m.trail hb;
   found
 
 (* Schedules what a step or one clause try came to.  [R_exec] is the
@@ -295,45 +319,56 @@ and continue m resolved cont =
   | Kernel.R_control -> assert false (* [dispatch] takes control constructs *)
 
 (* A table reader's answers before [cont]; its choice point stays until
-   the live count is read, so answers [cont] adds are returned too. *)
+   the live count is read, so answers [cont] adds are returned too.
+   Readers run only on a generator's machine, whose trail is full; the
+   watermark is kept as at every other choice point all the same. *)
 and read m rd cont =
-  let mark = Trail.mark m.trail in
+  let mark = Trail.mark m.trail and hb = Trail.raise_hb m.trail in
   if Kernel.next_answer m.a ~trail:m.trail rd then begin
-    push_cp m ~mark ~goal:None ~alts:(Aanswers rd) ~cont;
+    push_cp m ~mark ~hb ~goal:None ~alts:(Aanswers rd) ~cont;
     run m cont
   end
-  else backtrack m
+  else begin
+    Trail.set_hb m.trail hb;
+    backtrack m
+  end
 
 (* Shallow backtracking (WAM-style): scan the candidates for the first
    one whose head matches before allocating a choice point, so clauses
    rejected by head unification cost no choice-point traffic.  The
    choice point — pushed only when a later alternative remains — records
    the pre-scan trail mark, since those alternatives must be retried
-   from the caller's bindings. *)
+   from the caller's bindings, and keeps the pre-scan stamp as its
+   watermark: the scan raises it before the first head unification. *)
 and shallow m g clauses cont =
-  let mark = Trail.mark m.trail in
-  let rec scan = function
-    | [] ->
-      if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term g);
-      backtrack m
-    | clause :: rest -> (
-      match Kernel.try_clause m.a m.ctx g clause with
-      | Kernel.R_fail ->
-        undo_to m mark;
-        scan rest
-      | resolved ->
-        (* The choice point is pushed before [continue] consumes the
-           resolution, so an [R_exec] callee's segments sit above it —
-           its barrier (the pre-push height) is captured first.  A
-           matched fact ([R_body []]) stacks nothing. *)
-        let barrier = m.height in
-        if rest <> [] then
-          push_cp m ~mark ~goal:(Some g) ~alts:(Aclauses rest) ~cont;
-        (match resolved with
-        | Kernel.R_body (_ :: _ as items) -> run m ({ items; barrier } :: cont)
-        | resolved -> continue m resolved cont))
-  in
-  scan clauses
+  let hb = Trail.raise_hb m.trail in
+  scan m g (Trail.mark m.trail) hb clauses cont
+
+(* Top-level rather than a closure inside [shallow], so a scan allocates
+   nothing of its own. *)
+and scan m g mark hb clauses cont =
+  match clauses with
+  | [] ->
+    Trail.set_hb m.trail hb;
+    if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term g);
+    backtrack m
+  | clause :: rest -> (
+    match Kernel.try_clause m.a m.ctx g clause with
+    | Kernel.R_fail ->
+      undo_to m mark;
+      scan m g mark hb rest cont
+    | resolved ->
+      (* The choice point is pushed before [continue] consumes the
+         resolution, so an [R_exec] callee's segments sit above it —
+         its barrier (the pre-push height) is captured first.  A
+         matched fact ([R_body []]) stacks nothing. *)
+      let barrier = m.height in
+      if rest <> [] then
+        push_cp m ~mark ~hb ~goal:(Some g) ~alts:(Aclauses rest) ~cont
+      else Trail.set_hb m.trail hb;
+      (match resolved with
+      | Kernel.R_body (_ :: _ as items) -> run m ({ items; barrier } :: cont)
+      | resolved -> continue m resolved cont))
 
 and backtrack m =
   Cancel.check m.a.cancel;
@@ -350,53 +385,48 @@ and backtrack m =
       spend m m.a.cost.Cost.cp_restore;
       let goal = match cp.cp_goal with Some g -> g | None -> assert false in
       if Prof.live m.a.prof then Prof.redo m.a.prof (Prof.key_of_term goal);
-      (* Shallow scan, as in [shallow]: head-rejected alternatives are
-         dropped without re-entering the backtracker; the last matching
-         alternative pops the choice point (WAM "trust"). *)
-      let rec rescan = function
-        | [] ->
-          if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term goal);
-          m.cps <- below;
-          m.height <- m.height - 1;
-          backtrack m
-        | clause :: alts -> (
-          match Kernel.try_clause m.a m.ctx goal clause with
-          | Kernel.R_fail ->
-            undo_to m cp.cp_trail;
-            rescan alts
-          | resolved ->
-            if alts = [] then begin
-              m.cps <- below;
-              m.height <- m.height - 1
-            end
-            else begin
-              (* the retained choice point is updated in place with the
-                 shrunken alternative list *)
-              cp.cp_alts <- Aclauses alts;
-              m.a.stats.Stats.cp_updates <- m.a.stats.Stats.cp_updates + 1
-            end;
-            (match resolved with
-            | Kernel.R_body (_ :: _ as items) ->
-              run m ({ items; barrier = cp.cp_height } :: cp.cp_cont)
-            | resolved -> continue m resolved cp.cp_cont))
-      in
-      rescan clauses
+      rescan m cp below goal clauses
     | Agoal body ->
       undo_to m cp.cp_trail;
       spend m m.a.cost.Cost.cp_restore;
       (* a disjunction's right branch is its only alternative: trust *)
-      m.cps <- below;
-      m.height <- m.height - 1;
+      pop m cp below;
       run m ({ items = body; barrier = m.height } :: cp.cp_cont)
     | Aanswers rd ->
       undo_to m cp.cp_trail;
       spend m m.a.cost.Cost.cp_restore;
       if Kernel.next_answer m.a ~trail:m.trail rd then run m cp.cp_cont
       else begin
-        m.cps <- below;
-        m.height <- m.height - 1;
+        pop m cp below;
         backtrack m
       end)
+
+(* Shallow scan, as in [scan], of the alternatives [cp] retries:
+   head-rejected alternatives are dropped without re-entering the
+   backtracker; the last matching alternative pops the choice point (WAM
+   "trust").  Top-level, like [scan], so a retry allocates no closure. *)
+and rescan m cp below goal = function
+  | [] ->
+    if Prof.live m.a.prof then Prof.fail m.a.prof (Prof.key_of_term goal);
+    pop m cp below;
+    backtrack m
+  | clause :: alts -> (
+    match Kernel.try_clause m.a m.ctx goal clause with
+    | Kernel.R_fail ->
+      undo_to m cp.cp_trail;
+      rescan m cp below goal alts
+    | resolved ->
+      if alts = [] then pop m cp below
+      else begin
+        (* the retained choice point is updated in place with the
+           shrunken alternative list *)
+        cp.cp_alts <- Aclauses alts;
+        m.a.stats.Stats.cp_updates <- m.a.stats.Stats.cp_updates + 1
+      end;
+      (match resolved with
+      | Kernel.R_body (_ :: _ as items) ->
+        run m ({ items; barrier = cp.cp_height } :: cp.cp_cont)
+      | resolved -> continue m resolved cp.cp_cont))
 
 (* {!Kernel.generator}: a fresh machine over the calling agent, on the
    evaluation's private trail. *)

@@ -12,6 +12,10 @@ type t = {
   mutable clause_tries : int;
   mutable builtin_calls : int;
   mutable trail_pushes : int;
+      (** bindings recorded on the trail; on the compiled sequential
+          machine (seq/c) only those a choice point, or the mark of a
+          condition or negation, can undo (conditional trailing), so a
+          determinate run records none *)
   mutable untrails : int;
   mutable cp_allocs : int;
   mutable cp_updates : int;

@@ -19,12 +19,14 @@ and var = { vid : int; mutable binding : t option }
 (* The id counter is atomic so that engines running on several OCaml
    domains (the hardware or-parallel engine) can create fresh variables
    concurrently without ties or torn reads.  On a single domain the
-   fetch-and-add costs the same as the old [incr]. *)
+   fetch-and-add costs the same as the old [incr].  The counter never
+   goes back, so a variable's id is its creation stamp: conditional
+   trailing ({!Trail}) relies on it. *)
 let counter = Atomic.make 0
 
-let reset_gensym () = Atomic.set counter 0
-
 let fresh_var () = { vid = 1 + Atomic.fetch_and_add counter 1; binding = None }
+
+let stamp () = Atomic.get counter
 
 let var () = Var (fresh_var ())
 

@@ -17,12 +17,13 @@ type t =
 
 and var = { vid : int; mutable binding : t option }
 
-(** Resets the fresh-variable counter (tests only; keeps runs
-    deterministic). *)
-val reset_gensym : unit -> unit
-
-(** A fresh unbound variable. *)
+(** A fresh unbound variable.  Ids only grow: a variable's [vid] is its
+    creation stamp. *)
 val fresh_var : unit -> var
+
+(** Now, as a creation stamp: every variable created so far (by this
+    domain) has [vid <= stamp ()], and every later one a greater id. *)
+val stamp : unit -> int
 
 (** [var ()] is [Var (fresh_var ())]. *)
 val var : unit -> t

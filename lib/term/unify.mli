@@ -1,7 +1,9 @@
 (** Unification over {!Term.t} with trailing and step counting. *)
 
-(** [bind trail v t] binds [v] to [t] and trails it — the single binding
-    primitive, also used by the compiled head code ({!Ace_lang.Code}). *)
+(** [bind trail v t] binds [v] to [t] and trails it ({!Trail.push}: if
+    the trail's watermark says backtracking can undo it) — the single
+    binding primitive, also used by the compiled head code
+    ({!Ace_lang.Code}). *)
 val bind : Trail.t -> Term.var -> Term.t -> unit
 
 (** [unify ~trail ~steps a b] unifies destructively, trailing each binding.
@@ -11,7 +13,9 @@ val bind : Trail.t -> Term.var -> Term.t -> unit
 val unify :
   ?occurs_check:bool -> trail:Trail.t -> steps:int ref -> Term.t -> Term.t -> bool
 
-(** Like {!unify} but restores the trail on failure. *)
+(** Like {!unify} but restores the trail on failure (what it recorded:
+    bindings of variables younger than the watermark stay, for the
+    caller's backtracking to leave behind). *)
 val unify_or_undo :
   ?occurs_check:bool -> trail:Trail.t -> steps:int ref -> Term.t -> Term.t -> bool
 

@@ -122,6 +122,95 @@ let test_time_monotone () =
   in
   Alcotest.(check bool) "bigger input costs more" true (run 16 > run 8)
 
+(* Conditional trailing: the compiled machine (seq/c) trails a binding
+   only when a choice point, or the mark of a condition or negation, can
+   undo it.  Each case binds a variable that one site's watermark must
+   cover, on seq/c and on interpreted seq (whose trail records every
+   binding). *)
+let check_modes msg expected program query =
+  List.iter
+    (fun compile ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s (%s)" msg (if compile then "seq/c" else "seq"))
+        expected
+        (solutions ~config:{ Config.default with Config.compile } program query))
+    [ false; true ]
+
+let test_watermark_scan () =
+  let program =
+    "g(a) :- fail.\ng(b).\nq(X) :- g(Y), X = Y.\n\
+     h(W) :- k(W, V), V = c.\nk(a, b).\nk(b, c).\ndeep(X) :- h(Y), Y = X.\n"
+  in
+  (* the first candidate binds the caller's variable, then fails *)
+  check_modes "scan retry" [ "q(b)" ] program "q(X)";
+  (* the scan's choice point undoes the bindings of older variables *)
+  check_modes "nested scan" [ "deep(b)" ] program "deep(X)"
+
+let test_watermark_neq () =
+  check_modes "\\= undoes a partial unification" [ "neq(d), d = d" ]
+    "neq(Z) :- f(Z, b) \\= f(a, c).\n" "neq(Z), Z = d"
+
+let test_watermark_naf () =
+  check_modes "\\+" [ "naf(b)" ] "naf(X) :- \\+ (X = a, fail), X = b.\n"
+    "naf(X)"
+
+let test_watermark_ite () =
+  check_modes "if-then-else" [ "ite(b)" ]
+    "ite(X) :- ( X = a, fail -> true ; X = b ).\n" "ite(X)"
+
+let test_watermark_disj () =
+  check_modes "disjunction" [ "disj(b)" ]
+    "disj(X) :- ( X = a, fail ; X = b ).\n" "disj(X)"
+
+(* [first/2]'s cut pops its own choice point; [Z] is then bound under
+   the watermark of [p/1]'s, which must undo it for [X = 2]. *)
+let test_watermark_cut () =
+  check_modes "cut" [ "cutt(2,c)" ]
+    "p(1).\np(2).\nr(1, a).\nr(1, b).\nr(2, c).\nr(2, d).\n\
+     first(X, Y) :- r(X, Y), !.\n\
+     cutt(X, Z) :- p(X), first(X, Y), Z = Y, X = 2.\n"
+    "cutt(X, Z)"
+
+(* A complete table's answers are read as pseudo-fact clauses. *)
+let test_watermark_table () =
+  check_modes "complete table read" [ "tq(b)" ]
+    ":- table(tp/1).\ntp(a).\ntp(b).\ntq(X) :- tp(Y), X = Y, X = b.\n"
+    "tq(X)"
+
+(* A determinate loop pushes no choice point, so seq/c trails none of
+   its 20,000 steps' bindings, nor any of the determinate benchmarks';
+   the interpreter trails every binding, and its counts and cycles are
+   pinned (the paper's cost model charges them). *)
+let test_watermark_counters () =
+  let module Stats = Ace_machine.Stats in
+  let module Programs = Ace_benchmarks.Programs in
+  let run compile program query =
+    let config = { Config.default with Config.compile } in
+    let r = Engine.solve_program Engine.Sequential config ~program ~query in
+    Alcotest.(check int) "one solution" 1 (List.length r.Engine.solutions);
+    r
+  in
+  let loop =
+    "loop(N, R) :- compare(O, N, 0), step(O, N, R).\n\
+     step(>, N, R) :- M is N - 1, loop(M, R).\n\
+     step(=, _, done).\n"
+  in
+  let c = run true loop "loop(20000, R)" in
+  Alcotest.(check int) "seq/c loop trail pushes" 0
+    c.Engine.stats.Stats.trail_pushes;
+  let i = run false loop "loop(20000, R)" in
+  Alcotest.(check int) "seq loop trail pushes" 120_005
+    i.Engine.stats.Stats.trail_pushes;
+  Alcotest.(check int) "seq loop cycles" 760_030 (cycles i);
+  List.iter
+    (fun name ->
+      let b = Programs.find name in
+      let n = b.Programs.small_size in
+      let r = run true (b.Programs.program n) (b.Programs.query n) in
+      Alcotest.(check int) (name ^ " seq/c trail pushes") 0
+        r.Engine.stats.Stats.trail_pushes)
+    [ "pderiv"; "matrix"; "hanoi"; "takeuchi"; "bt_cluster"; "quick_sort" ]
+
 (* property: engine agrees with a reference OCaml implementation of
    append splits *)
 let prop_append_splits =
@@ -146,4 +235,12 @@ let suite =
     Alcotest.test_case "'&' sequential semantics" `Quick test_par_runs_sequentially;
     Alcotest.test_case "solution generator" `Quick test_limit_and_generator;
     Alcotest.test_case "time monotonicity" `Quick test_time_monotone;
+    Alcotest.test_case "watermark: scan" `Quick test_watermark_scan;
+    Alcotest.test_case "watermark: \\=" `Quick test_watermark_neq;
+    Alcotest.test_case "watermark: \\+" `Quick test_watermark_naf;
+    Alcotest.test_case "watermark: if-then-else" `Quick test_watermark_ite;
+    Alcotest.test_case "watermark: disjunction" `Quick test_watermark_disj;
+    Alcotest.test_case "watermark: cut" `Quick test_watermark_cut;
+    Alcotest.test_case "watermark: table" `Quick test_watermark_table;
+    Alcotest.test_case "watermark: counters" `Quick test_watermark_counters;
     prop_append_splits ]

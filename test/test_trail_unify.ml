@@ -37,6 +37,31 @@ let test_trail_growth () =
   Alcotest.(check bool) "all unbound" true
     (List.for_all (fun v -> v.Term.binding = None) vars)
 
+(* Conditional trailing: [push] records a variable only when it is no
+   younger than the watermark.  A new trail records everything, and
+   [raise_hb] leaves it so. *)
+let test_trail_watermark () =
+  let trail = Trail.create () in
+  Alcotest.(check int) "raise_hb returns the old value" max_int
+    (Trail.raise_hb trail);
+  Alcotest.(check int) "a new trail stays full" max_int (Trail.hb trail);
+  let old = Term.fresh_var () in
+  Trail.set_hb trail (-1);
+  assert (unify trail (Term.Var old) (Term.int 1));
+  Alcotest.(check int) "below every stamp: nothing trailed" 0
+    (Trail.size trail);
+  old.Term.binding <- None;
+  Alcotest.(check int) "returns the value it raised" (-1)
+    (Trail.raise_hb trail);
+  Alcotest.(check int) "raised to now" (Term.stamp ()) (Trail.hb trail);
+  let young = Term.fresh_var () in
+  assert (unify trail (Term.Var old) (Term.int 1));
+  assert (unify trail (Term.Var young) (Term.int 2));
+  Alcotest.(check int) "only the older variable trailed" 1 (Trail.size trail);
+  ignore (Trail.undo_to trail 0);
+  Alcotest.(check bool) "older unbound" true (old.Term.binding = None);
+  Alcotest.(check bool) "younger left bound" true (young.Term.binding <> None)
+
 let test_trail_segment () =
   let trail = Trail.create () in
   let vars = Array.init 6 (fun _ -> Term.fresh_var ()) in
@@ -141,6 +166,7 @@ let prop_ground_unify_is_equal =
 let suite =
   [ Alcotest.test_case "trail undo" `Quick test_trail_undo;
     Alcotest.test_case "trail growth" `Quick test_trail_growth;
+    Alcotest.test_case "trail watermark" `Quick test_trail_watermark;
     Alcotest.test_case "trail segment" `Quick test_trail_segment;
     Alcotest.test_case "unify basic" `Quick test_unify_basic;
     Alcotest.test_case "unify mismatches" `Quick test_unify_failure_mismatch;
