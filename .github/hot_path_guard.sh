@@ -1,12 +1,18 @@
 #!/bin/sh
 # Hot-path C-call guard: every compiled call's allocation sites and the
 # clause-dispatch walk must allocate inline and make no C call (in OCaml 5
-# each C call switches to the C stack).  Disassembles the six objects
-# that hold them and fails if any listed function body references
+# each C call switches to the C stack).  Disassembles the objects that
+# hold them and fails if any listed function body references
 # caml_c_call, caml_make_vect, caml_array_sub, caml_array_fill or a
 # Stdlib.Array function, or if a listed function is missing (a rename
 # must update this list, not slip past it).  The binding primitive
 # (Unify.bind and Trail.push) is listed too.
+#
+# The answer encoder is held to the same rule, and to one more: the
+# reply writer, Json's string and integer writers and Pp's term walk
+# write straight into a buffer, so none of them may reference Printf,
+# Format or CamlinternalFormat either (formatted printing stays on
+# Json's cold path for numbers that are not small integers).
 #
 #   sh .github/hot_path_guard.sh [build-dir]    (default: _build/default)
 #
@@ -36,8 +42,8 @@ check() {
         }
       next
     }
-    cur != "" && /caml_c_call|caml_make_vect|caml_array_sub|caml_array_fill|camlStdlib__Array/ {
-      print "hot-path C call in " prefix "." cur ": " $0 > "/dev/stderr"
+    cur != "" && /caml_c_call|caml_make_vect|caml_array_sub|caml_array_fill|camlStdlib__Array|camlStdlib__Printf|camlStdlib__Format|camlCamlinternalFormat/ {
+      print "hot-path C call or formatted printing in " prefix "." cur ": " $0 > "/dev/stderr"
       bad = 1
     }
     END {
@@ -65,5 +71,12 @@ check "$b/lib/term/.ace_term.objs/native/ace_term__Trail.o" camlAce_term__Trail 
   push || status=1
 check "$b/lib/term/.ace_term.objs/native/ace_term__Unify.o" camlAce_term__Unify \
   bind || status=1
-if [ "$status" -eq 0 ]; then echo "hot-path guard: no C call in the listed functions"; fi
+# the answer encoder
+check "$b/lib/serve/.ace_server.objs/native/ace_server__Protocol.o" camlAce_server__Protocol \
+  add_answer || status=1
+check "$b/lib/obs/.ace_obs.objs/native/ace_obs__Json.o" camlAce_obs__Json \
+  add_string add_escape add_int || status=1
+check "$b/lib/term/.ace_term.objs/native/ace_term__Pp.o" camlAce_term__Pp \
+  add_prio add_compound add_tail add_var add_int || status=1
+if [ "$status" -eq 0 ]; then echo "hot-path guard: no C call or formatted printing in the listed functions"; fi
 exit "$status"

@@ -128,11 +128,14 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
         table_max_answers = table_max;
       }
     in
-    match Config.check config with
-    | Error (field, lo) ->
+    match Config.check config, deadline with
+    | Error (field, lo), _ ->
       Printf.eprintf "ace_run: %s must be >= %d\n" (option_of_field field) lo;
       2
-    | Ok () ->
+    | Ok (), Some ms when ms < 0 ->
+      prerr_endline "ace_run: --deadline must be >= 0";
+      2
+    | Ok (), _ ->
     try
       let program = Program.consult_string program_text in
       let db =
@@ -389,6 +392,9 @@ let join_negative_values options argv =
   in
   Array.of_list (go (Array.to_list argv))
 
+(* Every word that looks like an option must name one.  A short option
+   that takes a value may carry it glued on ("-n1" is "-n 1"), as
+   cmdliner reads it. *)
 let check_argv () =
   let known =
     "help" :: "version"
@@ -412,7 +418,8 @@ let check_argv () =
           | Some j -> String.sub s 0 j
           | None -> s
         in
-        if not (List.mem bare known) then reject_unknown_flag arg
+        let glued_value = arg.[1] <> '-' && List.mem (String.sub arg 0 2) value_options in
+        if not (List.mem bare known || glued_value) then reject_unknown_flag arg
       end)
     Sys.argv
 

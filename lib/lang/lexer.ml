@@ -33,189 +33,183 @@ let make src = { src; off = 0; line = 1; bol = 0 }
 
 let position st = { line = st.line; col = st.off - st.bol + 1 }
 
-let peek st = if st.off < String.length st.src then Some st.src.[st.off] else None
+(* Characters are read in place, with no option per character: [peek]
+   returns [eof] past the end, and where a NUL byte in the text could be
+   meant, [at_end] tells them apart.  A token allocates its lexeme and
+   position, plus its text for names, numbers and quoted tokens;
+   punctuation tokens are constants. *)
+let eof = '\000'
+
+let at_end st = st.off >= String.length st.src
+
+let peek st =
+  if st.off < String.length st.src then String.unsafe_get st.src st.off else eof
 
 let peek2 st =
-  if st.off + 1 < String.length st.src then Some st.src.[st.off + 1] else None
+  if st.off + 1 < String.length st.src then String.unsafe_get st.src (st.off + 1)
+  else eof
 
 let advance st =
-  (match peek st with
-   | Some '\n' ->
-     st.line <- st.line + 1;
-     st.bol <- st.off + 1
-   | Some _ | None -> ());
+  if peek st = '\n' then begin
+    st.line <- st.line + 1;
+    st.bol <- st.off + 1
+  end;
   st.off <- st.off + 1
 
 let is_layout = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 let is_digit = function '0' .. '9' -> true | _ -> false
-let is_lower = function 'a' .. 'z' -> true | _ -> false
-let is_upper = function 'A' .. 'Z' | '_' -> true | _ -> false
-let is_alnum c = is_digit c || is_lower c || is_upper c
-let is_symbol_char c = String.contains "+-*/\\^<>=~:.?@#&$" c
+let is_alnum = function 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true | _ -> false
+
+let is_symbol_char = function
+  | '+' | '-' | '*' | '/' | '\\' | '^' | '<' | '>' | '=' | '~' | ':' | '.' | '?'
+  | '@' | '#' | '&' | '$' ->
+    true
+  | _ -> false
+
+(* A character that ends a name, so that a '(' right after it applies a
+   functor. *)
+let is_name_end c = is_alnum c || c = '\'' || is_symbol_char c || c = '!'
 
 let rec skip_layout st =
   match peek st with
-  | Some c when is_layout c ->
+  | c when is_layout c ->
     advance st;
     skip_layout st
-  | Some '%' ->
-    let rec to_eol () =
-      match peek st with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance st;
-        to_eol ()
-    in
-    to_eol ();
+  | '%' ->
+    while not (at_end st || peek st = '\n') do
+      advance st
+    done;
     skip_layout st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when peek2 st = '*' ->
     let start = position st in
     advance st;
     advance st;
-    let rec to_close () =
-      match peek st with
-      | None -> error start "unterminated block comment"
-      | Some '*' when peek2 st = Some '/' ->
-        advance st;
-        advance st
-      | Some _ ->
-        advance st;
-        to_close ()
-    in
-    to_close ();
+    while not (peek st = '*' && peek2 st = '/') do
+      if at_end st then error start "unterminated block comment";
+      advance st
+    done;
+    advance st;
+    advance st;
     skip_layout st
-  | Some _ | None -> ()
+  | _ -> ()
 
+(* The run of characters [pred] accepts; [pred] accepts no newline (and
+   not [eof]), so the line count does not move. *)
 let take_while st pred =
   let start = st.off in
-  let rec go () =
-    match peek st with
-    | Some c when pred c ->
-      advance st;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
+  while pred (peek st) do
+    st.off <- st.off + 1
+  done;
   String.sub st.src start (st.off - start)
 
 let escape_char st pos =
-  match peek st with
-  | None -> error pos "unterminated escape"
-  | Some c ->
-    advance st;
-    (match c with
-     | 'n' -> '\n'
-     | 't' -> '\t'
-     | 'r' -> '\r'
-     | 'a' -> '\007'
-     | 'b' -> '\b'
-     | 'f' -> '\012'
-     | 'v' -> '\011'
-     | '\\' -> '\\'
-     | '\'' -> '\''
-     | '"' -> '"'
-     | '`' -> '`'
-     | c -> error pos "unknown escape \\%c" c)
+  if at_end st then error pos "unterminated escape";
+  let c = peek st in
+  advance st;
+  match c with
+  | 'n' -> '\n'
+  | 't' -> '\t'
+  | 'r' -> '\r'
+  | 'a' -> '\007'
+  | 'b' -> '\b'
+  | 'f' -> '\012'
+  | 'v' -> '\011'
+  | '\\' -> '\\'
+  | '\'' -> '\''
+  | '"' -> '"'
+  | '`' -> '`'
+  | c -> error pos "unknown escape \\%c" c
 
 let quoted st ~quote pos =
   let buf = Buffer.create 16 in
   let rec go () =
+    if at_end st then error pos "unterminated quoted token";
     match peek st with
-    | None -> error pos "unterminated quoted token"
-    | Some c when c = quote ->
+    | c when c = quote ->
       advance st;
       (* doubled quote is an escaped quote *)
-      (match peek st with
-       | Some c' when c' = quote ->
-         advance st;
-         Buffer.add_char buf quote;
-         go ()
-       | Some _ | None -> Buffer.contents buf)
-    | Some '\\' ->
+      if peek st = quote then begin
+        advance st;
+        Buffer.add_char buf quote;
+        go ()
+      end
+      else Buffer.contents buf
+    | '\\' ->
       advance st;
       (* \<newline> is a line continuation *)
-      (match peek st with
-       | Some '\n' ->
-         advance st;
-         go ()
-       | Some _ | None ->
-         Buffer.add_char buf (escape_char st pos);
-         go ())
-    | Some c ->
+      if peek st = '\n' then begin
+        advance st;
+        go ()
+      end
+      else begin
+        Buffer.add_char buf (escape_char st pos);
+        go ()
+      end
+    | c ->
       advance st;
       Buffer.add_char buf c;
       go ()
   in
   go ()
 
-(* [prev_was_name] tells whether the immediately preceding character belongs
-   to an atom/var token, to classify a following '(' as functor
-   application. *)
 let next st =
-  let followed_name =
-    st.off > 0
-    &&
-    let c = st.src.[st.off - 1] in
-    is_alnum c || c = '\'' || is_symbol_char c || c = '!'
-  in
-  let no_gap = followed_name in
+  (* a '(' applies a functor when the character before it ends a name,
+     looked at before and after layout is skipped: a skipped space or
+     newline breaks the adjacency, a block comment's closing '/' (a
+     symbol character) does not *)
+  let followed_name = st.off > 0 && is_name_end st.src.[st.off - 1] in
   skip_layout st;
-  let gapless = no_gap && st.off > 0 &&
-                (st.off >= String.length st.src || true) &&
-                (* any layout skipped breaks adjacency *)
-                (let c = st.src.[st.off - 1] in
-                 is_alnum c || c = '\'' || is_symbol_char c || c = '!')
-  in
+  let gapless = followed_name && is_name_end st.src.[st.off - 1] in
   let pos = position st in
-  match peek st with
-  | None -> { token = Eof; pos }
-  | Some c when is_digit c ->
-    let digits = take_while st is_digit in
-    (* 0'c character code *)
-    if String.equal digits "0" && peek st = Some '\'' then begin
+  if at_end st then { token = Eof; pos }
+  else
+    match peek st with
+    | '0' .. '9' ->
+      let digits = take_while st is_digit in
+      (* 0'c character code *)
+      if String.equal digits "0" && peek st = '\'' then begin
+        advance st;
+        if at_end st then error pos "unterminated character code";
+        match peek st with
+        | '\\' ->
+          advance st;
+          { token = Int (Char.code (escape_char st pos)); pos }
+        | c ->
+          advance st;
+          { token = Int (Char.code c); pos }
+      end
+      else { token = Int (int_of_string digits); pos }
+    | 'a' .. 'z' -> { token = Atom (take_while st is_alnum); pos }
+    | 'A' .. 'Z' | '_' -> { token = Var (take_while st is_alnum); pos }
+    | '\'' ->
       advance st;
-      match peek st with
-      | None -> error pos "unterminated character code"
-      | Some '\\' ->
-        advance st;
-        { token = Int (Char.code (escape_char st pos)); pos }
-      | Some c ->
-        advance st;
-        { token = Int (Char.code c); pos }
-    end
-    else { token = Int (int_of_string digits); pos }
-  | Some c when is_lower c ->
-    let name = take_while st is_alnum in
-    { token = Atom name; pos }
-  | Some c when is_upper c ->
-    let name = take_while st is_alnum in
-    { token = Var name; pos }
-  | Some '\'' ->
-    advance st;
-    { token = Atom (quoted st ~quote:'\'' pos); pos }
-  | Some '"' ->
-    advance st;
-    { token = Str (quoted st ~quote:'"' pos); pos }
-  | Some '(' ->
-    advance st;
-    { token = Punct (if gapless then "((" else "("); pos }
-  | Some (')' | '[' | ']' | '{' | '}' | ',' | '|') ->
-    let c = Option.get (peek st) in
-    advance st;
-    { token = Punct (String.make 1 c); pos }
-  | Some '!' ->
-    advance st;
-    { token = Atom "!"; pos }
-  | Some ';' ->
-    advance st;
-    { token = Atom ";"; pos }
-  | Some c when is_symbol_char c ->
-    let sym = take_while st is_symbol_char in
-    (* A lone '.' followed by layout/EOF was consumed by take_while; split
-       the end-of-clause dot back out. *)
-    if String.equal sym "." then { token = Dot; pos }
-    else { token = Atom sym; pos }
-  | Some c -> error pos "unexpected character %C" c
+      { token = Atom (quoted st ~quote:'\'' pos); pos }
+    | '"' ->
+      advance st;
+      { token = Str (quoted st ~quote:'"' pos); pos }
+    | '(' ->
+      advance st;
+      { token = Punct (if gapless then "((" else "("); pos }
+    | ')' -> advance st; { token = Punct ")"; pos }
+    | '[' -> advance st; { token = Punct "["; pos }
+    | ']' -> advance st; { token = Punct "]"; pos }
+    | '{' -> advance st; { token = Punct "{"; pos }
+    | '}' -> advance st; { token = Punct "}"; pos }
+    | ',' -> advance st; { token = Punct ","; pos }
+    | '|' -> advance st; { token = Punct "|"; pos }
+    | '!' ->
+      advance st;
+      { token = Atom "!"; pos }
+    | ';' ->
+      advance st;
+      { token = Atom ";"; pos }
+    | c when is_symbol_char c ->
+      let sym = take_while st is_symbol_char in
+      (* A lone '.' followed by layout/EOF was consumed by take_while; split
+         the end-of-clause dot back out. *)
+      if String.equal sym "." then { token = Dot; pos }
+      else { token = Atom sym; pos }
+    | c -> error pos "unexpected character %C" c
 
 let tokenize src =
   let st = make src in

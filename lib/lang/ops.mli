@@ -1,6 +1,7 @@
 (** Operator table for the parser (standard ISO core operators plus the
-    ['&'/2] parallel-conjunction operator at priority 1000, as in ACE).
-    Lookups are by interned symbol; declarations intern their name. *)
+    ['&'/2] parallel-conjunction operator at priority 950, binding tighter
+    than [','], as in ACE).
+    Lookups are by interned symbol, reading arrays indexed by symbol id. *)
 
 type assoc = Xfx | Xfy | Yfx
 
@@ -13,6 +14,3 @@ val infix : Ace_term.Symbol.t -> infix option
 val prefix : Ace_term.Symbol.t -> (int * bool) option
 
 val is_operator : Ace_term.Symbol.t -> bool
-
-val declare_infix : string -> int -> assoc -> unit
-val declare_prefix : ?strict:bool -> string -> int -> unit

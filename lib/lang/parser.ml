@@ -18,13 +18,14 @@ let error pos fmt = Format.kasprintf (fun s -> raise (Error (s, pos))) fmt
 type state = {
   lex : Lexer.state;
   mutable la : Lexer.lexeme; (* one-token lookahead *)
+  mutable prio : int; (* the priority of the term [parse] just returned *)
   vars : (string, Term.var) Hashtbl.t;
   mutable var_names : (string * Term.var) list; (* first-occurrence order *)
 }
 
 let make src =
   let lex = Lexer.make src in
-  { lex; la = Lexer.next lex; vars = Hashtbl.create 16; var_names = [] }
+  { lex; la = Lexer.next lex; prio = 0; vars = Hashtbl.create 16; var_names = [] }
 
 let shift st = st.la <- Lexer.next st.lex
 
@@ -56,80 +57,81 @@ let starts_term (lx : Lexer.lexeme) =
   | Lexer.Punct _ | Lexer.Dot | Lexer.Eof -> false
 
 let string_to_codes s =
-  Term.of_list (List.map (fun c -> Term.Int (Char.code c)) (List.init (String.length s) (String.get s)))
+  let codes = ref Term.nil in
+  for i = String.length s - 1 downto 0 do
+    codes := Term.cons (Term.Int (Char.code s.[i])) !codes
+  done;
+  !codes
 
+(* [parse st max_prio] returns the term and leaves its priority in
+   [st.prio]. *)
 let rec parse st max_prio =
-  let left, left_prio = parse_primary st max_prio in
-  parse_infix st max_prio left left_prio
+  let left = parse_primary st max_prio in
+  parse_infix st max_prio left
 
-and parse_infix st max_prio left left_prio =
-  let continue_with s prio assoc =
-    let left_max, right_max =
-      match assoc with
-      | Ops.Xfx -> (prio - 1, prio - 1)
-      | Ops.Xfy -> (prio - 1, prio)
-      | Ops.Yfx -> (prio, prio - 1)
-    in
-    if prio > max_prio || left_prio > left_max then None
-    else begin
-      shift st;
-      let right, _ = parse st right_max in
-      Some (Term.Struct (s, [| left; right |]), prio)
-    end
-  in
-  let attempt s =
-    match Ops.infix s with
-    | None -> None
-    | Some { Ops.prio; assoc } -> continue_with s prio assoc
-  in
-  let result =
-    match st.la.Lexer.token with
-    | Lexer.Atom name -> attempt (Symbol.intern name)
-    | Lexer.Punct "," -> attempt Symbol.comma
-    | Lexer.Punct "|" ->
-      (* '|' at priority 1100 is an alternative spelling of ';' in bodies *)
-      (match Ops.infix Symbol.semicolon with
-       | Some { Ops.prio; assoc } when prio <= max_prio ->
-         continue_with Symbol.semicolon prio assoc
-       | Some _ | None -> None)
-    | Lexer.Int _ | Lexer.Var _ | Lexer.Str _ | Lexer.Punct _ | Lexer.Dot
-    | Lexer.Eof ->
-      None
-  in
-  match result with
-  | Some (t, prio) -> parse_infix st max_prio t prio
-  | None -> (left, left_prio)
+and parse_infix st max_prio left =
+  match st.la.Lexer.token with
+  | Lexer.Atom name -> try_infix st max_prio left (Symbol.intern name)
+  | Lexer.Punct "," -> try_infix st max_prio left Symbol.comma
+  | Lexer.Punct "|" -> (
+    (* '|' at priority 1100 is an alternative spelling of ';' in bodies *)
+    match Ops.infix Symbol.semicolon with
+    | Some op when op.Ops.prio <= max_prio -> apply_infix st max_prio left Symbol.semicolon op
+    | Some _ | None -> left)
+  | Lexer.Int _ | Lexer.Var _ | Lexer.Str _ | Lexer.Punct _ | Lexer.Dot
+  | Lexer.Eof ->
+    left
 
+and try_infix st max_prio left s =
+  match Ops.infix s with None -> left | Some op -> apply_infix st max_prio left s op
+
+(* [left] (of priority [st.prio]) as the left operand of infix operator
+   [s], when both fit; otherwise [left] alone. *)
+and apply_infix st max_prio left s { Ops.prio; assoc } =
+  let left_max = if assoc = Ops.Yfx then prio else prio - 1 in
+  let right_max = if assoc = Ops.Xfy then prio else prio - 1 in
+  if prio > max_prio || st.prio > left_max then left
+  else begin
+    shift st;
+    let right = parse st right_max in
+    st.prio <- prio;
+    parse_infix st max_prio (Term.Struct (s, [| left; right |]))
+  end
+
+(* A primary term; its priority goes to [st.prio]. *)
 and parse_primary st max_prio =
   let pos = st.la.Lexer.pos in
+  st.prio <- 0;
   match st.la.Lexer.token with
   | Lexer.Int n ->
     shift st;
-    (Term.Int n, 0)
+    Term.Int n
   | Lexer.Str s ->
     shift st;
-    (string_to_codes s, 0)
+    string_to_codes s
   | Lexer.Var name ->
     shift st;
-    (Term.Var (lookup_var st name), 0)
+    Term.Var (lookup_var st name)
   | Lexer.Punct ("(" | "((") ->
     shift st;
     let t = parse st 1200 in
     expect_punct st ")";
-    (fst t, 0)
+    st.prio <- 0;
+    t
   | Lexer.Punct "[" ->
     shift st;
     parse_list st
-  | Lexer.Punct "{" ->
+  | Lexer.Punct "{" -> (
     shift st;
-    (match st.la.Lexer.token with
-     | Lexer.Punct "}" ->
-       shift st;
-       (Term.Atom Symbol.curly, 0)
-     | _ ->
-       let t, _ = parse st 1200 in
-       expect_punct st "}";
-       (Term.Struct (Symbol.curly, [| t |]), 0))
+    match st.la.Lexer.token with
+    | Lexer.Punct "}" ->
+      shift st;
+      Term.Atom Symbol.curly
+    | _ ->
+      let t = parse st 1200 in
+      expect_punct st "}";
+      st.prio <- 0;
+      Term.Struct (Symbol.curly, [| t |]))
   | Lexer.Atom name -> (
     (* one intern per atom token: the symbol serves the operator probes and
        the term built from it *)
@@ -140,23 +142,23 @@ and parse_primary st max_prio =
       shift st;
       let args = parse_args st in
       expect_punct st ")";
-      (Term.struct_sym s (Array.of_list args), 0)
+      st.prio <- 0;
+      Term.struct_sym s (Array.of_list args)
     | _ -> (
       match Ops.prefix s with
       | Some _ when Symbol.equal s sym_minus && is_int st.la ->
-        let n = take_int st in
-        (Term.Int (-n), 0)
-      | Some _ when Symbol.equal s sym_plus && is_int st.la ->
-        let n = take_int st in
-        (Term.Int n, 0)
+        Term.Int (-take_int st)
+      | Some _ when Symbol.equal s sym_plus && is_int st.la -> Term.Int (take_int st)
       | Some (prio, strict) when prio <= max_prio && starts_term st.la ->
         let arg_max = if strict then prio - 1 else prio in
-        let arg, _ = parse st arg_max in
-        (Term.Struct (s, [| arg |]), prio)
+        let arg = parse st arg_max in
+        st.prio <- prio;
+        Term.Struct (s, [| arg |])
       | Some _ | None ->
         (* A bare atom; operators used as operands keep their priority so
            that e.g. [X = (:-)] needs the parentheses it was given. *)
-        (Term.Atom s, if Ops.is_operator s then 1201 else 0)))
+        if Ops.is_operator s then st.prio <- 1201;
+        Term.Atom s))
   | Lexer.Punct p -> error pos "unexpected %s" p
   | Lexer.Dot -> error pos "unexpected end of clause"
   | Lexer.Eof -> error pos "unexpected end of input"
@@ -172,7 +174,7 @@ and take_int st =
   | _ -> error st.la.Lexer.pos "expected integer"
 
 and parse_args st =
-  let arg, _ = parse st 999 in
+  let arg = parse st 999 in
   match st.la.Lexer.token with
   | Lexer.Punct "," ->
     shift st;
@@ -183,19 +185,19 @@ and parse_list st =
   match st.la.Lexer.token with
   | Lexer.Punct "]" ->
     shift st;
-    (Term.nil, 0)
+    Term.nil
   | _ ->
     let elements = parse_args st in
     let tail =
       match st.la.Lexer.token with
       | Lexer.Punct "|" ->
         shift st;
-        let t, _ = parse st 999 in
-        t
+        parse st 999
       | _ -> Term.nil
     in
     expect_punct st "]";
-    (List.fold_right Term.cons elements tail, 0)
+    st.prio <- 0;
+    List.fold_right Term.cons elements tail
 
 and expect_punct st p =
   match st.la.Lexer.token with
@@ -219,7 +221,7 @@ let next_term st =
   match st.la.Lexer.token with
   | Lexer.Eof -> None
   | _ ->
-    let t, _ = parse st 1200 in
+    let t = parse st 1200 in
     (match st.la.Lexer.token with
      | Lexer.Dot ->
        shift st;

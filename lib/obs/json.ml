@@ -19,32 +19,61 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string buf s =
+(* The writers below go straight into the buffer: a string's clean runs
+   are copied whole, and integers are written digit by digit.  Only a
+   number that is not a small integer reaches [Printf], in [add_float]. *)
+
+let hex = "0123456789abcdef"
+
+let add_escape buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+    Buffer.add_string buf "\\u00";
+    Buffer.add_char buf (String.unsafe_get hex (Char.code c lsr 4));
+    Buffer.add_char buf (String.unsafe_get hex (Char.code c land 15))
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      add_escape buf c;
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring buf s !start (n - !start);
   Buffer.add_char buf '"'
 
+let[@inline never] add_float buf f = Buffer.add_string buf (Printf.sprintf "%.17g" f)
+
+(* An integral number below 1e15 in magnitude prints as its digits (as
+   "%.0f" would, "-0" included); any other number as "%.17g". *)
 let add_num buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+  if Float.is_integer f && Float.abs f < 1e15 then begin
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    Ace_term.Pp.add_int buf (Int.abs (int_of_float f))
+  end
+  else add_float buf f
+
+let small = 1_000_000_000_000_000
+
+let add_int buf n =
+  if n > -small && n < small then Ace_term.Pp.add_int buf n
+  else add_float buf (float_of_int n)
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num f -> add_num buf f
-  | Str s -> escape_string buf s
+  | Str s -> add_string buf s
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
@@ -58,7 +87,7 @@ let rec add buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        escape_string buf k;
+        add_string buf k;
         Buffer.add_char buf ':';
         add buf v)
       fields;
@@ -73,28 +102,37 @@ let to_string v =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The cursor reads characters in place: [peek] returns [eof] past the
+   end, and where a NUL byte could be meant, [at_end] tells them apart.
+   Strings without escapes, keys included, are cut from the text in one
+   piece, and short integers are read without [float_of_string]. *)
+
 exception Parse_error of string
 
 type cursor = { text : string; mutable pos : int }
 
 let fail c msg = raise (Parse_error (Printf.sprintf "at %d: %s" c.pos msg))
 
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
+let eof = '\000'
+
+let at_end c = c.pos >= String.length c.text
+
+let peek c = if c.pos < String.length c.text then String.unsafe_get c.text c.pos else eof
 
 let advance c = c.pos <- c.pos + 1
 
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance c;
-    skip_ws c
-  | Some _ | None -> ()
+let skip_ws c =
+  while
+    match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    advance c
+  done
 
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> fail c (Printf.sprintf "expected %C, got %C" ch x)
-  | None -> fail c (Printf.sprintf "expected %C, got end of input" ch)
+let[@inline never] fail_expected c ch =
+  if at_end c then fail c (Printf.sprintf "expected %C, got end of input" ch)
+  else fail c (Printf.sprintf "expected %C, got %C" ch (peek c))
+
+let expect c ch = if (not (at_end c)) && peek c = ch then advance c else fail_expected c ch
 
 let literal c word value =
   let n = String.length word in
@@ -117,37 +155,37 @@ let add_utf8 buf u =
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
   end
 
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
+(* The rest of a string holding an escape, from [c.pos] (just past the
+   characters already in [buf]) through the closing quote. *)
+let parse_escaped c buf =
   let rec go () =
+    if at_end c then fail c "unterminated string";
     match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
+    | '"' -> advance c
+    | '\\' ->
       advance c;
-      match peek c with
-      | Some '"' -> advance c; Buffer.add_char buf '"'; go ()
-      | Some '\\' -> advance c; Buffer.add_char buf '\\'; go ()
-      | Some '/' -> advance c; Buffer.add_char buf '/'; go ()
-      | Some 'n' -> advance c; Buffer.add_char buf '\n'; go ()
-      | Some 't' -> advance c; Buffer.add_char buf '\t'; go ()
-      | Some 'r' -> advance c; Buffer.add_char buf '\r'; go ()
-      | Some 'b' -> advance c; Buffer.add_char buf '\b'; go ()
-      | Some 'f' -> advance c; Buffer.add_char buf '\012'; go ()
-      | Some 'u' ->
-        advance c;
-        if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
-        let hex = String.sub c.text c.pos 4 in
-        (match int_of_string_opt ("0x" ^ hex) with
-         | Some u ->
-           c.pos <- c.pos + 4;
-           add_utf8 buf u;
-           go ()
-         | None -> fail c "bad \\u escape")
-      | Some x -> fail c (Printf.sprintf "bad escape \\%C" x)
-      | None -> fail c "unterminated escape")
-    | Some ch ->
+      if at_end c then fail c "unterminated escape";
+      (match peek c with
+       | '"' -> advance c; Buffer.add_char buf '"'
+       | '\\' -> advance c; Buffer.add_char buf '\\'
+       | '/' -> advance c; Buffer.add_char buf '/'
+       | 'n' -> advance c; Buffer.add_char buf '\n'
+       | 't' -> advance c; Buffer.add_char buf '\t'
+       | 'r' -> advance c; Buffer.add_char buf '\r'
+       | 'b' -> advance c; Buffer.add_char buf '\b'
+       | 'f' -> advance c; Buffer.add_char buf '\012'
+       | 'u' ->
+         advance c;
+         if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
+         let hex = String.sub c.text c.pos 4 in
+         (match int_of_string_opt ("0x" ^ hex) with
+          | Some u ->
+            c.pos <- c.pos + 4;
+            add_utf8 buf u
+          | None -> fail c "bad \\u escape")
+       | x -> fail c (Printf.sprintf "bad escape \\%C" x));
+      go ()
+    | ch ->
       advance c;
       Buffer.add_char buf ch;
       go ()
@@ -155,38 +193,74 @@ let parse_string c =
   go ();
   Buffer.contents buf
 
+let parse_string c =
+  expect c '"';
+  let text = c.text in
+  let start = c.pos in
+  let n = String.length text in
+  let i = ref start in
+  while !i < n && (match String.unsafe_get text !i with '"' | '\\' -> false | _ -> true) do
+    incr i
+  done;
+  if !i < n && String.unsafe_get text !i = '"' then begin
+    c.pos <- !i + 1;
+    String.sub text start (!i - start)
+  end
+  else begin
+    let buf = Buffer.create (!i - start + 16) in
+    Buffer.add_substring buf text start (!i - start);
+    c.pos <- !i;
+    parse_escaped c buf
+  end
+
+(* [-]digits, at most 15 of them, read as an int (exact as a float); -0
+   keeps its sign.  Anything else goes to [float_of_string]. *)
+let short_integer text start stop =
+  let neg = stop > start && String.unsafe_get text start = '-' in
+  let first = if neg then start + 1 else start in
+  if stop = first || stop - first > 15 then None
+  else begin
+    let v = ref 0 and ok = ref true in
+    for i = first to stop - 1 do
+      match String.unsafe_get text i with
+      | '0' .. '9' as d -> v := (!v * 10) + Char.code d - 48
+      | _ -> ok := false
+    done;
+    if not !ok then None
+    else if neg then Some (if !v = 0 then -0. else float_of_int (- !v))
+    else Some (float_of_int !v)
+  end
+
 let parse_number c =
   let start = c.pos in
-  let rec go () =
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-      advance c;
-      go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  let s = String.sub c.text start (c.pos - start) in
-  match float_of_string_opt s with
+  while match peek c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false do
+    advance c
+  done;
+  match short_integer c.text start c.pos with
   | Some f -> Num f
-  | None -> fail c (Printf.sprintf "bad number %S" s)
+  | None -> (
+    let s = String.sub c.text start (c.pos - start) in
+    match float_of_string_opt s with
+    | Some f -> Num f
+    | None -> fail c (Printf.sprintf "bad number %S" s))
 
 let rec parse_value c =
   skip_ws c;
+  if at_end c then fail c "unexpected end of input";
   match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some '{' -> parse_obj c
-  | Some '[' -> parse_list c
-  | Some '"' -> Str (parse_string c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected %C" ch)
+  | '{' -> parse_obj c
+  | '[' -> parse_list c
+  | '"' -> Str (parse_string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected %C" ch)
 
 and parse_list c =
   expect c '[';
   skip_ws c;
-  if peek c = Some ']' then begin
+  if peek c = ']' then begin
     advance c;
     List []
   end
@@ -194,15 +268,15 @@ and parse_list c =
     let rec items acc =
       let v = parse_value c in
       skip_ws c;
+      if at_end c then fail c "unterminated array";
       match peek c with
-      | Some ',' ->
+      | ',' ->
         advance c;
         items (v :: acc)
-      | Some ']' ->
+      | ']' ->
         advance c;
         List.rev (v :: acc)
-      | Some ch -> fail c (Printf.sprintf "expected ',' or ']', got %C" ch)
-      | None -> fail c "unterminated array"
+      | ch -> fail c (Printf.sprintf "expected ',' or ']', got %C" ch)
     in
     List (items [])
   end
@@ -210,7 +284,7 @@ and parse_list c =
 and parse_obj c =
   expect c '{';
   skip_ws c;
-  if peek c = Some '}' then begin
+  if peek c = '}' then begin
     advance c;
     Obj []
   end
@@ -222,15 +296,15 @@ and parse_obj c =
       expect c ':';
       let v = parse_value c in
       skip_ws c;
+      if at_end c then fail c "unterminated object";
       match peek c with
-      | Some ',' ->
+      | ',' ->
         advance c;
         fields ((k, v) :: acc)
-      | Some '}' ->
+      | '}' ->
         advance c;
         List.rev ((k, v) :: acc)
-      | Some ch -> fail c (Printf.sprintf "expected ',' or '}', got %C" ch)
-      | None -> fail c "unterminated object"
+      | ch -> fail c (Printf.sprintf "expected ',' or '}', got %C" ch)
     in
     Obj (fields [])
   end
@@ -248,8 +322,12 @@ let parse text =
 (* Accessors (for tests and validators)                                *)
 (* ------------------------------------------------------------------ *)
 
+let rec assoc key = function
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
+  | [] -> None
+
 let member key = function
-  | Obj fields -> List.assoc_opt key fields
+  | Obj fields -> assoc key fields
   | Null | Bool _ | Num _ | Str _ | List _ -> None
 
 let to_list = function List items -> Some items | _ -> None

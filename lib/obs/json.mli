@@ -16,6 +16,14 @@ type t =
     decimal point. *)
 val to_string : t -> string
 
+(** [add_string buf s] writes [s] as a JSON string literal, as
+    {!to_string} prints [Str s]. *)
+val add_string : Buffer.t -> string -> unit
+
+(** [add_int buf n] writes [n] as {!to_string} prints [int n]: its digits
+    when [|n| < 10^15], otherwise the nearest float in ["%.17g"] form. *)
+val add_int : Buffer.t -> int -> unit
+
 (** Parses a complete JSON document; [Error msg] carries the byte offset of
     the first problem. *)
 val parse : string -> (t, string) result

@@ -90,20 +90,41 @@ type response =
 
 let overloaded = "overloaded"
 
+(* An answer is written straight into one buffer, sized from its
+   solutions: the same bytes as [Json.to_string] of the object
+   {"id", "ok", "solutions", "count", "cancelled"?, "time_ns"}, without
+   building it. *)
+let add_answer buf ~id ~solutions ~cancelled ~time_ns =
+  Buffer.add_string buf "{\"id\":";
+  Json.add_int buf id;
+  Buffer.add_string buf ",\"ok\":true,\"solutions\":[";
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.add_string buf s)
+    solutions;
+  Buffer.add_string buf "],\"count\":";
+  Json.add_int buf (List.length solutions);
+  (match cancelled with
+   | Some why ->
+     Buffer.add_string buf ",\"cancelled\":";
+     Json.add_string buf why
+   | None -> ());
+  Buffer.add_string buf ",\"time_ns\":";
+  Json.add_int buf time_ns;
+  Buffer.add_char buf '}'
+
+(* Room for the fixed fields and every solution with its quotes and
+   comma; escapes, rare in printed terms, grow the buffer. *)
+let answer_size solutions cancelled =
+  List.fold_left (fun n s -> n + String.length s + 3) 96 solutions
+  + match cancelled with Some why -> String.length why + 16 | None -> 0
+
 let print_response = function
   | Answer { id; solutions; cancelled; time_ns } ->
-    Json.to_string
-      (Json.Obj
-         ([
-            ("id", Json.int id);
-            ("ok", Json.Bool true);
-            ("solutions", Json.List (List.map (fun s -> Json.Str s) solutions));
-            ("count", Json.int (List.length solutions));
-          ]
-         @ (match cancelled with
-           | Some why -> [ ("cancelled", Json.Str why) ]
-           | None -> [])
-         @ [ ("time_ns", Json.int time_ns) ]))
+    let buf = Buffer.create (answer_size solutions cancelled) in
+    add_answer buf ~id ~solutions ~cancelled ~time_ns;
+    Buffer.contents buf
   | Failure { id; message } ->
     Json.to_string
       (Json.Obj

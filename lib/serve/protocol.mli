@@ -33,6 +33,8 @@ type request =
           (** at most this many solutions; 0 answers none without
               searching, a negative value is an in-band error *)
       deadline_ms : int option;
+          (** cancel the query this many ms after it starts; a negative
+              value is an in-band error *)
     }
   | Cancel of { id : int }
   | Assert of { clause : string; front : bool }

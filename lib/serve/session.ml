@@ -82,19 +82,20 @@ let guard f =
   | exception Failure msg -> Error msg
 
 (* The run options a request sets, refused by their wire names. *)
-let check_request kind ~agents ~limit =
+let check_request kind ~agents ~limit ~deadline_ms =
   if agents < 1 then Error (Printf.sprintf "agents must be >= 1 (got %d)" agents)
   else
-    match limit with
-    | Some n when n < 0 -> Error (Printf.sprintf "limit must be >= 0 (got %d)" n)
-    | Some _ | None -> Engine.check_agents kind agents
+    match (limit, deadline_ms) with
+    | Some n, _ when n < 0 -> Error (Printf.sprintf "limit must be >= 0 (got %d)" n)
+    | _, Some n when n < 0 -> Error (Printf.sprintf "deadline_ms must be >= 0 (got %d)" n)
+    | _ -> Engine.check_agents kind agents
 
 let query ?id ?engine ?agents ?limit ?deadline_ms s goal_text =
   let t0 = Unix.gettimeofday () in
   let kind = Option.value ~default:s.engine engine in
   let agents = Option.value ~default:s.config.Config.agents agents in
   match
-    Result.bind (check_request kind ~agents ~limit) (fun () ->
+    Result.bind (check_request kind ~agents ~limit ~deadline_ms) (fun () ->
         guard (fun () -> Program.parse_query goal_text))
   with
   | Error _ as e -> e

@@ -33,9 +33,10 @@ type answer = {
     [deadline_ms] arms the cancel token's wall-clock deadline.  Engine
     errors (unknown predicate, arithmetic, parse, a simulator's step
     cap) come back as [Error msg] — they never tear down the session —
-    and so, before anything runs, does a query with [agents] below 1 or
-    [limit] below 0 (the message names the wire field) or a [Par_or]
-    query whose [agents] fails {!Ace_core.Engine.check_agents}. *)
+    and so, before anything runs, does a query with [agents] below 1,
+    [limit] or [deadline_ms] below 0 (the message names the wire field)
+    or a [Par_or] query whose [agents] fails
+    {!Ace_core.Engine.check_agents}. *)
 val query :
   ?id:int ->
   ?engine:Ace_core.Engine.kind ->

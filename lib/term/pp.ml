@@ -9,92 +9,84 @@
    the buffer, so printing costs one pass over the term and the bytes it
    emits (answers on the server's request path are printed here).
 
-   This is the one layer where symbols resolve back to strings: the tables
-   are keyed on symbol ids, and [Symbol.name] is called only on the atoms
-   actually printed. *)
+   Nothing about a symbol is worked out at print time: its printed text
+   (quoted when needed) was computed when it was interned
+   ([Symbol.text]), and its operator class is read from arrays indexed by
+   symbol id.  Integers are written digit by digit, so the walk
+   allocates only when the buffer grows (and, in the canonical form, to
+   number the variables). *)
 
 type assoc = Xfx | Xfy | Yfx
 
-let infix_ops : (int, int * assoc) Hashtbl.t =
-  let t = Hashtbl.create 32 in
-  List.iter
-    (fun (name, prio, assoc) ->
-      Hashtbl.replace t (Symbol.id (Symbol.intern name)) (prio, assoc))
-    [ (":-", 1200, Xfx);
-      ("-->", 1200, Xfx);
-      (";", 1100, Xfy);
-      ("->", 1050, Xfy);
-      (",", 1000, Xfy);
-      ("&", 950, Xfy);
-      ("=", 700, Xfx);
-      ("\\=", 700, Xfx);
-      ("==", 700, Xfx);
-      ("\\==", 700, Xfx);
-      ("is", 700, Xfx);
-      ("<", 700, Xfx);
-      (">", 700, Xfx);
-      ("=<", 700, Xfx);
-      (">=", 700, Xfx);
-      ("=:=", 700, Xfx);
-      ("=\\=", 700, Xfx);
-      ("@<", 700, Xfx);
-      ("@>", 700, Xfx);
-      ("@=<", 700, Xfx);
-      ("@>=", 700, Xfx);
-      ("+", 500, Yfx);
-      ("-", 500, Yfx);
-      ("*", 400, Yfx);
-      ("/", 400, Yfx);
-      ("//", 400, Yfx);
-      ("mod", 400, Yfx);
-      ("rem", 400, Yfx);
-      ("div", 400, Yfx);
-      (">>", 400, Yfx);
-      ("<<", 400, Yfx);
-      ("^", 200, Xfy) ];
-  t
+(* An operator as the walk uses it: its priority, the highest priority
+   printable without parentheses on each side, and the text between the
+   operands (or before the operand of a prefix operator). *)
+type op = { prio : int; left : int; right : int; text : string }
 
-let prefix_ops : (int, int) Hashtbl.t =
-  let t = Hashtbl.create 4 in
-  List.iter
-    (fun (name, prio) -> Hashtbl.replace t (Symbol.id (Symbol.intern name)) prio)
-    [ ("-", 200); ("\\+", 900); ("?-", 1200); (":-", 1200) ];
-  t
+(* The operator tables are indexed by symbol id ([Symbol.by_id]). *)
+let infix_ops =
+  Symbol.by_id
+    (List.map
+       (fun (name, prio, assoc) ->
+         let left, right =
+           match assoc with
+           | Xfx -> (prio - 1, prio - 1)
+           | Xfy -> (prio - 1, prio)
+           | Yfx -> (prio, prio - 1)
+         in
+         let text = if String.equal name "," then ", " else " " ^ name ^ " " in
+         (name, { prio; left; right; text }))
+       [ (":-", 1200, Xfx);
+         ("-->", 1200, Xfx);
+         (";", 1100, Xfy);
+         ("->", 1050, Xfy);
+         (",", 1000, Xfy);
+         ("&", 950, Xfy);
+         ("=", 700, Xfx);
+         ("\\=", 700, Xfx);
+         ("==", 700, Xfx);
+         ("\\==", 700, Xfx);
+         ("is", 700, Xfx);
+         ("<", 700, Xfx);
+         (">", 700, Xfx);
+         ("=<", 700, Xfx);
+         (">=", 700, Xfx);
+         ("=:=", 700, Xfx);
+         ("=\\=", 700, Xfx);
+         ("@<", 700, Xfx);
+         ("@>", 700, Xfx);
+         ("@=<", 700, Xfx);
+         ("@>=", 700, Xfx);
+         ("+", 500, Yfx);
+         ("-", 500, Yfx);
+         ("*", 400, Yfx);
+         ("/", 400, Yfx);
+         ("//", 400, Yfx);
+         ("mod", 400, Yfx);
+         ("rem", 400, Yfx);
+         ("div", 400, Yfx);
+         (">>", 400, Yfx);
+         ("<<", 400, Yfx);
+         ("^", 200, Xfy) ])
 
-let is_letter_atom name =
-  String.length name > 0
-  && (match name.[0] with 'a' .. 'z' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-       name
+let prefix_ops =
+  Symbol.by_id
+    (List.map
+       (fun (name, prio) -> (name, { prio; left = prio; right = prio; text = name ^ " " }))
+       [ ("-", 200); ("\\+", 900); ("?-", 1200); (":-", 1200) ])
 
-let is_symbolic_atom name =
-  String.length name > 0
-  && String.for_all
-       (fun c -> String.contains "+-*/\\^<>=~:.?@#&$" c)
-       name
-
-let atom_needs_quotes name =
-  (* "." alone would lex as the end-of-clause dot *)
-  String.equal name "."
-  || (not (is_letter_atom name || is_symbolic_atom name)
-      && not (List.mem name [ "[]"; "!"; ";"; "{}" ]))
-
-let add_atom buf name =
-  if atom_needs_quotes name then begin
-    Buffer.add_char buf '\'';
-    String.iter
-      (function
-        | '\'' -> Buffer.add_string buf "\\'"
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      name;
-    Buffer.add_char buf '\''
-  end
-  else Buffer.add_string buf name
-
-let add_int buf n = Buffer.add_string buf (string_of_int n)
+(* The digits of [n] as [string_of_int] writes them, with no string in
+   between.  It counts on [-|n|], so [min_int] needs no special case. *)
+let add_int buf n =
+  let m = if n < 0 then (Buffer.add_char buf '-'; n) else -n in
+  let p = ref 1 in
+  while m / !p <= -10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    Buffer.add_char buf (Char.unsafe_chr (48 - ((m / !p) mod 10)));
+    p := !p / 10
+  done
 
 (* Variable names: [None] prints [_G<id>]; [Some tbl] numbers variables
    by first occurrence in print order (the canonical form), [tbl] mapping
@@ -130,45 +122,41 @@ let rec add_prio buf names max_prio t =
       Buffer.add_char buf ')'
     end
     else add_int buf n
-  | Term.Atom s -> add_atom buf (Symbol.name s)
-  | Term.Struct (s, [| h; tl |]) when Symbol.equal s Symbol.dot ->
-    Buffer.add_char buf '[';
-    add_prio buf names 999 h;
-    add_tail buf names tl;
-    Buffer.add_char buf ']'
-  | Term.Struct (s, [| x; y |]) when Hashtbl.mem infix_ops (Symbol.id s) ->
-    let prio, assoc = Hashtbl.find infix_ops (Symbol.id s) in
-    let lp, rp =
-      match assoc with
-      | Xfx -> (prio - 1, prio - 1)
-      | Xfy -> (prio - 1, prio)
-      | Yfx -> (prio, prio - 1)
-    in
-    if prio > max_prio then Buffer.add_char buf '(';
-    add_prio buf names lp x;
-    if Symbol.equal s Symbol.comma then Buffer.add_string buf ", "
-    else begin
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (Symbol.name s);
-      Buffer.add_char buf ' '
-    end;
-    add_prio buf names rp y;
-    if prio > max_prio then Buffer.add_char buf ')'
-  | Term.Struct (s, [| x |]) when Hashtbl.mem prefix_ops (Symbol.id s) ->
-    let prio = Hashtbl.find prefix_ops (Symbol.id s) in
-    if prio > max_prio then Buffer.add_char buf '(';
-    Buffer.add_string buf (Symbol.name s);
-    Buffer.add_char buf ' ';
-    add_prio buf names prio x;
-    if prio > max_prio then Buffer.add_char buf ')'
-  | Term.Struct (s, args) ->
-    add_atom buf (Symbol.name s);
-    Buffer.add_char buf '(';
-    for i = 0 to Array.length args - 1 do
-      if i > 0 then Buffer.add_char buf ',';
-      add_prio buf names 999 args.(i)
-    done;
-    Buffer.add_char buf ')'
+  | Term.Atom s -> Buffer.add_string buf (Symbol.text s)
+  | Term.Struct (s, ([| x; y |] as args)) -> (
+    if Symbol.equal s Symbol.dot then begin
+      Buffer.add_char buf '[';
+      add_prio buf names 999 x;
+      add_tail buf names y;
+      Buffer.add_char buf ']'
+    end
+    else
+      match Symbol.find infix_ops s with
+      | Some op ->
+        if op.prio > max_prio then Buffer.add_char buf '(';
+        add_prio buf names op.left x;
+        Buffer.add_string buf op.text;
+        add_prio buf names op.right y;
+        if op.prio > max_prio then Buffer.add_char buf ')'
+      | None -> add_compound buf names s args)
+  | Term.Struct (s, ([| x |] as args)) -> (
+    match Symbol.find prefix_ops s with
+    | Some op ->
+      if op.prio > max_prio then Buffer.add_char buf '(';
+      Buffer.add_string buf op.text;
+      add_prio buf names op.right x;
+      if op.prio > max_prio then Buffer.add_char buf ')'
+    | None -> add_compound buf names s args)
+  | Term.Struct (s, args) -> add_compound buf names s args
+
+and add_compound buf names s args =
+  Buffer.add_string buf (Symbol.text s);
+  Buffer.add_char buf '(';
+  for i = 0 to Array.length args - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    add_prio buf names 999 (Array.unsafe_get args i)
+  done;
+  Buffer.add_char buf ')'
 
 (* The elements after a list's head; iterative along the spine, so a
    long list costs no stack. *)
@@ -183,10 +171,12 @@ and add_tail buf names t =
     Buffer.add_char buf '|';
     add_prio buf names 999 rest
 
-let to_string t =
+let print names t =
   let buf = Buffer.create 64 in
-  add_prio buf None 1200 t;
+  add_prio buf names 1200 t;
   Buffer.contents buf
+
+let to_string t = print None t
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
@@ -195,7 +185,4 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
    of their variable ids.  Engines produce solution copies with fresh
    (engine-dependent) variables; this is the form to compare across
    engines.  Variable [i] prints as the quoted atom ['_V<i>']. *)
-let to_canonical_string t =
-  let buf = Buffer.create 64 in
-  add_prio buf (Some (Hashtbl.create 8)) 1200 t;
-  Buffer.contents buf
+let to_canonical_string t = print (Some (Hashtbl.create 8)) t

@@ -15,3 +15,7 @@ val to_string : Term.t -> string
     identically.  Reads the term only: safe concurrently with other
     readers. *)
 val to_canonical_string : Term.t -> string
+
+(** [add_int buf n] writes [n]'s decimal digits (as [string_of_int n])
+    into [buf], with no string in between. *)
+val add_int : Buffer.t -> int -> unit

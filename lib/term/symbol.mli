@@ -1,10 +1,11 @@
 (** Interned symbols: atom and functor names mapped to small dense integer
     ids, so term equality, indexing, and dispatch compare machine integers.
-    Strings reappear only at print time, through {!name}.
+    Strings reappear only at print time, through {!name} and {!text}.
 
     The table is shared by every domain of the process.  {!intern} is
-    mutex-protected; {!name} is a lock-free read of an atomically published
-    snapshot, safe to call from any domain for any id it has observed. *)
+    mutex-protected; {!name} and {!text} are lock-free reads of an
+    atomically published snapshot, safe to call from any domain for any id
+    it has observed. *)
 
 type t
 
@@ -14,6 +15,13 @@ val intern : string -> t
 
 (** The string this symbol was interned from. *)
 val name : t -> string
+
+(** The symbol's printed form, as {!Pp} writes an atom or a functor: the
+    name itself when it reads back unquoted as the same atom (a letter
+    name, a symbolic name, [[]], [!], [;], [{}]), otherwise the name in
+    single quotes with ['], [\] and newline escaped.  Computed once, when
+    the symbol is interned. *)
+val text : t -> string
 
 (** The raw integer id (dense, starting at 0). *)
 val id : t -> int
@@ -39,6 +47,17 @@ val compare_names : t -> t -> int
 val count : unit -> int
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Tables by symbol id} *)
+
+(** [by_id bindings] interns each name and returns an array indexed by
+    symbol id: [Some v] at each name's id, [None] elsewhere.  The array
+    reaches only the largest id bound; read it with {!find}. *)
+val by_id : (string * 'a) list -> 'a option array
+
+(** [find table s] is [Some v] when [table] binds [s] to [v]: an array
+    read, no hashing. *)
+val find : 'a option array -> t -> 'a option
 
 (** {2 Pre-interned structural symbols}
 

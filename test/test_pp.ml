@@ -202,8 +202,108 @@ let prop_parse_query_roundtrip =
       | exception e ->
         QCheck2.Test.fail_reportf "%s: %s" printed (Printexc.to_string e))
 
+(* How an atom was printed before each symbol's text was computed at
+   intern time: the name rescanned and quoted on every call.  The
+   reference for [Symbol.text] and for atoms and functors in [Pp]. *)
+let reference_atom name =
+  let is_letter =
+    String.length name > 0
+    && (match name.[0] with 'a' .. 'z' -> true | _ -> false)
+    && String.for_all
+         (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
+         name
+  in
+  let is_symbolic =
+    String.length name > 0
+    && String.for_all (fun c -> String.contains "+-*/\\^<>=~:.?@#&$" c) name
+  in
+  if
+    String.equal name "."
+    || (not (is_letter || is_symbolic) && not (List.mem name [ "[]"; "!"; ";"; "{}" ]))
+  then begin
+    let buf = Buffer.create 16 in
+    Buffer.add_char buf '\'';
+    String.iter
+      (function
+        | '\'' -> Buffer.add_string buf "\\'"
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | c -> Buffer.add_char buf c)
+      name;
+    Buffer.add_char buf '\'';
+    Buffer.contents buf
+  end
+  else name
+
+(* An atom and a functor of arity 3 (which no operator has) named
+   [name], printed, against the reference. *)
+let check_name name =
+  let s = Symbol.intern name in
+  let want = reference_atom name in
+  let args = [| a "x"; i 1; a "[]" |] in
+  String.equal (Symbol.text s) want
+  && String.equal (Pp.to_string (Term.Atom s)) want
+  && String.equal (Pp.to_string (Term.Struct (s, args))) (want ^ "(x,1,[])")
+
+let names =
+  [ "a"; "foo"; "bar_baz"; "aB9_"; "+"; "=.."; "\\+"; "-->"; "[]"; "!"; ";"; "{}";
+    "."; ".."; ""; "A"; "_x"; "9lives"; "hello world"; "it's"; "a\\b"; "a\nb"; "'";
+    "\\"; "[a]"; "{"; "caf\xc3\xa9"; "f(x)"; "a.b"; "$"; ","; "|"; "\000" ]
+
+let name_gen =
+  QCheck2.Gen.(
+    oneof
+      [ oneofl names;
+        string_size
+          ~gen:
+            (frequency
+               [ (4, char_range 'a' 'z');
+                 (2, oneofl [ '+'; '-'; '.'; ':'; '='; '\\'; '$' ]);
+                 (1, oneofl [ 'A'; '_'; '0'; '\''; '\n'; ' '; '!'; ';'; '['; ']'; '{'; '}'; '\200' ]) ])
+          (int_range 0 6) ])
+
+let prop_atom_text =
+  qcheck ~count:500 "atoms print as the per-call quoting did" name_gen (fun name ->
+      check_name name
+      || QCheck2.Test.fail_reportf "%S printed %S, want %S" name
+           (Pp.to_string (Term.atom name)) (reference_atom name))
+
+(* Symbols interned after the text table was sized: enough new names to
+   make it grow at least once, then two domains interning and printing
+   new atoms at once (each checked in the joining domain). *)
+let test_new_symbols () =
+  let shape k =
+    match k mod 4 with
+    | 0 -> Printf.sprintf "pp_new_%d" k
+    | 1 -> Printf.sprintf "Pp new %d" k
+    | 2 -> Printf.sprintf "pp'%d\\\n" k
+    | _ -> String.make (1 + (k mod 7)) '+' ^ Printf.sprintf "%d" k
+  in
+  let before = Symbol.count () in
+  for k = 0 to before do
+    if not (check_name (shape k)) then Alcotest.failf "new symbol %S misprinted" (shape k)
+  done;
+  Alcotest.(check bool) "the table grew" true (Symbol.count () > 2 * before);
+  let print_new d =
+    List.init 2000 (fun k ->
+        let name = Printf.sprintf "%s_dom%d" (shape k) d in
+        let s = Symbol.intern name in
+        (name, Pp.to_string (Term.Struct (s, [| Term.Atom s; i k |]))))
+  in
+  let domains = List.init 2 (fun d -> Domain.spawn (fun () -> print_new d)) in
+  List.iter
+    (fun printed ->
+      List.iteri
+        (fun k (name, got) ->
+          let text = reference_atom name in
+          Alcotest.(check string) name (Printf.sprintf "%s(%s,%d)" text text k) got)
+        printed)
+    (List.map Domain.join domains)
+
 let suite =
   [ Alcotest.test_case "goldens" `Quick test_goldens;
     Alcotest.test_case "variables" `Quick test_variables;
     Alcotest.test_case "single line" `Quick test_single_line;
-    prop_parse_query_roundtrip ]
+    prop_parse_query_roundtrip;
+    prop_atom_text;
+    Alcotest.test_case "new symbols, from two domains" `Quick test_new_symbols ]

@@ -60,6 +60,124 @@ let test_protocol_parse () =
   | Ok _ -> Alcotest.fail "bad json must be rejected"
 
 (* ------------------------------------------------------------------ *)
+(* The reply writer                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The JSON printer as it was before strings and numbers were written
+   straight into the buffer (one escape per character, [Printf] for
+   every number): the reference that the reply writer and
+   [Json.to_string] must match byte for byte. *)
+let reference_json v =
+  let buf = Buffer.create 256 in
+  let str s =
+    Buffer.add_char buf '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let rec add = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Json.Num f ->
+      Buffer.add_string buf
+        (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+         else Printf.sprintf "%.17g" f)
+    | Json.Str s -> str s
+    | Json.List items ->
+      Buffer.add_char buf '[';
+      List.iteri (fun i v -> if i > 0 then Buffer.add_char buf ','; add v) items;
+      Buffer.add_char buf ']'
+    | Json.Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          str k;
+          Buffer.add_char buf ':';
+          add v)
+        fields;
+      Buffer.add_char buf '}'
+  in
+  add v;
+  Buffer.contents buf
+
+(* The object an answer was printed from before the reply writer. *)
+let answer_object ~id ~solutions ~cancelled ~time_ns =
+  Json.Obj
+    ([ ("id", Json.int id); ("ok", Json.Bool true);
+       ("solutions", Json.List (List.map (fun s -> Json.Str s) solutions));
+       ("count", Json.int (List.length solutions)) ]
+    @ (match cancelled with Some why -> [ ("cancelled", Json.Str why) ] | None -> [])
+    @ [ ("time_ns", Json.int time_ns) ])
+
+(* Around the 1e15 switch from digits to "%.17g", and the ends of int. *)
+let edge_ints =
+  [ 0; -1; 999_999_999_999_999; -999_999_999_999_999; 1_000_000_000_000_000;
+    -1_000_000_000_000_000; min_int; max_int ]
+
+let answer_gen =
+  QCheck2.Gen.(
+    let char =
+      frequency
+        [ (4, char_range ' ' '~');
+          (2, oneofl [ '"'; '\\'; '\000'; '\127'; '\n'; '\r'; '\t' ]);
+          (1, char_range '\000' '\031');
+          (1, char_range '\128' '\255') ]
+    in
+    let solution =
+      frequency
+        [ (6, string_size ~gen:char (int_range 0 16));
+          (1, oneofl [ ""; "caf\xc3\xa9"; "p('\xe2\x86\x92',\"\\\")" ]) ]
+    in
+    let int = frequency [ (1, oneofl edge_ints); (1, int) ] in
+    tup4 int (list_size (int_range 0 6) solution)
+      (option (oneof [ oneofl [ "deadline"; "requested"; "budget" ]; solution ]))
+      int)
+
+let prop_answer_bytes =
+  Test_util.qcheck ~count:500 "print_response (Answer ...) = the parent's bytes"
+    answer_gen (fun (id, solutions, cancelled, time_ns) ->
+      let want = reference_json (answer_object ~id ~solutions ~cancelled ~time_ns) in
+      let got =
+        Protocol.print_response (Protocol.Answer { id; solutions; cancelled; time_ns })
+      in
+      let via_json = Json.to_string (answer_object ~id ~solutions ~cancelled ~time_ns) in
+      (got = want && via_json = want)
+      || QCheck2.Test.fail_reportf "want %S@.reply %S@.Json.to_string %S" want got via_json)
+
+(* The text codecs allocate per token and per reply, not per character:
+   [Gc.minor_words] of one call after a warm-up call, pinned a little
+   above what it reads (60 and 162 words).  With an option per character
+   read and the reply built as a JSON tree, these read 282 and 808. *)
+let words f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  int_of_float (Gc.minor_words () -. w0)
+
+let test_codec_words () =
+  let line = {|{"op":"query","id":4242,"goal":"hop3(k1234, W)"}|} in
+  let solutions = List.init 27 (fun i -> Printf.sprintf "hop3(k1234,k%d)" ((i * 37) + 5)) in
+  let reply =
+    Protocol.Answer { id = 4242; solutions; cancelled = None; time_ns = 14_000 }
+  in
+  List.iter
+    (fun (what, pin, n) ->
+      if n > pin then Alcotest.failf "%s: %d minor words, pinned at %d" what n pin)
+    [ ("Json.parse of a query line", 70, words (fun () -> Json.parse line));
+      ("print_response of a 27-answer reply", 175,
+       words (fun () -> Protocol.print_response reply)) ]
+
+(* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -409,7 +527,10 @@ let test_server_failures_in_band () =
         (query (11 + (2 * i)) "path(a, X)" (limit (-1)));
       refused ~msg:"agents must be >= 1 (got 0)" (20 + i)
         (query (20 + i) "path(a, X)"
-           [ ("engine", Json.Str engine); ("agents", Json.int 0) ]))
+           [ ("engine", Json.Str engine); ("agents", Json.int 0) ]);
+      refused ~msg:"deadline_ms must be >= 0 (got -5)" (30 + i)
+        (query (30 + i) "path(a, X)"
+           [ ("engine", Json.Str engine); ("deadline_ms", Json.int (-5)) ]))
     [ "seq"; "and"; "or"; "par" ];
   Alcotest.(check int) "the worker still serves" 3
     (num "count" (query 3 "path(a, X)" []));
@@ -509,6 +630,8 @@ let test_server_line_cap () =
 let suite =
   [
     Alcotest.test_case "protocol: parse requests" `Quick test_protocol_parse;
+    prop_answer_bytes;
+    Alcotest.test_case "protocol: codecs allocate per token" `Quick test_codec_words;
     Alcotest.test_case "session: query" `Quick test_session_query;
     Alcotest.test_case "session: overlay assert/retract" `Quick
       test_session_overlay_ops;
