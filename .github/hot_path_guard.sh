@@ -6,7 +6,10 @@
 # caml_c_call, caml_make_vect, caml_array_sub, caml_array_fill or a
 # Stdlib.Array function, or if a listed function is missing (a rename
 # must update this list, not slip past it).  The binding primitive
-# (Unify.bind and Trail.push) is listed too.
+# (Unify.bind and Trail.push) is listed too, and so is a fact store's
+# path: the argument-index probe (Store.select and its helpers), the
+# row try (Store.unify_row, Kernel.try_row) and the row scan
+# (Kernel.rows, Kernel.next_alt).
 #
 # The answer encoder is held to the same rule, and to one more: the
 # reply writer, Json's string and integer writers and Pp's term walk
@@ -60,9 +63,13 @@ status=0
 check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Code.o" camlAce_lang__Code \
   frame scratch_frame exec_top exec_sub build_put build_cells load_regs || status=1
 check "$b/lib/core/.ace_core.objs/native/ace_core__Kernel.o" camlAce_core__Kernel \
-  goal_of_regs || status=1
+  goal_of_regs try_row rows next_alt next_clause || status=1
 check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Database.o" camlAce_lang__Database \
-  walk at_path at_path_from slot slot_from case_tag case_value lookup lookup_args candidates lookup_code_args lookup_code || status=1
+  walk at_path at_path_from lookup lookup_args candidates candidates_code find_code || status=1
+check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Case.o" camlAce_lang__Case \
+  slot slot_from case_tag case_value || status=1
+check "$b/lib/lang/.ace_lang.objs/native/ace_lang__Store.o" camlAce_lang__Store \
+  select select_from probe row_at unify_row unify_from || status=1
 check "$b/lib/term/.ace_term.objs/native/ace_term__Term.o" camlAce_term__Term \
   copy_resolved resolve map_cells cells prefix || status=1
 # the binding path: the watermark compare stays inline and [Trail.grow]

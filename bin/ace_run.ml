@@ -74,7 +74,7 @@ let option_of_field = function
   | field -> field
 
 let run check check_count check_seed check_schedules check_chaos check_mutate
-    check_code_mutate check_table_mutate source query engine agents compile
+    check_code_mutate check_table_mutate check_store_mutate source query engine agents compile
     lpco lao spo pdo all par_and gc grain limit deadline table_max show_stats
     verbose_stats annotate trace_file trace_jsonl trace_buf stats_json
     utilization profile profile_json profile_folded =
@@ -83,6 +83,9 @@ let run check check_count check_seed check_schedules check_chaos check_mutate
    | None -> ());
   (match check_table_mutate with
    | Some k -> Ace_lang.Table.mutation := Some k
+   | None -> ());
+  (match check_store_mutate with
+   | Some k -> Ace_lang.Store.mutation := Some k
    | None -> ());
   if check then
     run_check ~count:check_count ~seed:check_seed ~schedules:check_schedules
@@ -296,6 +299,7 @@ let groups =
         ("check-mutate ENGINE:CLAUSE", "mutation smoke test");
         ("check-code-mutate K", "compiled-code instruction mutation smoke test");
         ("check-table-mutate K", "answer-table truncation smoke test");
+        ("check-store-mutate K", "fact-store index mutation smoke test");
       ] )
   ]
 
@@ -499,6 +503,14 @@ let cmd =
                      share the broken table and still agree with each \
                      other; --check must catch it on the tabled rows \
                      against the independent bottom-up reference (exit 1).")
+      $ Arg.(value & opt (some int) None & info [ "check-store-mutate" ]
+               ~docv:"K" ~docs:g_check
+               ~doc:"Fact-store mutation smoke test: every argument-index \
+                     probe of a fact store drops one matching row \
+                     (position K mod its rows).  The compiled rows read \
+                     the stores, the interpreted reference their clause \
+                     views; --check must then report a counterexample \
+                     (exit 1).")
       $ source $ query $ engine $ agents
       $ Arg.(value & vflag true
                [ (true,

@@ -364,6 +364,77 @@ let generate_tabled st seed =
     tabled;
   }
 
+(* ------------------------------------------------------------------ *)
+(* Fact tables                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Two seeds in eight ([seed mod 8 < 2], a third of the untabled cases,
+   every other one also run through a server session) add a table to
+   their untabled program, drawn after it, so that program and its query
+   are unchanged: 8-40 facts [d0/2] or [d0/3] over five atoms and five
+   integers, so keys repeat (a predicate the database stores as
+   columns).  The added query goals, put before the program's own,
+   select one row [r] (its other copies are left out) and call the table
+   with every binding pattern, inside a clause body (the compiled
+   path's register calls) and from the query itself: [w0(r)] enumerates
+   every row (no argument bound), then looks [r] up by its first
+   argument alone, by its second alone (the first unbound) and with
+   every argument bound; the query's own call binds the first argument,
+   the second alone, all of them or none.  Each call is filtered back to
+   [r], so the added goals have exactly one answer and the program's
+   answers do not multiply; a lost row fails them. *)
+let add_table st case =
+  let arity = 2 + Rng.int st.rng 2 in
+  let value () =
+    match Rng.int st.rng 10 with
+    | i when i < 5 -> Atm [| "a"; "b"; "c"; "d"; "e" |].(i)
+    | i -> Int (i - 5)
+  in
+  let rows =
+    Array.init (8 + Rng.int st.rng 33) (fun _ -> List.init arity (fun _ -> value ()))
+  in
+  let pick = Rng.int st.rng (Array.length rows) in
+  let r = rows.(pick) in
+  let rows = List.filteri (fun i row -> i = pick || row <> r) (Array.to_list rows) in
+  let d args = App ("d0", args) in
+  let vars prefix = List.init arity (fun k -> Var (Printf.sprintf "%s%d" prefix k)) in
+  let with_arg k x l = List.mapi (fun i y -> if i = k then x else y) l in
+  let without k l = List.filteri (fun i _ -> i <> k) l in
+  let equal xs ys = Call (App ("=", [ Lst xs; Lst ys ])) in
+  (* [d0(args)], then [args] unified with [target] *)
+  let filtered args target =
+    [ Call (d args); equal args target ]
+  in
+  let a = vars "A" and b = vars "B" and c = vars "C" and v = vars "D" in
+  let wrapper =
+    {
+      c_head = App ("w0", a);
+      c_body =
+        filtered v a                                       (* none bound *)
+        @ [ Call (d (with_arg 0 (List.nth a 0) b));        (* first bound *)
+            equal (without 0 b) (without 0 a);
+            Call (d (with_arg 1 (List.nth a 1) c));        (* only the second *)
+            equal (without 1 c) (without 1 a);
+            Call (d a) ];                                  (* all bound *)
+    }
+  in
+  let t = vars "T" in
+  let direct =
+    match Rng.int st.rng 4 with
+    | 0 -> [ Call (d (with_arg 0 (List.nth r 0) t)); equal (without 0 t) (without 0 r) ]
+    | 1 -> [ Call (d (with_arg 1 (List.nth r 1) t)); equal (without 1 t) (without 1 r) ]
+    | 2 -> [ Call (d r) ]
+    | _ -> filtered t r
+  in
+  {
+    case with
+    clauses =
+      case.clauses
+      @ List.map (fun row -> { c_head = d row; c_body = [] }) rows
+      @ [ wrapper ];
+    query = direct @ [ Call (App ("w0", r)) ] @ case.query;
+  }
+
 let generate ~seed =
   let st = { rng = Rng.create seed; fresh = 0; nondet = 0 } in
   if seed mod 4 = 3 then generate_tabled st seed
@@ -390,4 +461,5 @@ let generate ~seed =
       [ query_goal top; query_goal (Rng.int st.rng top) ]
     else [ query_goal top ]
   in
-  { seed; arities; clauses; query; tabled = [] }
+  let case = { seed; arities; clauses; query; tabled = [] } in
+  if seed mod 8 < 2 then add_table st case else case

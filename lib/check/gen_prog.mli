@@ -31,7 +31,13 @@ type t = {
 (** Same seed, same program — byte for byte.  Every fourth seed
     ([seed mod 4 = 3]) generates a {e tabled} case: a ground edge
     relation plus [:- table]d recursive rules (left/right/doubly/mutually
-    recursive or same-generation) that only terminate under SLG. *)
+    recursive or same-generation) that only terminate under SLG.  Two
+    seeds in eight ([seed mod 8 < 2]) add a {e fact table} to their
+    untabled program, after its clauses: 8-40 atomic facts with repeated
+    keys (a predicate the database stores as columns), called with every
+    binding pattern from a clause body and from query goals put before
+    the program's own.  The added goals have exactly one answer, so the
+    program's answers are the same as without the table. *)
 val generate : seed:int -> t
 
 (** Full program source (prelude + generated clauses).  [drop] omits the

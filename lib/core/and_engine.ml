@@ -324,8 +324,10 @@ and continue st agent exec resolved cont =
       push_cp st exec ~goal:g ~alts:rest ~cont;
       continue st agent exec (Kernel.try_clause a exec.x_ctx g clause) cont
     | [] -> assert false (* [R_alts] leaves at least two candidates *))
-  | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
-    assert false (* [dispatch] takes control; readers: generators only *)
+  | Kernel.R_rows | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
+    assert false
+    (* [dispatch] takes control; readers: generators only; rows:
+       compiled agents only (this engine interprets) *)
 
 (* Backtracking inside one exec.  Walks the private stack: choice points
    are retried; completed parcall frames get outside backtracking. *)

@@ -10,6 +10,7 @@ module Unify = Ace_term.Unify
 module Clause = Ace_lang.Clause
 module Code = Ace_lang.Code
 module Database = Ace_lang.Database
+module Store = Ace_lang.Store
 module Cost = Ace_machine.Cost
 module Stats = Ace_machine.Stats
 module Config = Ace_machine.Config
@@ -97,6 +98,21 @@ type evaluation = {
   mutable tv_region : tregion;
 }
 
+(* A nondeterministic store call's untried alternatives: through an
+   overlay, the session's clauses before the rows (what is left of
+   [cu_rows.front]), the selected rows from position [cu_pos]
+   (tombstoned ones skipped), then the session's clauses after them
+   (of [cu_rows.back]). *)
+type cursor = {
+  cu_rows : Database.rows;
+  cu_args : Term.t array; (* the call's arguments, outliving the registers *)
+  cu_order : int array; (* the selection: positions up to [cu_hi] *)
+  mutable cu_pos : int;
+  cu_hi : int;
+  mutable cu_front : Clause.t list;
+  mutable cu_back : Clause.t list;
+}
+
 type agent = {
   name : string;
   cost : Cost.t;
@@ -114,8 +130,28 @@ type agent = {
   mutable alts : Clause.t list;
   mutable callee : Symbol.t;
   mutable callee_arity : int;
+  sel : Store.sel;
+  mutable cursor : cursor;
   mutable tabling : evaluation option;
 }
+
+let no_cursor =
+  {
+    cu_rows =
+      {
+        Database.store =
+          Store.create ~lock:(Mutex.create ()) Symbol.nil ~rows:0 [||];
+        front = [];
+        back = [];
+        dead = [];
+      };
+    cu_args = [||];
+    cu_order = Store.all_rows;
+    cu_pos = 0;
+    cu_hi = 0;
+    cu_front = [];
+    cu_back = [];
+  }
 
 let agent (opts : Run.opts) ~name ~clock ~cost ~stats ~db ~table ~compiled
     ~dom =
@@ -137,6 +173,8 @@ let agent (opts : Run.opts) ~name ~clock ~cost ~stats ~db ~table ~compiled
       alts = [];
       callee = Symbol.nil;
       callee_arity = 0;
+      sel = Store.sel ();
+      cursor = no_cursor;
       tabling = None;
     }
   in
@@ -210,15 +248,16 @@ let sentinel_body goal =
    registers directly (a determinate recursion loops here in constant
    space, allocating nothing).  [R_exec] leaves the callee in the
    agent's [callee]/[callee_arity] fields, and [R_alts] its goal and
-   candidates in [goal]/[alts], rather than in a tuple: neither a last
-   call nor a nondeterminate one allocates to reach the engine.
-   [R_answers] and [R_consume] reach only a generator's machine (see
-   the tabling section). *)
+   candidates in [goal]/[alts], and [R_rows] its cursor in [cursor],
+   rather than in a tuple: neither a last call nor a nondeterminate one
+   allocates to reach the engine.  [R_answers] and [R_consume] reach
+   only a generator's machine (see the tabling section). *)
 type resolved =
   | R_fail
   | R_body of Clause.body
   | R_exec
   | R_alts
+  | R_rows
   | R_control
   | R_answers of reader
   | R_consume of reader
@@ -446,7 +485,7 @@ let try_code_args a ~(ctx : Builtins.ctx) (args : Term.t array) clause =
     | R_body [] ->
       if Prof.live a.prof then
         Prof.exit_key a.prof (Prof.key_of_term clause.Clause.head)
-    | R_fail | R_body _ | R_exec | R_alts | R_control | R_answers _
+    | R_fail | R_body _ | R_exec | R_alts | R_rows | R_control | R_answers _
     | R_consume _ ->
       ());
     r
@@ -467,6 +506,97 @@ let try_clause a (ctx : Builtins.ctx) goal clause =
     in
     try_code_args a ~ctx args clause
   else try_head a ~trail:ctx.Builtins.trail goal clause
+
+(* The profiler's exit and fail ports of a store call; out of line, so
+   the row path's bodies hold no profiler code (which reads the GC's
+   counters through C calls). *)
+let[@inline never] prof_row_exit a st =
+  Prof.exit_key a.prof (Prof.key (Store.name st) (Store.arity st))
+
+let[@inline never] prof_row_fail a st =
+  Prof.fail a.prof (Prof.key (Store.name st) (Store.arity st))
+
+(* A row of a store against the call's arguments in [args] (a register
+   file or a goal's arguments): one clause try that reads the arguments
+   as a compiled fact's head code would, one [code_instr] per argument
+   read, binding an unbound argument to the row's shared cell.  A
+   failed try undoes its bindings (charged). *)
+let try_row a ~trail (args : Term.t array) st r =
+  let cost = a.cost and stats = a.stats in
+  let mark = Trail.mark trail in
+  let read = Store.unify_row st r args trail in
+  let instrs = if read < 0 then -read else read in
+  charge a (cost.Cost.clause_try + (instrs * cost.Cost.code_instr));
+  stats.Stats.clause_tries <- stats.Stats.clause_tries + 1;
+  stats.Stats.code_instrs <- stats.Stats.code_instrs + instrs;
+  let pushed = Trail.size trail - mark in
+  charge a (pushed * cost.Cost.trail_push);
+  stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
+  if read < 0 then begin
+    untrail a trail mark;
+    false
+  end
+  else begin
+    if Prof.live a.prof then prof_row_exit a st;
+    true
+  end
+
+let rec dead_row (r : int) = function
+  | [] -> false
+  | d :: rest -> d = r || dead_row r rest
+
+(* The cursor's next alternative that matches, tried in order; [R_fail]
+   once none is left.  A matched row is a fact: nothing to run. *)
+let rec next_alt a (ctx : Builtins.ctx) cu =
+  match cu.cu_front with
+  | c :: rest ->
+    cu.cu_front <- rest;
+    next_clause a ctx cu c
+  | [] ->
+    let pos = cu.cu_pos in
+    if pos < cu.cu_hi then begin
+      cu.cu_pos <- pos + 1;
+      let r = Store.row_at cu.cu_order pos in
+      if
+        (match cu.cu_rows.Database.dead with
+         | [] -> false
+         | dead -> dead_row r dead)
+        || not
+             (try_row a ~trail:ctx.Builtins.trail cu.cu_args
+                cu.cu_rows.Database.store r)
+      then next_alt a ctx cu
+      else R_body []
+    end
+    else
+      match cu.cu_back with
+      | c :: rest ->
+        cu.cu_back <- rest;
+        next_clause a ctx cu c
+      | [] -> R_fail
+
+and next_clause a ctx cu c =
+  match try_code_args a ~ctx cu.cu_args c with
+  | R_fail -> next_alt a ctx cu
+  | resolved -> resolved
+
+let has_alts cu =
+  cu.cu_pos < cu.cu_hi
+  || (match cu.cu_front with [] -> false | _ :: _ -> true)
+  || match cu.cu_back with [] -> false | _ :: _ -> true
+
+let cursor_alts cu =
+  cu.cu_hi - cu.cu_pos + List.length cu.cu_front + List.length cu.cu_back
+
+let cursor_key cu =
+  let st = cu.cu_rows.Database.store in
+  Prof.key (Store.name st) (Store.arity st)
+
+let cursor_goal cu =
+  let st = cu.cu_rows.Database.store in
+  if Store.arity st = 0 then Term.Atom (Store.name st)
+  else Term.Struct (Store.name st, cu.cu_args)
+
+let cursor_with_args cu args = { cu with cu_args = args }
 
 (* Executes a compiled body from [pc]: consecutive builtins run inline
    (the common determinate prefix), and the first step the kernel
@@ -524,34 +654,31 @@ let prof_select psh k clauses =
   Prof.call psh k;
   if clauses = [] then Prof.fail psh k
 
-(* Mode-aware clause selection: the compiled path goes through the
-   deep-indexing dispatch tree, the interpreted path through classic
-   first-argument indexing. *)
+(* Interpreted clause selection, through classic first-argument
+   indexing (a store's predicate through its clause view). *)
 let select a goal =
   charge a a.cost.Cost.index_lookup;
   let clauses =
-    match
-      if a.compiled then Database.lookup_code a.db goal
-      else Database.lookup a.db goal
-    with
+    match Database.lookup a.db goal with
     | Some clauses -> clauses
     | None -> existence goal
   in
   if Prof.live a.prof then prof_select a.prof (Prof.key_of_term goal) clauses;
   clauses
 
-(* Clause selection for a register call (compiled path only): walks the
-   dispatch tree rooted at the register file, so determinate recursion
-   selects its one clause without a goal term existing. *)
-let select_args a sym arity args =
+(* Compiled selection for a call whose arguments are the first cells of
+   [args] (a goal's, or the register file: determinate recursion then
+   selects its one clause without a goal term existing): a walk of the
+   deep-indexing dispatch tree. *)
+let select_code a sym arity args =
   charge a a.cost.Cost.index_lookup;
-  let clauses =
-    match Database.lookup_code_args a.db sym arity args with
-    | Some clauses -> clauses
-    | None -> Errors.existence_error (Symbol.name sym) arity
-  in
-  if Prof.live a.prof then prof_select a.prof (Prof.key sym arity) clauses;
-  clauses
+  let found = Database.find_code a.db sym arity args in
+  (if Prof.live a.prof then
+     match found with
+     | Database.Clauses clauses -> prof_select a.prof (Prof.key sym arity) clauses
+     | Database.Rows _ -> Prof.call a.prof (Prof.key sym arity)
+     | Database.Undefined -> ());
+  found
 
 let unsupported a g =
   Errors.error "control construct %s not supported inside %s"
@@ -569,6 +696,55 @@ let candidates a ctx goal = function
     a.goal <- goal;
     a.alts <- clauses;
     R_alts
+
+(* A store's predicate, called with [args]: the rows {!Store.select}
+   leaves, with an overlay's clauses around them.  A lone row is tried
+   at once; otherwise the alternatives go to the engine's choice point
+   untried, as a cursor over a copy of the arguments (the registers are
+   reused by the next call). *)
+let rows a (ctx : Builtins.ctx) (args : Term.t array) (r : Database.rows) =
+  let st = r.Database.store and sel = a.sel in
+  Store.select st args sel;
+  match r.Database.front, r.Database.back, r.Database.dead with
+  | [], [], [] when sel.Store.hi - sel.Store.lo <= 1 ->
+    if sel.Store.hi = sel.Store.lo then begin
+      if Prof.live a.prof then prof_row_fail a st;
+      R_fail
+    end
+    else if
+      try_row a ~trail:ctx.Builtins.trail args st
+        (Store.row_at sel.Store.order sel.Store.lo)
+    then R_body []
+    else R_fail
+  | front, back, _ ->
+    a.cursor <-
+      {
+        cu_rows = r;
+        cu_args = Term.prefix args (Store.arity st);
+        cu_order = sel.Store.order;
+        cu_pos = sel.Store.lo;
+        cu_hi = sel.Store.hi;
+        cu_front = front;
+        cu_back = back;
+      };
+    R_rows
+
+(* A compiled call of a goal term, its arguments [args]. *)
+let resolve_code a ctx goal sym arity (args : Term.t array) =
+  match select_code a sym arity args with
+  | Database.Clauses clauses -> candidates a ctx goal clauses
+  | Database.Rows r -> rows a ctx args r
+  | Database.Undefined -> Errors.existence_error (Symbol.name sym) arity
+
+(* An untabled call of a goal term, in the agent's mode. *)
+let resolve a ctx goal =
+  if a.compiled then
+    match Term.deref goal with
+    | Term.Struct (sym, args) ->
+      resolve_code a ctx goal sym (Array.length args) args
+    | Term.Atom sym -> resolve_code a ctx goal sym 0 Code.no_args
+    | Term.Int _ | Term.Var _ -> existence goal (* builtins refuse these first *)
+  else candidates a ctx goal (select a goal)
 
 (* ---------------------------------------------------------------- *)
 (* Tabling: SLG evaluation of tabled subgoals                        *)
@@ -646,7 +822,7 @@ let activate a tv fr goal co =
   tv.tv_base <- Trail.mark trail;
   let start, cont =
     match co with
-    | None -> (candidates a tv.tv_ctx goal (select a goal), [])
+    | None -> (resolve a tv.tv_ctx goal, [])
     | Some co ->
       let n = Array.length co.co_vars in
       for i = 0 to n - 1 do
@@ -913,7 +1089,7 @@ let table_call a ctx goal =
 let user a ctx goal =
   Cancel.check a.cancel;
   if Database.is_tabled_goal a.db goal then table_call a ctx goal
-  else candidates a ctx goal (select a goal)
+  else resolve a ctx goal
 
 let step a ctx goal =
   let goal = Term.deref goal in
@@ -932,14 +1108,16 @@ let step_regs a ctx sym arity =
        table keys on the goal term *)
     user a ctx (goal_of_regs sym arity regs)
   else
-    match select_args a sym arity regs with
-    | [] -> R_fail
-    | [ clause ] -> try_code_args a ~ctx regs clause
-    | clauses ->
+    match select_code a sym arity regs with
+    | Database.Clauses [] -> R_fail
+    | Database.Clauses [ clause ] -> try_code_args a ~ctx regs clause
+    | Database.Clauses clauses ->
       (* a goal inside a choice point must outlive the registers *)
       a.goal <- goal_of_regs sym arity regs;
       a.alts <- clauses;
       R_alts
+    | Database.Rows r -> rows a ctx regs r
+    | Database.Undefined -> Errors.existence_error (Symbol.name sym) arity
 
 let step_callee a ctx = step_regs a ctx a.callee a.callee_arity
 

@@ -52,6 +52,13 @@ type seg = { items : Clause.body; barrier : int }
     consumers. *)
 type evaluation
 
+(** A nondeterministic store call's untried alternatives (see {!R_rows}):
+    the rows {!Ace_lang.Store.select} left, from a position, and through
+    a session overlay the session's clauses before and after them; the
+    overlay's tombstoned rows are skipped.  Advanced in place by
+    {!next_alt}. *)
+type cursor
+
 (** One execution context: the sequential machine, one multicore worker
     domain, or one simulated agent.  [stats], [sc], [prof], [tbuf],
     [goal] and [alts] are private to the context (single writer); [db]
@@ -90,6 +97,8 @@ type agent = {
       (** after {!R_exec} or {!Ex_exec}: the last call's predicate, its
           arguments in the registers *)
   mutable callee_arity : int;  (** and its arity *)
+  sel : Ace_lang.Store.sel;  (** the row selection of a store call *)
+  mutable cursor : cursor;  (** after {!R_rows}: the call's alternatives *)
   mutable tabling : evaluation option;
       (** the evaluation this agent is running (the kernel's own) *)
 }
@@ -146,6 +155,11 @@ type reader
       loops in constant space, allocating nothing.
     - [R_alts]: several candidates, none tried, in [agent.goal] and
       [agent.alts], for the engine's own choice point.
+    - [R_rows]: a compiled call to a store's predicate with several
+      alternatives (rows, or an overlay's clauses around them), none
+      tried, in [agent.cursor]: the engine's choice point holds the
+      cursor and takes each alternative with {!next_alt}.  A lone row
+      is tried at once, like a lone clause.
     - [R_control]: a control construct ({!classify} it).
     - [R_answers], [R_consume]: on a generator's machine only (see
       {!generator}), a tabled call reading a complete table or
@@ -155,6 +169,7 @@ type resolved =
   | R_body of Clause.body
   | R_exec
   | R_alts
+  | R_rows
   | R_control
   | R_answers of reader
   | R_consume of reader
@@ -207,6 +222,30 @@ val try_clause : agent -> Builtins.ctx -> Term.t -> Clause.t -> resolved
     one [Clause.Exec] item over a heap environment (counted in
     [Stats.env_allocs]).  Either way a failed try undoes its bindings
     (charged). *)
+
+val next_alt : agent -> Builtins.ctx -> cursor -> resolved
+(** The cursor's next alternative that matches, in order (the
+    overlay's front clauses, the rows, its back clauses): [R_body []]
+    for a row (a fact), what {!try_clause} answers for a clause, [R_fail]
+    once none is left.  A row try counts as one clause try plus one
+    [code_instr] per argument it reads, binds through the trail's
+    watermark, and undoes its bindings when it fails. *)
+
+val has_alts : cursor -> bool
+(** Whether the cursor has untried alternatives left. *)
+
+val cursor_alts : cursor -> int
+(** How many (tombstoned rows included). *)
+
+val cursor_key : cursor -> int
+(** The called predicate's profiler key. *)
+
+val cursor_goal : cursor -> Term.t
+(** The call as a goal term over the cursor's arguments. *)
+
+val cursor_with_args : cursor -> Term.t array -> cursor
+(** A copy at the same position over other arguments (a published
+    snapshot's). *)
 
 (** Where {!exec_body} stopped — the next thing the engine must
     schedule.  [Ex_call]/[Ex_exec] have the callee's arguments loaded in

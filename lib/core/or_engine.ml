@@ -265,8 +265,10 @@ and continue st w resolved cont =
       push_cp st w ~goal:g ~alts:rest ~cont;
       continue st w (Kernel.try_clause a w.w_ctx g clause) cont
     | [] -> assert false (* [R_alts] leaves at least two candidates *))
-  | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
-    assert false (* [dispatch] takes control; readers: generators only *)
+  | Kernel.R_rows | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
+    assert false
+    (* [dispatch] takes control; readers: generators only; rows:
+       compiled agents only (this engine interprets) *)
 
 (* Local backtracking: exhausted nodes are popped (each visit charged); a
    node with remaining shared alternatives yields the next one. *)

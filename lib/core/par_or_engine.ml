@@ -54,11 +54,14 @@ module Metrics = Ace_obs.Metrics
 module Prof = Ace_obs.Prof
 module Schema = Kernel.Schema
 
-(* An alternative of a choice point: a program clause, or a recorded
-   and-parallel join row to unify the tuple template against. *)
+(* An alternative of a choice point: a program clause, a recorded
+   and-parallel join row to unify the tuple template against, or a store
+   call's cursor, which holds all of that call's alternatives (a row
+   choice point's only [alt]). *)
 type alt =
   | Aclause of Clause.t
   | Acombo of Term.t
+  | Arows of Kernel.cursor
 
 (* A task is a self-contained unit of work: or-tasks carry private
    copies; a [Slot] task is claimed by CAS (the frame owner may get
@@ -206,9 +209,23 @@ let rec snapshot_body table cells body =
         Clause.Par (List.map (snapshot_body table cells) bodies))
     body
 
-let snapshot_alt table cells = function
+(* [goal] is the choice point's goal as snapshotted: a cursor's copy
+   reads its arguments. *)
+let snapshot_alt goal table cells = function
   | Aclause c -> Aclause c (* clause templates are immutable and shared *)
   | Acombo row -> Acombo (snapshot_term table cells row)
+  | Arows cu ->
+    Arows
+      (Kernel.cursor_with_args cu
+         (match goal with Term.Struct (_, args) -> args | _ -> [||]))
+
+(* Untried alternatives of a choice point. *)
+let alts_count alts =
+  List.fold_left
+    (fun n -> function
+      | Arows cu -> n + Kernel.cursor_alts cu
+      | Aclause _ | Acombo _ -> n + 1)
+    0 alts
 
 (* A worker publishes only from its root machine (slot solutions are
    joined locally), and only while someone is hungry and its deque is not
@@ -233,7 +250,7 @@ let publish w m =
     | [] -> (skipped, acc)
     | cp :: rest ->
       if cp.cp_alts = [] then last_live skipped acc rest
-      else if Schema.publish_grain config ~nalts:(List.length cp.cp_alts) then
+      else if Schema.publish_grain config ~nalts:(alts_count cp.cp_alts) then
         last_live skipped (Some cp) rest
       else last_live (skipped + 1) acc rest
   in
@@ -251,7 +268,7 @@ let publish w m =
     let table = Hashtbl.create 64 in
     let cells = ref 0 in
     let goal = snapshot_term table cells cp.cp_goal in
-    let n_alts = List.map (snapshot_alt table cells) cp.cp_alts in
+    let n_alts = List.map (snapshot_alt goal table cells) cp.cp_alts in
     let cont = snapshot_body table cells cp.cp_cont in
     w.stats.Stats.copies <- w.stats.Stats.copies + 1;
     w.stats.Stats.copied_cells <- w.stats.Stats.copied_cells + !cells;
@@ -263,7 +280,7 @@ let publish w m =
     m.m_live <- m.m_live - 1;
     if Prof.live w.k.prof then Prof.spawned w.k.prof 1;
     Trace.record w.k.tbuf Trace.Publish 1;
-    Trace.record w.k.tbuf Trace.Task_spawn (List.length n_alts);
+    Trace.record w.k.tbuf Trace.Task_spawn (alts_count n_alts);
     Atomic.incr w.sh.outstanding;
     (* forced preemption between the accounting and the push widens the
        window in which thieves observe outstanding > 0 with an empty
@@ -282,13 +299,17 @@ let try_alt w m goal = function
     (* join replay: bind the tuple template to one cross-product row *)
     if Kernel.unify_goal w.k ~trail:m.m_trail goal row then Kernel.R_body []
     else Kernel.R_fail
+  | Arows cu -> Kernel.next_alt w.k m.m_ctx cu
 
-let push_cp w m ~goal ~alts ~cont =
+(* [mark]: the trail height the choice point restores, by default the
+   current one. *)
+let push_cp ?mark w m ~goal ~alts ~cont =
   w.stats.Stats.cp_allocs <- w.stats.Stats.cp_allocs + 1;
   w.stats.Stats.stack_words <-
     w.stats.Stats.stack_words + Ace_machine.Cost.words_choice_point;
+  let mark = match mark with Some mark -> mark | None -> Trail.mark m.m_trail in
   m.m_cps <-
-    { cp_goal = goal; cp_alts = alts; cp_cont = cont; cp_trail = Trail.mark m.m_trail }
+    { cp_goal = goal; cp_alts = alts; cp_cont = cont; cp_trail = mark }
     :: m.m_cps;
   if alts <> [] then m.m_live <- m.m_live + 1
 
@@ -317,6 +338,14 @@ let record_solution w goal =
     w.stats.Stats.solutions <- w.stats.Stats.solutions + 1;
     Trace.record w.k.tbuf Trace.Solution 0
   end
+
+(* The newest choice point's last alternative is taken: it pops
+   ([below] is under it), the engine's structural LAO. *)
+let trust w m below =
+  m.m_cps <- below;
+  m.m_live <- m.m_live - 1;
+  w.stats.Stats.lao_hits <- w.stats.Stats.lao_hits + 1;
+  Trace.record w.k.tbuf Trace.Lao_hit 0
 
 let rec run_mach w m (cont : Clause.body) : unit =
   if aborted w m then ()
@@ -368,6 +397,19 @@ and continue w m resolved cont =
       if should_publish w m then publish w m;
       continue w m (Kernel.try_clause w.k m.m_ctx g clause) cont
     | [] -> assert false (* [R_alts] leaves at least two candidates *))
+  | Kernel.R_rows -> (
+    (* the first matching alternative is taken before the choice point
+       is pushed (its mark is the call's), so a publish right after ships
+       only the rest *)
+    let cu = w.k.Kernel.cursor and mark = Trail.mark m.m_trail in
+    match Kernel.next_alt w.k m.m_ctx cu with
+    | Kernel.R_fail -> backtrack w m
+    | resolved ->
+      if Kernel.has_alts cu then begin
+        push_cp ~mark w m ~goal:(Kernel.cursor_goal cu) ~alts:[ Arows cu ] ~cont;
+        if should_publish w m then publish w m
+      end;
+      continue w m resolved cont)
   | Kernel.R_control | Kernel.R_answers _ | Kernel.R_consume _ ->
     assert false (* [dispatch] takes control; readers: generators only *)
 
@@ -414,18 +456,33 @@ and backtrack w m =
           Prof.redo w.k.prof (Prof.key_of_term cp.cp_goal);
         w.stats.Stats.untrails <-
           w.stats.Stats.untrails + Trail.undo_to m.m_trail cp.cp_trail;
-        if rest = [] then begin
-          m.m_cps <- below;
-          m.m_live <- m.m_live - 1;
-          w.stats.Stats.lao_hits <- w.stats.Stats.lao_hits + 1;
-          Trace.record w.k.tbuf Trace.Lao_hit 0
-        end
-        else begin
-          cp.cp_alts <- rest;
-          w.stats.Stats.cp_updates <- w.stats.Stats.cp_updates + 1
-        end;
-        continue w m (try_alt w m cp.cp_goal alt) cp.cp_cont)
+        take w m cp below alt rest)
   end
+
+(* Takes alternative [alt] of [cp] (the newest choice point, [below]
+   under it), [rest] left after it.  A cursor stays the choice point's
+   one alternative until it has none left. *)
+and take w m cp below alt rest =
+  match alt with
+  | Arows cu -> (
+    match Kernel.next_alt w.k m.m_ctx cu with
+    | Kernel.R_fail ->
+      (* spent: the next backtrack pops it *)
+      cp.cp_alts <- [];
+      m.m_live <- m.m_live - 1;
+      backtrack w m
+    | resolved ->
+      if Kernel.has_alts cu then
+        w.stats.Stats.cp_updates <- w.stats.Stats.cp_updates + 1
+      else trust w m below;
+      continue w m resolved cp.cp_cont)
+  | Aclause _ | Acombo _ ->
+    if rest = [] then trust w m below
+    else begin
+      cp.cp_alts <- rest;
+      w.stats.Stats.cp_updates <- w.stats.Stats.cp_updates + 1
+    end;
+    continue w m (try_alt w m cp.cp_goal alt) cp.cp_cont
 
 (* ------------------------------------------------------------------ *)
 (* And-parallel parcall frames                                         *)
@@ -604,6 +661,11 @@ let run_task w task =
       Trace.record_at w.k.tbuf ~ts:t0 Trace.Task_start 0;
       (match n_alts with
        | [] -> ()
+       | [ (Arows _ as alt) ] -> (
+         push_cp w w.root ~goal:n_goal ~alts:n_alts ~cont:n_cont;
+         match w.root.m_cps with
+         | cp :: below -> take w w.root cp below alt []
+         | [] -> assert false)
        | first :: rest ->
          if rest <> [] then
            push_cp w w.root ~goal:n_goal ~alts:rest ~cont:n_cont;

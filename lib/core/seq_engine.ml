@@ -32,13 +32,16 @@ type alts =
   | Agoal of Clause.body (* right branch of a disjunction *)
   | Aanswers of Kernel.reader
       (* a table reader's answers, read up to the table's live count *)
+  | Arows of Kernel.cursor
+      (* a store call's rows (and an overlay's clauses around them),
+         advanced in place from a position: a retry allocates nothing *)
 
 type seg = Kernel.seg = { items : Clause.item list; barrier : int }
 (* [barrier] is the choice-point stack height a cut in these items
    restores. *)
 
 type cp = {
-  cp_goal : Term.t option; (* None for disjunction choice points *)
+  cp_goal : Term.t option; (* None for disjunction and row choice points *)
   mutable cp_alts : alts;
   cp_cont : seg list;
   cp_trail : int;
@@ -312,6 +315,7 @@ and continue m resolved cont =
   | Kernel.R_body items -> run m ({ items; barrier = m.height } :: cont)
   | Kernel.R_exec -> continue m (Kernel.step_callee m.a m.ctx) cont
   | Kernel.R_alts -> shallow m m.a.Kernel.goal m.a.Kernel.alts cont
+  | Kernel.R_rows -> rows m m.a.Kernel.cursor cont
   | Kernel.R_answers rd -> read m rd cont
   | Kernel.R_consume rd ->
     Option.iter (Kernel.save m.a rd) (saved cont);
@@ -370,6 +374,25 @@ and scan m g mark hb clauses cont =
       | Kernel.R_body (_ :: _ as items) -> run m ({ items; barrier } :: cont)
       | resolved -> continue m resolved cont))
 
+(* A store call, shallow like [shallow]: the first matching alternative
+   is taken before a choice point is pushed, and only if another one
+   remains.  A matched row is a fact, so its call simply succeeds. *)
+and rows m cu cont =
+  let hb = Trail.raise_hb m.trail in
+  let mark = Trail.mark m.trail and barrier = m.height in
+  match Kernel.next_alt m.a m.ctx cu with
+  | Kernel.R_fail ->
+    Trail.set_hb m.trail hb;
+    if Prof.live m.a.prof then Prof.fail m.a.prof (Kernel.cursor_key cu);
+    backtrack m
+  | resolved -> (
+    if Kernel.has_alts cu then
+      push_cp m ~mark ~hb ~goal:None ~alts:(Arows cu) ~cont
+    else Trail.set_hb m.trail hb;
+    match resolved with
+    | Kernel.R_body (_ :: _ as items) -> run m ({ items; barrier } :: cont)
+    | resolved -> continue m resolved cont)
+
 and backtrack m =
   Cancel.check m.a.cancel;
   m.a.stats.Stats.backtracks <- m.a.stats.Stats.backtracks + 1;
@@ -399,7 +422,24 @@ and backtrack m =
       else begin
         pop m cp below;
         backtrack m
-      end)
+      end
+    | Arows cu -> (
+      undo_to m cp.cp_trail;
+      spend m m.a.cost.Cost.cp_restore;
+      if Prof.live m.a.prof then Prof.redo m.a.prof (Kernel.cursor_key cu);
+      match Kernel.next_alt m.a m.ctx cu with
+      | Kernel.R_fail ->
+        if Prof.live m.a.prof then Prof.fail m.a.prof (Kernel.cursor_key cu);
+        pop m cp below;
+        backtrack m
+      | resolved -> (
+        if Kernel.has_alts cu then
+          m.a.stats.Stats.cp_updates <- m.a.stats.Stats.cp_updates + 1
+        else pop m cp below;
+        match resolved with
+        | Kernel.R_body (_ :: _ as items) ->
+          run m ({ items; barrier = cp.cp_height } :: cp.cp_cont)
+        | resolved -> continue m resolved cp.cp_cont)))
 
 (* Shallow scan, as in [scan], of the alternatives [cp] retries:
    head-rejected alternatives are dropped without re-entering the

@@ -75,8 +75,10 @@ let cores () =
     in
     if n > 0 then n else Domain.recommended_domain_count ()
 
+(* The commit and whether the tree differs from it: a file regenerated
+   on an uncommitted tree says so ("abc1234-dirty"). *)
 let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
   | exception Unix.Unix_error _ -> "unknown"
   | ic -> (
     let line = In_channel.input_line ic in

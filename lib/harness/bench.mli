@@ -46,7 +46,8 @@ val cores : unit -> int
 (** Writes [{"host": {cores, ocaml, git_rev}, "rows": [...]}], one row a
     line, each with the nine fields [suite], [benchmark], [engine],
     [domains], [config], [metric], [median], [iqr] and [n]; [git_rev]
-    is [git rev-parse --short HEAD] in the current directory, or
+    is [git describe --always --dirty] in the current directory (the
+    commit, suffixed [-dirty] when the tree has uncommitted changes), or
     ["unknown"] outside a checkout.  Prints one ["wrote"] line. *)
 val write : string -> row list -> unit
 

@@ -1,4 +1,5 @@
-(* Clause database with first-argument indexing.
+(* Clause database with first-argument indexing, and column stores for
+   predicates of facts.
 
    First-argument indexing matters beyond speed: the engines create a
    choice point only when more than one clause survives indexing, so the
@@ -8,9 +9,9 @@
    Indexing is fully integer-keyed: predicates are found by indexing an
    array with their symbol id ({!Sym_index}), and a switched argument is
    read as two integers (a case tag and a value) that probe an
-   open-addressing case table.  No string is compared or hashed anywhere
-   on the lookup path — callers resolve names through the symbol intern
-   table at the (cold) API boundary.
+   open-addressing case table ({!Case}).  No string is compared or
+   hashed anywhere on the lookup path — callers resolve names through
+   the symbol intern table at the (cold) API boundary.
 
    Representation.  Each predicate keeps its clauses in two lists, the
    asserta'd ones in source order and the assertz'd ones newest first,
@@ -18,14 +19,27 @@
    builds two case-table trees per predicate from them: a one-level
    first-argument table, walked by the interpreted {!lookup}, and the
    switch-on-term dispatch tree with deep argument indexing, walked by
-   the compiled {!lookup_code}.  Neither walk allocates.  Until the
+   the compiled {!find_code}.  Neither walk allocates.  Until the
    next freeze, and always for a session overlay's own clauses (few,
    and changing often), a lookup filters the clause list by one linear
    first-argument test instead.
 
-   The structure is mutated only at assert time; lookups are read-only, so
-   a consulted program can be shared by concurrently running engine
-   workers (the hardware or-parallel engine relies on this). *)
+   Facts as data.  On a database without a base, {!freeze} turns each
+   untabled predicate whose clauses are all facts with atomic arguments
+   into a {!Store} (one array of shared constants per argument, indexed
+   per argument on demand) and drops its clause records: its dispatch
+   tree is one leaf, [Rows], which sends compiled calls to the rows.
+   Everything that reads clauses (the interpreted lookup, {!clauses_of},
+   {!first_arg_exclusive}, the analyses) reads the predicate's clause
+   view instead: one fact clause per row, with the first-argument table
+   such clauses had, built on first use under the freeze lock.  An
+   assert into the predicate turns it back into clauses.
+
+   The structure is mutated only at assert time; lookups are read-only
+   except for the on-demand indexes and views, each built under the
+   freeze lock and published through an [Atomic], so a consulted program
+   can be shared by concurrently running engine workers (the hardware
+   or-parallel engine relies on this). *)
 
 module Term = Ace_term.Term
 module Symbol = Ace_term.Symbol
@@ -87,7 +101,9 @@ module Sym_index = struct
 end
 
 (* Switch-on-term case-table tree (built by {!freeze}, walked by
-   {!lookup}, {!lookup_code} and {!lookup_code_args}).
+   {!lookup} and {!find_code}), with leaves of any type: the
+   first-argument table's are [Clause.t list option], the dispatch
+   tree's are {!found}.
 
    A [Dswitch] discriminates on the subterm at [d_path] — an array of
    argument positions from the call's root, so paths longer than one
@@ -100,22 +116,40 @@ end
    Dropping a clause therefore only ever happens on provably
    non-unifiable rigid-key disagreement.
 
-   A walk allocates nothing.  A case key is two integers read off the
-   subterm, its tag (1 an integer, 2 an atom, 3 + 4 x arity a
-   structure; 0, an unbound subterm, has no case) and its value (the
-   integer or the symbol id).  The case table is open addressing over
-   [cap] slots: slot [i] holds its key's tag and value at [d_keys.(2i)]
-   and [d_keys.(2i+1)] (tag 0 = empty) and its subtree at [d_subs.(i)].
-   Every result a walk returns is a [Some] built here, once. *)
-type dtree =
-  | Dleaf of Clause.t list option
+   A walk allocates nothing: a {!Case} key probes the case table, whose
+   slot [i] has its subtree at [d_subs.(i)], and every result a walk
+   returns is a leaf built here, once. *)
+type 'a dtree =
+  | Dleaf of 'a
   | Dswitch of {
       d_path : int array;
       d_keys : int array;
-      d_subs : dtree array;
-      d_anys : Clause.t list option;
-      d_all : Clause.t list option;
+      d_subs : 'a dtree array;
+      d_anys : 'a;
+      d_all : 'a;
     }
+
+type rows = {
+  store : Store.t;
+  front : Clause.t list;
+  back : Clause.t list;
+  dead : int list;
+}
+
+type found =
+  | Undefined
+  | Clauses of Clause.t list
+  | Rows of rows
+
+(* A store's clause view: row [r]'s fact clause at [v_clauses.(r)], and
+   the first-argument table over them. *)
+type view = {
+  v_clauses : Clause.t array;
+  v_first : Clause.t list option dtree;
+}
+
+(* Not built yet (compared with [==]). *)
+let no_view = { v_clauses = [||]; v_first = Dleaf None }
 
 type pred = {
   p_name : Symbol.t;
@@ -125,8 +159,14 @@ type pred = {
   (* Indexes, built by {!freeze} on a database without a base and
      dropped by asserts.  Lookups never write them, so a frozen database
      stays read-only and can be shared across domains. *)
-  mutable first_arg : dtree option; (* one-level first-argument table *)
-  mutable dtree : dtree option; (* deep-indexing dispatch tree *)
+  mutable first_arg : Clause.t list option dtree option;
+    (* one-level first-argument table (a store's is its view's) *)
+  mutable dtree : found dtree option;
+    (* deep-indexing dispatch tree; a store's is one [Rows] leaf *)
+  mutable store : Store.t option;
+    (* the rows, when freeze made the predicate a store; its clause
+       lists are then empty *)
+  view : view Atomic.t; (* a store's clause view, [no_view] until read *)
 }
 
 type t = {
@@ -140,7 +180,8 @@ type t = {
        {!freeze} O(1) *)
   freeze_lock : Mutex.t;
     (* serializes index construction: two sessions freezing the shared
-       base concurrently must not race the build *)
+       base concurrently must not race the build; also serializes the
+       stores' on-demand indexes and clause views *)
   tabled : unit Sym_index.t;
     (* predicates declared [:- table name/arity].  Registered at consult
        time, read-only afterwards.  An overlay shares its base's
@@ -156,6 +197,8 @@ type t = {
     (* overlay only: base clauses retracted by this session, tombstoned
        by physical identity so the shared base stays untouched (the
        session's own clauses are deleted from its preds instead) *)
+  mutable dead : (Store.t * int) list;
+    (* overlay only: base rows retracted by this session *)
 }
 
 let create () =
@@ -167,6 +210,7 @@ let create () =
     has_tabled = false;
     base = None;
     removed = [];
+    dead = [];
   }
 
 let find_pred_sym db sym arity = Sym_index.find db.preds (Symbol.id sym) arity
@@ -185,68 +229,16 @@ let get_pred db sym arity =
         back_rev = [];
         first_arg = None;
         dtree = None;
+        store = None;
+        view = Atomic.make no_view;
       }
     in
     Sym_index.add db.preds (Symbol.id sym) arity p;
     p
 
-let invalidate db p =
-  db.frozen <- false;
-  p.first_arg <- None;
-  p.dtree <- None
-
-let assertz db clause =
-  let sym, arity = Clause.functor_arity clause in
-  let p = get_pred db sym arity in
-  p.back_rev <- clause :: p.back_rev;
-  invalidate db p
-
-let asserta db clause =
-  let sym, arity = Clause.functor_arity clause in
-  let p = get_pred db sym arity in
-  p.front <- clause :: p.front;
-  invalidate db p
-
-(* All clauses in source order. *)
-let all_clauses p = p.front @ List.rev p.back_rev
-
-let holds_clauses p =
-  match p.front, p.back_rev with [], [] -> false | _ -> true
-
-let clauses_of db name arity =
-  match find_pred db name arity with None -> [] | Some p -> all_clauses p
-
 (* ------------------------------------------------------------------ *)
-(* Case keys, tables and the walk                                      *)
+(* The walk                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let case_tag = function
-  | Term.Var _ -> 0
-  | Term.Int _ -> 1
-  | Term.Atom _ -> 2
-  | Term.Struct (_, args) -> 3 + (Array.length args lsl 2)
-
-let case_value = function
-  | Term.Var _ -> 0
-  | Term.Int n -> n
-  | Term.Atom s | Term.Struct (s, _) -> Symbol.id s
-
-(* Slots for [n] cases: one and a half per case, so a probe always
-   meets an empty slot and runs are short. *)
-let slot_count n = n + (n lsr 1) + 1
-
-(* The slot holding key ([tag], [v]), or the empty slot where it would
-   go: linear probing from a multiplicative hash of the key, scaled to
-   [cap] slots without a division. *)
-let rec slot_from (keys : int array) cap tag v i =
-  let t = keys.(2 * i) in
-  if t = 0 || (t = tag && keys.((2 * i) + 1) = v) then i
-  else slot_from keys cap tag v (if i + 1 = cap then 0 else i + 1)
-
-let slot keys tag v =
-  let cap = Array.length keys lsr 1 in
-  let h = ((v lxor (tag lsl 32)) * 0x2545F4914F6CDD1D) lsr 32 in
-  slot_from keys cap tag v ((h * cap) lsr 31)
 
 (* A dereferenced subterm's stand-in when a variable sits along a path
    or the path cannot descend: it selects no case. *)
@@ -268,13 +260,13 @@ let at_path (args : Term.t array) path = at_path_from path args.(path.(0)) 1
 (* The one dispatch walk, over a goal's arguments or a register file. *)
 let rec walk tree (args : Term.t array) =
   match tree with
-  | Dleaf clauses -> clauses
+  | Dleaf found -> found
   | Dswitch sw ->
     let t = at_path args sw.d_path in
-    let tag = case_tag t in
+    let tag = Case.case_tag t in
     if tag = 0 then sw.d_all
     else
-      let s = slot sw.d_keys tag (case_value t) in
+      let s = Case.slot sw.d_keys tag (Case.case_value t) in
       if sw.d_keys.(2 * s) = 0 then sw.d_anys else walk sw.d_subs.(s) args
 
 let head_args clause =
@@ -288,15 +280,15 @@ let head_args clause =
    of [args].  It drops what the first-argument table drops. *)
 let first_arg_filter arity (args : Term.t array) clauses =
   let a = if arity = 0 then unbound else Term.deref args.(0) in
-  let tag = case_tag a in
+  let tag = Case.case_tag a in
   if tag = 0 then clauses
   else
-    let v = case_value a in
+    let v = Case.case_value a in
     List.filter
       (fun c ->
         let h = Term.deref (head_args c).(0) in
-        let t = case_tag h in
-        t = 0 || (t = tag && case_value h = v))
+        let t = Case.case_tag h in
+        t = 0 || (t = tag && Case.case_value h = v))
       clauses
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +317,7 @@ type grouping = {
 
 let group heads path =
   let n = Array.length heads in
-  let cap = slot_count n in
+  let cap = Case.slot_count n in
   let seen = Array.make (2 * cap) 0 and case_at = Array.make cap 0 in
   let which = Array.make n (-1) and keys = Array.make (2 * n) 0 in
   let sizes = Array.make n 0 in
@@ -333,11 +325,11 @@ let group heads path =
   Array.iteri
     (fun e args ->
       let t = at_path args path in
-      let tag = case_tag t in
+      let tag = Case.case_tag t in
       if tag = 0 then incr anys
       else begin
-        let v = case_value t in
-        let s = slot seen tag v in
+        let v = Case.case_value t in
+        let s = Case.slot seen tag v in
         if seen.(2 * s) = 0 then begin
           seen.(2 * s) <- tag;
           seen.((2 * s) + 1) <- v;
@@ -366,13 +358,11 @@ let rec merge a b =
   | [], l | l, [] -> l
   | x :: xs, y :: ys -> if x < y then x :: merge xs b else y :: merge a ys
 
-let empty_leaf = Dleaf (Some [])
-
 (* A switch at [path] over [clauses] (source order; [cl] the same as an
-   array), grouped as [g].  Each case's subtree is [sub tag compatible],
-   [compatible] being the clauses that can match the case's key (tag
-   [tag]), in source order. *)
-let switch clauses cl path g sub =
+   array), grouped as [g], with leaves [leaf clauses].  Each case's
+   subtree is [sub tag compatible], [compatible] being the clauses that
+   can match the case's key (tag [tag]), in source order. *)
+let switch ~leaf clauses cl path g sub =
   let n = Array.length cl in
   let cases = Array.make g.cases [] and anys = ref [] in
   for e = n - 1 downto 0 do
@@ -381,11 +371,12 @@ let switch clauses cl path g sub =
   done;
   let anys = !anys in
   let pick positions = List.map (fun e -> cl.(e)) positions in
-  let cap = slot_count g.cases in
-  let keys = Array.make (2 * cap) 0 and subs = Array.make cap empty_leaf in
+  let cap = Case.slot_count g.cases in
+  let keys = Array.make (2 * cap) 0
+  and subs = Array.make cap (Dleaf (leaf [])) in
   for k = 0 to g.cases - 1 do
     let tag = g.keys.(2 * k) and v = g.keys.((2 * k) + 1) in
-    let s = slot keys tag v in
+    let s = Case.slot keys tag v in
     keys.(2 * s) <- tag;
     keys.((2 * s) + 1) <- v;
     subs.(s) <- sub tag (pick (merge cases.(k) anys))
@@ -395,21 +386,27 @@ let switch clauses cl path g sub =
       d_path = path;
       d_keys = keys;
       d_subs = subs;
-      d_anys = Some (pick anys);
-      d_all = Some clauses;
+      d_anys = leaf (pick anys);
+      d_all = leaf clauses;
     }
+
+let some_clauses clauses = Some clauses
 
 (* The interpreted path's index: one switch on argument 1 whenever any
    head has a rigid first argument, however little that discriminates,
    so a call keeps exactly the clauses the linear test keeps ([p(a).
    p(X).] called as [p(b)] gets [p(X)] alone). *)
-let build_first_arg p clauses =
-  if p.p_arity = 0 then Dleaf (Some clauses)
+let build_first_arg arity clauses =
+  if arity = 0 then Dleaf (Some clauses)
   else
     let cl = Array.of_list clauses in
     let g = group_first cl in
     if g.cases = 0 then Dleaf (Some clauses)
-    else switch clauses cl first_path g (fun _ picked -> Dleaf (Some picked))
+    else
+      switch ~leaf:some_clauses clauses cl first_path g (fun _ picked ->
+          Dleaf (Some picked))
+
+let code_clauses clauses = Clauses clauses
 
 (* Builds the dispatch tree over [clauses] (source order).  A path is
    worth switching on when it has at least two distinct rigid keys and
@@ -423,21 +420,21 @@ let build_first_arg p clauses =
    a switch on a position that is unbound at run time degenerates to
    [d_all] however well it discriminates the clause heads.  Refinements
    of the matched position go ahead of later arguments for the same
-   reason. *)
+   reason.  (A store indexes every argument on demand instead.) *)
 let rec build_dtree clauses paths =
   match clauses with
-  | [] | [ _ ] -> Dleaf (Some clauses)
+  | [] | [ _ ] -> Dleaf (Clauses clauses)
   | _ ->
     let cl = Array.of_list clauses in
     let heads = Array.map head_args cl in
     let n = Array.length cl in
     let rec first = function
-      | [] -> Dleaf (Some clauses)
+      | [] -> Dleaf (Clauses clauses)
       | path :: rest ->
         let g = group heads path in
         if g.cases >= 2 && g.worst + g.anys < n then
           let rest_paths = List.filter (fun p -> p != path) paths in
-          switch clauses cl path g (fun tag picked ->
+          switch ~leaf:code_clauses clauses cl path g (fun tag picked ->
               let sub_paths =
                 if tag land 3 = 3 && Array.length path < max_depth then
                   let ext =
@@ -452,6 +449,101 @@ let rec build_dtree clauses paths =
     first paths
 
 (* ------------------------------------------------------------------ *)
+(* Stores and their clause views                                       *)
+(* ------------------------------------------------------------------ *)
+
+let atomic t =
+  match Term.deref t with
+  | Term.Atom _ | Term.Int _ -> true
+  | Term.Var _ | Term.Struct _ -> false
+
+let atomic_fact c = c.Clause.body = [] && Array.for_all atomic (head_args c)
+
+(* One shared block per distinct atom and integer of the database's
+   stores: a cell is then a word, and equal constants are one term. *)
+let shared consts t =
+  let key = (Case.case_tag t, Case.case_value t) in
+  match Hashtbl.find_opt consts key with
+  | Some t' -> t'
+  | None ->
+    Hashtbl.add consts key t;
+    t
+
+let make_store db consts p clauses =
+  let rows = List.length clauses in
+  let cols = Array.init p.p_arity (fun _ -> Array.make rows Term.nil) in
+  List.iteri
+    (fun r c ->
+      Array.iteri
+        (fun j a -> cols.(j).(r) <- shared consts (Term.deref a))
+        (head_args c))
+    clauses;
+  Store.create ~lock:db.freeze_lock p.p_name ~rows cols
+
+(* A store's clause view, built on first use: one fact clause per row
+   (a closed clause, as the consulted fact was) and the first-argument
+   table over them, so interpreted calls and the simulators see the
+   candidates and charges they saw before the predicate became a
+   store. *)
+let[@inline never] build_view db p st =
+  Mutex.protect db.freeze_lock (fun () ->
+      let v = Atomic.get p.view in
+      if v != no_view then v
+      else begin
+        let cl =
+          Array.init (Store.rows st) (fun r ->
+              Clause.of_term (Store.row_term st r))
+        in
+        let v =
+          { v_clauses = cl; v_first = build_first_arg p.p_arity (Array.to_list cl) }
+        in
+        Atomic.set p.view v;
+        v
+      end)
+
+let view db p st =
+  let v = Atomic.get p.view in
+  if v != no_view then v else build_view db p st
+
+(* All clauses in source order. *)
+let all_clauses db p =
+  match p.store with
+  | Some st -> Array.to_list (view db p st).v_clauses
+  | None -> p.front @ List.rev p.back_rev
+
+let holds_clauses p =
+  match p.front, p.back_rev with [], [] -> false | _ -> true
+
+(* An assert into a store turns it back into clauses (its view's), to
+   be indexed as clauses or stored again by the next freeze. *)
+let thaw db p =
+  match p.store with
+  | None -> ()
+  | Some st ->
+    p.back_rev <- List.rev (Array.to_list (view db p st).v_clauses);
+    p.store <- None;
+    Atomic.set p.view no_view
+
+let invalidate db p =
+  db.frozen <- false;
+  p.first_arg <- None;
+  p.dtree <- None
+
+let assertz db clause =
+  let sym, arity = Clause.functor_arity clause in
+  let p = get_pred db sym arity in
+  thaw db p;
+  p.back_rev <- clause :: p.back_rev;
+  invalidate db p
+
+let asserta db clause =
+  let sym, arity = Clause.functor_arity clause in
+  let p = get_pred db sym arity in
+  thaw db p;
+  p.front <- clause :: p.front;
+  invalidate db p
+
+(* ------------------------------------------------------------------ *)
 (* Freezing                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -459,18 +551,36 @@ let rec build_dtree clauses paths =
    later lookups are pure reads — safe to share across domains (the
    next assert drops the affected predicate's, so freeze again after
    updates) — and precompiles every clause to instruction code, so
-   parallel workers on the compiled path never write.  An overlay's
-   own clauses are only compiled: its lookups filter them linearly. *)
+   parallel workers on the compiled path never write.  An untabled
+   predicate of atomic facts becomes a store instead, its clauses
+   dropped.  An overlay's own clauses are only compiled: its lookups
+   filter them linearly. *)
 let freeze_preds db =
+  let consts = Hashtbl.create 1024 in
   Sym_index.fold
     (fun _ _ p () ->
-      let clauses = all_clauses p in
-      if db.base = None then begin
-        p.first_arg <- Some (build_first_arg p clauses);
-        p.dtree <-
-          Some (build_dtree clauses (List.init p.p_arity (fun i -> [| i |])))
-      end;
-      List.iter (fun c -> ignore (Code.of_clause c)) clauses)
+      if db.base <> None then
+        List.iter (fun c -> ignore (Code.of_clause c)) (all_clauses db p)
+      else if p.store = None then begin
+        let clauses = all_clauses db p in
+        if
+          clauses <> []
+          && List.for_all atomic_fact clauses
+          && Sym_index.find db.tabled (Symbol.id p.p_name) p.p_arity = None
+        then begin
+          let st = make_store db consts p clauses in
+          p.store <- Some st;
+          p.front <- [];
+          p.back_rev <- [];
+          p.dtree <- Some (Dleaf (Rows { store = st; front = []; back = []; dead = [] }))
+        end
+        else begin
+          p.first_arg <- Some (build_first_arg p.p_arity clauses);
+          p.dtree <-
+            Some (build_dtree clauses (List.init p.p_arity (fun i -> [| i |])));
+          List.iter (fun c -> ignore (Code.of_clause c)) clauses
+        end
+      end)
     db.preds ()
 
 (* Idempotent: O(1) on an already-frozen database, so per-query freezing
@@ -513,35 +623,97 @@ let overlay b =
     has_tabled = b.has_tabled;
     base = Some b;
     removed = [];
+    dead = [];
   }
 
 let base db = db.base
 
-(* The base's answer without this session's tombstones. *)
-let visible db = function
-  | None -> []
-  | Some bs -> (
-    match db.removed with
-    | [] -> bs
-    | removed -> List.filter (fun c -> not (List.memq c removed)) bs)
+(* This session's tombstoned rows of [st]. *)
+let dead_rows db st =
+  match db.dead with
+  | [] -> []
+  | dead -> List.filter_map (fun (s, r) -> if s == st then Some r else None) dead
 
-(* The session view of one lookup, in overlay source order: asserta'd
-   session clauses, then the base's (indexed) answer with this
+(* The base clauses this session hides from [sym/arity]: its
+   tombstoned clauses, and the clauses of its tombstoned rows in the
+   base's clause view. *)
+let hidden db b sym arity =
+  match db.dead with
+  | [] -> db.removed
+  | _ :: _ -> (
+    match find_pred_sym b sym arity with
+    | Some ({ store = Some st; _ } as p) -> (
+      match dead_rows db st with
+      | [] -> db.removed
+      | dead ->
+        let v = view b p st in
+        List.map (fun r -> v.v_clauses.(r)) dead @ db.removed)
+    | Some { store = None; _ } | None -> db.removed)
+
+(* The base's clauses [bs] of [sym/arity] without this session's
+   tombstones. *)
+let visible db b sym arity bs =
+  match hidden db b sym arity with
+  | [] -> bs
+  | hidden -> List.filter (fun c -> not (List.memq c hidden)) bs
+
+(* The session view of one interpreted lookup, in overlay source order:
+   asserta'd session clauses, then the base's (indexed) answer with this
    session's tombstones filtered out, then assertz'd session clauses,
    both session parts through the linear first-argument test.  [None]
    exactly when neither side defines the predicate.  When the session
    holds no clause of the predicate and has no tombstones, the view is
    the base's answer itself, not a copy. *)
-let overlay_view db own arity (args : Term.t array) base_part =
-  match own, base_part, db.removed with
-  | Some p, _, _ when holds_clauses p ->
+let overlay_view db b own sym arity (args : Term.t array) base_part =
+  match own, base_part with
+  | Some p, _ when holds_clauses p ->
     Some
       (first_arg_filter arity args p.front
-      @ visible db base_part
+      @ visible db b sym arity (Option.value base_part ~default:[])
       @ first_arg_filter arity args (List.rev p.back_rev))
-  | None, None, _ -> None
-  | _, Some _, [] -> base_part
-  | _ -> Some (visible db base_part)
+  | None, None -> None
+  | _, Some bs -> (
+    match db.removed, db.dead with
+    | [], [] -> base_part
+    | _ -> Some (visible db b sym arity bs))
+  | Some _, None -> Some []
+
+(* The session view of one compiled lookup: for a store, the base's rows
+   with this session's clauses around them and its tombstoned rows
+   listed (the base's own [Rows] when the session touches neither); for
+   clauses, as {!overlay_view}. *)
+let overlay_code db b own sym arity (args : Term.t array) base_found =
+  match base_found with
+  | Rows r -> (
+    match own, dead_rows db r.store with
+    | Some p, dead when holds_clauses p ->
+      Rows
+        {
+          r with
+          front = first_arg_filter arity args p.front;
+          back = first_arg_filter arity args (List.rev p.back_rev);
+          dead;
+        }
+    | (Some _ | None), [] -> base_found
+    | (Some _ | None), dead -> Rows { r with dead })
+  | Clauses bs -> (
+    match own with
+    | Some p when holds_clauses p ->
+      Clauses
+        (first_arg_filter arity args p.front
+        @ visible db b sym arity bs
+        @ first_arg_filter arity args (List.rev p.back_rev))
+    | Some _ | None -> (
+      match db.removed with
+      | [] -> base_found
+      | _ :: _ -> Clauses (visible db b sym arity bs)))
+  | Undefined -> (
+    match own with
+    | Some p ->
+      Clauses
+        (first_arg_filter arity args p.front
+        @ first_arg_filter arity args (List.rev p.back_rev))
+    | None -> Undefined)
 
 (* Deletes [c] from the session's own clauses, if it is one: a clause
    the session asserted and now retracts leaves the overlay, instead of
@@ -568,72 +740,100 @@ let remove_own db c =
 (* The linear test over all of [p]'s clauses, until the next freeze;
    out of line, so the frozen path's bodies stay small. *)
 let[@inline never] unindexed p (args : Term.t array) =
-  Some (first_arg_filter p.p_arity args (all_clauses p))
+  first_arg_filter p.p_arity args (p.front @ List.rev p.back_rev)
 
-(* One database's own candidates for a call whose arguments are the
-   first cells of [args]: a walk of the predicate's dispatch tree
-   ([code]) or first-argument table once frozen, the linear test
+(* One database's own interpreted candidates for a call whose arguments
+   are the first cells of [args]: a walk of the predicate's
+   first-argument table (a store's view's) once frozen, the linear test
    before.  [None] when the predicate is undefined (distinct from
    defined with no matching clause). *)
-let candidates db ~code sym arity (args : Term.t array) =
+let candidates db sym arity (args : Term.t array) =
   match find_pred_sym db sym arity with
   | None -> None
   | Some p -> (
-    match if code then p.dtree else p.first_arg with
+    match p.first_arg, p.store with
+    | Some tree, _ -> walk tree args
+    | None, Some st -> walk (view db p st).v_first args
+    | None, None -> Some (unindexed p args))
+
+(* The compiled counterpart: a walk of the dispatch tree (a store's one
+   [Rows] leaf). *)
+let candidates_code db sym arity (args : Term.t array) =
+  match find_pred_sym db sym arity with
+  | None -> Undefined
+  | Some p -> (
+    match p.dtree with
     | Some tree -> walk tree args
-    | None -> unindexed p args)
+    | None -> Clauses (unindexed p args))
 
 (* A database without a base pays one load and branch for overlays; an
    overlay merges its own clauses around the base's answer, never
-   touching the base's indexes.  On the compiled path the base's part
-   comes through its dispatch tree and the session's through the
-   first-argument test — both drop only provably non-unifiable clauses,
-   so the combination is still sound. *)
-let lookup_args db ~code sym arity (args : Term.t array) =
+   touching the base's indexes. *)
+let lookup_args db sym arity (args : Term.t array) =
   match db.base with
-  | None -> candidates db ~code sym arity args
+  | None -> candidates db sym arity args
   | Some b ->
-    overlay_view db
-      (find_pred_sym db sym arity)
-      arity args
-      (candidates b ~code sym arity args)
+    overlay_view db b (find_pred_sym db sym arity) sym arity args
+      (candidates b sym arity args)
+
+(* On the compiled path the base's part comes through its dispatch tree
+   and the session's through the first-argument test — both drop only
+   provably non-unifiable clauses, so the combination is still sound. *)
+let find_code db sym arity (args : Term.t array) =
+  match db.base with
+  | None -> candidates_code db sym arity args
+  | Some b ->
+    overlay_code db b (find_pred_sym db sym arity) sym arity args
+      (candidates_code b sym arity args)
 
 let lookup db call =
   match Term.deref call with
-  | Term.Struct (sym, args) ->
-    lookup_args db ~code:false sym (Array.length args) args
-  | Term.Atom sym -> lookup_args db ~code:false sym 0 Code.no_args
+  | Term.Struct (sym, args) -> lookup_args db sym (Array.length args) args
+  | Term.Atom sym -> lookup_args db sym 0 Code.no_args
   | Term.Int _ | Term.Var _ -> invalid_arg "Database.lookup: callable expected"
-
-let lookup_code_args db sym arity (args : Term.t array) =
-  lookup_args db ~code:true sym arity args
-
-let lookup_code db call =
-  match Term.deref call with
-  | Term.Struct (sym, args) -> lookup_code_args db sym (Array.length args) args
-  | Term.Atom sym -> lookup_code_args db sym 0 Code.no_args
-  | Term.Int _ | Term.Var _ ->
-    invalid_arg "Database.lookup_code: callable expected"
 
 (* Retracts the first clause of the session view whose [H :- B] term
    unifies with [pattern]'s.  The candidates are the session view's
-   first-argument lookup on the pattern's head, so only clauses that can
-   match are unified.  A clause the session asserted leaves its overlay;
-   a base clause is tombstoned (by physical identity), as the base is
+   compiled lookup on the pattern's head, so only clauses (or rows)
+   that can match are unified.  A clause the session asserted leaves
+   its overlay; a base clause or row is tombstoned, as the base is
    never written.  Returns [false] when nothing matched. *)
 let retract db pattern =
   if db.base = None then
     invalid_arg "Database.retract: session overlay expected";
   let pat = Clause.to_term (Clause.rename pattern) in
-  match
-    List.find_opt
-      (fun c -> Ace_term.Unify.matches (Clause.to_term c) pat)
-      (Option.value ~default:[] (lookup db pattern.Clause.head))
-  with
-  | None -> false
-  | Some c ->
+  let matches c = Ace_term.Unify.matches (Clause.to_term c) pat in
+  let take c =
     if not (remove_own db c) then db.removed <- c :: db.removed;
     true
+  in
+  let take_first clauses =
+    match List.find_opt matches clauses with None -> false | Some c -> take c
+  in
+  (* the first row of [r]'s rows that this session shows and that
+     matches, tombstoned *)
+  let take_row (r : rows) =
+    let st = r.store and sel = Store.sel () in
+    Store.select st (head_args pattern) sel;
+    let rec scan pos =
+      pos < sel.Store.hi
+      &&
+      let row = Store.row_at sel.Store.order pos in
+      if (not (List.mem row r.dead))
+         && Ace_term.Unify.matches (Store.row_term st row) pat
+      then begin
+        db.dead <- (st, row) :: db.dead;
+        true
+      end
+      else scan (pos + 1)
+    in
+    scan sel.Store.lo
+  in
+  let sym, arity = Clause.functor_arity pattern in
+  match find_code db sym arity (head_args pattern) with
+  | Undefined -> false
+  | Clauses clauses -> take_first clauses
+  | Rows r -> take_first r.front || take_row r || take_first r.back
 
 (* Overlay-aware introspection (cold paths). *)
 
@@ -642,20 +842,25 @@ let mem db name arity =
   || match db.base with None -> false | Some b -> find_pred b name arity <> None
 
 let clauses_of db name arity =
+  let sym = Symbol.intern name in
+  let all db =
+    match find_pred_sym db sym arity with None -> [] | Some p -> all_clauses db p
+  in
   match db.base with
-  | None -> clauses_of db name arity
+  | None -> all db
   | Some b ->
-    let keep =
-      match db.removed with
-      | [] -> fun _ -> true
-      | removed -> fun c -> not (List.memq c removed)
-    in
     let front, back =
-      match find_pred db name arity with
+      match find_pred_sym db sym arity with
       | None -> ([], [])
       | Some p -> (p.front, List.rev p.back_rev)
     in
-    List.filter keep (front @ clauses_of b name arity @ back)
+    front @ visible db b sym arity (all b) @ back
+
+let store db name arity =
+  let find db = Option.bind (find_pred db name arity) (fun p -> p.store) in
+  match db.base with None -> find db | Some b -> find b
+
+let tombstones db = List.length db.removed + List.length db.dead
 
 (* ------------------------------------------------------------------ *)
 (* Tabling registry                                                    *)
@@ -697,14 +902,14 @@ let predicates db =
 let total_clauses db =
   let clauses db =
     Sym_index.fold
-      (fun _ _ p acc -> acc + List.length p.front + List.length p.back_rev)
+      (fun _ _ p acc ->
+        acc + List.length p.front + List.length p.back_rev
+        + match p.store with Some st -> Store.rows st | None -> 0)
       db.preds 0
   in
   match db.base with
   | None -> clauses db
-  | Some b -> clauses db + clauses b - List.length db.removed
-
-let tombstones db = List.length db.removed
+  | Some b -> clauses db + clauses b - tombstones db
 
 (* A predicate is statically determinate-on-first-arg when no two of its
    clauses can match the same (non-variable) first argument.  Used by the
@@ -719,12 +924,13 @@ let rec first_arg_exclusive db name arity =
     (* an overlay that does not touch the predicate inherits the base's
        answer; one that does is conservatively non-exclusive *)
     match db.base with
-    | Some b when db.removed = [] -> first_arg_exclusive b name arity
+    | Some b when db.removed = [] && db.dead = [] ->
+      first_arg_exclusive b name arity
     | _ -> false)
   | Some _ when db.base <> None ->
     false (* session clauses may overlap the base's: stay conservative *)
   | Some p -> (
-    match all_clauses p with
+    match all_clauses db p with
     | [] | [ _ ] -> true
     | clauses ->
       let cl = Array.of_list clauses in

@@ -1,12 +1,17 @@
-(** Clause database with first-argument indexing.
+(** Clause database with first-argument indexing, and column stores for
+    predicates of facts.
 
     Indexing is what makes runtime determinacy observable to the engines:
     a call with a single surviving clause allocates no choice point, which
     is the trigger condition for the paper's LPCO and shallow-parallelism
     optimizations.  {!freeze} builds each predicate's indexes, a
     first-argument case table ({!lookup}) and a switch-on-term dispatch
-    tree ({!lookup_code}); on a frozen database neither lookup
-    allocates. *)
+    tree ({!find_code}); on a frozen database neither lookup
+    allocates.  It also turns each untabled predicate of facts with
+    atomic arguments into a {!Store}, whose argument indexes are built
+    on demand and whose clause records are dropped: {!find_code} sends
+    calls to its rows, and everything that reads clauses reads its
+    clause view (one fact clause per row, built on first use). *)
 
 type t
 
@@ -17,8 +22,13 @@ val asserta : t -> Clause.t -> unit
 
 val mem : t -> string -> int -> bool
 
-(** Clauses of a predicate in source order (no indexing). *)
+(** Clauses of a predicate in source order (no indexing); a store's
+    are its clause view's. *)
 val clauses_of : t -> string -> int -> Clause.t list
+
+(** The predicate's column store, if {!freeze} made it one (an overlay
+    answers for its base). *)
+val store : t -> string -> int -> Store.t option
 
 (** Candidate clauses for a call after first-argument indexing, in
     source order: exactly the clauses whose head's first argument can
@@ -29,27 +39,39 @@ val clauses_of : t -> string -> int -> Clause.t list
     clause of the predicate and no tombstone, it allocates nothing. *)
 val lookup : t -> Ace_term.Term.t -> Clause.t list option
 
-(** Candidate clauses for a call through the switch-on-term dispatch tree
-    with deep argument indexing (the compiled path's {!lookup}); built by
-    {!freeze}, falls back to {!lookup}'s first-argument test on an
-    unfrozen database.  Like {!lookup}, [None] means the predicate is
-    undefined, and the result is in source order — only provably
-    non-unifiable clauses are filtered out, so solution sets are
-    unchanged (choice-point counts may shrink). *)
-val lookup_code : t -> Ace_term.Term.t -> Clause.t list option
+(** What a compiled call's predicate holds for it (see {!find_code}). *)
+type rows = {
+  store : Store.t;
+  front : Clause.t list;
+      (** an overlay's own clauses that go before the rows ([asserta]'d),
+          after the first-argument test *)
+  back : Clause.t list;  (** and after them ([assertz]'d) *)
+  dead : int list;  (** the overlay's tombstoned rows of [store] *)
+}
 
-(** {!lookup_code} with the call spread in a register file (the
-    compiled body path never packs a [Term.Struct] for the call): [args]
-    holds the goal's arguments in its first [arity] cells and may be
-    longer.  On a frozen database that the caller has not overlaid, it
-    allocates nothing: the result is one the dispatch tree holds. *)
-val lookup_code_args :
-  t -> Ace_term.Symbol.t -> int -> Ace_term.Term.t array -> Clause.t list option
+type found =
+  | Undefined  (** no such predicate *)
+  | Clauses of Clause.t list
+      (** candidate clauses, in source order (possibly none) *)
+  | Rows of rows  (** a store's predicate: select its rows *)
+
+(** The compiled path's lookup for a call whose arguments are the first
+    cells of [args] (a register file may be longer): a walk of the
+    predicate's switch-on-term dispatch tree, with deep argument
+    indexing; the first-argument test on an unfrozen database.  Only
+    provably non-unifiable clauses are dropped, so solution sets are
+    unchanged (choice-point counts may shrink).  On a frozen database
+    that the caller has not overlaid it allocates nothing: the result
+    is one the dispatch tree holds, and a store's [Rows] is built at
+    freeze. *)
+val find_code : t -> Ace_term.Symbol.t -> int -> Ace_term.Term.t array -> found
 
 (** Builds every predicate's first-argument table and dispatch tree, so
     later lookups are allocation-free pure reads (safe to share across
-    domains), and compiles every clause.  Asserting drops the affected
-    predicate's indexes; freeze again after updates.  On a session
+    domains), and compiles every clause; makes a store of each untabled
+    predicate whose clauses are all facts with atomic arguments.
+    Asserting drops the affected predicate's indexes (and turns a store
+    back into clauses); freeze again after updates.  On a session
     overlay it only compiles the session's own clauses, which lookups
     filter linearly.  Idempotent, and thread-safe: concurrent freezes
     serialize on an internal lock and the frozen flag is published only
@@ -63,8 +85,8 @@ val freeze : t -> unit
     clauses asserted into the overlay are visible only through it
     ([asserta]'d ones before the base's clauses, [assertz]'d ones
     after), {!retract} deletes the session's own clauses and tombstones
-    base clauses without writing the base, and every lookup merges the
-    delta around the base's indexed answer.
+    base clauses and rows without writing the base, and every lookup
+    merges the delta around the base's indexed answer.
     The base is never mutated, so any number of sessions can overlay
     the same database while engines run queries against it. *)
 
@@ -79,8 +101,9 @@ val base : t -> t option
 (** [retract db pattern] removes the first clause of the session view
     (overlay [asserta]s, then base, then overlay [assertz]s) whose
     [H :- B] term unifies with [pattern]'s; returns [false] when no
-    clause matches.  Candidates come from {!lookup} on the pattern's
-    head, so only clauses whose first argument can match are unified.
+    clause matches.  Candidates come from {!find_code} on the pattern's
+    head, so only clauses (or a store's rows) that can match are
+    unified.
     Overlay-only: raises [Invalid_argument] on a database without a
     base. *)
 val retract : t -> Clause.t -> bool
@@ -104,9 +127,9 @@ val predicates : t -> (string * int) list
 
 val total_clauses : t -> int
 
-(** Base clauses a session overlay has retracted (hides by tombstone);
-    0 for an ordinary database.  The session's own retracted clauses
-    leave the overlay and are not counted. *)
+(** Base clauses and rows a session overlay has retracted (hides by
+    tombstone); 0 for an ordinary database.  The session's own
+    retracted clauses leave the overlay and are not counted. *)
 val tombstones : t -> int
 
 (** No two clauses of the predicate can match the same non-variable first

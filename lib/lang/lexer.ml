@@ -153,13 +153,14 @@ let quoted st ~quote pos =
   go ()
 
 let next st =
-  (* a '(' applies a functor when the character before it ends a name,
-     looked at before and after layout is skipped: a skipped space or
-     newline breaks the adjacency, a block comment's closing '/' (a
-     symbol character) does not *)
+  (* a '(' applies a functor when the character before it ends a name
+     and no layout was skipped in between: a space, a newline and a
+     comment (ISO layout text) all break the adjacency, so [f/*c*/(x)]
+     is as much a syntax error as [f (x)] *)
   let followed_name = st.off > 0 && is_name_end st.src.[st.off - 1] in
+  let before = st.off in
   skip_layout st;
-  let gapless = followed_name && is_name_end st.src.[st.off - 1] in
+  let gapless = followed_name && st.off = before in
   let pos = position st in
   if at_end st then { token = Eof; pos }
   else

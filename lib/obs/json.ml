@@ -149,11 +149,58 @@ let add_utf8 buf u =
     Buffer.add_char buf (Char.chr (0xc0 lor (u lsr 6)));
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
   end
-  else begin
+  else if u < 0x10000 then begin
     Buffer.add_char buf (Char.chr (0xe0 lor (u lsr 12)));
     Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
   end
+  else begin
+    Buffer.add_char buf (Char.chr (0xf0 lor (u lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 12) land 0x3f)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3f)));
+    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3f)))
+  end
+
+(* The four hex digits at [c.pos], consumed: exactly four, so no sign,
+   no [0x] and no [_] separator. *)
+let hex4 c =
+  if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
+  let digit = function
+    | '0' .. '9' as d -> Char.code d - 48
+    | 'a' .. 'f' as d -> Char.code d - 87
+    | 'A' .. 'F' as d -> Char.code d - 55
+    | _ -> fail c "bad \\u escape"
+  in
+  let v = ref 0 in
+  for i = c.pos to c.pos + 3 do
+    v := (!v lsl 4) lor digit (String.unsafe_get c.text i)
+  done;
+  c.pos <- c.pos + 4;
+  !v
+
+(* A \uXXXX escape's code point, its [\u] consumed: a high surrogate
+   must be followed by an escaped low one, and the pair is one code
+   point (4 bytes of UTF-8, not two 3-byte halves); a lone surrogate is
+   refused. *)
+let escaped_code_point c =
+  let u = hex4 c in
+  if u >= 0xd800 && u <= 0xdbff then begin
+    let text = c.text in
+    if
+      c.pos + 2 <= String.length text
+      && String.unsafe_get text c.pos = '\\'
+      && String.unsafe_get text (c.pos + 1) = 'u'
+    then begin
+      c.pos <- c.pos + 2;
+      let lo = hex4 c in
+      if lo >= 0xdc00 && lo <= 0xdfff then
+        0x10000 + ((u - 0xd800) lsl 10) + (lo - 0xdc00)
+      else fail c "lone surrogate in \\u escape"
+    end
+    else fail c "lone surrogate in \\u escape"
+  end
+  else if u >= 0xdc00 && u <= 0xdfff then fail c "lone surrogate in \\u escape"
+  else u
 
 (* The rest of a string holding an escape, from [c.pos] (just past the
    characters already in [buf]) through the closing quote. *)
@@ -176,13 +223,7 @@ let parse_escaped c buf =
        | 'f' -> advance c; Buffer.add_char buf '\012'
        | 'u' ->
          advance c;
-         if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
-         let hex = String.sub c.text c.pos 4 in
-         (match int_of_string_opt ("0x" ^ hex) with
-          | Some u ->
-            c.pos <- c.pos + 4;
-            add_utf8 buf u
-          | None -> fail c "bad \\u escape")
+         add_utf8 buf (escaped_code_point c)
        | x -> fail c (Printf.sprintf "bad escape \\%C" x));
       go ()
     | ch ->

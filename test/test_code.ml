@@ -116,7 +116,7 @@ let mixed_db =
      db)
 
 let candidates goal =
-  match Database.lookup_code (Lazy.force mixed_db) (Test_util.term goal) with
+  match Test_util.compiled_candidates (Lazy.force mixed_db) (Test_util.term goal) with
   | Some cs -> List.length cs
   | None -> Alcotest.failf "unexpectedly undefined: %s" goal
 
@@ -142,7 +142,7 @@ let test_dispatch_counts () =
   expect "m(99, R)" 1 (candidates "m(99, R)");
   Alcotest.(check bool)
     "undefined predicate is [None], not []" true
-    (Database.lookup_code (Lazy.force mixed_db) (Test_util.term "zz(1)")
+    (Test_util.compiled_candidates (Lazy.force mixed_db) (Test_util.term "zz(1)")
      = None)
 
 (* Pruning must be invisible to semantics: the compiled engine's answers
@@ -261,10 +261,10 @@ let dispatch_complete_prop =
             in
             (* a register file may be longer than the call *)
             let regs = Array.append args [| Term.atom "junk"; Term.Int 7 |] in
-            let sym = Ace_term.Symbol.intern "k" in
+            let k = Ace_term.Symbol.intern "k" in
             match
-              ( Database.lookup_code db call,
-                Database.lookup_code_args db sym 3 regs )
+              ( Test_util.compiled_candidates db call,
+                Test_util.compiled_candidates_args db k 3 regs )
             with
             | Some found, Some found_regs ->
               let matching c =
@@ -307,7 +307,7 @@ let test_dispatch_keys_apart () =
   List.iter2
     (fun k c ->
       let call = Term.app "e" [ k ] in
-      match Database.lookup_code db call with
+      match Test_util.compiled_candidates db call with
       | Some [ c' ] when c' == c -> ()
       | Some cs ->
         Alcotest.failf "%s selects %d clauses, not its own fact"

@@ -31,6 +31,18 @@ let test_lexer_basic () =
     [ "atom:f"; "punct:(("; "var:X"; "punct:)"; "atom:f"; "punct:(";
       "var:X"; "punct:)"; "eof" ]
     "f(X) f (X)";
+  (* a comment is layout: it breaks the adjacency as a space does *)
+  check_tokens "comment before paren"
+    [ "atom:f"; "punct:("; "var:X"; "punct:)"; "atom:g"; "punct:(";
+      "var:Y"; "punct:)"; "eof" ]
+    "f/*c*/(X) g%c\n(Y)";
+  Alcotest.(check bool) "f/*c*/(x). is a syntax error, as f (x). is" true
+    (List.for_all
+       (fun src ->
+         match Program.consult_string src with
+         | _ -> false
+         | exception Program.Error _ -> true)
+       [ "f/*c*/(x)."; "f (x)." ]);
   check_tokens "symbolic atoms"
     [ "atom::-"; "atom:="; "atom:=.."; "atom:-"; "eof" ]
     ":- = =.. -";
@@ -161,7 +173,7 @@ let test_database_arities () =
          ":- table(p/2).\np. p(1). p(1, a). p(2, b). q(X) :- p(X, _).")
   in
   let count db s =
-    match Database.lookup_code db (term s) with
+    match Test_util.compiled_candidates db (term s) with
     | None -> -1
     | Some clauses -> List.length clauses
   in

@@ -7,6 +7,7 @@ let () =
       ("pp", Test_pp.suite);
       ("trail-unify", Test_trail_unify.suite);
       ("lang", Test_lang.suite);
+      ("store", Test_store.suite);
       ("machine", Test_machine.suite);
       ("obs", Test_obs.suite);
       ("prof", Test_prof.suite);

@@ -47,6 +47,35 @@ let test_json_parse_misc () =
     Alcotest.(check bool) "nested null" true (Json.member "c" b = Some Json.Null)
   | None -> Alcotest.fail "missing b"
 
+(* [\uXXXX] escapes: exactly four hex digits ([_], a digit separator
+   to [int_of_string], is refused), a surrogate pair is one code point
+   of 4 UTF-8 bytes (not two 3-byte halves), and a lone surrogate is
+   refused, in band through [Protocol.parse_request] as well. *)
+let test_json_unicode_escapes () =
+  let refused s =
+    match Json.parse s with
+    | Error _ -> ()
+    | Ok v -> Alcotest.failf "%s parsed as %s" s (Json.to_string v)
+  in
+  refused {|"\u00_1"|};
+  refused {|"\u+041"|};
+  refused {|"\u004"|};
+  refused {|"\ud83d"|};
+  refused {|"\ud83dx"|};
+  refused {|"\ud83d\u0041"|};
+  refused {|"\ude00"|};
+  (match parse_ok {|"\ud83d\ude00"|} with
+   | Json.Str s -> Alcotest.(check string) "one 4-byte code point" "\xF0\x9F\x98\x80" s
+   | _ -> Alcotest.fail "string expected");
+  (match parse_ok {|"a\u00e9\u20AC"|} with
+   | Json.Str s -> Alcotest.(check string) "2- and 3-byte code points" "a\xC3\xA9\xE2\x82\xAC" s
+   | _ -> Alcotest.fail "string expected");
+  match Ace_server.Protocol.parse_request {|{"op":"query","goal":"p(\ud83d)"}|} with
+  | Error msg ->
+    Alcotest.(check bool) "names the lone surrogate" true
+      (String.ends_with ~suffix:"lone surrogate in \\u escape" msg)
+  | Ok _ -> Alcotest.fail "a lone surrogate must be refused in band"
+
 (* The profiler JSON carries per-predicate nanosecond totals, so Num
    printing must be lossless for every integer up to 2^53 and must
    round-trip exponent-form floats. *)
@@ -333,6 +362,7 @@ let suite =
   [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse misc" `Quick test_json_parse_misc;
     Alcotest.test_case "json float roundtrip" `Quick test_json_float_roundtrip;
+    Alcotest.test_case "json unicode escapes" `Quick test_json_unicode_escapes;
     Alcotest.test_case "ring overflow" `Quick test_ring_overflow;
     Alcotest.test_case "ring monotone clamp" `Quick test_ring_monotone_clamp;
     Alcotest.test_case "ring wrap stays monotone" `Quick

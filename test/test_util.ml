@@ -16,6 +16,44 @@ let solutions ?(config = Config.default) ?(kind = Engine.Sequential) program
   let r = Engine.solve_program kind config ~program ~query in
   List.map Ace_term.Pp.to_string r.Engine.solutions
 
+(* The compiled path's lookup ([Database.find_code]) of a call whose
+   arguments are the first cells of [args], as clauses: a store's
+   selected rows are read through its clause view (one clause per row,
+   in row order), between an overlay's own clauses, its tombstoned rows
+   left out.  [None]: undefined. *)
+let compiled_candidates_args db sym arity (args : Term.t array) =
+  let module Database = Ace_lang.Database in
+  let module Store = Ace_lang.Store in
+  match Database.find_code db sym arity args with
+  | Database.Undefined -> None
+  | Database.Clauses clauses -> Some clauses
+  | Database.Rows r ->
+    let owner = Option.value (Database.base db) ~default:db in
+    let view =
+      Array.of_list
+        (Database.clauses_of owner (Ace_term.Symbol.name sym) arity)
+    in
+    let sel = Store.sel () in
+    Store.select r.Database.store args sel;
+    let rows =
+      List.init (sel.hi - sel.lo) (fun i -> Store.row_at sel.order (sel.lo + i))
+    in
+    Some
+      (r.Database.front
+      @ List.filter_map
+          (fun row ->
+            if List.mem row r.Database.dead then None else Some view.(row))
+          rows
+      @ r.Database.back)
+
+(* The same for a goal term. *)
+let compiled_candidates db goal =
+  match Term.deref goal with
+  | Term.Struct (sym, args) ->
+    compiled_candidates_args db sym (Array.length args) args
+  | Term.Atom sym -> compiled_candidates_args db sym 0 [||]
+  | Term.Int _ | Term.Var _ -> invalid_arg "compiled_candidates: callable expected"
+
 (* Abstract cycles of a run on an engine that charges them (all but
    [Par_or]). *)
 let cycles r = Option.get r.Engine.cycles
@@ -78,9 +116,9 @@ let qcheck_seed =
   | Some n -> n
   | None -> 0xACE5EED
 
-let qcheck ?(count = 200) name gen prop =
+let qcheck ?(count = 200) ?print name gen prop =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| qcheck_seed |])
-    (QCheck2.Test.make ~count
+    (QCheck2.Test.make ~count ?print
        ~name:(Printf.sprintf "%s [seed %d]" name qcheck_seed)
        gen prop)
